@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,11 +93,16 @@ def energy_window(p: HoppingPair, margin: float = ENERGY_MARGIN) -> EnergyWindow
     return EnergyWindow(-m - margin, m + margin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandSet:
-    """Sorted disjoint closed bands with their provenance."""
+    """Sorted disjoint closed bands [lo[i], hi[i]] with their provenance.
 
-    bands: tuple[Interval, ...]
+    lo and hi are read-only float arrays; `bands` gives one Interval per band
+    on demand.  Band sets compare by identity.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
     kind: str
     level: int
     params: HoppingPair
@@ -104,39 +110,51 @@ class BandSet:
     merged_gaps: int = 0
 
     def __post_init__(self) -> None:
+        lo = np.array(self.lo, dtype=float)
+        hi = np.array(self.hi, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError(f"lo and hi must be 1-d of equal length, got {lo.shape}, {hi.shape}")
+        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi))
+        if bad.size:
+            raise ValueError(f"invalid interval ({float(lo[bad[0]])}, {float(hi[bad[0]])})")
         if self.kind not in ("sigma_k", "cover", "escape"):
             raise ValueError(f"unknown band-set kind {self.kind!r}")
-        for prev, cur in zip(self.bands, self.bands[1:]):
-            if cur.lo <= prev.hi:
-                raise ValueError(
-                    f"bands must be disjoint and sorted, got ...{prev.hi}] then [{cur.lo}..."
-                )
+        bad = np.flatnonzero(lo[1:] <= hi[:-1])
+        if bad.size:
+            raise ValueError(
+                f"bands must be disjoint and sorted, got ...{float(hi[bad[0]])}] "
+                f"then [{float(lo[bad[0] + 1])}..."
+            )
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @property
+    def bands(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.lo.tolist(), self.hi.tolist()))
 
     def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.bands)
+        i = np.searchsorted(self.lo, x, side="right") - 1
+        return bool(i >= 0 and x <= self.hi[i])
 
     def edges(self) -> list[float]:
-        out = []
-        for iv in self.bands:
-            out.extend((iv.lo, iv.hi))
-        return out
+        return np.column_stack((self.lo, self.hi)).ravel().tolist()
 
 
 def lebesgue_measure(bs: BandSet) -> float:
     """Total length of the bands."""
-    return float(sum(iv.length for iv in bs.bands))
+    return float(sum((bs.hi - bs.lo).tolist()))
 
 
-def _merge_intervals(intervals, gap: float) -> tuple[Interval, ...]:
-    ivs = sorted(intervals, key=lambda iv: iv.lo)
-    out: list[Interval] = []
-    for iv in ivs:
-        if out and iv.lo - out[-1].hi <= gap:
-            if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
-    return tuple(out)
+def _merge_intervals(lo: np.ndarray, hi: np.ndarray, gap: float):
+    """Sorted union of the intervals, joining those at most `gap` apart."""
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    hi = np.maximum.accumulate(hi[order])
+    start = np.ones(lo.size, dtype=bool)
+    start[1:] = lo[1:] - hi[:-1] > gap
+    return lo[start], hi[np.roll(start, -1)]
 
 
 def _batch_bisect(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
@@ -177,7 +195,22 @@ def _golden_max_abs(p: HoppingPair, level: int, lo: np.ndarray, hi: np.ndarray, 
     return mid, np.abs(trace_value(p, mid, level))
 
 
-def _locate_zeros(p: HoppingPair, level: int, containers, tol: float):
+def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.linspace(lo[c], hi[c], counts[c]) for every container c, concatenated.
+
+    Built in one pass with linspace's own arithmetic, i * ((hi - lo) / (n - 1))
+    + lo with the last point set to hi, so the points agree bit for bit.
+    """
+    ends = np.cumsum(counts)
+    E = np.arange(ends[-1], dtype=float)
+    E -= np.repeat(ends - counts, counts)
+    E *= np.repeat((hi - lo) / (counts - 1), counts)
+    E += np.repeat(lo, counts)
+    E[ends - 1] = hi
+    return E
+
+
+def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, tol: float):
     """All F_level zeros of x_level inside the containers, with container ids.
 
     Signs are sampled on per-container grids (about 8 F_level points in
@@ -186,7 +219,7 @@ def _locate_zeros(p: HoppingPair, level: int, containers, tol: float):
     certifies completeness.
     """
     target = fibonacci(level)
-    lens = np.array([c.length for c in containers])
+    lens = chi - clo
     total = float(lens.sum())
     base = np.maximum(9, np.ceil(8.0 * target * lens / max(total, 1e-300)).astype(int) + 1)
     mult = 1
@@ -195,117 +228,74 @@ def _locate_zeros(p: HoppingPair, level: int, containers, tol: float):
         n_pts = int(counts.sum())
         if n_pts > GRID_CAP:
             raise RootIsolationError(level, -1, target, n_pts, "grid cap reached")
-        grids = [np.linspace(c.lo, c.hi, int(n)) for c, n in zip(containers, counts)]
-        E = np.concatenate(grids)
-        x = trace_value(p, E, level)
-        s = np.where(x >= 0.0, 1, -1)
-        lo_parts, hi_parts, cid_parts = [], [], []
-        off = 0
-        for ci, g in enumerate(grids):
-            ss = s[off : off + len(g)]
-            flips = np.nonzero(ss[:-1] != ss[1:])[0]
-            lo_parts.append(g[flips])
-            hi_parts.append(g[flips + 1])
-            cid_parts.append(np.full(flips.shape, ci, dtype=int))
-            off += len(g)
-        lo = np.concatenate(lo_parts)
-        hi = np.concatenate(hi_parts)
-        cid = np.concatenate(cid_parts)
-        if len(lo) == target:
+        E = _container_grid(clo, chi, counts)
+        s = trace_value(p, E, level) >= 0.0
+        ends = np.cumsum(counts) - 1
+        flip = s[:-1] != s[1:]
+        flip[ends[:-1]] = False  # pairs that straddle two containers
+        flips = np.flatnonzero(flip)
+        if len(flips) == target:
             break
-        if len(lo) > target:
+        if len(flips) > target:
             raise RootIsolationError(
-                level, len(lo), target, n_pts, "more sign changes than zeros exist"
+                level, len(flips), target, n_pts, "more sign changes than zeros exist"
             )
         mult *= 2
-    zeros = _batch_bisect(lambda EE: trace_value(p, EE, level), lo, hi, tol)
+    zeros = _batch_bisect(lambda EE: trace_value(p, EE, level), E[flips], E[flips + 1], tol)
     order = np.argsort(zeros)
-    return zeros[order], cid[order]
+    return zeros[order], np.searchsorted(ends, flips)[order]
 
 
-def _solve_level(p: HoppingPair, level: int, containers, tol: float):
-    """Bands of sigma_level inside the containers, plus the merge count."""
-    zeros, cid = _locate_zeros(p, level, containers, tol)
+def _solve_level(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, tol: float):
+    """Bands (lo, hi) of sigma_level inside the containers, plus the merge count."""
+    zeros, cid = _locate_zeros(p, level, clo, chi, tol)
     slack = max(tol, 1e3 * np.finfo(float).eps * fibonacci(level))
 
     def g(EE):
         return np.abs(trace_value(p, EE, level)) - 1.0
 
-    same = cid[1:] == cid[:-1]
-    idx_same = np.nonzero(same)[0]
-    if idx_same.size:
+    # Gap i lies between zeros i and i + 1; its edge brackets end at the
+    # container edges, or at the peak of |x| when both zeros share a
+    # container.  A peak of |x| at or below 1 closes the gap.
+    gap_lo = chi[cid[:-1]]
+    gap_hi = clo[cid[1:]]
+    is_open = cid[1:] != cid[:-1]
+    same = np.flatnonzero(~is_open)
+    if same.size:
         peak_pos, peak_val = _golden_max_abs(
-            p, level, zeros[idx_same], zeros[idx_same + 1], width=max(10.0 * tol, 1e-11)
+            p, level, zeros[same], zeros[same + 1], width=max(10.0 * tol, 1e-11)
         )
-    peaks = dict(zip(idx_same.tolist(), zip(peak_pos, peak_val))) if idx_same.size else {}
+        gap_lo[same] = gap_hi[same] = peak_pos
+        is_open[same] = ~(peak_val <= 1.0 + slack)
+    gaps = np.flatnonzero(is_open)
+    closed_gaps = len(zeros) - 1 - gaps.size
 
-    brackets: list[tuple[float, float]] = [(containers[cid[0]].lo, float(zeros[0]))]
-    breaks: list[int | None] = []
-    closed_gaps = 0
-    for i in range(len(zeros) - 1):
-        if same[i]:
-            c_pos, c_val = peaks[i]
-            if c_val <= 1.0 + slack:
-                breaks.append(None)
-                closed_gaps += 1
-                continue
-            brackets.append((float(zeros[i]), float(c_pos)))
-            brackets.append((float(c_pos), float(zeros[i + 1])))
-        else:
-            brackets.append((float(zeros[i]), containers[cid[i]].hi))
-            brackets.append((containers[cid[i + 1]].lo, float(zeros[i + 1])))
-        breaks.append(len(brackets) - 2)
-    brackets.append((float(zeros[-1]), containers[cid[-1]].hi))
-
-    blo = np.array([b[0] for b in brackets])
-    bhi = np.array([b[1] for b in brackets])
-    if np.any(np.sign(g(blo)) == np.sign(g(bhi))):
-        bad = int(np.nonzero(np.sign(g(blo)) == np.sign(g(bhi)))[0][0])
+    # Brackets alternate lower edge, upper edge, band by band.
+    blo = np.column_stack(
+        (np.append(clo[cid[0]], gap_hi[gaps]), np.append(zeros[gaps], zeros[-1]))
+    ).ravel()
+    bhi = np.column_stack(
+        (np.append(zeros[0], zeros[gaps + 1]), np.append(gap_lo[gaps], chi[cid[-1]]))
+    ).ravel()
+    bad = np.flatnonzero(np.sign(g(blo)) == np.sign(g(bhi)))
+    if bad.size:
         raise RootIsolationError(
             level, len(zeros), fibonacci(level), len(blo),
-            f"edge bracket ({blo[bad]}, {bhi[bad]}) has no sign change of |x|-1",
+            f"edge bracket ({blo[bad[0]]}, {bhi[bad[0]]}) has no sign change of |x|-1",
         )
     edges = _batch_bisect(g, blo, bhi, tol)
-
-    bands: list[Interval] = []
-    start = float(edges[0])
-    for br in breaks:
-        if br is None:
-            continue
-        bands.append(Interval(start, float(edges[br])))
-        start = float(edges[br + 1])
-    bands.append(Interval(start, float(edges[-1])))
-
-    merged: list[Interval] = []
-    n_merged = closed_gaps
-    for iv in bands:
-        if merged and iv.lo - merged[-1].hi <= MERGE_FACTOR * tol:
-            merged[-1] = Interval(merged[-1].lo, iv.hi)
-            n_merged += 1
-        else:
-            merged.append(iv)
-    return tuple(merged), n_merged
+    lo, hi = _merge_intervals(edges[0::2], edges[1::2], MERGE_FACTOR * tol)
+    return lo, hi, closed_gaps + gaps.size + 1 - lo.size
 
 
 @lru_cache(maxsize=128)
-def _chain(p: HoppingPair, k_max: int, tol: float) -> tuple[BandSet, ...]:
-    win = energy_window(p)
-    whole = [Interval(win.lo, win.hi)]
-    if k_max == 1:
-        bands, merged = _solve_level(p, 1, whole, tol)
-        return (BandSet(bands, "sigma_k", 1, p, tol, merged),)
-    prev = _chain(p, k_max - 1, tol)
-    if k_max == 2:
-        containers = whole
-    else:
-        inflate = MERGE_FACTOR * tol
-        raw = [
-            Interval(iv.lo - inflate, iv.hi + inflate)
-            for iv in prev[-1].bands + prev[-2].bands
-        ]
-        containers = list(_merge_intervals(raw, gap=0.0))
-    bands, merged = _solve_level(p, k_max, containers, tol)
-    return prev + (BandSet(bands, "sigma_k", k_max, p, tol, merged),)
+def _chain(p: HoppingPair, tol: float) -> list[BandSet]:
+    """sigma_1, sigma_2, ... as far as computed at (p, tol); sigma_chain extends it."""
+    return []
+
+
+# Extending a cached chain is check-then-append on a shared list.
+_CHAIN_LOCK = threading.Lock()
 
 
 def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[BandSet]:
@@ -314,7 +304,24 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
         raise ValueError(f"k must be >= 1, got {k_max}")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
-    return list(_chain(p, k_max, float(tol)))
+    tol = float(tol)
+    with _CHAIN_LOCK:
+        chain = _chain(p, tol)
+        while len(chain) < k_max:
+            k = len(chain) + 1
+            if k <= 2:
+                win = energy_window(p)
+                clo, chi = np.array([win.lo]), np.array([win.hi])
+            else:
+                inflate = MERGE_FACTOR * tol
+                clo, chi = _merge_intervals(
+                    np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate,
+                    np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate,
+                    gap=0.0,
+                )
+            lo, hi, merged = _solve_level(p, k, clo, chi, tol)
+            chain.append(BandSet(lo, hi, "sigma_k", k, p, tol, merged))
+        return chain[:k_max]
 
 
 def sigma_k(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
@@ -324,11 +331,13 @@ def sigma_k(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
 
 def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
     """sigma_k union sigma_{k+1}, the level-k outer cover of the spectrum."""
-    chain = sigma_chain(p, k + 1, tol)
-    merged = _merge_intervals(
-        chain[k - 1].bands + chain[k].bands, gap=MERGE_FACTOR * float(tol)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    fine, finer = sigma_chain(p, k + 1, tol)[k - 1 :]
+    lo, hi = _merge_intervals(
+        np.r_[fine.lo, finer.lo], np.r_[fine.hi, finer.hi], gap=MERGE_FACTOR * float(tol)
     )
-    return BandSet(merged, "cover", k, p, float(tol))
+    return BandSet(lo, hi, "cover", k, p, float(tol))
 
 
 def escape_spectrum(
@@ -358,22 +367,13 @@ def escape_spectrum(
     esc_mids, _, _ = escape_grid(p, mids, K_max)
     bounded_edges = ~esc_edges
     keep = bounded_edges[:-1] | bounded_edges[1:] | ~esc_mids
-    bands: list[Interval] = []
-    i = 0
-    while i < n_cells:
-        if keep[i]:
-            j = i
-            while j + 1 < n_cells and keep[j + 1]:
-                j += 1
-            bands.append(Interval(float(edges[i]), float(edges[j + 1])))
-            i = j + 1
-        i += 1
-    return BandSet(tuple(bands), "escape", K_max, p, float(grid_step))
+    # Runs of kept cells start where the step is +1 and end before a -1.
+    step = np.diff(keep.astype(np.int8), prepend=0, append=0)
+    return BandSet(edges[step == 1], edges[step == -1], "escape", K_max, p, float(grid_step))
 
 
-def _distance_to_bands(xs: np.ndarray, bands: tuple[Interval, ...]) -> np.ndarray:
-    lo = np.array([iv.lo for iv in bands])
-    hi = np.array([iv.hi for iv in bands])
+def _distance_to_bands(xs: np.ndarray, bs: BandSet) -> np.ndarray:
+    lo, hi = bs.lo, bs.hi
     idx = np.searchsorted(lo, xs, side="right") - 1
     left = np.clip(idx, 0, len(lo) - 1)
     inside = (idx >= 0) & (xs <= hi[left])
@@ -386,17 +386,14 @@ def _distance_to_bands(xs: np.ndarray, bands: tuple[Interval, ...]) -> np.ndarra
 
 def hausdorff_distance(bs1: BandSet, bs2: BandSet) -> float:
     """Hausdorff distance between two nonempty closed band unions."""
-    if not bs1.bands or not bs2.bands:
+    if not bs1.lo.size or not bs2.lo.size:
         raise ValueError("hausdorff_distance needs nonempty band sets")
 
     def directed(a: BandSet, b: BandSet) -> float:
-        pts = [iv.lo for iv in a.bands] + [iv.hi for iv in a.bands]
         # Interior maxima of the distance occur at midpoints of b's gaps.
-        for prev, cur in zip(b.bands, b.bands[1:]):
-            m = 0.5 * (prev.hi + cur.lo)
-            if a.contains(m):
-                pts.append(m)
-        return float(_distance_to_bands(np.array(pts), b.bands).max())
+        mids = 0.5 * (b.hi[:-1] + b.lo[1:])
+        pts = np.concatenate((a.lo, a.hi, mids[_distance_to_bands(mids, a) == 0.0]))
+        return float(_distance_to_bands(pts, b).max())
 
     return max(directed(bs1, bs2), directed(bs2, bs1))
 
@@ -408,7 +405,7 @@ def bandset_to_json(bs: BandSet) -> str:
         "b": bs.params.b,
         "kind": bs.kind,
         "k": bs.level,
-        "bands": [[iv.lo, iv.hi] for iv in bs.bands],
+        "bands": np.column_stack((bs.lo, bs.hi)).tolist(),
         "tol": bs.tol,
     }
     return json.dumps(obj)
@@ -416,10 +413,5 @@ def bandset_to_json(bs: BandSet) -> str:
 
 def bandset_from_json(text: str) -> BandSet:
     d = json.loads(text)
-    return BandSet(
-        tuple(Interval(float(lo), float(hi)) for lo, hi in d["bands"]),
-        d["kind"],
-        int(d["k"]),
-        HoppingPair(d["a"], d["b"]),
-        float(d["tol"]),
-    )
+    lo, hi = np.array([(lo, hi) for lo, hi in d["bands"]], dtype=float).reshape(-1, 2).T
+    return BandSet(lo, hi, d["kind"], int(d["k"]), HoppingPair(d["a"], d["b"]), float(d["tol"]))

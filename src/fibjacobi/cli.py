@@ -111,11 +111,12 @@ def _resolve_format(args: argparse.Namespace) -> str:
 
 def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
     cfg = _config_payload(args)
-    print(f"{label}: {len(bs.bands)} bands, measure {lebesgue_measure(bs):.12g}")
+    print(f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}")
     if _resolve_format(args) == "json":
         _emit_json(cfg, json.loads(bandset_to_json(bs)), args.out)
     else:
-        rows = [f"{i},{iv.lo:.17g},{iv.hi:.17g}" for i, iv in enumerate(bs.bands)]
+        pairs = zip(bs.lo.tolist(), bs.hi.tolist())
+        rows = [f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(pairs)]
         _emit_csv(cfg, "band,lo,hi", rows, args.out)
     return EXIT_OK
 

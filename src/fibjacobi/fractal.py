@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bands import DEFAULT_TOL, BandSet, Interval, cover, sigma_chain
+from .bands import DEFAULT_TOL, BandSet, cover, sigma_chain
 from .tracemap import HoppingPair, invariant_expected
 
 MIN_SCALES = 4
@@ -81,14 +81,14 @@ class SweepEntry:
     error: str | None = None
 
 
-def box_count(bands: Sequence[Interval], eps: float) -> int:
-    """Number of grid boxes [j*eps, (j+1)*eps) meeting the band union."""
+def box_count(lo: Sequence[float], hi: Sequence[float], eps: float) -> int:
+    """Number of grid boxes [j*eps, (j+1)*eps) meeting the union of bands [lo[i], hi[i]]."""
     if eps <= 0.0 or not math.isfinite(eps):
         raise ValueError(f"box size must be positive and finite, got {eps}")
-    if len(bands) == 0:
+    if len(lo) == 0:
         return 0
-    lo = np.array([iv.lo for iv in bands])
-    hi = np.array([iv.hi for iv in bands])
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     d = _EDGE_NUDGE * eps
     jlo = np.floor((lo + d) / eps).astype(np.int64)
     jhi = np.maximum(jlo, np.floor((hi - d) / eps).astype(np.int64))
@@ -111,10 +111,6 @@ def _fit_loglog(log_inv_scale: np.ndarray, log_count: np.ndarray) -> tuple[float
     return float(slope), r2
 
 
-def _band_lengths(bs: BandSet) -> np.ndarray:
-    return np.array([iv.length for iv in bs.bands])
-
-
 def _finest(covers: Sequence[BandSet]) -> tuple[BandSet, bool]:
     """The cover with the smallest longest band, and a convergence flag.
 
@@ -125,21 +121,18 @@ def _finest(covers: Sequence[BandSet]) -> tuple[BandSet, bool]:
     if not covers:
         raise ValueError("at least one band cover is required")
     for bs in covers:
-        if not isinstance(bs, BandSet) or len(bs.bands) == 0:
+        if not isinstance(bs, BandSet) or bs.lo.size == 0:
             raise ValueError("covers must be nonempty BandSet instances")
-    ranked = sorted(covers, key=lambda bs: (max(iv.length for iv in bs.bands), -len(bs.bands)))
+    ranked = sorted(covers, key=lambda bs: (float((bs.hi - bs.lo).max()), -bs.lo.size))
     finest = ranked[0]
     if len(ranked) < 2:
         return finest, False
     nxt = ranked[1]
-    if len(finest.bands) != len(nxt.bands):
+    if finest.lo.size != nxt.lo.size:
         return finest, False
     atol = _CONVERGED_FACTOR * max(finest.tol, nxt.tol)
-    dev = max(
-        max(abs(x.lo - y.lo), abs(x.hi - y.hi))
-        for x, y in zip(finest.bands, nxt.bands)
-    )
-    return finest, dev <= atol
+    dev = max(np.abs(finest.lo - nxt.lo).max(), np.abs(finest.hi - nxt.hi).max())
+    return finest, bool(dev <= atol)
 
 
 def eps_ladder(covers: Sequence[BandSet], n_scales: int = 10) -> tuple[float, ...]:
@@ -152,8 +145,8 @@ def eps_ladder(covers: Sequence[BandSet], n_scales: int = 10) -> tuple[float, ..
     if n_scales < MIN_SCALES:
         raise ValueError(f"need at least {MIN_SCALES} scales, got {n_scales}")
     finest, converged = _finest(covers)
-    lengths = _band_lengths(finest)
-    emax = (finest.bands[-1].hi - finest.bands[0].lo) / 4.0
+    lengths = finest.hi - finest.lo
+    emax = float(finest.hi[-1] - finest.lo[0]) / 4.0
     if converged or float(lengths.max()) == 0.0:
         emin = emax / (5.0 * MIN_SPAN)
     else:
@@ -180,7 +173,7 @@ def box_dimension(covers: Sequence[BandSet], eps_list: Sequence[float]) -> Dimen
     eps = np.unique(np.asarray(eps_list, dtype=float))[::-1]
     if eps.size == 0 or eps[-1] <= 0.0 or not np.all(np.isfinite(eps)):
         raise ValueError("box sizes must be positive and finite")
-    lengths = _band_lengths(finest)
+    lengths = finest.hi - finest.lo
     mean_len = float(lengths.mean())
     max_len = float(lengths.max())
     if not converged and mean_len > 0.0:
@@ -197,7 +190,7 @@ def box_dimension(covers: Sequence[BandSet], eps_list: Sequence[float]) -> Dimen
             f"smallest box {eps[-1]:.3g} is below the finest cover's longest "
             f"band {max_len:.3g}"
         )
-    counts = np.array([box_count(finest.bands, e) for e in eps])
+    counts = np.array([box_count(finest.lo, finest.hi, e) for e in eps])
     slope, r2 = _fit_loglog(np.log(1.0 / eps), np.log(counts.astype(float)))
     value = min(1.0, max(0.0, slope))
     scales = tuple((i, int(c), float(e)) for i, (c, e) in enumerate(zip(counts, eps)))
@@ -227,14 +220,14 @@ def band_scaling_dimension(
     log_inv, log_n, scales = [], [], []
     for k in range(k_min, k_max + 1):
         c = cover(p, k, tol)
-        lengths = _band_lengths(c)
+        lengths = c.hi - c.lo
         lengths = lengths[lengths > 0.0]
         if lengths.size == 0:
             raise ValueError(f"cover({k}) has no bands of positive length")
         geo = float(np.exp(np.mean(np.log(lengths))))
         log_inv.append(math.log(1.0 / geo))
-        log_n.append(math.log(len(c.bands)))
-        scales.append((k, len(c.bands), geo))
+        log_n.append(math.log(c.lo.size))
+        scales.append((k, c.lo.size, geo))
     x = np.array(log_inv)
     if float(np.ptp(x)) < 1e-6:
         return DimensionEstimate(1.0, "band-scaling", 0.0, tuple(scales), degenerate=True)
@@ -244,16 +237,13 @@ def band_scaling_dimension(
 
 
 def _restrict(bs: BandSet, lo: float, hi: float) -> BandSet:
-    clipped = []
-    for iv in bs.bands:
-        a, b = max(iv.lo, lo), min(iv.hi, hi)
-        if b > a:
-            clipped.append(Interval(a, b))
-    if not clipped:
+    a, b = np.maximum(bs.lo, lo), np.minimum(bs.hi, hi)
+    keep = b > a
+    if not keep.any():
         raise ValueError(
             f"window ({lo:.6g}, {hi:.6g}) does not intersect the level-{bs.level} bands"
         )
-    return BandSet(tuple(clipped), bs.kind, bs.level, bs.params, bs.tol)
+    return BandSet(a[keep], b[keep], bs.kind, bs.level, bs.params, bs.tol)
 
 
 def local_dimension(

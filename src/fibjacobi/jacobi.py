@@ -212,7 +212,7 @@ def periodic_band_check(
     if tol is None:
         tol = 1e-10 * p.norm_bound
     eig = eigenvalues_free(jw, tol)
-    bands = sigma_k(p, k).bands
+    bands = sigma_k(p, k)
     e = np.array(jw.hoppings, dtype=float)
     defect, _ = _defect_excluding_edge_states(e, eig.values, bands, tol)
     lam = np.array(eig.values)
@@ -243,7 +243,7 @@ def truncation_spectrum_consistency(
     eig = eigenvalues_free(jw, tol)
     cov = cover(p, k)
     e = np.array(jw.hoppings, dtype=float)
-    defect, _ = _defect_excluding_edge_states(e, eig.values, cov.bands, tol)
+    defect, _ = _defect_excluding_edge_states(e, eig.values, cov, tol)
     return defect
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from fibjacobi.bands import BandSet, Interval, cover, lebesgue_measure, sigma_k
+from fibjacobi.bands import BandSet, cover, lebesgue_measure, sigma_k
 from fibjacobi.fractal import (
     band_scaling_dimension,
     box_dimension,
@@ -305,7 +305,7 @@ def test_11_dimension_estimators():
             for seg in ((lo, lo + (hi - lo) / 3.0), (hi - (hi - lo) / 3.0, hi))
         ]
     cantor = BandSet(
-        tuple(Interval(lo, hi) for lo, hi in ivs),
+        *np.array(ivs).T,
         "cover",
         8,
         HoppingPair(1.0, 1.0),

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from fibjacobi.bands import (
     BandSet,
     EnergyWindow,
     Interval,
+    MERGE_FACTOR,
     RootIsolationError,
+    _container_grid,
     bandset_from_json,
     bandset_to_json,
     cover,
@@ -21,6 +25,7 @@ from fibjacobi.bands import (
     sigma_chain,
     sigma_k,
     _chain,
+    _merge_intervals,
 )
 from fibjacobi.tracemap import HoppingPair, escape_classify, trace_bound, trace_value
 from fibjacobi.words import fibonacci
@@ -36,11 +41,15 @@ def test_interval_and_bandset_validation():
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
     with pytest.raises(ValueError):
-        BandSet((Interval(0, 2), Interval(1, 3)), "sigma_k", 1, P11, TOL)
+        BandSet([0, 1], [2, 3], "sigma_k", 1, P11, TOL)
     with pytest.raises(ValueError):
-        BandSet((Interval(0, 1),), "nonsense", 1, P11, TOL)
+        BandSet([0], [1], "nonsense", 1, P11, TOL)
+    with pytest.raises(ValueError, match="equal length"):
+        BandSet([0.0, 2.0], [1.0], "sigma_k", 1, P11, TOL)
     with pytest.raises(ValueError):
         sigma_k(P12, 0)
+    with pytest.raises(ValueError, match="got 0"):
+        cover(P12, 0)
     with pytest.raises(ValueError):
         sigma_k(P12, 3, tol=1e-14)
 
@@ -201,7 +210,7 @@ def test_escape_within_cover_is_bounded_and_far_outside_escapes():
 
 def test_escape_spectrum_free_case():
     esc = escape_spectrum(P11, 20, grid_step=1e-3)
-    ref = BandSet((Interval(-2.0, 2.0),), "escape", 20, P11, 1e-3)
+    ref = BandSet([-2.0], [2.0], "escape", 20, P11, 1e-3)
     assert hausdorff_distance(esc, ref) <= 2e-3
 
 
@@ -231,14 +240,14 @@ def test_energy_window_margin():
 
 
 def test_hausdorff_examples():
-    b22 = BandSet((Interval(-2, 2),), "escape", 1, P11, 1e-3)
-    b33 = BandSet((Interval(-3, 3),), "escape", 1, P11, 1e-3)
-    split = BandSet((Interval(-3, -1), Interval(1, 3)), "escape", 1, P11, 1e-3)
+    b22 = BandSet([-2], [2], "escape", 1, P11, 1e-3)
+    b33 = BandSet([-3], [3], "escape", 1, P11, 1e-3)
+    split = BandSet([-3, 1], [-1, 3], "escape", 1, P11, 1e-3)
     assert hausdorff_distance(b22, b22) == 0.0
     assert hausdorff_distance(b22, b33) == pytest.approx(1.0)
     assert hausdorff_distance(b22, split) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        hausdorff_distance(b22, BandSet((), "escape", 1, P11, 1e-3))
+        hausdorff_distance(b22, BandSet([], [], "escape", 1, P11, 1e-3))
 
 
 def test_hausdorff_continuity_in_coupling():
@@ -260,6 +269,77 @@ def test_json_roundtrip():
     back = bandset_from_json(text)
     assert back.bands == bs.bands
     assert back.params == bs.params and back.tol == bs.tol
+
+
+@pytest.mark.parametrize(
+    "bands, message",
+    [
+        ("[[1.0, 0.5]]", r"invalid interval \(1\.0, 0\.5\)"),
+        ("[[-1.0, Infinity]]", r"invalid interval \(-1\.0, inf\)"),
+        ("[[0.0, 2.0], [1.0, 3.0]]", r"disjoint and sorted, got \.\.\.2\.0\] then \[1\.0\.\.\."),
+        ("[[1.0, 2.0], [-1.0, 0.0]]", "disjoint and sorted"),
+    ],
+)
+def test_json_input_validation(bands, message):
+    text = '{"a": 1.0, "b": 2.0, "kind": "sigma_k", "k": 2, "bands": %s, "tol": 1e-10}' % bands
+    with pytest.raises(ValueError, match=message):
+        bandset_from_json(text)
+
+
+def test_cached_band_sets_are_read_only():
+    bs = sigma_k(P12, 4)
+    with pytest.raises(ValueError):
+        bs.lo[0] = -1.0
+    with pytest.raises(ValueError):
+        bs.hi[:] = 0.0
+
+
+def test_merge_matches_loop_reference():
+    rng = np.random.default_rng(3)
+    for gap in (0.0, 0.05):
+        lo = np.round(rng.uniform(0.0, 10.0, 300), 2)
+        hi = lo + np.round(rng.exponential(0.05, 300), 2)
+        out = []
+        for a, b in sorted(zip(lo.tolist(), hi.tolist()), key=lambda iv: iv[0]):
+            if out and a - out[-1][1] <= gap:
+                out[-1][1] = max(out[-1][1], b)
+            else:
+                out.append([a, b])
+        mlo, mhi = _merge_intervals(lo, hi, gap)
+        assert np.column_stack((mlo, mhi)).tolist() == out
+
+
+def test_concurrent_chain_extension():
+    p = HoppingPair(1.0, 2.25)
+    chains = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: chains.append(sigma_chain(p, 12))) for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(chains) == 4
+    assert [bs.level for bs in sigma_chain(p, 14)] == list(range(1, 15))
+    assert all(c == chains[0] for c in chains)
+
+
+def test_container_grid_matches_linspace():
+    rng = np.random.default_rng(7)
+    lo = np.sort(rng.uniform(-4.0, 4.0, 40))
+    hi = lo + rng.uniform(1e-9, 0.3, 40)
+    hi[17] = lo[17] + 2 * MERGE_FACTOR * TOL
+    counts = rng.integers(9, 200, 40)
+    grid = _container_grid(lo, hi, counts)
+    ref = np.concatenate([np.linspace(a, b, n) for a, b, n in zip(lo, hi, counts)])
+    assert grid.tobytes() == ref.tobytes()
+    assert np.array_equal(grid[np.cumsum(counts) - 1], hi)
 
 
 def test_deterministic_recompute():

@@ -42,6 +42,13 @@ def test_bands_invalid_hopping_exits_2(capsys):
     assert "error" in err
 
 
+def test_cover_level_zero_exits_2(capsys):
+    code, out, err = run(capsys, "cover", "--a", "1", "--b", "2", "--k", "0")
+    assert code == EXIT_USAGE
+    assert "k must be >= 1, got 0" in err
+    assert out == ""
+
+
 def test_bands_json_payload(tmp_path, capsys):
     out_file = tmp_path / "s2.json"
     code, _, _ = run(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from fibjacobi.bands import BandSet, Interval, cover, sigma_chain
+from fibjacobi.bands import BandSet, cover, sigma_chain
 from fibjacobi.fractal import (
     DimensionEstimate,
     SweepEntry,
@@ -33,12 +33,11 @@ def middle_thirds(levels: int) -> BandSet:
     ivs = [(0.0, 1.0)]
     for _ in range(levels):
         ivs = [seg for lo, hi in ivs for seg in ((lo, lo + (hi - lo) / 3.0), (hi - (hi - lo) / 3.0, hi))]
-    bands = tuple(Interval(lo, hi) for lo, hi in ivs)
-    return BandSet(bands, "cover", levels, HoppingPair(1.0, 1.0), 1e-12)
+    return BandSet(*np.array(ivs).T, "cover", levels, HoppingPair(1.0, 1.0), 1e-12)
 
 
 def point_set(x: float) -> BandSet:
-    return BandSet((Interval(x, x),), "cover", 1, HoppingPair(1.0, 1.0), 1e-12)
+    return BandSet([x], [x], "cover", 1, HoppingPair(1.0, 1.0), 1e-12)
 
 
 def test_estimate_validation():
@@ -54,20 +53,20 @@ def test_estimate_validation():
 
 
 def test_box_count_examples():
-    bands = (Interval(0.0, 1.0),)
-    assert box_count(bands, 0.25) == 4
-    assert box_count(bands, 1.0) == 1
-    assert box_count((Interval(0.7, 0.7),), 0.1) == 1
+    bands = ([0.0], [1.0])
+    assert box_count(*bands, 0.25) == 4
+    assert box_count(*bands, 1.0) == 1
+    assert box_count([0.7], [0.7], 0.1) == 1
     # Two bands inside one box are counted once.
-    assert box_count((Interval(0.1, 0.2), Interval(0.3, 0.4)), 1.0) == 1
-    assert box_count((), 0.5) == 0
+    assert box_count([0.1, 0.3], [0.2, 0.4], 1.0) == 1
+    assert box_count([], [], 0.5) == 0
     with pytest.raises(ValueError):
-        box_count(bands, 0.0)
+        box_count(*bands, 0.0)
 
 
 def test_box_count_grid_aligned_cantor():
     cs = middle_thirds(8)
-    counts = [box_count(cs.bands, 3.0 ** -j) for j in range(1, 8)]
+    counts = [box_count(cs.lo, cs.hi, 3.0 ** -j) for j in range(1, 8)]
     assert counts == [2, 4, 8, 16, 32, 64, 128]
 
 
