@@ -186,9 +186,8 @@ def _golden_max_abs(p: HoppingPair, level: int, lo: np.ndarray, hi: np.ndarray, 
     for _ in range(n_iter):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc = np.abs(trace_value(p, c, level))
-        fd = np.abs(trace_value(p, d, level))
-        keep = fc >= fd
+        f = np.abs(trace_value(p, np.concatenate((c, d)), level))
+        keep = f[: c.size] >= f[c.size :]
         b = np.where(keep, d, b)
         a = np.where(keep, a, c)
     mid = 0.5 * (a + b)
@@ -356,6 +355,8 @@ def escape_spectrum(
             raise ValueError(
                 f"window [{window.lo}, {window.hi}] must contain [-{m}, {m}]"
             )
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be a positive finite number, got {grid_step}")
     if grid_step > 1e-3 * window.width:
         raise ValueError(
             f"grid_step {grid_step} too coarse for window width {window.width}"
@@ -398,9 +399,9 @@ def hausdorff_distance(bs1: BandSet, bs2: BandSet) -> float:
     return max(directed(bs1, bs2), directed(bs2, bs1))
 
 
-def bandset_to_json(bs: BandSet) -> str:
-    """Serialize to the documented JSON shape (shortest round-trip decimals)."""
-    obj = {
+def bandset_to_dict(bs: BandSet) -> dict:
+    """The documented JSON shape of a band set, as plain Python values."""
+    return {
         "a": bs.params.a,
         "b": bs.params.b,
         "kind": bs.kind,
@@ -408,7 +409,11 @@ def bandset_to_json(bs: BandSet) -> str:
         "bands": np.column_stack((bs.lo, bs.hi)).tolist(),
         "tol": bs.tol,
     }
-    return json.dumps(obj)
+
+
+def bandset_to_json(bs: BandSet) -> str:
+    """Serialize to the documented JSON shape (shortest round-trip decimals)."""
+    return json.dumps(bandset_to_dict(bs))
 
 
 def bandset_from_json(text: str) -> BandSet:

@@ -25,7 +25,7 @@ import numpy as np
 from .bands import (
     DEFAULT_TOL,
     EnergyWindow,
-    bandset_to_json,
+    bandset_to_dict,
     cover,
     energy_window,
     escape_spectrum,
@@ -113,7 +113,7 @@ def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
     cfg = _config_payload(args)
     print(f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}")
     if _resolve_format(args) == "json":
-        _emit_json(cfg, json.loads(bandset_to_json(bs)), args.out)
+        _emit_json(cfg, bandset_to_dict(bs), args.out)
     else:
         pairs = zip(bs.lo.tolist(), bs.hi.tolist())
         rows = [f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(pairs)]

@@ -30,6 +30,10 @@ LINEAR_LIMIT = 1.0e6
 
 _LOG2 = math.log(2.0)
 
+# Energies per block of the array trace recursion: its four float buffers
+# (512 KiB) stay in a core's L2 cache.
+_BLOCK = 1 << 14
+
 
 class TraceDivergedError(ArithmeticError):
     """Trace recursion produced a non-finite value."""
@@ -149,17 +153,31 @@ def _trace_scalar(p: HoppingPair, E: float, k: int) -> float:
 
 def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
     a, b = p.a, p.b
-    x_prev = np.full(E.shape, (a * a + b * b) / (2.0 * a * b))
-    x_cur = E / (2.0 * b)
-    x_next = E / (2.0 * a)
+    z0 = (a * a + b * b) / (2.0 * a * b)
     if k == -1:
-        return x_prev
-    if k == 0:
-        return x_cur
+        return np.full(E.shape, z0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k - 1):
-            x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
-    return x_next
+        if k == 0:
+            return E / (2.0 * b)
+        flat = E.ravel()
+        out = np.empty(flat.size)
+        # Blocks of _BLOCK energies keep the four buffers in cache.  Each step
+        # computes (2 * x_next) * x_cur - x_prev in that order, so overflow,
+        # NaN and signed zeros come out as they would without blocks.
+        bufs = [np.empty(min(flat.size, _BLOCK)) for _ in range(4)]
+        for start in range(0, flat.size, _BLOCK):
+            e = flat[start : start + _BLOCK]
+            x_next, x_cur, x_prev, tmp = (buf[: e.size] for buf in bufs)
+            np.divide(e, 2.0 * a, out=x_next)
+            np.divide(e, 2.0 * b, out=x_cur)
+            x_prev.fill(z0)
+            for _ in range(k - 1):
+                np.multiply(x_next, 2.0, out=tmp)
+                tmp *= x_cur
+                np.subtract(tmp, x_prev, out=x_prev)
+                x_next, x_cur, x_prev = x_prev, x_next, x_cur
+            out[start : start + e.size] = x_next
+    return out.reshape(E.shape)
 
 
 def invariant_value(t: TraceTriple) -> float:
@@ -209,38 +227,36 @@ def escape_grid(p: HoppingPair, E, K_max: int):
     """Vectorized escape scan over an energy grid.
 
     Returns (escaped, k_escape, diverged) arrays matching E's shape;
-    k_escape is -1 where the orbit stayed bounded through K_max.  Cells
-    freeze once classified so later overflow cannot contaminate them.
+    k_escape is -1 where the orbit stayed bounded through K_max.  Each
+    level recurses only the orbits still running, so a classified cell
+    keeps the level it escaped at and later overflow cannot reach it.
     """
     if K_max < 2:
         raise ValueError(f"K_max must be >= 2, got {K_max}")
     E = np.asarray(E, dtype=float)
     a, b = p.a, p.b
-    x_prev = np.full(E.shape, (a * a + b * b) / (2.0 * a * b))
-    x_cur = E / (2.0 * b)
-    x_next = E / (2.0 * a)
     thr = 1.0 + ESCAPE_GUARD
-    k_escape = np.full(E.shape, -1, dtype=np.int64)
-    diverged = np.zeros(E.shape, dtype=bool)
-    active = np.ones(E.shape, dtype=bool)
-    for k in range(K_max - 1):
-        blown = active & ~(np.isfinite(x_cur) & np.isfinite(x_next))
-        if blown.any():
-            k_escape[blown] = k
-            diverged[blown] = True
-            active &= ~blown
-        hit = active & (np.abs(x_cur) > thr) & (np.abs(x_next) > thr)
-        if hit.any():
-            k_escape[hit] = k
-            active &= ~hit
-        if k == K_max - 2 or not active.any():
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = 2.0 * x_next * x_cur - x_prev
-        x_prev = np.where(active, x_cur, x_prev)
-        x_cur = np.where(active, x_next, x_cur)
-        x_next = np.where(active, nxt, x_next)
-    return k_escape >= 0, k_escape, diverged
+    k_escape = np.full(E.size, -1, dtype=np.int64)
+    diverged = np.zeros(E.size, dtype=bool)
+    running = np.arange(E.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_prev = np.full(E.size, (a * a + b * b) / (2.0 * a * b))
+        x_cur = E.ravel() / (2.0 * b)
+        x_next = E.ravel() / (2.0 * a)
+        for k in range(K_max - 1):
+            blown = ~(np.isfinite(x_cur) & np.isfinite(x_next))
+            done = blown | ((np.abs(x_cur) > thr) & (np.abs(x_next) > thr))
+            if done.any():
+                k_escape[running[done]] = k
+                diverged[running[blown]] = True
+                keep = ~done
+                running = running[keep]
+                x_next, x_cur, x_prev = x_next[keep], x_cur[keep], x_prev[keep]
+            if k == K_max - 2 or not running.size:
+                break
+            x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
+    k_escape = k_escape.reshape(E.shape)
+    return k_escape >= 0, k_escape, diverged.reshape(E.shape)
 
 
 def _signed_log_sub(mA: float, sA: int, mB: float, sB: int) -> tuple[float, int]:

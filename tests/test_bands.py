@@ -231,6 +231,9 @@ def test_escape_spectrum_validation():
         escape_spectrum(P12, 20, grid_step=0.5)  # coarser than 1e-3 * width
     with pytest.raises(ValueError):
         escape_spectrum(P12, 20, grid_step=1e-3, window=EnergyWindow(-1.0, 1.0))
+    for bad in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid_step"):
+            escape_spectrum(P12, 12, grid_step=bad)
 
 
 def test_energy_window_margin():

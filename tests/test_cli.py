@@ -103,6 +103,13 @@ def test_spectrum_missing_kmax_exits_2(capsys):
     assert code == EXIT_USAGE
 
 
+def test_spectrum_invalid_grid_exits_2(capsys):
+    code, out, err = run(capsys, "spectrum", "--kmax", "12", "--grid", "0")
+    assert code == EXIT_USAGE
+    assert "grid_step must be a positive finite number" in err
+    assert out == ""
+
+
 def test_lyapunov_free_case_csv(tmp_path, capsys):
     out_file = tmp_path / "lyap.csv"
     code, out, _ = run(

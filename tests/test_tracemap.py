@@ -12,6 +12,7 @@ import pytest
 
 from fibjacobi.tracemap import (
     ESCAPE_GUARD,
+    _BLOCK,
     EscapeResult,
     HoppingPair,
     TraceDivergedError,
@@ -28,6 +29,9 @@ from fibjacobi.tracemap import (
     trace_value,
 )
 from fibjacobi.words import fibonacci
+
+# Energies where the recursion meets signed zeros, NaN, infinities and overflow.
+SPECIAL_ENERGIES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308]
 
 
 def test_hopping_pair_validation():
@@ -121,6 +125,47 @@ def test_trace_value_array_matches_scalar():
         assert arr.shape == grid.shape
         for E, x in zip(grid, arr):
             assert x == trace_value(p, float(E), k)
+
+
+def _trace_loop(p, E, k):
+    """Reference: the plain recursion over the whole array, one temporary per step."""
+    a, b = p.a, p.b
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_prev = np.full(E.shape, (a * a + b * b) / (2.0 * a * b))
+        x_cur = E / (2.0 * b)
+        x_next = E / (2.0 * a)
+        if k == -1:
+            return x_prev
+        if k == 0:
+            return x_cur
+        for _ in range(k - 1):
+            x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
+    return x_next
+
+
+def test_trace_value_blocked_matches_loop():
+    p = HoppingPair(0.8, 1.7)
+    n = 2 * _BLOCK + 123
+    wide = np.linspace(-3.6, 3.6, n)
+    # Special energies at the start, across the first block boundary and at the end.
+    for at in (0, _BLOCK - 3, n - len(SPECIAL_ENERGIES)):
+        wide[at : at + len(SPECIAL_ENERGIES)] = SPECIAL_ENERGIES
+    grids = [wide, wide[: 3 * 4001].reshape(3, 4001), np.empty(0), np.empty((0, 4)),
+             np.array(SPECIAL_ENERGIES)]
+    for k in [-1, 0, 1, 2, 9, 40]:
+        for E in grids:
+            got = trace_value(p, E, k)
+            want = _trace_loop(p, E, k)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    for E in (wide, grids[4]):
+        first = trace_value(p, E, 9)
+        kept = first.copy()
+        second = trace_value(p, E, 9)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept, equal_nan=True)
 
 
 def test_invariant_examples():
@@ -254,6 +299,59 @@ def test_escape_grid_matches_scalar():
             assert k_esc[i] == res.k_escape
         else:
             assert k_esc[i] == -1
+
+
+def _escape_masked(p, E, K_max):
+    """Reference: the full-grid escape scan that freezes classified cells by mask."""
+    E = np.asarray(E, dtype=float)
+    a, b = p.a, p.b
+    x_prev = np.full(E.shape, (a * a + b * b) / (2.0 * a * b))
+    x_cur = E / (2.0 * b)
+    x_next = E / (2.0 * a)
+    thr = 1.0 + ESCAPE_GUARD
+    k_escape = np.full(E.shape, -1, dtype=np.int64)
+    diverged = np.zeros(E.shape, dtype=bool)
+    active = np.ones(E.shape, dtype=bool)
+    for k in range(K_max - 1):
+        blown = active & ~(np.isfinite(x_cur) & np.isfinite(x_next))
+        if blown.any():
+            k_escape[blown] = k
+            diverged[blown] = True
+            active &= ~blown
+        hit = active & (np.abs(x_cur) > thr) & (np.abs(x_next) > thr)
+        if hit.any():
+            k_escape[hit] = k
+            active &= ~hit
+        if k == K_max - 2 or not active.any():
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = 2.0 * x_next * x_cur - x_prev
+        x_prev = np.where(active, x_cur, x_prev)
+        x_cur = np.where(active, x_next, x_cur)
+        x_next = np.where(active, nxt, x_next)
+    return k_escape >= 0, k_escape, diverged
+
+
+def test_escape_grid_matches_masked_loop():
+    p = HoppingPair(1, 2)
+    wide = np.linspace(-4.5, 4.5, 40001)
+    special = np.array(SPECIAL_ENERGIES + [0.3, 3.9, 4.2])
+    # At a tiny a the first product overflows one level after the start.
+    tiny = HoppingPair(6e-309, 1.0)
+    cases = [
+        (p, 0.3, 25), (p, np.array(9.0), 25), (p, wide[:600].reshape(20, 30), 25),
+        (p, np.empty(0), 25), (p, special, 25), (tiny, np.array([1.8, -1.8, 0.5]), 25),
+        (p, wide, 2), (p, wide, 30),
+    ]
+    for q, E, K in cases:
+        got = escape_grid(q, E, K)
+        want = _escape_masked(q, E, K)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+    assert escape_grid(p, special, 25)[2][2:5].all()
+    _, k_esc, diverged = escape_grid(tiny, np.array([1.8, -1.8]), 25)
+    assert diverged.all() and (k_esc == 1).all()
 
 
 def test_growth_rate_hand_value():
