@@ -236,12 +236,23 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
         if pos in marks:
             log_norms[row] = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
             row += 1
-    half = len(checkpoints) // 2
-    xs = np.array(checkpoints[half:], dtype=float)
-    ys = log_norms[half:]
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fit = np.outer(xs, np.ones(E.size)) * slope + intercept
-    residual = np.sqrt(np.mean((ys - fit) ** 2, axis=0))
+    # Centered least squares, summed row by row so that every energy's fit
+    # uses only its own column, in the same order for any grid chunking.
+    xs = checkpoints[len(checkpoints) // 2 :]
+    ys = log_norms[len(checkpoints) // 2 :]
+    x_mean = sum(xs) / len(xs)
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    y_sum = np.zeros_like(E)
+    sxy = np.zeros_like(E)
+    for x, y in zip(xs, ys):
+        y_sum += y
+        sxy += (x - x_mean) * y
+    slope = sxy / sxx
+    intercept = y_sum / len(xs) - slope * x_mean
+    sq_sum = np.zeros_like(E)
+    for x, y in zip(xs, ys):
+        sq_sum += (y - (slope * x + intercept)) ** 2
+    residual = np.sqrt(sq_sum / len(xs))
     gamma = np.clip(slope, 0.0, None)
     return gamma, residual, n_used
 

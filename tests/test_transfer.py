@@ -196,6 +196,22 @@ def test_lyapunov_nonnegative_on_grid():
     assert n_used == fibonacci(14)
 
 
+def test_lyapunov_grid_independent_of_chunking():
+    # Each exponent comes from its own energy's orbit alone: a split grid, or
+    # a single energy, gives the same bits as the whole grid.
+    p = HoppingPair(1, 2)
+    grid = np.linspace(-5.0, 5.0, 2001)
+    n = fibonacci(18)
+    gamma, residual, _ = lyapunov_grid(p, grid, n)
+    for parts in (2, 3, 7):
+        chunks = [lyapunov_grid(p, c, n) for c in np.array_split(grid, parts)]
+        assert np.concatenate([g for g, _, _ in chunks]).tobytes() == gamma.tobytes()
+        assert np.concatenate([r for _, r, _ in chunks]).tobytes() == residual.tobytes()
+    for i in range(0, grid.size, 50):
+        est = lyapunov(p, float(grid[i]), n)
+        assert (est.gamma, est.residual) == (gamma[i], residual[i])
+
+
 def test_lyapunov_uniform_across_hull_windows():
     # Estimates over the canonical window and five shifted hull windows
     # agree: the exponent does not depend on the hull element.
