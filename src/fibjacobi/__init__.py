@@ -68,6 +68,7 @@ from .transfer import (
     TransferMatrix,
     cayley_hamilton_defect,
     cocycle,
+    cocycles,
     evolve_solution,
     local_matrix,
     lyapunov,

@@ -41,7 +41,7 @@ from .fractal import (
 )
 from .jacobi import build_window, eigenvalues_free, eigenvalues_to_json
 from .tracemap import HoppingPair, invariant_expected, trace_value
-from .transfer import cayley_hamilton_defect, cocycle, lyapunov_grid
+from .transfer import cayley_hamilton_defect, cocycles, lyapunov_grid
 from .words import (
     cyclic_conjugates,
     fib_prefix,
@@ -321,37 +321,38 @@ def _check_invariant_conservation(p: HoppingPair, perturb: float) -> tuple[bool,
 
 
 def _check_recursion_vs_cocycle(p: HoppingPair) -> tuple[bool, str]:
+    energies = np.linspace(-4.0, 4.0, 17) + 0.05
+    # The prefix of length F_k carries the level-k half-trace.
+    levels = range(2, 13)
+    lengths = [fibonacci(k) for k in levels]
     worst = 0.0
-    for e in np.linspace(-4.0, 4.0, 17) + 0.05:
-        for k in range(2, 13):
-            # The prefix of length F_k carries the level-k half-trace.
-            n = fibonacci(k)
+    for k, row in zip(levels, cocycles(omega_s(1, lengths[-1]), p, energies, lengths)):
+        for e, m in zip(energies, row):
             want = trace_value(p, float(e), k)
-            got = cocycle(omega_s(1, n), p, float(e), n).trace_half()
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+            worst = max(worst, abs(m.trace_half() - want) / max(1.0, abs(want)))
     ok = worst <= 1e-9
     return ok, f"max relative error {worst:.3e}, levels 2..12"
 
 
 def _check_cyclic_traces(p: HoppingPair) -> tuple[bool, str]:
+    energies = np.linspace(-3.0, 3.0, 20) + 0.037
     worst = 0.0
-    for e in np.linspace(-3.0, 3.0, 20) + 0.037:
-        for k in range(2, 9):
-            want = trace_value(p, float(e), k + 1)
-            for word in cyclic_conjugates(k):
-                win = periodize(word, len(word))
-                got = cocycle(win, p, float(e), len(word)).trace_half()
-                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    for k in range(2, 9):
+        wants = [trace_value(p, float(e), k + 1) for e in energies]
+        for word in cyclic_conjugates(k):
+            row = cocycles(periodize(word, len(word)), p, energies, [len(word)])[0]
+            for m, want in zip(row, wants):
+                worst = max(worst, abs(m.trace_half() - want) / max(1.0, abs(want)))
     ok = worst <= 1e-9
     return ok, f"max relative spread {worst:.3e} over all conjugates, levels 2..8"
 
 
 def _check_cayley_hamilton(p: HoppingPair) -> tuple[bool, str]:
     w = omega_s(1, 2 * square_prefix_block(9))
+    energies = np.linspace(-4.0, 4.0, 10) + 0.013
     worst = 0.0
-    for e in np.linspace(-4.0, 4.0, 10) + 0.013:
-        for k in range(2, 10):
-            worst = max(worst, cayley_hamilton_defect(w, p, float(e), k))
+    for k in range(2, 10):
+        worst = max(worst, *cayley_hamilton_defect(w, p, energies, k))
     ok = worst <= 1e-8
     return ok, f"max defect {worst:.3e}, levels 2..9"
 

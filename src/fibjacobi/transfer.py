@@ -123,35 +123,82 @@ def local_matrix(hop: float, E: float) -> TransferMatrix:
     return TransferMatrix(E / hop, -1.0 / hop, hop, 0.0)
 
 
-def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> TransferMatrix:
-    """Ordered product of one-step factors over positions n..1 (rightmost first).
+def _energies(E) -> np.ndarray:
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    bad = ~np.isfinite(E)
+    if bad.any():
+        raise ValueError(f"energies must be finite, got {float(E[bad][0])!r}")
+    return E
 
-    Renormalizes every RENORM_EVERY factors into log_scale, keeping the
-    stored entries of order one for products of any depth.
+
+def _products(window: SignedWindow, p: HoppingPair, E: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """Cocycles over 1..n for each n in lengths, at every energy of E, in one pass.
+
+    Returns shape (len(lengths), 5, E.size): m11, m12, m21, m22 and
+    log_scale of each product.  Renormalizes every RENORM_EVERY factors into
+    log_scale, keeping the stored entries of order one at any depth.  Raises
+    ArithmeticError naming the energy and the position where a product's
+    squared Frobenius norm stops being a positive finite double.
     """
-    if n < 1:
-        raise ValueError(f"cocycle length must be >= 1, got {n}")
+    if lengths[0] < 1:
+        raise ValueError(f"cocycle length must be >= 1, got {lengths[0]}")
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"cocycle lengths must be strictly increasing, got {lengths}")
+    n = lengths[-1]
     if not window.covers(1, n):
         raise WindowCoverageError(
             f"cocycle over 1..{n} needs those positions, window covers ({window.lo}, {window.hi})"
         )
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    scale = 0.0
-    for pos in range(1, n + 1):
-        w = _hop(p, window.letter(pos))
-        # Left-multiply by (1/w) [[E, -1], [w^2, 0]].
-        m11, m12, m21, m22 = (
-            (E * m11 - m21) / w,
-            (E * m12 - m22) / w,
-            w * m11,
-            w * m12,
-        )
-        if pos % RENORM_EVERY == 0:
-            f = math.sqrt(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22)
-            if f > 0.0 and math.isfinite(f):
+    out = np.empty((len(lengths), 5, E.size))
+    m11, m12, m21, m22 = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    scale = np.zeros_like(E)
+    row = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pos, letter in enumerate(window.slice(1, n), 1):
+            w = _hop(p, letter)
+            # Left-multiply by (1/w) [[E, -1], [w^2, 0]].
+            m11, m12, m21, m22 = (
+                (E * m11 - m21) / w,
+                (E * m12 - m22) / w,
+                w * m11,
+                w * m12,
+            )
+            renorm = pos % RENORM_EVERY == 0
+            if renorm or pos == lengths[row]:
+                sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+                ok = np.isfinite(sq) & (sq > 0.0)
+                if not ok.all():
+                    raise ArithmeticError(
+                        f"cocycle product at E = {float(E[np.argmin(ok)])!r} "
+                        f"leaves double range by position {pos}"
+                    )
+            if renorm:
+                f = np.sqrt(sq)
                 m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
-                scale += math.log(f)
-    return TransferMatrix(m11, m12, m21, m22, scale)
+                scale += np.log(f)
+            if pos == lengths[row]:
+                out[row] = m11, m12, m21, m22, scale
+                row += 1
+    return out
+
+
+def cocycles(window: SignedWindow, p: HoppingPair, E, lengths) -> list[list[TransferMatrix]]:
+    """cocycle(window, p, e, n) for every n in lengths and e in E, from one pass.
+
+    lengths must be strictly increasing; row i holds the products over
+    1..lengths[i], one per energy.  Energies must be finite.
+    """
+    prods = _products(window, p, _energies(E), list(lengths))
+    return [[TransferMatrix(*entries) for entries in block.T.tolist()] for block in prods]
+
+
+def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> TransferMatrix:
+    """Ordered product of one-step factors over positions n..1 (rightmost first).
+
+    The stored entries stay of order one for products of any depth, with
+    the scale in log_scale; see cocycles.
+    """
+    return cocycles(window, p, [float(E)], [n])[0][0]
 
 
 def evolve_solution(
@@ -211,31 +258,8 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
             f"lyapunov over 1..{n_used} needs those positions, "
             f"window covers ({window.lo}, {window.hi})"
         )
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    hops = np.array([_hop(p, window.letter(pos)) for pos in range(1, n_used + 1)])
-    m11 = np.ones_like(E)
-    m12 = np.zeros_like(E)
-    m21 = np.zeros_like(E)
-    m22 = np.ones_like(E)
-    scale = np.zeros_like(E)
-    marks = set(checkpoints)
-    log_norms = np.empty((len(checkpoints), E.size))
-    row = 0
-    for pos in range(1, n_used + 1):
-        w = hops[pos - 1]
-        m11, m12, m21, m22 = (
-            (E * m11 - m21) / w,
-            (E * m12 - m22) / w,
-            w * m11,
-            w * m12,
-        )
-        if pos % RENORM_EVERY == 0:
-            f = np.sqrt(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22)
-            m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
-            scale += np.log(f)
-        if pos in marks:
-            log_norms[row] = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
-            row += 1
+    m11, m12, m21, m22, scale = _products(window, p, _energies(E), checkpoints).transpose(1, 0, 2)
+    log_norms = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
     # Centered least squares, summed row by row so that every energy's fit
     # uses only its own column, in the same order for any grid chunking.
     xs = checkpoints[len(checkpoints) // 2 :]
@@ -263,24 +287,29 @@ def lyapunov(p: HoppingPair, E: float, n: int, window: SignedWindow | None = Non
     return LyapunovEstimate(float(gamma[0]), n_used, float(residual[0]))
 
 
-def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E: float, k: int) -> float:
+def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
     """Residual of M(2n) - 2 x M(n) + I = 0 over a level-k repeated block.
 
     n is the level-k half-block length and x the matching trace-map value;
     the defect is the Frobenius norm of the left side over 1 + |M(n)|_F^2,
     zero in exact arithmetic whenever the window starts with the square.
+    E may be a float or a 1-d array of energies; the result matches it.
     """
     n = square_prefix_block(k)
     if not square_prefix_check(window, k):
         raise SquareStructureError(
             f"window does not start with a level-{k} repeated block on positions 1..{2 * n}"
         )
-    x = trace_value(p, E, k + 1)
-    m_half = cocycle(window, p, E, n).physical()
-    m_full = cocycle(window, p, E, 2 * n).physical()
-    lhs = m_full - 2.0 * x * m_half + np.eye(2)
-    half_sq = float(np.sum(m_half * m_half))
-    return float(np.linalg.norm(lhs)) / (1.0 + half_sq)
+    energies = _energies(E)
+    halves, fulls = cocycles(window, p, energies, [n, 2 * n])
+    defects = []
+    for e, half, full in zip(energies.tolist(), halves, fulls):
+        x = trace_value(p, e, k + 1)
+        m_half = half.physical()
+        lhs = full.physical() - 2.0 * x * m_half + np.eye(2)
+        half_sq = float(np.sum(m_half * m_half))
+        defects.append(float(np.linalg.norm(lhs)) / (1.0 + half_sq))
+    return defects[0] if np.ndim(E) == 0 else np.array(defects)
 
 
 def no_decay_witness(

@@ -143,6 +143,13 @@ def test_lyapunov_threads_match_serial(tmp_path, capsys):
     assert serial == threaded
 
 
+def test_lyapunov_out_of_double_range_exits_3(capsys):
+    code, out, err = run(capsys, "lyapunov", "--emin", "1e12", "--emax", "2e12", "--points", "3")
+    assert code == EXIT_NUMERICAL
+    assert "E = 1000000000000.0 leaves double range" in err
+    assert out == ""
+
+
 def test_lyapunov_zero_width_window_exits_2(capsys):
     code, _, err = run(capsys, "lyapunov", "--a", "1", "--b", "2", "--emin", "1", "--emax", "1")
     assert code == EXIT_USAGE

@@ -9,8 +9,11 @@ from fibjacobi.tracemap import HoppingPair, trace_bound, trace_value
 from fibjacobi.transfer import (
     LyapunovEstimate,
     SquareStructureError,
+    RENORM_EVERY,
+    TransferMatrix,
     cayley_hamilton_defect,
     cocycle,
+    cocycles,
     evolve_solution,
     local_matrix,
     lyapunov,
@@ -91,6 +94,64 @@ def test_cocycle_long_product_det_via_log():
     m = cocycle(omega_s(1, 5000), p, 10.0, 5000)
     assert m.log_frobenius() > 1000.0
     assert all(map(math.isfinite, (m.m11, m.m12, m.m21, m.m22, m.log_scale)))
+
+
+def _cocycle_loop(window, p, E, n):
+    # The scalar product loop, as the reference for the vectorized kernel.
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    scale = 0.0
+    for pos in range(1, n + 1):
+        w = p.a if window.letter(pos) == "a" else p.b
+        m11, m12, m21, m22 = (E * m11 - m21) / w, (E * m12 - m22) / w, w * m11, w * m12
+        if pos % RENORM_EVERY == 0:
+            f = math.sqrt(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22)
+            m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
+            scale += math.log(f)
+    return TransferMatrix(m11, m12, m21, m22, scale)
+
+
+def test_cocycles_match_scalar_loop():
+    # One pass over a batch of energies and lengths reproduces the scalar
+    # loop bit for bit, and cocycle is the one-energy, one-length case.
+    rng = np.random.default_rng(17)
+    w = omega_s(1, 5000)
+    lengths = [1, 2, 31, 32, 33, 64, 233, 1000, 4181, 5000]
+    for p in (HoppingPair(1, 2), HoppingPair(0.7, 3.9), HoppingPair(2.5, 0.4)):
+        energies = np.concatenate([rng.uniform(-6.0, 6.0, 12), [0.0, -1.0, 9.5]])
+        table = cocycles(w, p, energies, lengths)
+        for n, row in zip(lengths, table):
+            assert row == [_cocycle_loop(w, p, float(e), n) for e in energies]
+            assert row[3] == cocycle(w, p, float(energies[3]), n)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cocycles(w, HoppingPair(1, 2), [0.0], [5, 5])
+
+
+def test_non_finite_energies_rejected():
+    p = HoppingPair(1, 2)
+    w = omega_s(1, 2 * fibonacci(6))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="energies must be finite"):
+            lyapunov(p, bad, 2584)
+        with pytest.raises(ValueError, match="energies must be finite"):
+            lyapunov_grid(p, [0.0, bad], 2584)
+        with pytest.raises(ValueError, match="energies must be finite"):
+            cocycle(w, p, bad, 10)
+        with pytest.raises(ValueError, match="energies must be finite"):
+            cayley_hamilton_defect(w, p, bad, 4)
+
+
+def test_products_leaving_double_range_raise():
+    # Factors of norm ~|E| overflow a double within a renormalization block;
+    # the error names the first such energy and the position, never NaN.
+    p = HoppingPair(1, 2)
+    with pytest.raises(ArithmeticError, match=r"E = 1000000000000\.0 leaves double range by position \d+"):
+        lyapunov(p, 1e12, 2584)
+    with pytest.raises(ArithmeticError, match=r"E = -1e\+30 "):
+        lyapunov_grid(p, [0.0, 1.0, -1e30, 5.0], 2584)
+    with pytest.raises(ArithmeticError, match=r"E = 1e\+200 .* position 32$"):
+        cocycle(omega_s(1, 100), p, 1e200, 100)
+    with pytest.raises(ArithmeticError, match=r"position 1$"):
+        cocycle(omega_s(1, 1), p, 1e200, 1)
 
 
 def test_cocycle_window_coverage():
