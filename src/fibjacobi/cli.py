@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -152,14 +151,7 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ValueError(f"need at least 2 grid points, got {args.points}")
     energies = np.linspace(args.emin, args.emax, args.points)
-    if args.threads > 1:
-        chunks = np.array_split(energies, args.threads)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parts = list(pool.map(lambda c: lyapunov_grid(p, c, args.length), chunks))
-        gamma = np.concatenate([g for g, _, _ in parts])
-        residual = np.concatenate([r for _, r, _ in parts])
-    else:
-        gamma, residual, _ = lyapunov_grid(p, energies, args.length)
+    gamma, residual, _ = lyapunov_grid(p, energies, args.length)
     cfg = _config_payload(args)
     print(
         f"lyapunov: {args.points} energies in [{args.emin:g}, {args.emax:g}], "
@@ -267,15 +259,11 @@ def cmd_words(args: argparse.Namespace) -> int:
     shown = prefix if len(prefix) <= 64 else prefix[:61] + "..."
     print(f"level {args.k}: length {len(prefix)}  {shown}")
     complexity: dict[str, int] = {}
-    bad = []
     for length in range(1, args.complexity + 1):
+        # subwords raises unless it finds exactly length + 1 factors.
         count = len(subwords(length))
         complexity[str(length)] = count
-        if count != length + 1:
-            bad.append((length, count))
         print(f"factors of length {length}: {count}")
-    if bad:
-        raise ArithmeticError(f"factor counts deviate from L + 1 at {bad}")
     if args.out or args.format == "json":
         cfg = _config_payload(args)
         result = {"k": args.k, "length": len(prefix), "prefix": prefix, "complexity": complexity}
@@ -398,15 +386,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser and dispatch -----------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser, default_format: str) -> None:
-    sp.add_argument("--a", type=float, default=1.0, help="hopping value for letter a")
-    sp.add_argument("--b", type=float, default=2.0, help="hopping value for letter b")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="band-edge tolerance")
+def _add_common(
+    sp: argparse.ArgumentParser, default_format: str | None, tol: bool = False, hoppings: bool = True
+) -> None:
+    """Register the options a subcommand reads: --format only with a default format."""
+    if hoppings:
+        sp.add_argument("--a", type=float, default=1.0, help="hopping value for letter a")
+        sp.add_argument("--b", type=float, default=2.0, help="hopping value for letter b")
+    if tol:
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="band-edge tolerance")
     sp.add_argument("--out", type=str, default=None, help="output file path")
-    sp.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads for grid sweeps")
+    if default_format:
+        sp.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
+        sp.set_defaults(default_format=default_format)
     sp.add_argument("--config", type=str, default=None, help="flat key = value config file")
-    sp.set_defaults(default_format=default_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="bands of sigma_k")
     sp.add_argument("--k", type=int, required=True, help="approximant level")
-    _add_common(sp, "json")
+    _add_common(sp, "json", tol=True)
     sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("cover", help="bands of cover(k) = sigma_k union sigma_{k+1}")
     sp.add_argument("--k", type=int, required=True, help="cover level")
-    _add_common(sp, "json")
+    _add_common(sp, "json", tol=True)
     sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("spectrum", help="escape-time outer approximation")
@@ -446,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kmax", type=int, default=14, help="deepest cover level")
     sp.add_argument("--kmin", type=int, default=6, help="shallowest scaling level")
     sp.add_argument("--sweep", type=str, default=None, help="b sweep as start:stop:step")
-    _add_common(sp, "csv")
+    _add_common(sp, "csv", tol=True)
     sp.set_defaults(func=cmd_dimension)
 
     sp = sub.add_parser("verify", help="invariant and identity self-checks")
@@ -456,13 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="fault injection: add this to every recursion step (negative control)",
     )
-    _add_common(sp, "json")
+    _add_common(sp, None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("words", help="substitution prefixes and factor counts")
     sp.add_argument("--k", type=int, required=True, help="prefix level")
     sp.add_argument("--complexity", type=int, default=0, help="check factor counts up to this length")
-    _add_common(sp, "json")
+    _add_common(sp, "json", hoppings=False)
     sp.set_defaults(func=cmd_words)
 
     sp = sub.add_parser("eigs", help="eigenvalues of a finite hopping window")

@@ -130,19 +130,6 @@ def test_lyapunov_free_case_csv(tmp_path, capsys):
             assert gamma == pytest.approx(math.acosh(abs(e) / 2.0), abs=0.05)
 
 
-def test_lyapunov_threads_match_serial(tmp_path, capsys):
-    args = [
-        "lyapunov", "--a", "1", "--b", "2", "--emin", "-1", "--emax", "1",
-        "--points", "17", "--length", "144",
-    ]
-    f1, f2 = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    assert run(capsys, *args, "--out", str(f1))[0] == EXIT_OK
-    assert run(capsys, *args, "--threads", "4", "--out", str(f2))[0] == EXIT_OK
-    serial = [l for l in f1.read_text().splitlines() if not l.startswith("#")]
-    threaded = [l for l in f2.read_text().splitlines() if not l.startswith("#")]
-    assert serial == threaded
-
-
 def test_lyapunov_out_of_double_range_exits_3(capsys):
     code, out, err = run(capsys, "lyapunov", "--emin", "1e12", "--emax", "2e12", "--points", "3")
     assert code == EXIT_NUMERICAL
@@ -281,6 +268,22 @@ def test_csv_outputs_embed_config(tmp_path, capsys):
     assert "# a=1.0\n" in text
     assert "# command=dimension\n" in text
     assert "# kmax=12\n" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lyapunov", "--threads", "2"),
+        ("words", "--k", "5", "--a", "0"),
+        ("verify", "--format", "csv"),
+        ("eigs", "--k", "4", "--tol", "1e-3"),
+    ],
+)
+def test_option_the_subcommand_does_not_read_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments" in err
+    assert out == ""
 
 
 def test_help_exits_zero(capsys):
