@@ -31,16 +31,13 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class JacobiWindow:
-    """Off-diagonal hopping sequence with a boundary tag; zero diagonal."""
+    """Off-diagonal hopping sequence of a free-boundary chain; zero diagonal."""
 
     hoppings: tuple[float, ...]
-    boundary: str = "free"
 
     def __post_init__(self) -> None:
         if len(self.hoppings) < 1:
             raise ValueError("JacobiWindow needs at least one hopping")
-        if self.boundary not in ("free", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
         if not all(math.isfinite(h) and h > 0 for h in self.hoppings):
             raise ValueError("hoppings must be positive and finite")
 
@@ -59,13 +56,13 @@ class EigenvalueList:
     boundary: str
 
 
-def build_window(window, p: HoppingPair, boundary: str = "free") -> JacobiWindow:
+def build_window(window, p: HoppingPair) -> JacobiWindow:
     """Map window letters to hopping values (a -> p.a, b -> p.b)."""
     letters = getattr(window, "letters", window)
     if len(letters) == 0:
         raise ValueError("empty window")
     table = {"a": p.a, "b": p.b}
-    return JacobiWindow(tuple(table[ch] for ch in letters), boundary)
+    return JacobiWindow(tuple(table[ch] for ch in letters))
 
 
 def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -87,17 +84,13 @@ def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 
 def eigenvalue_count_below(j: JacobiWindow, shifts) -> np.ndarray:
-    """Sturm counts at the given shifts for a free-boundary window."""
-    if j.boundary != "free":
-        raise ValueError("Sturm counts require free boundary")
+    """Sturm counts at the given shifts."""
     e2 = np.array(j.hoppings, dtype=float) ** 2
     return _sturm_count(e2, np.atleast_1d(np.asarray(shifts, dtype=float)))
 
 
 def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueList:
     """All eigenvalues of the free chain, each to absolute accuracy tol."""
-    if j.boundary != "free":
-        raise ValueError("eigenvalues_free requires free boundary")
     e = np.array(j.hoppings, dtype=float)
     n = len(e) + 1
     bound = 2.0 * float(e.max())

@@ -52,8 +52,6 @@ def test_jacobi_window_validation():
     with pytest.raises(ValueError):
         JacobiWindow(())
     with pytest.raises(ValueError):
-        JacobiWindow((1.0,), boundary="twisted")
-    with pytest.raises(ValueError):
         JacobiWindow((1.0, -2.0))
 
 
@@ -149,14 +147,6 @@ def test_truncation_consistency():
 def test_truncation_length_precondition():
     with pytest.raises(ValueError):
         truncation_spectrum_consistency(P12, 10, 2 * fibonacci(10) - 1)
-
-
-def test_eigenvalues_free_rejects_periodic():
-    jw = JacobiWindow((1.0, 2.0), boundary="periodic")
-    with pytest.raises(ValueError):
-        eigenvalues_free(jw)
-    with pytest.raises(ValueError):
-        eigenvalue_count_below(jw, [0.0])
 
 
 def test_edge_state_detection():
