@@ -253,30 +253,17 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     n_used = checkpoints[-1]
     if window is None:
         window = omega_s(1, n_used)
-    elif not window.covers(1, n_used):
-        raise WindowCoverageError(
-            f"lyapunov over 1..{n_used} needs those positions, "
-            f"window covers ({window.lo}, {window.hi})"
-        )
-    m11, m12, m21, m22, scale = _products(window, p, _energies(E), checkpoints).transpose(1, 0, 2)
-    log_norms = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
-    # Centered least squares, summed row by row so that every energy's fit
-    # uses only its own column, in the same order for any grid chunking.
-    xs = checkpoints[len(checkpoints) // 2 :]
-    ys = log_norms[len(checkpoints) // 2 :]
+    half = len(checkpoints) // 2
+    m11, m12, m21, m22, scale = _products(window, p, _energies(E), checkpoints)[half:].transpose(1, 0, 2)
+    ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
+    # Centered least squares over the last half of the checkpoints.  Python's
+    # sum adds the rows in order, so each energy's fit reads only its own
+    # column and does not depend on how the grid is chunked.
+    xs = checkpoints[half:]
     x_mean = sum(xs) / len(xs)
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    y_sum = np.zeros_like(E)
-    sxy = np.zeros_like(E)
-    for x, y in zip(xs, ys):
-        y_sum += y
-        sxy += (x - x_mean) * y
-    slope = sxy / sxx
-    intercept = y_sum / len(xs) - slope * x_mean
-    sq_sum = np.zeros_like(E)
-    for x, y in zip(xs, ys):
-        sq_sum += (y - (slope * x + intercept)) ** 2
-    residual = np.sqrt(sq_sum / len(xs))
+    slope = sum((x - x_mean) * y for x, y in zip(xs, ys)) / sum((x - x_mean) ** 2 for x in xs)
+    intercept = sum(ys) / len(xs) - slope * x_mean
+    residual = np.sqrt(sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs))
     gamma = np.clip(slope, 0.0, None)
     return gamma, residual, n_used
 
@@ -301,14 +288,11 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
             f"window does not start with a level-{k} repeated block on positions 1..{2 * n}"
         )
     energies = _energies(E)
-    halves, fulls = cocycles(window, p, energies, [n, 2 * n])
     defects = []
-    for e, half, full in zip(energies.tolist(), halves, fulls):
-        x = trace_value(p, e, k + 1)
+    for e, half, full in zip(energies.tolist(), *cocycles(window, p, energies, [n, 2 * n])):
         m_half = half.physical()
-        lhs = full.physical() - 2.0 * x * m_half + np.eye(2)
-        half_sq = float(np.sum(m_half * m_half))
-        defects.append(float(np.linalg.norm(lhs)) / (1.0 + half_sq))
+        lhs = full.physical() - 2.0 * trace_value(p, e, k + 1) * m_half + np.eye(2)
+        defects.append(float(np.linalg.norm(lhs)) / (1.0 + float(np.sum(m_half * m_half))))
     return defects[0] if np.ndim(E) == 0 else np.array(defects)
 
 
