@@ -260,7 +260,6 @@ def cmd_words(args: argparse.Namespace) -> int:
     print(f"level {args.k}: length {len(prefix)}  {shown}")
     complexity: dict[str, int] = {}
     for length in range(1, args.complexity + 1):
-        # subwords raises unless it finds exactly length + 1 factors.
         count = len(subwords(length))
         complexity[str(length)] = count
         print(f"factors of length {length}: {count}")
@@ -386,19 +385,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser and dispatch -----------------------------------------------------
 
 
-def _add_common(
-    sp: argparse.ArgumentParser, default_format: str | None, tol: bool = False, hoppings: bool = True
-) -> None:
-    """Register the options a subcommand reads: --format only with a default format."""
+def _add_common(sp: argparse.ArgumentParser, fmt: str | None, tol=False, hoppings=True) -> None:
+    """Register the options a subcommand reads; --format only with a default format fmt."""
     if hoppings:
         sp.add_argument("--a", type=float, default=1.0, help="hopping value for letter a")
         sp.add_argument("--b", type=float, default=2.0, help="hopping value for letter b")
     if tol:
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="band-edge tolerance")
     sp.add_argument("--out", type=str, default=None, help="output file path")
-    if default_format:
+    if fmt:
         sp.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-        sp.set_defaults(default_format=default_format)
+        sp.set_defaults(default_format=fmt)
     sp.add_argument("--config", type=str, default=None, help="flat key = value config file")
 
 

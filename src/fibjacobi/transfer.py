@@ -123,27 +123,18 @@ def local_matrix(hop: float, E: float) -> TransferMatrix:
     return TransferMatrix(E / hop, -1.0 / hop, hop, 0.0)
 
 
-def _energies(E) -> np.ndarray:
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    bad = ~np.isfinite(E)
-    if bad.any():
-        raise ValueError(f"energies must be finite, got {float(E[bad][0])!r}")
-    return E
-
-
-def _products(window: SignedWindow, p: HoppingPair, E: np.ndarray, lengths: list[int]) -> np.ndarray:
+def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
     """Cocycles over 1..n for each n in lengths, at every energy of E, in one pass.
 
-    Returns shape (len(lengths), 5, E.size): m11, m12, m21, m22 and
-    log_scale of each product.  Renormalizes every RENORM_EVERY factors into
-    log_scale, keeping the stored entries of order one at any depth.  Raises
-    ArithmeticError naming the energy and the position where a product's
-    squared Frobenius norm stops being a positive finite double.
+    Returns shape (len(lengths), 5, E.size) holding m11, m12, m21, m22 and
+    log_scale.  Raises ArithmeticError naming the energy and the position
+    where a product's squared Frobenius norm is no positive finite double.
     """
-    if lengths[0] < 1:
-        raise ValueError(f"cocycle length must be >= 1, got {lengths[0]}")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError(f"cocycle lengths must be strictly increasing, got {lengths}")
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    if not np.isfinite(E).all():
+        raise ValueError(f"energies must be finite, got {float(E[~np.isfinite(E)][0])!r}")
+    if any(b <= a for a, b in zip([0, *lengths], lengths)):
+        raise ValueError(f"cocycle lengths must be positive and strictly increasing, got {lengths}")
     n = lengths[-1]
     if not window.covers(1, n):
         raise WindowCoverageError(
@@ -186,18 +177,15 @@ def cocycles(window: SignedWindow, p: HoppingPair, E, lengths) -> list[list[Tran
     """cocycle(window, p, e, n) for every n in lengths and e in E, from one pass.
 
     lengths must be strictly increasing; row i holds the products over
-    1..lengths[i], one per energy.  Energies must be finite.
+    1..lengths[i], one per energy.  Every RENORM_EVERY factors the scale
+    moves into log_scale, so the stored entries stay of order one.
     """
-    prods = _products(window, p, _energies(E), list(lengths))
-    return [[TransferMatrix(*entries) for entries in block.T.tolist()] for block in prods]
+    prods = _products(window, p, E, list(lengths))
+    return [[TransferMatrix(*m) for m in block.T.tolist()] for block in prods]
 
 
 def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> TransferMatrix:
-    """Ordered product of one-step factors over positions n..1 (rightmost first).
-
-    The stored entries stay of order one for products of any depth, with
-    the scale in log_scale; see cocycles.
-    """
+    """Ordered product of one-step factors over positions n..1 (rightmost first); see cocycles."""
     return cocycles(window, p, [float(E)], [n])[0][0]
 
 
@@ -254,7 +242,7 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     if window is None:
         window = omega_s(1, n_used)
     half = len(checkpoints) // 2
-    m11, m12, m21, m22, scale = _products(window, p, _energies(E), checkpoints)[half:].transpose(1, 0, 2)
+    m11, m12, m21, m22, scale = _products(window, p, E, checkpoints)[half:].transpose(1, 0, 2)
     ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
     # Centered least squares over the last half of the checkpoints.  Python's
     # sum adds the rows in order, so each energy's fit reads only its own
@@ -287,9 +275,8 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
         raise SquareStructureError(
             f"window does not start with a level-{k} repeated block on positions 1..{2 * n}"
         )
-    energies = _energies(E)
     defects = []
-    for e, half, full in zip(energies.tolist(), *cocycles(window, p, energies, [n, 2 * n])):
+    for e, half, full in zip(np.atleast_1d(E).tolist(), *cocycles(window, p, E, [n, 2 * n])):
         m_half = half.physical()
         lhs = full.physical() - 2.0 * trace_value(p, e, k + 1) * m_half + np.eye(2)
         defects.append(float(np.linalg.norm(lhs)) / (1.0 + float(np.sum(m_half * m_half))))
