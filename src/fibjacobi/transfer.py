@@ -142,18 +142,21 @@ def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np
         )
     out = np.empty((len(lengths), 5, E.size))
     m11, m12, m21, m22 = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
-    scale = np.zeros_like(E)
+    t11, t12, scale = np.empty_like(E), np.empty_like(E), np.zeros_like(E)
     row = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for pos, letter in enumerate(window.slice(1, n), 1):
             w = _hop(p, letter)
-            # Left-multiply by (1/w) [[E, -1], [w^2, 0]].
-            m11, m12, m21, m22 = (
-                (E * m11 - m21) / w,
-                (E * m12 - m22) / w,
-                w * m11,
-                w * m12,
-            )
+            # Left-multiply by (1/w) [[E, -1], [w^2, 0]] in place.
+            np.multiply(E, m11, out=t11)
+            t11 -= m21
+            t11 /= w
+            np.multiply(E, m12, out=t12)
+            t12 -= m22
+            t12 /= w
+            np.multiply(m11, w, out=m21)
+            np.multiply(m12, w, out=m22)
+            m11, m12, t11, t12 = t11, t12, m11, m12
             renorm = pos % RENORM_EVERY == 0
             if renorm or pos == lengths[row]:
                 sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
@@ -241,13 +244,12 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     n_used = checkpoints[-1]
     if window is None:
         window = omega_s(1, n_used)
-    half = len(checkpoints) // 2
-    m11, m12, m21, m22, scale = _products(window, p, E, checkpoints)[half:].transpose(1, 0, 2)
+    xs = checkpoints[len(checkpoints) // 2 :]
+    m11, m12, m21, m22, scale = _products(window, p, E, xs).transpose(1, 0, 2)
     ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
     # Centered least squares over the last half of the checkpoints.  Python's
     # sum adds the rows in order, so each energy's fit reads only its own
     # column and does not depend on how the grid is chunked.
-    xs = checkpoints[half:]
     x_mean = sum(xs) / len(xs)
     slope = sum((x - x_mean) * y for x, y in zip(xs, ys)) / sum((x - x_mean) ** 2 for x in xs)
     intercept = sum(ys) / len(xs) - slope * x_mean
