@@ -279,7 +279,7 @@ def test_csv_outputs_embed_config(tmp_path, capsys):
         ("eigs", "--k", "4", "--tol", "1e-3"),
     ],
 )
-def test_option_the_subcommand_does_not_read_exits_2(capsys, argv):
+def test_unread_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "unrecognized arguments" in err
