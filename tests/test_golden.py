@@ -4,7 +4,8 @@ tests/golden/bands.json holds the sha256 of bandset_to_json for sigma_j and
 cover(j) at every level of a few couplings, of two escape scans, of the
 repr of band_scaling_dimension at the same couplings, of the stdout of
 the band-set commands in JSON and CSV and of `verify`, of the gamma and
-residual bytes of four Lyapunov scans, and of the repr of cocycle and
+residual bytes of six Lyapunov scans (four on the default window, two on an
+explicit window, the reference path of the product loop), and of the repr of cocycle and
 cayley_hamilton_defect at a few points.  A call that raises is pinned by
 its error class and message instead.  Regenerate the file with
 `python tests/golden/make.py` only when an output change is intended.
@@ -41,6 +42,8 @@ VERIFY_B = ("1.2", "2", "3.3", "4.212133165366545")
 
 # Lyapunov scans over [-2.5 b, 2.5 b] at 2001 points: (b, cocycle length).
 LYAPUNOV = ((2.0, 2584), (2.0, 46368), (4.7, 2584), (4.7, 46368))
+# The same scans over the explicit window omega_s(1, n).
+LYAPUNOV_WINDOW = ((2.0, 2584), (4.7, 2584))
 
 # (b, E, n) for cocycle over omega_s(1, n), and (b, E, k) for the
 # Cayley-Hamilton defect over the level-9 square prefix; a = 1 throughout.
@@ -56,8 +59,9 @@ def _digest(make) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
-def _lyapunov_bytes(b: float, n: int) -> bytes:
-    gamma, residual, _ = lyapunov_grid(HoppingPair(1.0, b), np.linspace(-2.5 * b, 2.5 * b, 2001), n)
+def _lyapunov_bytes(b: float, n: int, window=None) -> bytes:
+    energies = np.linspace(-2.5 * b, 2.5 * b, 2001)
+    gamma, residual, _ = lyapunov_grid(HoppingPair(1.0, b), energies, n, window)
     return gamma.tobytes() + residual.tobytes()
 
 
@@ -90,6 +94,10 @@ def digests() -> dict[str, str]:
         out[f"main(verify --b {b})"] = _digest(lambda: _stdout(["verify", "--b", b]))
     for b, n in LYAPUNOV:
         out[f"lyapunov_grid(1.0, {b}, 2001, {n})"] = _digest(lambda: _lyapunov_bytes(b, n))
+    for b, n in LYAPUNOV_WINDOW:
+        out[f"lyapunov_grid(1.0, {b}, 2001, {n}, window=omega_s(1, {n}))"] = _digest(
+            lambda: _lyapunov_bytes(b, n, omega_s(1, n))
+        )
     for b, e, n in COCYCLES:
         out[f"cocycle(1.0, {b}, {e}, {n})"] = _digest(
             lambda: repr(cocycle(omega_s(1, n), HoppingPair(1.0, b), e, n))

@@ -273,6 +273,62 @@ def test_lyapunov_grid_independent_of_chunking():
         assert (est.gamma, est.residual) == (gamma[i], residual[i])
 
 
+def test_lyapunov_default_window_matches_linear_loop():
+    # The default scan (the special hull element) agrees with the same scan
+    # over the explicit window omega_s(1, n), the one-factor reference path,
+    # from weak to strong coupling and from the shortest fit up.
+    couplings = [HoppingPair(1, b) for b in (1.0001, 1.2, 2, 3.3, 4.7, 20, 100)]
+    for p in [*couplings, HoppingPair(0.5, 1)]:
+        hop = max(p.a, p.b)
+        grid = np.linspace(-2.5 * hop, 2.5 * hop, 101)
+        for n in (5, 6, 8, 13, 21, 100, 2584, 17711):
+            gamma, residual, n_used = lyapunov_grid(p, grid, n)
+            ref_gamma, ref_residual, ref_n = lyapunov_grid(p, grid, n, window=omega_s(1, n))
+            assert n_used == ref_n
+            assert np.max(np.abs(gamma - ref_gamma)) <= 1e-9, (p, n)
+            assert np.max(np.abs(residual - ref_residual)) <= 1e-7, (p, n)
+
+
+def _mpmath_lyapunov(p, E, n):
+    # Factor-by-factor cocycle over omega_s(1, n) at 40 digits, fit over the
+    # same checkpoints as lyapunov_grid: (gamma, residual) as floats.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        xs = [fibonacci(j) for j in range(1, 64) if fibonacci(j) <= n]
+        xs = xs[len(xs) // 2 :]
+        e = mpmath.mpf(E)
+        hop = {c: (mpmath.mpf(w), 1 / mpmath.mpf(w)) for c, w in (("a", p.a), ("b", p.b))}
+        m11, m12, m21, m22 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        ys, stops = [], set(xs)
+        for pos, letter in enumerate(omega_s(1, xs[-1]).letters, 1):
+            w, inv = hop[letter]
+            m11, m12, m21, m22 = (e * m11 - m21) * inv, (e * m12 - m22) * inv, w * m11, w * m12
+            if pos in stops:
+                ys.append(mpmath.log(m11**2 + m12**2 + m21**2 + m22**2) / 2)
+        x_mean = mpmath.fsum(xs) / len(xs)
+        slope = mpmath.fsum((x - x_mean) * y for x, y in zip(xs, ys)) / mpmath.fsum(
+            (x - x_mean) ** 2 for x in xs
+        )
+        intercept = mpmath.fsum(ys) / len(xs) - slope * x_mean
+        residual = mpmath.sqrt(mpmath.fsum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys)) / len(xs))
+        return max(float(slope), 0.0), float(residual)
+
+
+def test_lyapunov_matches_high_precision_products():
+    # At (1, 3.3) the scans sit near E = +-4.01775, where rounding in the
+    # products shows most; both paths are checked against 40-digit products.
+    p = HoppingPair(1, 3.3)
+    n = 17711
+    for E in (4.01775, -4.01775):
+        want_gamma, want_residual = _mpmath_lyapunov(p, E, n)
+        est = lyapunov(p, E, n)
+        assert abs(est.gamma - want_gamma) <= 1e-10
+        assert abs(est.residual - want_residual) <= 1e-8
+        ref = lyapunov(p, E, n, window=omega_s(1, n))
+        assert abs(ref.gamma - want_gamma) <= 1e-13
+        assert abs(ref.residual - want_residual) <= 1e-10
+
+
 def test_lyapunov_uniform_across_hull_windows():
     # Estimates over the canonical window and five shifted hull windows
     # agree: the exponent does not depend on the hull element.
