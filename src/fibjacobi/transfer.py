@@ -20,10 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tracemap import HoppingPair, trace_value
-from .words import SignedWindow, WindowCoverageError, fibonacci, omega_s, square_prefix_block, square_prefix_check
+from .words import (
+    SignedWindow,
+    WindowCoverageError,
+    fib_prefix,
+    fibonacci,
+    omega_s,
+    square_prefix_block,
+    square_prefix_check,
+)
 
 # Cocycle products extract their scale into log form this often.
 RENORM_EVERY = 32
+
+# Default-window Lyapunov scans multiply blocks s_m and s_{m+1} of this level
+# (F_10 = 89 and F_11 = 144 letters) instead of one-step factors.
+_BLOCK_LEVEL = 10
 
 
 class SquareStructureError(ValueError):
@@ -176,6 +188,54 @@ def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np
     return out
 
 
+def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
+    """_products over the special hull element at lengths F_j for j in levels, by blocks.
+
+    s_j = S^m(s_{j-m}) with S^m(a) = s_{m+1} and S^m(b) = s_m, so positions
+    1..F_j are copies of those two blocks in the letter order of s_{j-m}.
+    With m = min(_BLOCK_LEVEL, levels[0] - 1) every F_j ends a block.  One
+    _products pass gives both block cocycles; each block step left-multiplies
+    the running product, checks its squared Frobenius norm as _products does
+    and moves that norm into log_scale.
+    """
+    m = min(_BLOCK_LEVEL, levels[0] - 1)
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    short, long = fibonacci(m), fibonacci(m + 1)
+    blocks = {}
+    for letter, size, (b11, b12, b21, b22, b_scale) in zip(
+        "ba", (short, long), _products(omega_s(1, long), p, E, [short, long])
+    ):
+        f = np.sqrt(b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22)
+        blocks[letter] = (size, b11 / f, b12 / f, b21 / f, b22 / f, b_scale + np.log(f))
+    rows = {fibonacci(j - m): row for row, j in enumerate(levels)}
+    out = np.empty((len(levels), 5, E.size))
+    m11, m12, m21, m22 = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    scale = np.zeros_like(E)
+    pos = 0
+    for count, letter in enumerate(fib_prefix(levels[-1] - m), 1):
+        size, b11, b12, b21, b22, b_scale = blocks[letter]
+        pos += size
+        m11, m12, m21, m22 = (
+            b11 * m11 + b12 * m21,
+            b11 * m12 + b12 * m22,
+            b21 * m11 + b22 * m21,
+            b21 * m12 + b22 * m22,
+        )
+        sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+        ok = np.isfinite(sq) & (sq > 0.0)
+        if not ok.all():
+            raise ArithmeticError(
+                f"cocycle product at E = {float(E[np.argmin(ok)])!r} "
+                f"leaves double range by position {pos}"
+            )
+        f = np.sqrt(sq)
+        m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
+        scale += np.log(f) + b_scale
+        if count in rows:
+            out[rows[count]] = m11, m12, m21, m22, scale
+    return out
+
+
 def cocycles(window: SignedWindow, p: HoppingPair, E, lengths) -> list[list[TransferMatrix]]:
     """cocycle(window, p, e, n) for every n in lengths and e in E, from one pass.
 
@@ -236,16 +296,21 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     Returns (gamma, residual, n_used).  One cocycle orbit per energy over
     the given window (the special hull element by default); the exponent is
     the least-squares slope of log Frobenius norm against n over the last
-    half of the Fibonacci checkpoints, clamped at 0 from below.
+    half of the Fibonacci checkpoints, clamped at 0 from below.  The default
+    window multiplies Fibonacci blocks (_hull_products); an explicit window
+    multiplies one-step factors.
     """
     if n < 5:
         raise ValueError(f"lyapunov needs n >= 5, got {n}")
     checkpoints = _fibonacci_checkpoints(n)
     n_used = checkpoints[-1]
+    first = len(checkpoints) // 2
+    xs = checkpoints[first:]
     if window is None:
-        window = omega_s(1, n_used)
-    xs = checkpoints[len(checkpoints) // 2 :]
-    m11, m12, m21, m22, scale = _products(window, p, E, xs).transpose(1, 0, 2)
+        prods = _hull_products(p, E, list(range(first + 1, len(checkpoints) + 1)))
+    else:
+        prods = _products(window, p, E, xs)
+    m11, m12, m21, m22, scale = prods.transpose(1, 0, 2)
     ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
     # Centered least squares over the last half of the checkpoints.  Python's
     # sum adds the rows in order, so each energy's fit reads only its own
