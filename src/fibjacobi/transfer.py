@@ -145,7 +145,7 @@ def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np
     E = np.atleast_1d(np.asarray(E, dtype=float))
     if not np.isfinite(E).all():
         raise ValueError(f"energies must be finite, got {float(E[~np.isfinite(E)][0])!r}")
-    if any(b <= a for a, b in zip([0, *lengths], lengths)):
+    if not lengths or any(b <= a for a, b in zip([0, *lengths], lengths)):
         raise ValueError(f"cocycle lengths must be positive and strictly increasing, got {lengths}")
     n = lengths[-1]
     if not window.covers(1, n):
@@ -261,6 +261,10 @@ def evolve_solution(
     component is E u_0 - w_1 u_1, which the position-1 factor maps onto
     U_1 = (u_1, w_1 u_0).  Cocycle products over 1..n act on U_0.
     """
+    if not math.isfinite(E):
+        raise ValueError(f"energies must be finite, got {E!r}")
+    if not (math.isfinite(u0) and math.isfinite(u1)):
+        raise ValueError(f"initial values must be finite, got u0 = {u0!r}, u1 = {u1!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not window.covers(1, n_max):
@@ -358,7 +362,9 @@ def no_decay_witness(
     Returns min over levels 2..k of max(|U(n')|, |U(2n')|) / |U(0)| with n'
     the level half-block length.  The identity U(2n') - 2x U(n') + U(0) = 0
     bounds this below by 1/(1 + 2 trace_bound) whenever the trace orbit is
-    bounded, which is what rules out decaying solutions.
+    bounded, which is what rules out decaying solutions.  Levels whose mass
+    leaves double range are skipped; ArithmeticError names E when none is
+    left or |U(0)| itself leaves double range.
     """
     if u0 == 0.0 and u1 == 0.0:
         raise ValueError("the identically-zero solution carries no information")
@@ -372,13 +378,11 @@ def no_decay_witness(
     top = 2 * square_prefix_block(k)
     states = evolve_solution(window, p, E, u0, u1, top)
     base = states[0].norm()
-    witness = math.inf
-    for lvl in range(2, k + 1):
-        n = square_prefix_block(lvl)
-        a = states[n].norm()
-        b = states[2 * n].norm()
-        level_mass = max(a, b)
-        if not math.isfinite(level_mass):
-            continue
-        witness = min(witness, level_mass / base)
-    return witness
+    masses = [
+        max(states[n].norm(), states[2 * n].norm())
+        for n in map(square_prefix_block, range(2, k + 1))
+    ]
+    finite = [mass for mass in masses if math.isfinite(mass)]
+    if not finite or not math.isfinite(base):
+        raise ArithmeticError(f"solution at E = {E!r} has no finite relative mass on levels 2..{k}")
+    return min(finite) / base

@@ -152,6 +152,17 @@ def test_products_leaving_double_range_raise():
         cocycle(omega_s(1, 100), p, 1e200, 100)
     with pytest.raises(ArithmeticError, match=r"position 1$"):
         cocycle(omega_s(1, 1), p, 1e200, 1)
+    # The same two scans over an explicit window take the one-factor loop.
+    w = omega_s(1, 2584)
+    with pytest.raises(ArithmeticError, match=r"E = 1000000000000\.0 leaves double range by position \d+"):
+        lyapunov(p, 1e12, 2584, window=w)
+    with pytest.raises(ArithmeticError, match=r"E = -1e\+30 "):
+        lyapunov_grid(p, [0.0, 1.0, -1e30, 5.0], 2584, window=w)
+
+
+def test_cocycles_reject_empty_lengths():
+    with pytest.raises(ValueError, match="strictly increasing, got \\[\\]"):
+        cocycles(omega_s(1, 5), HoppingPair(1, 2), [0.0], [])
 
 
 def test_cocycle_window_coverage():
@@ -218,6 +229,18 @@ def test_evolve_solution_growth_outside_spectrum():
     # At E = 10 the solution gains at least half a unit of log-norm per step.
     gains = [(logs[-1] - logs[0]) / (len(logs) - 1)]
     assert gains[0] > 0.5
+
+
+def test_evolve_solution_rejects_non_finite_input():
+    p = HoppingPair(1, 2)
+    w = omega_s(1, 20)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="energies must be finite"):
+            evolve_solution(w, p, bad, 0.0, 1.0, 20)
+        with pytest.raises(ValueError, match="initial values must be finite"):
+            evolve_solution(w, p, 0.0, bad, 1.0, 20)
+        with pytest.raises(ValueError, match="initial values must be finite"):
+            evolve_solution(w, p, 0.0, 0.0, bad, 20)
 
 
 def test_evolve_solution_window_coverage():
@@ -396,3 +419,15 @@ def test_no_decay_witness_rejects_zero_solution():
         no_decay_witness(w, p, 0.0, 8, 0.0, 0.0)
     with pytest.raises(ValueError):
         no_decay_witness(w, p, 0.0, 1, 0.0, 1.0)
+
+
+def test_no_decay_witness_fails_instead_of_inf():
+    # A non-finite energy is rejected; an energy whose solution overflows
+    # on every level raises with that energy instead of returning inf.
+    p = HoppingPair(1, 2)
+    w = omega_s(1, 2 * fibonacci(9))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="energies must be finite"):
+            no_decay_witness(w, p, bad, 8, 0.0, 1.0)
+    with pytest.raises(ArithmeticError, match=r"E = 1e\+200 "):
+        no_decay_witness(w, p, 1e200, 8, 0.0, 1.0)
