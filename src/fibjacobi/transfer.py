@@ -6,6 +6,13 @@ acting on states U_n = (u_n, w_n u_{n-1}).  Long products renormalize every
 32 factors into a separately tracked log-scale, so Lyapunov exponents and
 determinant checks stay finite at any depth.
 
+Lyapunov scans on the special hull element (the default window) multiply
+the cocycles of the Fibonacci blocks s_10 and s_11 (89 and 144 letters),
+which tile every fitted prefix, instead of one-step factors.  Scans over
+an explicit window, cocycle(s), cayley_hamilton_defect and the verify
+identities multiply one-step factors; the identities compare the trace
+recursion with that factor-by-factor product.
+
 The half-trace of the cocycle over the level-k Fibonacci block reproduces
 the trace-map value x_k, and over a repeated block the Cayley-Hamilton
 identity M(2n) - 2 x M(n) + I = 0 holds; both are the operator facts the
@@ -135,6 +142,15 @@ def local_matrix(hop: float, E: float) -> TransferMatrix:
     return TransferMatrix(E / hop, -1.0 / hop, hop, 0.0)
 
 
+def _check_range(sq: np.ndarray, E: np.ndarray, pos: int) -> None:
+    """Raise ArithmeticError at the first energy whose squared norm sq is no positive finite double."""
+    ok = np.isfinite(sq) & (sq > 0.0)
+    if not ok.all():
+        raise ArithmeticError(
+            f"cocycle product at E = {float(E[np.argmin(ok)])!r} leaves double range by position {pos}"
+        )
+
+
 def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
     """Cocycles over 1..n for each n in lengths, at every energy of E, in one pass.
 
@@ -172,12 +188,7 @@ def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np
             renorm = pos % RENORM_EVERY == 0
             if renorm or pos == lengths[row]:
                 sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
-                ok = np.isfinite(sq) & (sq > 0.0)
-                if not ok.all():
-                    raise ArithmeticError(
-                        f"cocycle product at E = {float(E[np.argmin(ok)])!r} "
-                        f"leaves double range by position {pos}"
-                    )
+                _check_range(sq, E, pos)
             if renorm:
                 f = np.sqrt(sq)
                 m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
@@ -222,12 +233,7 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
             b21 * m12 + b22 * m22,
         )
         sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
-        ok = np.isfinite(sq) & (sq > 0.0)
-        if not ok.all():
-            raise ArithmeticError(
-                f"cocycle product at E = {float(E[np.argmin(ok)])!r} "
-                f"leaves double range by position {pos}"
-            )
+        _check_range(sq, E, pos)
         f = np.sqrt(sq)
         m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
         scale += np.log(f) + b_scale
