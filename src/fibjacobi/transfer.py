@@ -212,6 +212,7 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
     m = min(_BLOCK_LEVEL, levels[0] - 1)
     E = np.atleast_1d(np.asarray(E, dtype=float))
     short, long = fibonacci(m), fibonacci(m + 1)
+    # Unit-norm blocks keep every block step's entries at most 1 in size.
     blocks = {}
     for letter, size, (b11, b12, b21, b22, b_scale) in zip(
         "ba", (short, long), _products(omega_s(1, long), p, E, [short, long])
