@@ -5,9 +5,10 @@ cover(j) at every level of a few couplings, of two escape scans, of the
 repr of band_scaling_dimension at the same couplings, of the stdout of
 the band-set commands in JSON and CSV and of `verify`, of the gamma and
 residual bytes of six Lyapunov scans (four on the default window, two on an
-explicit window, the reference path of the product loop), and of the repr of cocycle and
-cayley_hamilton_defect at a few points.  A call that raises is pinned by
-its error class and message instead.  Regenerate the file with
+explicit window, the reference path of the product loop), of the repr of cocycle and
+cayley_hamilton_defect at a few points, of the stdout of `eigs` in JSON and
+CSV, and of the repr of scalar trace_value and escape_classify at a few
+points.  A call that raises is pinned by its error class and message instead.  Regenerate the file with
 `python tests/golden/make.py` only when an output change is intended.
 """
 
@@ -15,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 from fibjacobi.bands import bandset_to_json, cover, escape_spectrum, sigma_k
@@ -22,7 +24,7 @@ import numpy as np
 
 from fibjacobi.cli import main
 from fibjacobi.fractal import band_scaling_dimension
-from fibjacobi.tracemap import HoppingPair
+from fibjacobi.tracemap import HoppingPair, escape_classify, trace_value
 from fibjacobi.transfer import cayley_hamilton_defect, cocycle, lyapunov_grid
 from fibjacobi.words import omega_s, square_prefix_block
 
@@ -49,6 +51,22 @@ LYAPUNOV_WINDOW = ((2.0, 2584), (4.7, 2584))
 # Cayley-Hamilton defect over the level-9 square prefix; a = 1 throughout.
 COCYCLES = ((2.0, 0.3, 5), (2.0, 1.7, 144), (2.0, -2.9, 5000), (2.0, 10.0, 5000), (4.7, 3.3, 987))
 DEFECTS = ((2.0, 0.013, 2), (2.0, 1.5, 5), (2.0, -3.1, 9), (4.7, 0.4, 7), (4.7, 9.0, 9))
+
+# eigs commands whose stdout is pinned in JSON and CSV.
+EIGS = (("eigs", "--b", "2", "--k", "13"),
+        ("eigs", "--b", "3.3", "--letters", "abaab", "--repeats", "60"))
+
+# (a, b, E, k) for scalar trace_value: the 6-cycle orbit at E = 0, an
+# irrational point, k = -1, 0 and 1, and four energies whose recursion
+# overflows at (1, 2) (level 3 for 1e154, level 2 for the rest).
+TRACES = ((1.0, 2.0, 0.0, 5), (1.0, 2.0, 0.0, 26), (0.8, 1.7, 1.3, 9), (1.0, 2.0, 3.0, -1),
+          (1.0, 2.0, 3.0, 0), (1.0, 2.0, 3.0, 1), (1.0, 2.0, 1e154, 5), (1.0, 2.0, 1e200, 5),
+          (1.0, 2.0, math.nan, 5), (1.0, 2.0, math.inf, 5))
+
+# (a, b, E, K_max) for escape_classify on orbits that stay finite: bounded,
+# escaped at k = 0, 1, 11 and 19, and the guard-band case escaping at k = 4.
+ESCAPES = ((1.0, 2.0, 0.0, 100), (1.0, 2.0, 10.0, 100), (1.0, 2.0, -3.3, 30), (1.0, 2.0, 1.7, 30),
+           (1.0, 2.0, 2.5, 30), (1.0, 1.0, 2.0 + 2e-13, 50), (1.0, 1.0, 2.0, 50))
 
 
 def _digest(make) -> str:
@@ -106,6 +124,18 @@ def digests() -> dict[str, str]:
     for b, e, k in DEFECTS:
         out[f"cayley_hamilton_defect(1.0, {b}, {e}, {k})"] = _digest(
             lambda: repr(cayley_hamilton_defect(square, HoppingPair(1.0, b), e, k))
+        )
+    for argv in EIGS:
+        for fmt in ("json", "csv"):
+            cmd = [*argv, "--format", fmt]
+            out[f"main({' '.join(cmd)})"] = _digest(lambda: _stdout(cmd))
+    for a, b, e, k in TRACES:
+        out[f"trace_value({a}, {b}, {e!r}, {k})"] = _digest(
+            lambda: repr(trace_value(HoppingPair(a, b), e, k))
+        )
+    for a, b, e, k_max in ESCAPES:
+        out[f"escape_classify({a}, {b}, {e!r}, {k_max})"] = _digest(
+            lambda: repr(escape_classify(HoppingPair(a, b), e, k_max))
         )
     return out
 
