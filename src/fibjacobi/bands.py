@@ -35,7 +35,7 @@ MIN_TOL = 1e-13
 ENERGY_MARGIN = 1e-6
 # Band edges closer than MERGE_FACTOR * tol merge into one band.
 MERGE_FACTOR = 10.0
-# Refinement abort: total sign-grid points per level.
+# Grid cap: sign-grid points per level of root isolation, cells of an escape scan.
 GRID_CAP = 1 << 24
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -355,13 +355,21 @@ def escape_spectrum(
             raise ValueError(
                 f"window [{window.lo}, {window.hi}] must contain [-{m}, {m}]"
             )
+    if not math.isfinite(window.width):
+        raise ValueError(f"window [{window.lo}, {window.hi}] has no finite width")
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be a positive finite number, got {grid_step}")
     if grid_step > 1e-3 * window.width:
         raise ValueError(
             f"grid_step {grid_step} too coarse for window width {window.width}"
         )
-    n_cells = int(math.ceil(window.width / grid_step))
+    cells = window.width / grid_step
+    if cells > GRID_CAP:
+        raise ValueError(
+            f"grid_step {grid_step} needs {cells:.4g} cells over window width "
+            f"{window.width}, more than GRID_CAP = {GRID_CAP}"
+        )
+    n_cells = int(math.ceil(cells))
     edges = np.linspace(window.lo, window.hi, n_cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     esc_edges, _, _ = escape_grid(p, edges, K_max)

@@ -314,8 +314,9 @@ def _check_recursion_vs_cocycle(p: HoppingPair) -> tuple[bool, str]:
     lengths = [fibonacci(k) for k in levels]
     worst = 0.0
     for k, row in zip(levels, cocycles(omega_s(1, lengths[-1]), p, energies, lengths)):
-        for e, m in zip(energies, row):
-            want = trace_value(p, float(e), k)
+        for e, m, want in zip(energies.tolist(), row, trace_value(p, energies, k).tolist()):
+            if not math.isfinite(want):
+                trace_value(p, e, k)  # raises TraceDivergedError naming the level
             worst = max(worst, abs(m.trace_half() - want) / max(1.0, abs(want)))
     ok = worst <= 1e-9
     return ok, f"max relative error {worst:.3e}, levels 2..12"
@@ -325,7 +326,10 @@ def _check_cyclic_traces(p: HoppingPair) -> tuple[bool, str]:
     energies = np.linspace(-3.0, 3.0, 20) + 0.037
     worst = 0.0
     for k in range(2, 9):
-        wants = [trace_value(p, float(e), k + 1) for e in energies]
+        wants = trace_value(p, energies, k + 1).tolist()
+        for e, want in zip(energies.tolist(), wants):
+            if not math.isfinite(want):
+                trace_value(p, e, k + 1)  # raises TraceDivergedError naming the level
         for word in cyclic_conjugates(k):
             row = cocycles(periodize(word, len(word)), p, energies, [len(word)])[0]
             for m, want in zip(row, wants):

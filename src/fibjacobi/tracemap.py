@@ -7,9 +7,9 @@ An energy belongs to the spectrum exactly when its orbit stays bounded;
 once two consecutive half-traces leave [-1, 1] the orbit escapes
 superexponentially, |x_{k+l}| >= c^{F_l} with c > 1.
 
-Scalar evaluation is plain double precision while |x| <= 1e6; past that
-the orbit continues in (log|x|, sign) form, where the recursion is
-dominated by its product term and log-domain propagation stays accurate.
+Half-traces and escape levels come from array kernels in plain doubles, a
+single energy as a 0-d array.  Only growth_rate_after_escape continues an
+orbit past |x| = 1e6, in (log|x|, sign) form, where it stays accurate.
 """
 
 from __future__ import annotations
@@ -126,29 +126,24 @@ def step_inverse(t: TraceTriple) -> TraceTriple:
 
 
 def trace_value(p: HoppingPair, E, k: int):
-    """Half-trace x_k(E) by the scalar recursion, never via polynomial coefficients.
+    """Half-trace x_k(E) by the recursion, never via polynomial coefficients.
 
-    E may be a float or an ndarray; the result matches its shape.  Scalar
-    evaluation raises TraceDivergedError (with the level reached) if the
-    recursion overflows; array evaluation lets non-finite values propagate,
-    which callers scanning energy grids mask out themselves.
+    E may be a float or an ndarray; the result matches its shape.  Both run
+    the blocked kernel _trace_array, a float as a 0-d array.  Arrays let
+    non-finite values propagate, for grid scans to mask; a float raises
+    TraceDivergedError at the first non-finite level in 2..k.
     """
     if k < -1:
         raise ValueError(f"trace index must be >= -1, got {k}")
-    if np.ndim(E) == 0:
-        return _trace_scalar(p, float(E), k)
-    return _trace_array(p, np.asarray(E, dtype=float), k)
-
-
-def _trace_scalar(p: HoppingPair, E: float, k: int) -> float:
-    t = initial_triple(p, E)
-    if k == -1:
-        return t.x_prev
-    if k == 0:
-        return t.x_cur
-    for _ in range(k - 1):
-        t = step(t)
-    return t.x_next
+    if np.ndim(E) > 0:
+        return _trace_array(p, np.asarray(E, dtype=float), k)
+    E = np.asarray(float(E))
+    x = float(_trace_array(p, E, k))
+    # A finite x_k implies finite x_2..x_{k-1}: 2xy - z is finite only if x, y, z are.
+    if k >= 2 and not math.isfinite(x):
+        level = next(j for j in range(2, k + 1) if not np.isfinite(_trace_array(p, E, j)))
+        raise TraceDivergedError(level)
+    return x
 
 
 def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
@@ -198,29 +193,19 @@ def trace_bound(p: HoppingPair) -> float:
 
 
 def escape_classify(p: HoppingPair, E: float, K_max: int) -> EscapeResult:
-    """Scan pairs (x_k, x_{k+1}) for k = 0..K_max-2 for joint escape beyond 1.
+    """escape_grid at one energy: the first k where |x_k|, |x_{k+1}| > 1 + ESCAPE_GUARD.
 
-    The scan examines levels strictly below K_max, so Bounded(K_max) means
-    no pair among x_0..x_{K_max-1} escapes jointly; this makes the retained
-    set of an escape sweep coincide with the level-(K_max-2) band cover.
-    Values within ESCAPE_GUARD of 1 do not count as escaped, so borderline
-    energies classify as Bounded.  A non-finite value counts as escaped at
-    the level reached and is flagged via the diverged field.
+    The scan stops at k = K_max - 2, so Bounded(K_max) means no pair among
+    x_0..x_{K_max-1} escapes jointly and an escape sweep keeps the
+    level-(K_max-2) band cover.  A non-finite value counts as escaped at the
+    level reached, with diverged set.  last_triple is (x_{k+1}, x_k, x_{k-1})
+    from _trace_array at that k.
     """
-    if K_max < 2:
-        raise ValueError(f"K_max must be >= 2, got {K_max}")
-    thr = 1.0 + ESCAPE_GUARD
-    t = initial_triple(p, float(E))
-    while True:
-        k = t.level - 1
-        if abs(t.x_cur) > thr and abs(t.x_next) > thr:
-            return EscapeResult(True, k, K_max, t)
-        if k >= K_max - 2:
-            return EscapeResult(False, None, K_max, t)
-        try:
-            t = step(t)
-        except TraceDivergedError as err:
-            return EscapeResult(True, err.level, K_max, t, diverged=True)
+    E = np.asarray(float(E))
+    escaped, k_escape, diverged = escape_grid(p, E, K_max)
+    k = int(k_escape) if escaped else K_max - 2
+    triple = TraceTriple(*(float(_trace_array(p, E, j)) for j in (k + 1, k, k - 1)), k + 1)
+    return EscapeResult(bool(escaped), k if escaped else None, K_max, triple, bool(diverged))
 
 
 def escape_grid(p: HoppingPair, E, K_max: int):

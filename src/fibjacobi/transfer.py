@@ -353,10 +353,15 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
         raise SquareStructureError(
             f"window does not start with a level-{k} repeated block on positions 1..{2 * n}"
         )
+    energies = np.atleast_1d(E)
+    halves, fulls = cocycles(window, p, E, [n, 2 * n])
+    xs = trace_value(p, energies, k + 1).tolist()
     defects = []
-    for e, half, full in zip(np.atleast_1d(E).tolist(), *cocycles(window, p, E, [n, 2 * n])):
+    for e, half, full, x in zip(energies.tolist(), halves, fulls, xs):
         m_half = half.physical()
-        lhs = full.physical() - 2.0 * trace_value(p, e, k + 1) * m_half + np.eye(2)
+        if not math.isfinite(x):
+            trace_value(p, e, k + 1)  # raises TraceDivergedError naming the level
+        lhs = full.physical() - 2.0 * x * m_half + np.eye(2)
         defects.append(float(np.linalg.norm(lhs)) / (1.0 + float(np.sum(m_half * m_half))))
     return defects[0] if np.ndim(E) == 0 else np.array(defects)
 

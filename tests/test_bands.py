@@ -234,6 +234,13 @@ def test_escape_spectrum_validation():
     for bad in (0.0, -1e-4, math.nan, math.inf):
         with pytest.raises(ValueError, match="grid_step"):
             escape_spectrum(P12, 12, grid_step=bad)
+    for lo, hi in ((-math.inf, math.inf), (-1e308, 1e308), (math.nan, math.nan), (-5.0, math.nan)):
+        with pytest.raises(ValueError, match="no finite width"):
+            escape_spectrum(P12, 12, grid_step=1e-3, window=EnergyWindow(lo, hi))
+    with pytest.raises(ValueError, match="8e\\+12 cells"):
+        escape_spectrum(P12, 12, grid_step=1e-12)
+    with pytest.raises(ValueError, match="inf cells"):
+        escape_spectrum(P12, 12, grid_step=1e-3, window=EnergyWindow(-1e307, 1e307))
 
 
 def test_energy_window_margin():

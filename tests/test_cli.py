@@ -108,6 +108,17 @@ def test_spectrum_invalid_grid_exits_2(capsys):
     assert code == EXIT_USAGE
     assert "grid_step must be a positive finite number" in err
     assert out == ""
+    cases = [
+        (("--grid", "1e-12"), "needs 8e+12 cells"),
+        (("--grid", "1e-3", "--emin=-inf", "--emax=inf"), "window [-inf, inf] has no finite width"),
+        (("--grid", "1e-3", "--emin=-1e308", "--emax=1e308"), "has no finite width"),
+        (("--grid", "1e-3", "--emin=nan", "--emax=nan"), "window [nan, nan] has no finite width"),
+    ]
+    for extra, message in cases:
+        code, out, err = run(capsys, "spectrum", "--kmax", "12", *extra)
+        assert code == EXIT_USAGE
+        assert message in err
+        assert out == ""
 
 
 def test_lyapunov_free_case_csv(tmp_path, capsys):

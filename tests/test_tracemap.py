@@ -290,15 +290,54 @@ def test_escape_guard_band_defers_borderline_pairs():
 def test_escape_grid_matches_scalar():
     p = HoppingPair(1, 2)
     grid = np.linspace(-5.0, 5.0, 201)
-    escaped, k_esc, diverged = escape_grid(p, grid, 25)
-    assert not diverged.any()
-    for i, E in enumerate(grid):
-        res = escape_classify(p, float(E), 25)
-        assert escaped[i] == res.escaped
-        if res.escaped:
-            assert k_esc[i] == res.k_escape
-        else:
-            assert k_esc[i] == -1
+    assert not escape_grid(p, grid, 25)[2].any()
+    # At a tiny a the first product overflows one level after the start.
+    tiny = HoppingPair(6e-309, 1.0)
+    cases = [(p, grid), (p, np.array(SPECIAL_ENERGIES)),
+             (tiny, np.array([1.8, -1.8, 0.5, *SPECIAL_ENERGIES]))]
+    for q, energies in cases:
+        escaped, k_esc, diverged = escape_grid(q, energies, 25)
+        for i, E in enumerate(energies.tolist()):
+            res = escape_classify(q, E, 25)
+            assert escaped[i] == res.escaped
+            assert diverged[i] == res.diverged
+            if res.escaped:
+                assert k_esc[i] == res.k_escape
+            else:
+                assert k_esc[i] == -1 and res.k_escape is None
+            # The scan stopped at k: the escape level, or K_max - 2 when bounded.
+            k = res.k_escape if res.escaped else 23
+            t = res.last_triple
+            want = [trace_value(q, np.array([E]), j)[0] for j in (k + 1, k, k - 1)]
+            assert t.level == k + 1
+            assert np.array_equal([t.x_next, t.x_cur, t.x_prev], want, equal_nan=True)
+
+
+def _step_loop(p, E, k):
+    """Reference: x_k by repeated step, raising TraceDivergedError where step does."""
+    t = initial_triple(p, E)
+    for _ in range(k - 1):
+        t = step(t)
+    return (t.x_prev, t.x_cur, t.x_next)[min(k, 1) + 1]
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except TraceDivergedError as err:
+        return f"level {err.level}: {err}"
+
+
+def test_trace_value_scalar_diverges_like_step_loop():
+    p = HoppingPair(1, 2)
+    tiny = HoppingPair(6e-309, 1.0)
+    cases = [(p, E) for E in (1e154, -1e154, 1e200, 1e300, 3.0, *SPECIAL_ENERGIES)]
+    cases += [(tiny, E) for E in (1.8, -1.8, 0.5)]
+    for q, E in cases:
+        for k in (-1, 0, 1, 2, 3, 5, 30):
+            got = _outcome(lambda: trace_value(q, E, k))
+            assert got == _outcome(lambda: _step_loop(q, E, k)), (q, E, k)
+    assert _outcome(lambda: trace_value(p, 1e154, 5)) == "level 3: trace recursion diverged at level 3"
 
 
 def _escape_masked(p, E, K_max):
