@@ -7,8 +7,8 @@ the band-set commands in JSON and CSV and of `verify`, of the gamma and
 residual bytes of six Lyapunov scans (four on the default window, two on an
 explicit window, the reference path of the product loop), of the repr of cocycle and
 cayley_hamilton_defect at a few points, of the stdout of `eigs` in JSON and
-CSV, and of the repr of scalar trace_value and escape_classify at a few
-points.  A call that raises is pinned by its error class and message instead.  Regenerate the file with
+CSV, of the repr of scalar trace_value and escape_classify at a few
+points, and of the repr of the periodic and truncation band defects.  A call that raises is pinned by its error class and message instead.  Regenerate the file with
 `python tests/golden/make.py` only when an output change is intended.
 """
 
@@ -24,9 +24,10 @@ import numpy as np
 
 from fibjacobi.cli import main
 from fibjacobi.fractal import band_scaling_dimension
+from fibjacobi.jacobi import periodic_band_check, truncation_spectrum_consistency
 from fibjacobi.tracemap import HoppingPair, escape_classify, trace_value
 from fibjacobi.transfer import cayley_hamilton_defect, cocycle, lyapunov_grid
-from fibjacobi.words import omega_s, square_prefix_block
+from fibjacobi.words import fibonacci, omega_s, square_prefix_block
 
 GOLDEN = Path(__file__).parent / "golden" / "bands.json"
 
@@ -67,6 +68,11 @@ TRACES = ((1.0, 2.0, 0.0, 5), (1.0, 2.0, 0.0, 26), (0.8, 1.7, 1.3, 9), (1.0, 2.0
 # escaped at k = 0, 1, 11 and 19, and the guard-band case escaping at k = 4.
 ESCAPES = ((1.0, 2.0, 0.0, 100), (1.0, 2.0, 10.0, 100), (1.0, 2.0, -3.3, 30), (1.0, 2.0, 1.7, 30),
            (1.0, 2.0, 2.5, 30), (1.0, 1.0, 2.0 + 2e-13, 50), (1.0, 1.0, 2.0, 50))
+
+# (a, b, k, m) for periodic_band_check and (a, b, k, L) for
+# truncation_spectrum_consistency: band defects after edge states are dropped.
+PERIODIC = ((1.0, 1.0, 6, 20), (1.0, 2.0, 2, 20), (1.0, 2.0, 8, 20), (1.0, 2.0, 8, 5))
+TRUNCATIONS = ((1.0, 1.0, 3, 100), (1.0, 2.0, 10, fibonacci(14)))
 
 
 def _digest(make) -> str:
@@ -136,6 +142,14 @@ def digests() -> dict[str, str]:
     for a, b, e, k_max in ESCAPES:
         out[f"escape_classify({a}, {b}, {e!r}, {k_max})"] = _digest(
             lambda: repr(escape_classify(HoppingPair(a, b), e, k_max))
+        )
+    for a, b, k, m in PERIODIC:
+        out[f"periodic_band_check({a}, {b}, {k}, m={m})"] = _digest(
+            lambda: repr(periodic_band_check(HoppingPair(a, b), k, m=m))
+        )
+    for a, b, k, n in TRUNCATIONS:
+        out[f"truncation_spectrum_consistency({a}, {b}, {k}, {n})"] = _digest(
+            lambda: repr(truncation_spectrum_consistency(HoppingPair(a, b), k, n))
         )
     return out
 
