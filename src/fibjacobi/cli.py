@@ -38,7 +38,7 @@ from .fractal import (
     eps_ladder,
     sweep_to_csv,
 )
-from .jacobi import build_window, eigenvalues_free, eigenvalues_to_json
+from .jacobi import build_window, eigenvalues_free, eigenvalues_to_dict
 from .tracemap import HoppingPair, invariant_expected, trace_value
 from .transfer import cayley_hamilton_defect, cocycles, lyapunov_grid
 from .words import (
@@ -278,11 +278,11 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     letters = letters * args.repeats
     win = build_window(letters, p)
     eig = eigenvalues_free(win)
-    vals = eig.values
+    vals = eig.values.tolist()
     cfg = _config_payload(args)
     print(f"eigs: {len(vals)} eigenvalues in [{vals[0]:.6g}, {vals[-1]:.6g}]")
     if _resolve_format(args) == "json":
-        _emit_json(cfg, json.loads(eigenvalues_to_json(eig)), args.out)
+        _emit_json(cfg, eigenvalues_to_dict(eig), args.out)
     else:
         rows = [f"{i},{v:.17g}" for i, v in enumerate(vals)]
         _emit_csv(cfg, "index,value", rows, args.out)

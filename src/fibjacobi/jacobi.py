@@ -6,8 +6,10 @@ Eigenvalues are found by bisection on the Sturm pivot recursion (the
 count of eigenvalues below a shift), deterministic and free of external
 linear-algebra dependencies.  Free truncations sprout O(1) eigenvalues
 inside spectral gaps; those are finite-volume boundary artifacts, which
-the band-defect checks identify by inverse iteration (eigenvector weight
-concentrated in the outer 10% of sites) and exclude.
+the band-defect checks identify by their eigenvectors (weight
+concentrated in the outer 10% of sites) and exclude.  The eigenvectors
+come from the same pivots, run from both ends of the chain and joined at
+a twist (Fernando; Parlett and Dhillon, Linear Algebra Appl. 267 (1997)).
 """
 
 from __future__ import annotations
@@ -46,14 +48,22 @@ class JacobiWindow:
         return len(self.hoppings) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenvalueList:
-    """Sorted eigenvalues with the bisection accuracy they carry."""
+    """Sorted eigenvalues with the bisection accuracy they carry.
 
-    values: tuple[float, ...]
+    values is a read-only float array; eigenvalue lists compare by identity.
+    """
+
+    values: np.ndarray
     residual_bound: float
     n_sites: int
     boundary: str
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 def build_window(window, p: HoppingPair) -> JacobiWindow:
@@ -107,57 +117,38 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
         above = c > idx
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    values = 0.5 * (lo + hi)
-    return EigenvalueList(tuple(float(v) for v in values), float(tol), n, "free")
+    return EigenvalueList(0.5 * (lo + hi), float(tol), n, "free")
 
 
-def _tridiag_solve(e: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (T - shift I) x = rhs, T zero-diagonal tridiagonal, pivoted."""
-    n = rhs.size
-    d = np.empty(n)
-    u1 = np.zeros(n)
-    u2 = np.zeros(n)
-    x = rhs.astype(float).copy()
-    d[0] = -shift
-    if n > 1:
-        u1[0] = e[0]
-    for i in range(n - 1):
-        s = e[i]
-        t = -shift
-        v = e[i + 1] if i + 1 < n - 1 else 0.0
-        if abs(s) > abs(d[i]):
-            d[i], u1[i], u2[i], s, t, v = s, t, v, d[i], u1[i], u2[i]
-            x[i], x[i + 1] = x[i + 1], x[i]
-        piv = d[i] if d[i] != 0.0 else _TINY
-        m = s / piv
-        d[i + 1] = t - m * u1[i]
-        u1[i + 1] = v - m * u2[i]
-        x[i + 1] -= m * x[i]
-    x[n - 1] /= d[n - 1] if d[n - 1] != 0.0 else _TINY
-    for i in range(n - 2, -1, -1):
-        acc = x[i] - u1[i] * x[i + 1]
-        if i + 2 < n:
-            acc -= u2[i] * x[i + 2]
-        x[i] = acc / (d[i] if d[i] != 0.0 else _TINY)
-    return x
+def _pivots(e2: np.ndarray, shift: float) -> np.ndarray:
+    """Sturm pivots q_i = -shift - e_{i-1}^2 / q_{i-1} at one shift, top down.
+
+    Zero pivots become -tiny, as in _sturm_count; infinities self-heal.
+    """
+    pivots = []
+    q = 1.0
+    for ee in [0.0, *e2.tolist()]:
+        q = -shift - ee / q or -_TINY
+        pivots.append(q)
+    return np.array(pivots)
 
 
-def _inverse_iteration_vector(e: np.ndarray, lam: float, tol: float) -> np.ndarray:
-    """Normalized eigenvector for the eigenvalue nearest lam."""
-    n = len(e) + 1
-    detune = 13.0 * tol * max(1.0, 2.0 * float(e.max()))
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(3):
-        v = _tridiag_solve(e, lam + detune, v)
-        nv = np.linalg.norm(v)
-        if not np.isfinite(nv) or nv == 0.0:
-            detune *= 16.0
-            v = rng.standard_normal(n)
-            nv = np.linalg.norm(v)
-        v /= nv
-    return v
+def _eigenvector(e: np.ndarray, lam: float) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue lam, from a twisted factorization.
+
+    The top-down and bottom-up pivots of T - lam meet at the twist r that
+    minimizes |q+_r + q-_r + lam|, where the vector is largest; from z_r = 1
+    each side follows from the pivot ratios -e_i / q_i (Fernando's method).
+    """
+    e2 = e * e
+    top = _pivots(e2, lam)
+    bottom = _pivots(e2[::-1], lam)[::-1]
+    r = int(np.argmin(np.abs(top + bottom + lam)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = np.cumprod((-e[:r] / top[:r])[::-1])[::-1]
+        right = np.cumprod(-e[r:] / bottom[r + 1 :])
+    z = np.concatenate((left, [1.0], right))
+    return z / np.linalg.norm(z)
 
 
 def edge_weight(v: np.ndarray, fraction: float = EDGE_FRACTION) -> float:
@@ -166,21 +157,19 @@ def edge_weight(v: np.ndarray, fraction: float = EDGE_FRACTION) -> float:
     return float((v[:m] ** 2).sum() + (v[-m:] ** 2).sum())
 
 
-def _defect_excluding_edge_states(e, values, bands, tol):
+def _defect_excluding_edge_states(e, lam, bands):
     """Max distance of bulk eigenvalues to bands; edge states skipped.
 
     Candidates are visited in decreasing distance; the first one whose
     eigenvector is not edge-localized sets the maximum, so only the few
-    gap states ever need inverse iteration.
+    gap states ever need an eigenvector.
     """
-    lam = np.asarray(values)
     dist = _distance_to_bands(lam, bands)
     n_excluded = 0
     for i in np.argsort(dist)[::-1]:
         if dist[i] == 0.0:
             break
-        v = _inverse_iteration_vector(e, float(lam[i]), tol)
-        if edge_weight(v) > EDGE_WEIGHT_LIMIT:
+        if edge_weight(_eigenvector(e, float(lam[i]))) > EDGE_WEIGHT_LIMIT:
             n_excluded += 1
             continue
         return float(dist[i]), n_excluded
@@ -200,22 +189,18 @@ def periodic_band_check(
         raise ValueError(f"k must be in 1..16, got {k}")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    letters = fib_prefix(k) * m
-    jw = build_window(letters[:-1], p)
+    jw = build_window((fib_prefix(k) * m)[:-1], p)
     if tol is None:
         tol = 1e-10 * p.norm_bound
     eig = eigenvalues_free(jw, tol)
     bands = sigma_k(p, k)
-    e = np.array(jw.hoppings, dtype=float)
-    defect, _ = _defect_excluding_edge_states(e, eig.values, bands, tol)
-    lam = np.array(eig.values)
+    lam = eig.values
+    defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, bands)
     inside = _distance_to_bands(lam, bands) == 0.0
     x = np.abs(trace_value(p, lam[inside], k))
     if np.any(x > 1.0 + defect + 1e-6):
         worst = float(lam[inside][np.argmax(x)])
-        raise ArithmeticError(
-            f"in-band eigenvalue {worst} has |x_{k}| = {x.max()} > 1 + defect"
-        )
+        raise ArithmeticError(f"in-band eigenvalue {worst} has |x_{k}| = {x.max()} > 1 + defect")
     return defect
 
 
@@ -233,26 +218,25 @@ def truncation_spectrum_consistency(
     jw = build_window(omega_s(1, L - 1), p)
     if tol is None:
         tol = 1e-10 * p.norm_bound
-    eig = eigenvalues_free(jw, tol)
-    cov = cover(p, k)
-    e = np.array(jw.hoppings, dtype=float)
-    defect, _ = _defect_excluding_edge_states(e, eig.values, cov, tol)
+    lam = eigenvalues_free(jw, tol).values
+    defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, cover(p, k))
     return defect
 
 
+def eigenvalues_to_dict(eig: EigenvalueList) -> dict:
+    """The documented JSON shape of an eigenvalue list, as plain Python values."""
+    return {
+        "n": eig.n_sites,
+        "boundary": eig.boundary,
+        "values": eig.values.tolist(),
+        "tol": eig.residual_bound,
+    }
+
+
 def eigenvalues_to_json(eig: EigenvalueList) -> str:
-    return json.dumps(
-        {
-            "n": eig.n_sites,
-            "boundary": eig.boundary,
-            "values": list(eig.values),
-            "tol": eig.residual_bound,
-        }
-    )
+    return json.dumps(eigenvalues_to_dict(eig))
 
 
 def eigenvalues_from_json(text: str) -> EigenvalueList:
     d = json.loads(text)
-    return EigenvalueList(
-        tuple(float(v) for v in d["values"]), float(d["tol"]), int(d["n"]), d["boundary"]
-    )
+    return EigenvalueList(d["values"], float(d["tol"]), int(d["n"]), d["boundary"])

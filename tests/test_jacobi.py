@@ -17,9 +17,11 @@ from fibjacobi.jacobi import (
     eigenvalues_to_json,
     periodic_band_check,
     truncation_spectrum_consistency,
-    _inverse_iteration_vector,
+    EDGE_WEIGHT_LIMIT,
+    _defect_excluding_edge_states,
+    _eigenvector,
 )
-from fibjacobi.bands import sigma_k
+from fibjacobi.bands import _distance_to_bands, cover, sigma_k
 from fibjacobi.tracemap import HoppingPair
 from fibjacobi.words import fib_prefix, fibonacci, omega_s
 
@@ -130,6 +132,11 @@ def test_periodic_band_check_coupled():
     assert periodic_band_check(P12, 8) <= 1e-2
 
 
+def test_periodic_band_check_strong_coupling():
+    # Inverse iteration took three edge states here for bulk ones (1.3e-6).
+    assert periodic_band_check(HoppingPair(0.5, 7.3), 10, m=20) <= 1e-8
+
+
 def test_periodic_band_check_validation():
     with pytest.raises(ValueError):
         periodic_band_check(P12, 0)
@@ -151,16 +158,61 @@ def test_truncation_length_precondition():
 
 def test_edge_state_detection():
     # Alternating weak-strong chain ending on weak bonds hosts midgap
-    # states localized at the ends; inverse iteration must expose them.
+    # states localized at the ends; their eigenvectors must expose them.
     jw = build_window(("ab" * 20)[:-1], P12)
-    lam = np.array(eigenvalues_free(jw).values)
+    lam = eigenvalues_free(jw).values
     e = np.array(jw.hoppings)
     near_zero = float(lam[np.argmin(np.abs(lam))])
-    v = _inverse_iteration_vector(e, near_zero, 1e-10 * 4)
-    assert edge_weight(v) > 0.5
+    assert edge_weight(_eigenvector(e, near_zero)) > 0.5
     # a bulk eigenvalue (largest) is not edge-localized
-    v = _inverse_iteration_vector(e, float(lam[-1]), 1e-10 * 4)
-    assert edge_weight(v) < 0.5
+    assert edge_weight(_eigenvector(e, float(lam[-1]))) < 0.5
+
+
+@pytest.mark.parametrize(
+    "ratio, kind, k, size",
+    [
+        (2.0, "periodic", 8, 5),
+        (2.0, "truncation", 10, 377),
+        (4.7, "periodic", 9, 5),
+        (4.7, "truncation", 7, 377),
+        (14.6, "periodic", 10, 5),
+        (14.6, "periodic", 10, 20),
+        (14.6, "truncation", 8, 1000),
+    ],
+)
+def test_eigenvectors_classify_like_dense_oracle(ratio, kind, k, size):
+    # Every candidate the band-defect scan visits, in its order, is an edge
+    # state for the twisted eigenvector exactly when it is one for eigh, and
+    # that eigenvector leaves a residual of the order of the eigenvalue error.
+    # A periodic window repeats the level-k block `size` times against
+    # sigma_k; a truncation has `size` sites against cover(k).
+    p = HoppingPair(1.0, ratio)
+    if kind == "periodic":
+        jw, bs = build_window((fib_prefix(k) * size)[:-1], p), sigma_k(p, k)
+    else:
+        jw, bs = build_window(omega_s(1, size - 1), p), cover(p, k)
+    e = np.array(jw.hoppings)
+    tol = 1e-10 * p.norm_bound
+    lam = eigenvalues_free(jw, tol).values
+    T = _dense(e)
+    vecs = np.linalg.eigh(T)[1]
+    m = math.ceil(0.1 * jw.n_sites)
+    dense_weight = (vecs[:m] ** 2).sum(axis=0) + (vecs[-m:] ** 2).sum(axis=0)
+    dist = _distance_to_bands(lam, bs)
+    visited = 0
+    for i in np.argsort(dist)[::-1]:
+        if dist[i] == 0.0:
+            break
+        v = _eigenvector(e, float(lam[i]))
+        assert np.all(np.isfinite(v))
+        assert np.linalg.norm(T @ v - lam[i] * v) <= 4 * tol
+        edge = dense_weight[i] > EDGE_WEIGHT_LIMIT
+        assert (edge_weight(v) > EDGE_WEIGHT_LIMIT) == edge, (i, float(lam[i]), dense_weight[i])
+        visited += 1
+        if not edge:
+            break
+    defect, n_excluded = _defect_excluding_edge_states(e, lam, bs)
+    assert n_excluded == visited - (defect > 0.0)
 
 
 def test_eigenvalue_json_roundtrip():
@@ -169,4 +221,8 @@ def test_eigenvalue_json_roundtrip():
     obj = json.loads(text)
     assert set(obj) == {"n", "boundary", "values", "tol"}
     back = eigenvalues_from_json(text)
-    assert back == eig
+    assert np.array_equal(back.values, eig.values)
+    assert (back.residual_bound, back.n_sites, back.boundary) == (
+        eig.residual_bound, eig.n_sites, eig.boundary
+    )
+    assert not back.values.flags.writeable
