@@ -182,9 +182,12 @@ def invariant_value(t: TraceTriple) -> float:
 
 
 def invariant_expected(p: HoppingPair) -> float:
-    """Closed-form invariant (a^2 + b^2)^2 / (4 a^2 b^2) - 1; zero iff a = b."""
-    a2, b2 = p.a * p.a, p.b * p.b
-    return (a2 + b2) ** 2 / (4.0 * a2 * b2) - 1.0
+    """Closed-form invariant (a^2 + b^2)^2 / (4 a^2 b^2) - 1 = ((a/b - b/a) / 2)^2; zero iff a = b."""
+    half = 0.5 * (p.a / p.b - p.b / p.a)
+    value = half * half
+    if not math.isfinite(value):
+        raise ArithmeticError(f"invariant at a = {p.a!r}, b = {p.b!r} leaves double range")
+    return value
 
 
 def trace_bound(p: HoppingPair) -> float:

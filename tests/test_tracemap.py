@@ -6,6 +6,8 @@ checked on seeded random ensembles.
 """
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,6 +176,18 @@ def test_invariant_examples():
     assert invariant_expected(HoppingPair(1, 1)) == 0.0
     assert invariant_expected(HoppingPair(1, 2)) == pytest.approx(9 / 16)
     assert invariant_expected(HoppingPair(2, 1)) == pytest.approx(9 / 16)
+
+
+def test_invariant_expected_range_and_accuracy():
+    # ((a/b - b/a) / 2)^2 holds at every ratio whose value is a double and
+    # keeps its relative accuracy near a = b, where a^2 + b^2 cancels.
+    for a, b in ((1.0, 1.0 + 2**-30), (1.0, 1.0 + 1e-12), (3.0, 3.1), (1.0, 1e100), (1e-150, 1.0)):
+        fa, fb = Fraction(a), Fraction(b)
+        want = float((fa * fa + fb * fb) ** 2 / (4 * fa * fa * fb * fb) - 1)
+        assert invariant_expected(HoppingPair(a, b)) == pytest.approx(want, rel=1e-12)
+    for a, b in ((1.0, 1e200), (1e-200, 1.0), (6e-309, 2.0)):
+        with pytest.raises(ArithmeticError, match=re.escape(f"a = {a!r}, b = {b!r}")):
+            invariant_expected(HoppingPair(a, b))
 
 
 def test_invariant_matches_initial_triple():
