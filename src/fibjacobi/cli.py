@@ -39,7 +39,7 @@ from .fractal import (
     sweep_to_csv,
 )
 from .jacobi import build_window, eigenvalues_free, eigenvalues_to_dict
-from .tracemap import HoppingPair, invariant_expected, trace_value
+from .tracemap import HoppingPair, initial_triple, invariant_expected, trace_value
 from .transfer import cayley_hamilton_defect, cocycles, lyapunov_grid
 from .words import (
     cyclic_conjugates,
@@ -295,14 +295,19 @@ def cmd_eigs(args: argparse.Namespace) -> int:
 def _check_invariant_conservation(p: HoppingPair, perturb: float) -> tuple[bool, str]:
     expected = invariant_expected(p)
     worst = 0.0
-    for e in np.linspace(-8.0, 8.0, 41):
-        x, y, z = float(e) / (2 * p.a), float(e) / (2 * p.b), (p.a**2 + p.b**2) / (2 * p.a * p.b)
+    samples = 0
+    for e in np.linspace(-8.0, 8.0, 41).tolist():
+        t = initial_triple(p, e)
+        x, y, z = t.x_next, t.x_cur, t.x_prev
         for _ in range(40):
             x, y, z = 2.0 * x * y - z + perturb, x, y
             if max(abs(x), abs(y), abs(z)) > 1e3:
                 break
             drift = abs(x * x + y * y + z * z - 2 * x * y * z - 1.0 - expected)
             worst = max(worst, drift / (1.0 + expected))
+            samples += 1
+    if not samples:
+        return False, "nothing checked: every orbit passed 1e3 at its first step"
     ok = worst <= 1e-9
     return ok, f"max relative drift {worst:.3e} over 41 energies, 40 levels"
 
@@ -456,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("words", help="substitution prefixes and factor counts")
     sp.add_argument("--k", type=int, required=True, help="prefix level")
     sp.add_argument("--complexity", type=int, default=0, help="check factor counts up to this length")
-    _add_common(sp, "json", hoppings=False)
+    sp.add_argument("--format", choices=("json",), default=None, help="print the JSON payload")
+    _add_common(sp, None, hoppings=False)
     sp.set_defaults(func=cmd_words)
 
     sp = sub.add_parser("eigs", help="eigenvalues of a finite hopping window")

@@ -205,6 +205,28 @@ def test_verify_fault_injection_fails(capsys):
     assert "FAIL  invariant-conservation" in out
 
 
+def test_verify_invariant_check_needs_a_sample(capsys):
+    # At b/a = 2500 the start value z_0 is above the 1e3 cutoff, so no orbit
+    # reaches a checked level; the check must not pass with zero drift.
+    code, out, _ = run(capsys, "verify", "--a", "1", "--b", "2500")
+    assert code == EXIT_NUMERICAL
+    assert "FAIL  invariant-conservation: nothing checked" in out
+
+
+@pytest.mark.parametrize(
+    "hopping, named",
+    [
+        (("--b", "1e200"), "a = 1.0, b = 1e+200"),
+        (("--a", "1e-200"), "a = 1e-200, b = 2.0"),
+        (("--a", "6e-309"), "a = 6e-309, b = 2.0"),
+    ],
+)
+def test_verify_invariant_out_of_range_names_coupling(capsys, hopping, named):
+    code, out, err = run(capsys, "verify", *hopping)
+    assert code == EXIT_NUMERICAL
+    assert f"invariant at {named} leaves double range" in err
+
+
 def test_verify_free_case_warns_but_passes(capsys):
     code, out, err = run(capsys, "verify", "--a", "1", "--b", "1")
     assert code == EXIT_OK
@@ -218,6 +240,11 @@ def test_words_prefix_and_complexity(capsys):
     assert "length 8" in out
     for length in range(1, 7):
         assert f"factors of length {length}: {length + 1}" in out
+    code, out, _ = run(capsys, "words", "--k", "5", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out.splitlines()[-1])
+    assert payload["config"]["format"] == "json"
+    assert payload["result"]["prefix"] == "abaababa"
 
 
 def test_eigs_from_level(tmp_path, capsys):
@@ -281,19 +308,21 @@ def test_csv_outputs_embed_config(tmp_path, capsys):
     assert "# kmax=12\n" in text
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("lyapunov", "--threads", "2"),
-        ("words", "--k", "5", "--a", "0"),
-        ("verify", "--format", "csv"),
-        ("eigs", "--k", "4", "--tol", "1e-3"),
-    ],
-)
-def test_unread_option_exits_2(capsys, argv):
+# Options and values a subcommand does not read, with the usage error they get.
+UNREAD = [
+    (("lyapunov", "--threads", "2"), "unrecognized arguments"),
+    (("words", "--k", "5", "--a", "0"), "unrecognized arguments"),
+    (("verify", "--format", "csv"), "unrecognized arguments"),
+    (("eigs", "--k", "4", "--tol", "1e-3"), "unrecognized arguments"),
+    (("words", "--k", "5", "--format", "csv"), "invalid choice: 'csv'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD, ids=[f"argv{i}" for i in range(len(UNREAD))])
+def test_unread_option_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
-    assert "unrecognized arguments" in err
+    assert message in err
     assert out == ""
 
 
