@@ -161,15 +161,13 @@ def _batch_bisect(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Roots of fn (vectorized, one sign change per bracket) to width <= tol."""
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
-    flo = fn(lo)
+    sign_lo = np.sign(fn(lo))
     width = float((hi - lo).max()) if lo.size else 0.0
     n_iter = max(1, int(math.ceil(math.log2(max(width / tol, 2.0)))) + 1)
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        same = np.sign(fm) == np.sign(flo)
+        same = np.sign(fn(mid)) == sign_lo
         lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
 
