@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("words", help="substitution prefixes and factor counts")
     sp.add_argument("--k", type=int, required=True, help="prefix level")
     sp.add_argument("--complexity", type=int, default=0, help="check factor counts up to this length")
-    sp.add_argument("--format", choices=("json",), default=None, help="print the JSON payload")
+    sp.add_argument("--format", choices=("json",), default=None, help="output format")
     _add_common(sp, None, hoppings=False)
     sp.set_defaults(func=cmd_words)
 

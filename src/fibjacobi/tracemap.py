@@ -182,7 +182,11 @@ def invariant_value(t: TraceTriple) -> float:
 
 
 def invariant_expected(p: HoppingPair) -> float:
-    """Closed-form invariant (a^2 + b^2)^2 / (4 a^2 b^2) - 1 = ((a/b - b/a) / 2)^2; zero iff a = b."""
+    """Closed-form invariant (a^2 + b^2)^2 / (4 a^2 b^2) - 1; zero iff a = b.
+
+    Computed as ((a/b - b/a) / 2)^2, which does not cancel near a = b and
+    overflows only where the value itself leaves double range.
+    """
     half = 0.5 * (p.a / p.b - p.b / p.a)
     value = half * half
     if not math.isfinite(value):
