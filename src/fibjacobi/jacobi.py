@@ -192,9 +192,8 @@ def periodic_band_check(
     jw = build_window((fib_prefix(k) * m)[:-1], p)
     if tol is None:
         tol = 1e-10 * p.norm_bound
-    eig = eigenvalues_free(jw, tol)
+    lam = eigenvalues_free(jw, tol).values
     bands = sigma_k(p, k)
-    lam = eig.values
     defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, bands)
     inside = _distance_to_bands(lam, bands) == 0.0
     x = np.abs(trace_value(p, lam[inside], k))

@@ -17,6 +17,7 @@ from fibjacobi.jacobi import (
     eigenvalues_to_json,
     periodic_band_check,
     truncation_spectrum_consistency,
+    EDGE_FRACTION,
     EDGE_WEIGHT_LIMIT,
     _defect_excluding_edge_states,
     _eigenvector,
@@ -133,7 +134,7 @@ def test_periodic_band_check_coupled():
 
 
 def test_periodic_band_check_strong_coupling():
-    # Inverse iteration took three edge states here for bulk ones (1.3e-6).
+    # Three gap states here are edge states; counting them as bulk reads 1.3e-6.
     assert periodic_band_check(HoppingPair(0.5, 7.3), 10, m=20) <= 1e-8
 
 
@@ -196,7 +197,7 @@ def test_eigenvectors_classify_like_dense_oracle(ratio, kind, k, size):
     lam = eigenvalues_free(jw, tol).values
     T = _dense(e)
     vecs = np.linalg.eigh(T)[1]
-    m = math.ceil(0.1 * jw.n_sites)
+    m = math.ceil(EDGE_FRACTION * jw.n_sites)
     dense_weight = (vecs[:m] ** 2).sum(axis=0) + (vecs[-m:] ** 2).sum(axis=0)
     dist = _distance_to_bands(lam, bs)
     visited = 0
