@@ -4,7 +4,15 @@ The matrices are symmetric tridiagonal with zero diagonal; off-diagonal
 entries come from mapping window letters to the two hopping values.
 Eigenvalues are found by bisection on the Sturm pivot recursion (the
 count of eigenvalues below a shift), deterministic and free of external
-linear-algebra dependencies.  Free truncations sprout O(1) eigenvalues
+linear-algebra dependencies.  Every eigenvalue starts from the same
+bracket, so one Sturm pass over that bracket's dyadic tree of midpoints
+settles the first rounds for all of them; each later pass counts at the
+midpoints of a two-level tree under every distinct bracket (clusters of
+the Cantor spectrum share brackets).  Each eigenvalue reads the counts at
+exactly the midpoints one-shift-per-round bisection visits, so the values
+are those of plain bisection bit for bit, from far fewer passes over the
+sites.  Windows whose squared hoppings leave the normal double range are
+bisected scaled by a power of two.  Free truncations sprout O(1) eigenvalues
 inside spectral gaps; those are finite-volume boundary artifacts, which
 the band-defect checks identify by their eigenvectors (weight
 concentrated in the outer 10% of sites) and exclude.  The eigenvectors
@@ -28,7 +36,15 @@ DEFAULT_PERIODS = 20
 EDGE_FRACTION = 0.1
 EDGE_WEIGHT_LIMIT = 0.5
 
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
+# Hoppings in this range have squares in the normal double range.
+_HOP_MIN, _HOP_MAX = 2.0**-511, 2.0**511
+# The Sturm kernel's pivot buffer holds this many sites by this many shifts.
+_BLOCK_SITES, _BLOCK_SHIFTS = 32, 4096
+# Bisection rounds per Sturm pass: first over the common starting bracket,
+# then under each distinct bracket.
+_SHARED_DEPTH = 9
+_LOCAL_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -75,49 +91,141 @@ def build_window(window, p: HoppingPair) -> JacobiWindow:
     return JacobiWindow(tuple(table[ch] for ch in letters))
 
 
+def _pivot_block(hops: list[float], q: np.ndarray, neg: np.ndarray, rows, nudge: bool) -> None:
+    """Pivots of the sites with squared hoppings hops, one per row, from pivots q.
+
+    neg holds the negated shifts.  With nudge, zero pivots become -tiny.
+    """
+    prev = q
+    for ee, row in zip(hops, rows):
+        np.divide(ee, prev, out=row)
+        np.subtract(neg, row, out=row)
+        if nudge:
+            np.copyto(row, -_TINY, where=row == 0.0)
+        prev = row
+
+
 def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each shift, vectorized.
 
     Pivot recursion q_i = -shift - e_{i-1}^2 / q_{i-1} for the zero-diagonal
     matrix; the count of negative pivots equals the eigenvalue count below
     the shift.  Zero pivots are nudged to -tiny; infinities self-heal.
+    The pivots of _BLOCK_SITES sites at a time go into one buffer, whose
+    negatives are counted once per block.  A block in which a pivot came
+    out zero is computed again from its first site with the nudge, so every
+    pivot is the one of the site-by-site recursion.  Shifts are taken
+    _BLOCK_SHIFTS at a time, so the buffer stays the same size for any count
+    of shifts.
     """
-    q = -shifts.astype(float)
-    q = np.where(q == 0.0, -_TINY, q)
-    count = (q < 0).astype(np.int64)
+    neg_all = -np.asarray(shifts, dtype=float)
+    count_all = np.empty(neg_all.shape, dtype=np.int64)
+    buf = np.empty((_BLOCK_SITES, min(neg_all.size, _BLOCK_SHIFTS)))
+    mask = np.empty(buf.shape, dtype=bool)
+    hops = e2.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for ee in e2:
-            q = -shifts - ee / q
-            q = np.where(q == 0.0, -_TINY, q)
-            count += q < 0
-    return count
+        for cols in range(0, neg_all.size, _BLOCK_SHIFTS):
+            neg = neg_all[cols : cols + _BLOCK_SHIFTS]
+            q = np.where(neg == 0.0, -_TINY, neg)
+            count = (q < 0.0).astype(np.int64)
+            for start in range(0, len(hops), _BLOCK_SITES):
+                block = hops[start : start + _BLOCK_SITES]
+                pivots, flags = buf[: len(block), : neg.size], mask[: len(block), : neg.size]
+                _pivot_block(block, q, neg, pivots, nudge=False)
+                if np.equal(pivots, 0.0, out=flags).any():
+                    _pivot_block(block, q, neg, pivots, nudge=True)
+                # A block holds fewer than 256 sites, so uint8 sums are exact.
+                np.less(pivots, 0.0, out=flags)
+                count += np.add.reduce(flags.view(np.uint8), axis=0, dtype=np.uint8)
+                q[...] = pivots[-1]
+            count_all[cols : cols + _BLOCK_SHIFTS] = count
+    return count_all
+
+
+def _scaled_squares(e: np.ndarray) -> tuple[np.ndarray, int]:
+    """Squares of the hoppings 2^s e, and the exponent s.
+
+    s is 0 unless a square of e would leave the normal double range; then
+    the largest scaled hopping lies in [0.5, 1).  The pivot recursion is
+    homogeneous in (e, shift), so apart from the nudge of exact zero
+    pivots the counts of the scaled window at 2^s shift are the counts at
+    shift, and power-of-two scaling rounds no value.
+    """
+    smallest, largest = float(e.min()), float(e.max())
+    s = 0 if _HOP_MIN <= smallest and largest <= _HOP_MAX else -math.frexp(largest)[1]
+    e = np.ldexp(e, s)
+    return e * e, s
 
 
 def eigenvalue_count_below(j: JacobiWindow, shifts) -> np.ndarray:
     """Sturm counts at the given shifts."""
-    e2 = np.array(j.hoppings, dtype=float) ** 2
-    return _sturm_count(e2, np.atleast_1d(np.asarray(shifts, dtype=float)))
+    e2, s = _scaled_squares(np.array(j.hoppings, dtype=float))
+    with np.errstate(over="ignore"):
+        shifts = np.ldexp(np.atleast_1d(np.asarray(shifts, dtype=float)), s)
+    return _sturm_count(e2, shifts)
+
+
+def _descend(e2: np.ndarray, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray, depth: int):
+    """Brackets (lo, hi) of eigenvalues idx after depth more bisection rounds.
+
+    Each distinct bracket gets the dyadic tree of its midpoints
+    0.5 * (lo + hi) down to the given depth, and one Sturm pass counts at
+    all of them.  Eigenvalue i then walks down its bracket's tree and reads
+    the count only at the midpoints that one-shift-per-round bisection
+    would visit, so lo and hi come out bit for bit as from depth rounds.
+    """
+    # Compare brackets by their bits, so a tree starts from the very values
+    # each of its eigenvalues carries.
+    keys = np.stack((lo.view(np.int64), hi.view(np.int64)), axis=1)
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    inv = inv.reshape(-1)
+    # Level l holds one row of 2^l midpoints per bracket; the children of
+    # node j are nodes 2j (lower half) and 2j + 1 (upper half).
+    los, his = lo[first, None], hi[first, None]
+    mids = []
+    for _ in range(depth):
+        mid = 0.5 * (los + his)
+        mids.append(mid)
+        los = np.stack((los, mid), axis=2).reshape(first.size, -1)
+        his = np.stack((mid, his), axis=2).reshape(first.size, -1)
+    counts = _sturm_count(e2, np.concatenate([mid.ravel() for mid in mids]))
+    node = np.zeros_like(idx)
+    start = 0
+    for mid in mids:
+        above = counts[start : start + mid.size].reshape(mid.shape)[inv, node] > idx
+        start += mid.size
+        m = mid[inv, node]
+        hi = np.where(above, m, hi)
+        lo = np.where(above, lo, m)
+        node = 2 * node + ~above
+    return lo, hi
 
 
 def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueList:
-    """All eigenvalues of the free chain, each to absolute accuracy tol."""
+    """All eigenvalues of the free chain, each to absolute accuracy tol.
+
+    Bisection from [-bound - tol, bound + tol]: each round halves every
+    eigenvalue's bracket at 0.5 * (lo + hi) by the Sturm count there.  The
+    first _SHARED_DEPTH rounds take one pass over the common start's tree,
+    later ones _LOCAL_DEPTH rounds per pass (_descend).
+    """
     e = np.array(j.hoppings, dtype=float)
     n = len(e) + 1
     bound = 2.0 * float(e.max())
     if tol is None:
         tol = 1e-10 * bound
-    e2 = e * e
-    lo = np.full(n, -bound - tol)
-    hi = np.full(n, bound + tol)
+    e2, s = _scaled_squares(e)
+    bound_s, tol_s = math.ldexp(bound, s), math.ldexp(tol, s)
+    lo = np.full(n, -bound_s - tol_s)
+    hi = np.full(n, bound_s + tol_s)
     idx = np.arange(n)
-    rounds = max(1, int(math.ceil(math.log2((2 * bound + 2 * tol) / tol))))
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        c = _sturm_count(e2, mid)
-        above = c > idx
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return EigenvalueList(0.5 * (lo + hi), float(tol), n, "free")
+    rounds = max(1, int(math.ceil(math.log2((2 * bound_s + 2 * tol_s) / tol_s))))
+    done = 0
+    while done < rounds:
+        depth = min(_LOCAL_DEPTH if done else _SHARED_DEPTH, rounds - done)
+        lo, hi = _descend(e2, lo, hi, idx, depth)
+        done += depth
+    return EigenvalueList(np.ldexp(0.5 * (lo + hi), -s), float(tol), n, "free")
 
 
 def _pivots(e2: np.ndarray, shift: float) -> np.ndarray:

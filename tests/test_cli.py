@@ -262,6 +262,22 @@ def test_eigs_from_level(tmp_path, capsys):
     assert np.max(np.abs(sym)) <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
+def test_eigs_extreme_hopping_scales(capsys, scale):
+    # Squared hoppings leave the normal double range here; the spectrum is
+    # scale times the spectrum at (1, 2).
+    code, out, err = run(
+        capsys, "eigs", "--a", repr(scale), "--b", repr(2 * scale), "--letters", "abaab",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    values = np.array(json.loads(out.splitlines()[-1])["result"]["values"])
+    e = np.array([1.0, 2.0, 1.0, 1.0, 2.0])
+    dense = np.linalg.eigvalsh(np.diag(e, 1) + np.diag(e, -1))
+    assert np.abs(values / scale - dense).max() <= 4e-10
+
+
 def test_eigs_requires_exactly_one_window_source(capsys):
     assert run(capsys, "eigs", "--a", "1", "--b", "2")[0] == EXIT_USAGE
     assert run(capsys, "eigs", "--k", "3", "--letters", "ab")[0] == EXIT_USAGE

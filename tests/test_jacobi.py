@@ -19,8 +19,11 @@ from fibjacobi.jacobi import (
     truncation_spectrum_consistency,
     EDGE_FRACTION,
     EDGE_WEIGHT_LIMIT,
+    _TINY,
     _defect_excluding_edge_states,
     _eigenvector,
+    _pivots,
+    _sturm_count,
 )
 from fibjacobi.bands import _distance_to_bands, cover, sigma_k
 from fibjacobi.tracemap import HoppingPair
@@ -37,6 +40,112 @@ def _dense(e):
     T[i, i + 1] = e
     T[i + 1, i] = e
     return T
+
+
+def _count_reference(e2, shifts):
+    """Sturm counts site by site, one pivot array per site."""
+    q = -shifts
+    q = np.where(q == 0.0, -_TINY, q)
+    count = (q < 0).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for ee in e2:
+            q = -shifts - ee / q
+            q = np.where(q == 0.0, -_TINY, q)
+            count += q < 0
+    return count
+
+
+def _bisect_reference(e):
+    """Bisection with one Sturm count per eigenvalue and round, at default tol."""
+    n = len(e) + 1
+    bound = 2.0 * float(e.max())
+    tol = 1e-10 * bound
+    lo = np.full(n, -bound - tol)
+    hi = np.full(n, bound + tol)
+    idx = np.arange(n)
+    for _ in range(max(1, math.ceil(math.log2((2 * bound + 2 * tol) / tol)))):
+        mid = 0.5 * (lo + hi)
+        above = _count_reference(e * e, mid) > idx
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+# Windows for the bisection checks: the smallest chains, equal hoppings,
+# two copies coupled by 1e-12 (pairs of eigenvalues closer than tol, which
+# share every bracket), b/a = 1.0001, 2 and 100 with odd and even site
+# counts, and a chain longer than one pivot block of the kernel.
+WINDOWS = {
+    "n=2": JacobiWindow((1.3,)),
+    "n=3": JacobiWindow((1.0, 2.0)),
+    "equal": JacobiWindow((1.0,) * 40),
+    "coupled copies": JacobiWindow((1.0, 2.0, 1.0, 1.0, 2.0, 1e-12, 1.0, 2.0, 1.0, 1.0, 2.0)),
+    **{
+        f"b/a={b} n={n}": build_window(omega_s(1, n - 1), HoppingPair(1.0, b))
+        for b in (1.0001, 2.0, 100.0)
+        for n in (89, 90)
+    },
+    "hull 700": build_window(omega_s(1, 699), P12),
+}
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_eigenvalues_bit_identical_to_one_shift_bisection(name):
+    jw = WINDOWS[name]
+    e = np.array(jw.hoppings)
+    got = eigenvalues_free(jw).values
+    assert np.array_equal(got.view(np.int64), _bisect_reference(e).view(np.int64))
+
+
+def test_zero_pivots_at_shift_zero():
+    # The bisection's first midpoint is exactly 0.  There the first pivot is
+    # zero, and later ones come out zero too (after +-tiny and +-huge pivots
+    # a quotient underflows), so the kernel recomputes their blocks.  Odd
+    # chains count their zero eigenvalue as below 0.
+    for b in (1.0001, 2.0, 100.0):
+        for n in (89, 90):
+            e2 = np.array(WINDOWS[f"b/a={b} n={n}"].hoppings) ** 2
+            assert np.any(_pivots(e2, 0.0)[1:] == -_TINY)
+            assert _sturm_count(e2, np.array([0.0]))[0] == (n + 1) // 2
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_sturm_count_against_dense_oracle(name):
+    # Counts equal the site-by-site reference exactly, and the number of
+    # dense eigenvalues below the shift up to a backward-error margin
+    # (exactly, wherever no dense eigenvalue lies within the margin).  More
+    # shifts than the kernel takes at once make it run in several blocks.
+    jw = WINDOWS[name]
+    e = np.array(jw.hoppings)
+    bound = 2.0 * e.max()
+    rng = np.random.default_rng(5)
+    shifts = np.concatenate(
+        (rng.uniform(-bound, bound, 4200), [0.0], eigenvalues_free(jw).values)
+    )
+    count = _sturm_count(e * e, shifts)
+    assert np.array_equal(count, _count_reference(e * e, shifts))
+    dense = np.linalg.eigvalsh(_dense(e))
+    margin = 4.0 * jw.n_sites * np.finfo(float).eps * bound
+    below = np.searchsorted(dense, shifts - margin)
+    upto = np.searchsorted(dense, shifts + margin)
+    assert np.all((below <= count) & (count <= upto))
+    assert np.mean(below == upto) >= 0.9
+    assert np.array_equal(count, eigenvalue_count_below(jw, shifts))
+
+
+def test_eigenvalues_at_extreme_hopping_scales():
+    # Squares of these hoppings leave the normal double range; the window is
+    # bisected scaled by a power of two, so values scale with the hoppings.
+    jw = build_window(omega_s(1, 40), P12)
+    ref = eigenvalues_free(jw).values
+    for scale in (2.0**-600, 1e-200, 1e-160, 1e160, 1e200, 2.0**600):
+        eig = eigenvalues_free(JacobiWindow(tuple(scale * h for h in jw.hoppings)))
+        assert eig.residual_bound == pytest.approx(scale * 4e-10, rel=1e-15)
+        assert np.abs(eig.values / scale - ref).max() <= 4e-10
+    counts = eigenvalue_count_below(jw, ref[:-1] + 1e-6)
+    tiny = JacobiWindow(tuple(1e-200 * h for h in jw.hoppings))
+    assert np.array_equal(eigenvalue_count_below(tiny, 1e-200 * (ref[:-1] + 1e-6)), counts)
+    assert np.array_equal(counts, np.arange(1, jw.n_sites))
 
 
 def test_build_window_examples():
