@@ -155,8 +155,10 @@ def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np
     """Cocycles over 1..n for each n in lengths, at every energy of E, in one pass.
 
     Returns shape (len(lengths), 5, E.size) holding m11, m12, m21, m22 and
-    log_scale.  Raises ArithmeticError naming the energy and the position
-    where a product's squared Frobenius norm is no positive finite double.
+    log_scale.  A product whose squared Frobenius norm overflows while its
+    entries are finite is first divided by its largest entry.  Raises
+    ArithmeticError naming the energy and the position where a product's
+    squared Frobenius norm is still no positive finite double.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     if not np.isfinite(E).all():
@@ -188,6 +190,15 @@ def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np
             renorm = pos % RENORM_EVERY == 0
             if renorm or pos == lengths[row]:
                 sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+                over = np.isinf(sq)
+                if over.any():
+                    # Squares overflow before finite entries do: divide those
+                    # products by their largest entry; the rest divide by 1.
+                    big = np.max(np.abs([m11, m12, m21, m22]), axis=0)
+                    f = np.where(over & np.isfinite(big), big, 1.0)
+                    m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
+                    scale += np.log(f)
+                    sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
                 _check_range(sq, E, pos)
             if renorm:
                 f = np.sqrt(sq)
@@ -347,6 +358,9 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
     the defect is the Frobenius norm of the left side over 1 + |M(n)|_F^2,
     zero in exact arithmetic whenever the window starts with the square.
     E may be a float or a 1-d array of energies; the result matches it.
+    Both norms are taken of the matrices divided by a power of two near the
+    largest entry of M(n), so their squares stay in range where M(2n) does;
+    ArithmeticError names the level and the energy where M(2n) does not.
     """
     n = square_prefix_block(k)
     if not square_prefix_check(window, k):
@@ -358,11 +372,23 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
     xs = trace_value(p, energies, k + 1).tolist()
     defects = []
     for e, half, full, x in zip(energies.tolist(), halves, fulls, xs):
-        m_half = half.physical()
+        with np.errstate(over="ignore"):
+            try:
+                m_half, m_full = half.physical(), full.physical()
+            except OverflowError:  # math.exp of a log-scale past double range
+                m_half = m_full = np.full((2, 2), math.inf)
         if not math.isfinite(x):
             trace_value(p, e, k + 1)  # raises TraceDivergedError naming the level
-        lhs = full.physical() - 2.0 * x * m_half + np.eye(2)
-        defects.append(float(np.linalg.norm(lhs)) / (1.0 + float(np.sum(m_half * m_half))))
+        if not np.isfinite([m_half, m_full]).all():
+            raise ArithmeticError(
+                f"cocycle M(2n) over the level-{k} square at E = {e!r} leaves double range"
+            )
+        # Dividing by a power of two rounds nothing, so in range the defect
+        # keeps the bits of the unscaled quotient.
+        s = math.ldexp(1.0, math.frexp(float(np.abs(m_half).max()))[1] - 1)
+        h = m_half / s
+        lhs = m_full / s - 2.0 * x * h + np.eye(2) / s
+        defects.append(float(np.linalg.norm(lhs)) / (1.0 / s + s * float(np.sum(h * h))))
     return defects[0] if np.ndim(E) == 0 else np.array(defects)
 
 

@@ -227,6 +227,14 @@ def test_verify_invariant_out_of_range_names_coupling(capsys, hopping, named):
     assert f"invariant at {named} leaves double range" in err
 
 
+def test_verify_strong_coupling_passes(capsys):
+    # At b = 150 the Cayley-Hamilton norms used to overflow: "max defect inf".
+    code, out, err = run(capsys, "verify", "--a", "1", "--b", "150")
+    assert code == EXIT_OK
+    assert "PASS  cayley-hamilton" in out
+    assert err == ""
+
+
 def test_verify_free_case_warns_but_passes(capsys):
     code, out, err = run(capsys, "verify", "--a", "1", "--b", "1")
     assert code == EXIT_OK

@@ -26,6 +26,7 @@ from fibjacobi.words import (
     cyclic_conjugates,
     omega_s,
     periodize,
+    square_prefix_block,
     window_from_word,
 )
 
@@ -151,13 +152,28 @@ def test_products_leaving_double_range_raise():
     with pytest.raises(ArithmeticError, match=r"E = 1e\+200 .* position 32$"):
         cocycle(omega_s(1, 100), p, 1e200, 100)
     with pytest.raises(ArithmeticError, match=r"position 1$"):
-        cocycle(omega_s(1, 1), p, 1e200, 1)
+        cocycle(omega_s(1, 1), HoppingPair(1e-10, 2), 1e300, 1)
     # The same two scans over an explicit window take the one-factor loop.
     w = omega_s(1, 2584)
     with pytest.raises(ArithmeticError, match=r"E = 1000000000000\.0 leaves double range by position \d+"):
         lyapunov(p, 1e12, 2584, window=w)
     with pytest.raises(ArithmeticError, match=r"E = -1e\+30 "):
         lyapunov_grid(p, [0.0, 1.0, -1e30, 5.0], 2584, window=w)
+
+
+def test_products_divide_by_largest_entry_when_squares_overflow():
+    # At E = 1e5 the entries of a 32-factor block reach ~1e160: finite, but
+    # their squares overflow.  For |E| >> w every factor grows by E / w_n,
+    # so gamma follows log E, and 6e4 (in range before) fixes the offset.
+    p = HoppingPair(1, 2)
+    for window in (None, omega_s(1, 2584)):
+        low = lyapunov(p, 6e4, 2584, window=window).gamma
+        high = lyapunov(p, 1e5, 2584, window=window).gamma
+        assert math.isfinite(high)
+        assert high - low == pytest.approx(math.log(1e5 / 6e4), abs=1e-8)
+    m = cocycle(omega_s(1, 1), p, 1e200, 1)
+    assert m.log_frobenius() == pytest.approx(math.log(1e200), rel=1e-15)
+    assert (m.m11, m.m12, m.m21, m.m22) == (1.0, -1e-200, 1e-200, 0.0)
 
 
 def test_cocycles_reject_empty_lengths():
@@ -381,6 +397,19 @@ def test_cayley_hamilton_defect_grid():
         k = int(rng.integers(2, 11))
         assert cayley_hamilton_defect(w, p, E, k) <= 1e-8
         count += 1
+
+
+def test_cayley_hamilton_defect_strong_coupling():
+    # At b = 150 the squares of M(n)'s entries overflow; the norms of the
+    # scaled matrices keep the defect at rounding level.  At b = 1e5, M(2n)
+    # over the level-9 square itself leaves double range.
+    w = omega_s(1, 2 * square_prefix_block(9))
+    energies = np.linspace(-4.0, 4.0, 10) + 0.013
+    for k in range(2, 10):
+        assert np.all(cayley_hamilton_defect(w, HoppingPair(1, 150), energies, k) <= 1e-12)
+    assert cayley_hamilton_defect(w, HoppingPair(1, 1e5), 3.0, 8) <= 1e-12
+    with pytest.raises(ArithmeticError, match=r"level-9 square at E = 3\.0 leaves double range"):
+        cayley_hamilton_defect(w, HoppingPair(1, 1e5), 3.0, 9)
 
 
 def test_cayley_hamilton_defect_requires_square():
