@@ -165,7 +165,9 @@ def eigenvalue_count_below(j: JacobiWindow, shifts) -> np.ndarray:
     return _sturm_count(e2, shifts)
 
 
-def _descend(e2: np.ndarray, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray, depth: int):
+def _descend(
+    e2: np.ndarray, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Brackets (lo, hi) of eigenvalues idx after depth more bisection rounds.
 
     Each distinct bracket gets the dyadic tree of its midpoints

@@ -146,6 +146,9 @@ def test_eigenvalues_at_extreme_hopping_scales():
     tiny = JacobiWindow(tuple(1e-200 * h for h in jw.hoppings))
     assert np.array_equal(eigenvalue_count_below(tiny, 1e-200 * (ref[:-1] + 1e-6)), counts)
     assert np.array_equal(counts, np.arange(1, jw.n_sites))
+    # Shifts far outside the spectrum may overflow when scaled; they count
+    # as below or above every eigenvalue.
+    assert eigenvalue_count_below(tiny, [-1e200, 1e200]).tolist() == [0, jw.n_sites]
 
 
 def test_build_window_examples():
