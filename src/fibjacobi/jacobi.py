@@ -11,8 +11,14 @@ midpoints of a two-level tree under every distinct bracket (clusters of
 the Cantor spectrum share brackets).  Each eigenvalue reads the counts at
 exactly the midpoints one-shift-per-round bisection visits, so the values
 are those of plain bisection bit for bit, from far fewer passes over the
-sites.  Windows whose squared hoppings leave the normal double range are
-bisected scaled by a power of two.  Free truncations sprout O(1) eigenvalues
+sites.  With zero diagonal the spectrum is mirrored, sigma = -sigma, and so
+are the pivots: IEEE division and subtraction are sign-symmetric, so every
+pivot at -s is exactly minus the pivot at s, and the count at -s is
+n - count(s).  A pass therefore counts only at the distinct |s|.  The
+mirror breaks where a pivot comes out exactly zero, because the nudge to
+-tiny has one sign; shift 0, and every shift whose mirror had a zero
+pivot, is counted directly.  Windows whose squared hoppings leave the
+normal double range are bisected scaled by a power of two.  Free truncations sprout O(1) eigenvalues
 inside spectral gaps; those are finite-volume boundary artifacts, which
 the band-defect checks identify by their eigenvectors (weight
 concentrated in the outer 10% of sites) and exclude.  The eigenvectors
@@ -105,7 +111,7 @@ def _pivot_block(hops: list[float], q: np.ndarray, neg: np.ndarray, rows, nudge:
         prev = row
 
 
-def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number of eigenvalues strictly below each shift, vectorized.
 
     Pivot recursion q_i = -shift - e_{i-1}^2 / q_{i-1} for the zero-diagonal
@@ -116,30 +122,57 @@ def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     out zero is computed again from its first site with the nudge, so every
     pivot is the one of the site-by-site recursion.  Shifts are taken
     _BLOCK_SHIFTS at a time, so the buffer stays the same size for any count
-    of shifts.
+    of shifts.  Returns the counts and, per shift, whether any pivot came
+    out exactly zero before its nudge.
     """
     neg_all = -np.asarray(shifts, dtype=float)
     count_all = np.empty(neg_all.shape, dtype=np.int64)
+    zero_all = neg_all == 0.0
     buf = np.empty((_BLOCK_SITES, min(neg_all.size, _BLOCK_SHIFTS)))
     mask = np.empty(buf.shape, dtype=bool)
     hops = e2.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for cols in range(0, neg_all.size, _BLOCK_SHIFTS):
             neg = neg_all[cols : cols + _BLOCK_SHIFTS]
-            q = np.where(neg == 0.0, -_TINY, neg)
+            zero = zero_all[cols : cols + _BLOCK_SHIFTS]
+            q = np.where(zero, -_TINY, neg)
             count = (q < 0.0).astype(np.int64)
             for start in range(0, len(hops), _BLOCK_SITES):
                 block = hops[start : start + _BLOCK_SITES]
                 pivots, flags = buf[: len(block), : neg.size], mask[: len(block), : neg.size]
                 _pivot_block(block, q, neg, pivots, nudge=False)
                 if np.equal(pivots, 0.0, out=flags).any():
+                    # Until its first zero a shift's raw pivots are the nudged
+                    # ones, so the raw pass flags exactly the shifts nudged.
+                    zero |= flags.any(axis=0)
                     _pivot_block(block, q, neg, pivots, nudge=True)
                 # A block holds fewer than 256 sites, so uint8 sums are exact.
                 np.less(pivots, 0.0, out=flags)
                 count += np.add.reduce(flags.view(np.uint8), axis=0, dtype=np.uint8)
                 q[...] = pivots[-1]
             count_all[cols : cols + _BLOCK_SHIFTS] = count
-    return count_all
+    return count_all, zero_all
+
+
+def _mirrored_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Sturm counts at shifts, from one pass at their distinct magnitudes.
+
+    With zero diagonal every pivot at -s is exactly minus the pivot at s
+    (IEEE division and subtraction are sign-symmetric), until a pivot is
+    zero and the nudge to -tiny breaks the symmetry.  So a negative shift
+    reads n - count(|s|) unless a pivot at |s| was zero; those shifts, like
+    shift 0 and NaN, are counted directly.
+    """
+    n = e2.size + 1
+    negative = shifts < 0.0
+    mags, inv = np.unique(np.abs(shifts), return_inverse=True)
+    inv = inv.reshape(-1)
+    counts, zero = _sturm_count(e2, mags)
+    count = np.where(negative, n - counts[inv], counts[inv])
+    direct = negative & zero[inv]
+    if direct.any():
+        count[direct] = _sturm_count(e2, shifts[direct])[0]
+    return count
 
 
 def _scaled_squares(e: np.ndarray) -> tuple[np.ndarray, int]:
@@ -162,7 +195,7 @@ def eigenvalue_count_below(j: JacobiWindow, shifts) -> np.ndarray:
     e2, s = _scaled_squares(np.array(j.hoppings, dtype=float))
     with np.errstate(over="ignore"):
         shifts = np.ldexp(np.atleast_1d(np.asarray(shifts, dtype=float)), s)
-    return _sturm_count(e2, shifts)
+    return _mirrored_count(e2, shifts.ravel()).reshape(shifts.shape)
 
 
 def _descend(
@@ -190,7 +223,7 @@ def _descend(
         mids.append(mid)
         los = np.stack((los, mid), axis=2).reshape(first.size, -1)
         his = np.stack((mid, his), axis=2).reshape(first.size, -1)
-    counts = _sturm_count(e2, np.concatenate([mid.ravel() for mid in mids]))
+    counts = _mirrored_count(e2, np.concatenate([mid.ravel() for mid in mids]))
     node = np.zeros_like(idx)
     start = 0
     for mid in mids:

@@ -22,7 +22,9 @@ from fibjacobi.jacobi import (
     _TINY,
     _defect_excluding_edge_states,
     _eigenvector,
+    _mirrored_count,
     _pivots,
+    _scaled_squares,
     _sturm_count,
 )
 from fibjacobi.bands import _distance_to_bands, cover, sigma_k
@@ -106,7 +108,9 @@ def test_zero_pivots_at_shift_zero():
         for n in (89, 90):
             e2 = np.array(WINDOWS[f"b/a={b} n={n}"].hoppings) ** 2
             assert np.any(_pivots(e2, 0.0)[1:] == -_TINY)
-            assert _sturm_count(e2, np.array([0.0]))[0] == (n + 1) // 2
+            count, zero = _sturm_count(e2, np.array([0.0]))
+            assert count[0] == (n + 1) // 2
+            assert zero[0]
 
 
 @pytest.mark.parametrize("name", WINDOWS)
@@ -122,7 +126,7 @@ def test_sturm_count_against_dense_oracle(name):
     shifts = np.concatenate(
         (rng.uniform(-bound, bound, 4200), [0.0], eigenvalues_free(jw).values)
     )
-    count = _sturm_count(e * e, shifts)
+    count, _ = _sturm_count(e * e, shifts)
     assert np.array_equal(count, _count_reference(e * e, shifts))
     dense = np.linalg.eigvalsh(_dense(e))
     margin = 4.0 * jw.n_sites * np.finfo(float).eps * bound
@@ -131,6 +135,62 @@ def test_sturm_count_against_dense_oracle(name):
     assert np.all((below <= count) & (count <= upto))
     assert np.mean(below == upto) >= 0.9
     assert np.array_equal(count, eigenvalue_count_below(jw, shifts))
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_mirrored_count_matches_reference(name):
+    # Shifts in +- pairs, with 0 and -0, the bounds, the eigenvalues and
+    # points just off them: the mirrored counts equal site-by-site counts.
+    jw = WINDOWS[name]
+    e2 = np.array(jw.hoppings) ** 2
+    bound = 2.0 * math.sqrt(e2.max())
+    lam = eigenvalues_free(jw).values
+    rng = np.random.default_rng(11)
+    half = np.concatenate(
+        (rng.uniform(0.0, bound, 500), [0.0, bound, 2.0 * bound], lam, np.nextafter(lam, np.inf))
+    )
+    shifts = np.concatenate((half, -half, [-0.0]))
+    rng.shuffle(shifts)
+    assert np.array_equal(_mirrored_count(e2, shifts), _count_reference(e2, shifts))
+
+
+def test_mirrored_count_counts_directly_after_zero_pivots(monkeypatch):
+    # Equal hoppings 1 at shift 1 give q_0 = -1, then q_1 = -1 + 1 = 0: a
+    # zero pivot away from shift 0.  The nudge breaks the mirror, so -1 is
+    # counted directly, for an odd and an even number of sites.  On 41 sites
+    # n - count(1) would even give the wrong count.
+    mirrored = []
+    for hops in ((1.0,) * 40, (1.0,) * 41):
+        e2 = np.array(hops) ** 2
+        count, zero = _sturm_count(e2, np.array([1.0, -1.0, 0.5]))
+        assert zero.tolist() == [True, True, False]
+        want = _count_reference(e2, np.array([-1.0, 1.0]))
+        mirrored.append(e2.size + 1 - count[0] == want[0])
+        calls = []
+
+        def spy(e2, shifts):
+            calls.append(np.array(shifts))
+            return _sturm_count(e2, shifts)
+
+        monkeypatch.setattr("fibjacobi.jacobi._sturm_count", spy)
+        assert np.array_equal(_mirrored_count(e2, np.array([-1.0, 1.0])), want)
+        monkeypatch.undo()
+        assert [c.tolist() for c in calls] == [[1.0], [-1.0]]
+    assert mirrored == [False, True]
+
+
+def test_mirrored_count_of_scaled_shifts_past_double_range():
+    # A window of hoppings near 1e-200 is counted scaled up by about 2^664;
+    # shifts of 1e200 and beyond overflow to +-inf there and count as above
+    # or below every eigenvalue, from either side of the mirror.
+    jw = JacobiWindow(tuple(1e-200 * h for h in build_window(omega_s(1, 40), P12).hoppings))
+    shifts = np.array([-1e300, 1e300, 1e200, -1e200, -1e-200, 1e-200, 0.0])
+    e2, s = _scaled_squares(np.array(jw.hoppings))
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(shifts, s)
+    assert np.isinf(scaled[:4]).all()
+    assert np.array_equal(eigenvalue_count_below(jw, shifts), _count_reference(e2, scaled))
+    assert eigenvalue_count_below(jw, shifts[:4]).tolist() == [0, jw.n_sites, jw.n_sites, 0]
 
 
 def test_eigenvalues_at_extreme_hopping_scales():
