@@ -146,6 +146,23 @@ def trace_value(p: HoppingPair, E, k: int):
     return x
 
 
+def finite_traces(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
+    """Array trace_value(p, E, k), which must be finite at every energy.
+
+    Otherwise raises TraceDivergedError naming the first non-finite level
+    in 2..k and the first energy of E where the recursion diverged.
+    """
+    x = trace_value(p, E, k)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        e = float(np.asarray(E, dtype=float)[bad][0])
+        try:
+            trace_value(p, e, k)
+        except TraceDivergedError as exc:
+            raise TraceDivergedError(exc.level, f"{exc} at E = {e!r}") from None
+    return x
+
+
 def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
     a, b = p.a, p.b
     z0 = (a * a + b * b) / (2.0 * a * b)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tracemap import HoppingPair, trace_value
+from .tracemap import HoppingPair, finite_traces
 from .words import (
     SignedWindow,
     WindowCoverageError,
@@ -143,22 +143,28 @@ def local_matrix(hop: float, E: float) -> TransferMatrix:
 
 
 def _check_range(sq: np.ndarray, E: np.ndarray, pos: int) -> None:
-    """Raise ArithmeticError at the first energy whose squared norm sq is no positive finite double."""
-    ok = np.isfinite(sq) & (sq > 0.0)
+    """Raise ArithmeticError at the first energy where a squared norm in sq is no positive finite double.
+
+    sq holds one row per window (or a single row), one column per energy.
+    """
+    ok = (np.isfinite(sq) & (sq > 0.0)).reshape(-1, E.size).all(axis=0)
     if not ok.all():
         raise ArithmeticError(
             f"cocycle product at E = {float(E[np.argmin(ok)])!r} leaves double range by position {pos}"
         )
 
 
-def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
-    """Cocycles over 1..n for each n in lengths, at every energy of E, in one pass.
+def _products(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
+    """Cocycles over 1..n for each n in lengths, for every window and energy of E, in one pass.
 
-    Returns shape (len(lengths), 5, E.size) holding m11, m12, m21, m22 and
-    log_scale.  A product whose squared Frobenius norm overflows while its
-    entries are finite is first divided by its largest entry.  Raises
-    ArithmeticError naming the energy and the position where a product's
-    squared Frobenius norm is still no positive finite double.
+    Returns shape (len(lengths), 5, len(windows), E.size) holding m11, m12,
+    m21, m22 and log_scale.  Each window's hoppings form one row of a table,
+    and every operation acts element by element, so each (window, energy)
+    product has the bits of its own one-window pass.  A product whose
+    squared Frobenius norm overflows while its entries are finite is first
+    divided by its largest entry.  Raises ArithmeticError naming the energy
+    and the position where a product's squared Frobenius norm is still no
+    positive finite double.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     if not np.isfinite(E).all():
@@ -166,22 +172,29 @@ def _products(window: SignedWindow, p: HoppingPair, E, lengths: list[int]) -> np
     if not lengths or any(b <= a for a, b in zip([0, *lengths], lengths)):
         raise ValueError(f"cocycle lengths must be positive and strictly increasing, got {lengths}")
     n = lengths[-1]
-    if not window.covers(1, n):
-        raise WindowCoverageError(
-            f"cocycle over 1..{n} needs those positions, window covers ({window.lo}, {window.hi})"
-        )
-    out = np.empty((len(lengths), 5, E.size))
-    m11, m12, m21, m22 = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
-    t11, t12, scale = np.empty_like(E), np.empty_like(E), np.zeros_like(E)
+    for window in windows:
+        if not window.covers(1, n):
+            raise WindowCoverageError(
+                f"cocycle over 1..{n} needs those positions, window covers ({window.lo}, {window.hi})"
+            )
+    hops = np.array([[_hop(p, letter) for letter in window.slice(1, n)] for window in windows])
+    # Step pos multiplies by hops[pos - 1], a column with one hopping per
+    # window, or a scalar for one window, which keeps NumPy's fastest loops
+    # (as does giving every window its own contiguous row of energies).
+    steps = hops[0] if len(windows) == 1 else hops.T[:, :, None]
+    shape = (len(windows), E.size)
+    energies = np.tile(E, (len(windows), 1))
+    out = np.empty((len(lengths), 5, *shape))
+    m11, m12, m21, m22 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    t11, t12, scale = np.empty(shape), np.empty(shape), np.zeros(shape)
     row = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for pos, letter in enumerate(window.slice(1, n), 1):
-            w = _hop(p, letter)
+        for pos, w in enumerate(steps, 1):
             # Left-multiply by (1/w) [[E, -1], [w^2, 0]] in place.
-            np.multiply(E, m11, out=t11)
+            np.multiply(energies, m11, out=t11)
             t11 -= m21
             t11 /= w
-            np.multiply(E, m12, out=t12)
+            np.multiply(energies, m12, out=t12)
             t12 -= m22
             t12 /= w
             np.multiply(m11, w, out=m21)
@@ -226,7 +239,7 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
     # Unit-norm blocks keep every block step's entries at most 1 in size.
     blocks = {}
     for letter, size, (b11, b12, b21, b22, b_scale) in zip(
-        "ba", (short, long), _products(omega_s(1, long), p, E, [short, long])
+        "ba", (short, long), _products([omega_s(1, long)], p, E, [short, long])[:, :, 0]
     ):
         f = np.sqrt(b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22)
         blocks[letter] = (size, b11 / f, b12 / f, b21 / f, b22 / f, b_scale + np.log(f))
@@ -261,7 +274,7 @@ def cocycles(window: SignedWindow, p: HoppingPair, E, lengths) -> list[list[Tran
     1..lengths[i], one per energy.  Every RENORM_EVERY factors the scale
     moves into log_scale, so the stored entries stay of order one.
     """
-    prods = _products(window, p, E, list(lengths))
+    prods = _products([window], p, E, list(lengths))[:, :, 0]
     return [[TransferMatrix(*m) for m in block.T.tolist()] for block in prods]
 
 
@@ -331,7 +344,7 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     if window is None:
         prods = _hull_products(p, E, list(range(first + 1, len(checkpoints) + 1)))
     else:
-        prods = _products(window, p, E, xs)
+        prods = _products([window], p, E, xs)[:, :, 0]
     m11, m12, m21, m22, scale = prods.transpose(1, 0, 2)
     ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
     # Centered least squares over the last half of the checkpoints.  Python's
@@ -369,7 +382,7 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
         )
     energies = np.atleast_1d(E)
     halves, fulls = cocycles(window, p, E, [n, 2 * n])
-    xs = trace_value(p, energies, k + 1).tolist()
+    xs = finite_traces(p, energies, k + 1).tolist()
     defects = []
     for e, half, full, x in zip(energies.tolist(), halves, fulls, xs):
         with np.errstate(over="ignore"):
@@ -377,8 +390,6 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
                 m_half, m_full = half.physical(), full.physical()
             except OverflowError:  # math.exp of a log-scale past double range
                 m_half = m_full = np.full((2, 2), math.inf)
-        if not math.isfinite(x):
-            trace_value(p, e, k + 1)  # raises TraceDivergedError naming the level
         if not np.isfinite([m_half, m_full]).all():
             raise ArithmeticError(
                 f"cocycle M(2n) over the level-{k} square at E = {e!r} leaves double range"

@@ -235,6 +235,25 @@ def test_verify_strong_coupling_passes(capsys):
     assert err == ""
 
 
+def test_verify_reports_a_diverging_check_and_runs_the_rest(capsys):
+    # At b = 1999 the level-12 trace recursion overflows at the first energy.
+    # The check fails naming the level and the energy; the other checks run
+    # and the verdict is printed.
+    code, out, err = run(capsys, "verify", "--a", "1", "--b", "1999")
+    assert code == EXIT_NUMERICAL
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS  invariant-conservation",
+        "FAIL  recursion-vs-cocycle",
+        "PASS  cyclic-traces",
+        "PASS  cayley-hamilton",
+        "PASS  square-prefixes",
+        "verification FAILED",
+    ]
+    assert lines[1] == "FAIL  recursion-vs-cocycle: trace recursion diverged at level 12 at E = -3.95"
+    assert "numerical failure: trace recursion diverged at level 12 at E = -3.95" in err
+
+
 def test_verify_free_case_warns_but_passes(capsys):
     code, out, err = run(capsys, "verify", "--a", "1", "--b", "1")
     assert code == EXIT_OK

@@ -21,6 +21,7 @@ from fibjacobi.tracemap import (
     TraceTriple,
     escape_classify,
     escape_grid,
+    finite_traces,
     growth_rate_after_escape,
     initial_triple,
     invariant_expected,
@@ -450,3 +451,14 @@ def test_growth_rate_precondition():
 
 def test_escape_guard_constant():
     assert ESCAPE_GUARD == 1e-12
+
+
+def test_finite_traces_names_level_and_energy():
+    p = HoppingPair(1.0, 2.0)
+    E = np.array([0.5, -1.5, 3.0])
+    assert np.array_equal(finite_traces(p, E, 12), trace_value(p, E, 12))
+    # The first energy that diverges is named, with its level (3 at 1e154),
+    # though 1e200 further on diverges at level 2 already.
+    with pytest.raises(TraceDivergedError, match=r"^trace recursion diverged at level 3 at E = 1e\+154$") as err:
+        finite_traces(p, np.array([1.0, 1e154, 1e200]), 5)
+    assert err.value.level == 3

@@ -11,6 +11,8 @@ from fibjacobi.transfer import (
     SquareStructureError,
     RENORM_EVERY,
     TransferMatrix,
+    _check_range,
+    _products,
     cayley_hamilton_defect,
     cocycle,
     cocycles,
@@ -125,6 +127,63 @@ def test_cocycles_match_scalar_loop():
             assert row[3] == cocycle(w, p, float(energies[3]), n)
     with pytest.raises(ValueError, match="strictly increasing"):
         cocycles(w, HoppingPair(1, 2), [0.0], [5, 5])
+
+
+def _one_window_rows(window, p, E, lengths):
+    """cocycles of one window as an array shaped like one _products window."""
+    table = cocycles(window, p, E, lengths)
+    return np.array([[[m.m11, m.m12, m.m21, m.m22, m.log_scale] for m in row] for row in table])
+
+
+def test_batched_products_match_one_window_cocycles():
+    # Every cyclic conjugate of levels 2..8 in one pass equals its own
+    # one-window pass bit for bit; the 55-letter conjugates of level 8 cross
+    # a renormalization at position 32.
+    energies = np.concatenate([np.linspace(-3.0, 3.0, 20) + 0.037, [0.0, -7.25]])
+    for p in (HoppingPair(1, 1.2), HoppingPair(1, 2), HoppingPair(0.4, 4.9)):
+        for k in range(2, 9):
+            words = cyclic_conjugates(k)
+            windows = [periodize(word, len(word)) for word in words]
+            n = len(words[0])
+            lengths = sorted({1, (n + 1) // 2, n})
+            batch = _products(windows, p, energies, lengths)
+            assert batch.shape == (len(lengths), 5, len(windows), energies.size)
+            for i, window in enumerate(windows):
+                one = _one_window_rows(window, p, energies, lengths)
+                assert np.array_equal(batch[:, :, i].transpose(0, 2, 1).view(np.int64), one.view(np.int64))
+
+
+def test_batched_products_divide_overflowing_rows_alone():
+    # At |E| = 1e5 the 32 factors over "a" (hopping 1) reach entries near
+    # 1e160, whose squares overflow, so that row is divided by its largest
+    # entry; over "b" (hopping 2) they stay near 1e150.  Each row keeps the
+    # bits of its own pass.
+    p = HoppingPair(1, 2)
+    windows = [periodize(word, 40) for word in ("a", "b", "ab", "bba")]
+    energies = np.array([1e5, 0.5, -1e5, 6e4])
+    # The leading entry after 32 factors, from the scalar loop's 31.
+    a32 = _cocycle_loop(periodize("a", 31), p, 1e5, 31).m11 * 1e5
+    b32 = _cocycle_loop(periodize("b", 31), p, 1e5, 31).m11 * 5e4
+    assert math.isinf(a32 * a32) and math.isfinite(b32 * b32)
+    batch = _products(windows, p, energies, [32, 40])
+    for i, window in enumerate(windows):
+        one = _one_window_rows(window, p, energies, [32, 40])
+        assert np.array_equal(batch[:, :, i].transpose(0, 2, 1).view(np.int64), one.view(np.int64))
+    assert np.isfinite(batch).all()
+
+
+def test_check_range_names_first_failing_energy():
+    # Across windows, the first energy in grid order where any product
+    # fails is named, not the first failure of the first window.
+    E = np.array([1.0, 2.0, 3.0, 4.0])
+    sq = np.array([[1.0, 1.0, np.inf, 1.0], [1.0, 0.0, 1.0, np.nan]])
+    with pytest.raises(ArithmeticError, match=r"E = 2\.0 leaves double range by position 7$"):
+        _check_range(sq, E, 7)
+    _check_range(np.ones((3, 4)), E, 7)
+    # Entries E / a overflow at the first letter of "ab" from E = 1e299 on.
+    windows = [periodize(word, 2) for word in ("ba", "ab")]
+    with pytest.raises(ArithmeticError, match=r"E = 1e\+299 leaves double range by position 1$"):
+        _products(windows, HoppingPair(1e-10, 1.0), [1.0, 1e299, -1e300, 2.0], [1, 2])
 
 
 def test_non_finite_energies_rejected():
