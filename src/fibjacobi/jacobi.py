@@ -18,12 +18,13 @@ n - count(s).  A pass therefore counts only at the distinct |s|.  The
 mirror breaks where a pivot comes out exactly zero, because the nudge to
 -tiny has one sign; shift 0, and every shift whose mirror had a zero
 pivot, is counted directly.  Windows whose squared hoppings leave the
-normal double range are bisected scaled by a power of two.  Free truncations sprout O(1) eigenvalues
-inside spectral gaps; those are finite-volume boundary artifacts, which
-the band-defect checks identify by their eigenvectors (weight
-concentrated in the outer 10% of sites) and exclude.  The eigenvectors
-come from the same pivots, run from both ends of the chain and joined at
-a twist (Fernando; Parlett and Dhillon, Linear Algebra Appl. 267 (1997)).
+normal double range are bisected scaled by a power of two.  Free
+truncations sprout O(1) eigenvalues inside spectral gaps; those are
+finite-volume boundary artifacts, which the band-defect checks identify
+by their eigenvectors (weight concentrated in the outer 10% of sites)
+and exclude.  The eigenvectors come from the same pivots, run from both
+ends of the chain and joined at a twist (Fernando; Parlett and Dhillon,
+Linear Algebra Appl. 267 (1997)).
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ def _mirrored_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     n = e2.size + 1
     negative = shifts < 0.0
     mags, inv = np.unique(np.abs(shifts), return_inverse=True)
-    inv = inv.reshape(-1)
     counts, zero = _sturm_count(e2, mags)
     count = np.where(negative, n - counts[inv], counts[inv])
     direct = negative & zero[inv]
