@@ -63,6 +63,7 @@ from .tracemap import (
     trace_value,
 )
 from .transfer import (
+    CocycleRangeError,
     LyapunovEstimate,
     SquareStructureError,
     TransferMatrix,
@@ -74,6 +75,7 @@ from .transfer import (
     lyapunov,
     lyapunov_grid,
     no_decay_witness,
+    window_cocycles,
 )
 from .words import (
     SignedWindow,

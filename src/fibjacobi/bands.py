@@ -9,8 +9,11 @@ per zero of x_k.  The solver exploits three exact structural facts:
 * counting: x_k has exactly F_k simple real zeros, so a sign-change search
   that has found F_k zeros has found them all;
 * unimodality: |x_k| has exactly one interior peak between consecutive
-  zeros, so golden-section peak search and bracketed bisection of
-  |x_k| - 1 are exact, and a peak at or below 1 certifies a closed gap.
+  zeros, so any point between them with |x_k| > 1 splits the gap into two
+  brackets that each hold exactly one crossing of |x_k| = 1.  The
+  golden-section peak search stops at its first probe above 1 + slack,
+  which proves the gap open and becomes that point; a search that reaches
+  the peak at or below 1 + slack certifies a closed gap.
 
 Levels are computed bottom-up; each level's bands become the next level's
 search containers, which keeps the work proportional to the band structure
@@ -172,8 +175,17 @@ def _batch_bisect(fn, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _golden_max_abs(p: HoppingPair, level: int, lo: np.ndarray, hi: np.ndarray, width: float):
-    """Peak position and value of |x_level| on unimodal brackets."""
+def _golden_max_abs(
+    p: HoppingPair, level: int, lo: np.ndarray, hi: np.ndarray, width: float,
+    above: float = math.inf,
+):
+    """Peak position and value of |x_level| on unimodal brackets, or a point above `above`.
+
+    A bracket stops at its first probe with |x| > above and returns that
+    probe and its value; the others narrow to `width` and return the midpoint
+    of the final bracket.  The loop ends once every bracket has stopped, so
+    above=inf is the full search.
+    """
     a = lo.astype(float).copy()
     b = hi.astype(float).copy()
     span = float((b - a).max()) if a.size else 0.0
@@ -181,15 +193,26 @@ def _golden_max_abs(p: HoppingPair, level: int, lo: np.ndarray, hi: np.ndarray, 
         n_iter = 1
     else:
         n_iter = int(math.ceil(math.log(width / span) / math.log(_INVPHI)))
+    pos = np.empty_like(a)
+    val = np.empty_like(a)
+    done = np.zeros(a.size, dtype=bool)
     for _ in range(n_iter):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
         f = np.abs(trace_value(p, np.concatenate((c, d)), level))
         keep = f[: c.size] >= f[c.size :]
+        best = np.maximum(f[: c.size], f[c.size :])
+        hit = ~done & (best > above)
+        if hit.any():
+            pos[hit] = np.where(keep, c, d)[hit]
+            val[hit] = best[hit]
+            done |= hit
+            if done.all():
+                return pos, val
         b = np.where(keep, d, b)
         a = np.where(keep, a, c)
     mid = 0.5 * (a + b)
-    return mid, np.abs(trace_value(p, mid, level))
+    return np.where(done, pos, mid), np.where(done, val, np.abs(trace_value(p, mid, level)))
 
 
 def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -252,15 +275,18 @@ def _solve_level(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, t
         return np.abs(trace_value(p, EE, level)) - 1.0
 
     # Gap i lies between zeros i and i + 1; its edge brackets end at the
-    # container edges, or at the peak of |x| when both zeros share a
-    # container.  A peak of |x| at or below 1 closes the gap.
+    # container edges, or, when both zeros share a container, at a point
+    # between them where |x| > 1 + slack: the first golden-section probe
+    # that gets there, else the peak.  A peak of |x| at or below 1 + slack
+    # closes the gap.
     gap_lo = chi[cid[:-1]]
     gap_hi = clo[cid[1:]]
     is_open = cid[1:] != cid[:-1]
     same = np.flatnonzero(~is_open)
     if same.size:
         peak_pos, peak_val = _golden_max_abs(
-            p, level, zeros[same], zeros[same + 1], width=max(10.0 * tol, 1e-11)
+            p, level, zeros[same], zeros[same + 1], width=max(10.0 * tol, 1e-11),
+            above=1.0 + slack,
         )
         gap_lo[same] = gap_hi[same] = peak_pos
         is_open[same] = ~(peak_val <= 1.0 + slack)

@@ -40,7 +40,14 @@ from .fractal import (
 )
 from .jacobi import build_window, eigenvalues_free, eigenvalues_to_dict
 from .tracemap import HoppingPair, finite_traces, initial_triple, invariant_expected
-from .transfer import TransferMatrix, _products, cayley_hamilton_defect, cocycles, lyapunov_grid
+from .transfer import (
+    CocycleRangeError,
+    TransferMatrix,
+    cayley_hamilton_defect,
+    cocycles,
+    lyapunov_grid,
+    window_cocycles,
+)
 from .words import (
     cyclic_conjugates,
     fib_prefix,
@@ -317,8 +324,14 @@ def _check_recursion_vs_cocycle(p: HoppingPair) -> tuple[bool, str]:
     # The prefix of length F_k carries the level-k half-trace.
     levels = range(2, 13)
     lengths = [fibonacci(k) for k in levels]
+    try:
+        rows = cocycles(omega_s(1, lengths[-1]), p, energies, lengths)
+    except CocycleRangeError as exc:
+        # Name the level whose prefix first reaches the failing position.
+        k = next(k for k, n in zip(levels, lengths) if n >= exc.position)
+        raise ArithmeticError(f"{exc}, level {k} (F_{k} = {fibonacci(k)})") from None
     worst = 0.0
-    for k, row in zip(levels, cocycles(omega_s(1, lengths[-1]), p, energies, lengths)):
+    for k, row in zip(levels, rows):
         for m, want in zip(row, finite_traces(p, energies, k).tolist()):
             worst = max(worst, abs(m.trace_half() - want) / max(1.0, abs(want)))
     ok = worst <= 1e-9
@@ -332,8 +345,9 @@ def _check_cyclic_traces(p: HoppingPair) -> tuple[bool, str]:
         wants = finite_traces(p, energies, k + 1).tolist()
         words = cyclic_conjugates(k)
         # One pass multiplies every conjugate at every energy.
-        prods = _products([periodize(word, len(word)) for word in words], p, energies, [len(words[0])])
-        for row in prods[0].transpose(1, 2, 0).tolist():
+        windows = [periodize(word, len(word)) for word in words]
+        prods = window_cocycles(windows, p, energies, len(words[0]))
+        for row in prods.transpose(1, 2, 0).tolist():
             for m, want in zip(row, wants):
                 worst = max(worst, abs(TransferMatrix(*m).trace_half() - want) / max(1.0, abs(want)))
     ok = worst <= 1e-9

@@ -142,16 +142,25 @@ def local_matrix(hop: float, E: float) -> TransferMatrix:
     return TransferMatrix(E / hop, -1.0 / hop, hop, 0.0)
 
 
+class CocycleRangeError(ArithmeticError):
+    """A cocycle product left double range; carries the energy and the position."""
+
+    def __init__(self, energy: float, position: int):
+        self.energy = energy
+        self.position = position
+        super().__init__(
+            f"cocycle product at E = {energy!r} leaves double range by position {position}"
+        )
+
+
 def _check_range(sq: np.ndarray, E: np.ndarray, pos: int) -> None:
-    """Raise ArithmeticError at the first energy where a squared norm in sq is no positive finite double.
+    """Raise CocycleRangeError at the first energy where a squared norm in sq is no positive finite double.
 
     sq holds one row per window (or a single row), one column per energy.
     """
     ok = (np.isfinite(sq) & (sq > 0.0)).reshape(-1, E.size).all(axis=0)
     if not ok.all():
-        raise ArithmeticError(
-            f"cocycle product at E = {float(E[np.argmin(ok)])!r} leaves double range by position {pos}"
-        )
+        raise CocycleRangeError(float(E[np.argmin(ok)]), pos)
 
 
 def _products(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
@@ -162,7 +171,7 @@ def _products(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]
     and every operation acts element by element, so each (window, energy)
     product has the bits of its own one-window pass.  A product whose
     squared Frobenius norm overflows while its entries are finite is first
-    divided by its largest entry.  Raises ArithmeticError naming the energy
+    divided by its largest entry.  Raises CocycleRangeError naming the energy
     and the position where a product's squared Frobenius norm is still no
     positive finite double.
     """
@@ -276,6 +285,15 @@ def cocycles(window: SignedWindow, p: HoppingPair, E, lengths) -> list[list[Tran
     """
     prods = _products([window], p, E, list(lengths))[:, :, 0]
     return [[TransferMatrix(*m) for m in block.T.tolist()] for block in prods]
+
+
+def window_cocycles(windows: list[SignedWindow], p: HoppingPair, E, n: int) -> np.ndarray:
+    """Cocycles over 1..n for every window and every energy of E, in one pass.
+
+    Returns shape (5, len(windows), E.size) holding m11, m12, m21, m22 and
+    log_scale; each entry has the bits of cocycle(window, p, e, n).
+    """
+    return _products(list(windows), p, E, [n])[0]
 
 
 def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> TransferMatrix:

@@ -15,6 +15,7 @@ from fibjacobi.bands import (
     MERGE_FACTOR,
     RootIsolationError,
     _container_grid,
+    _golden_max_abs,
     bandset_from_json,
     bandset_to_json,
     cover,
@@ -364,3 +365,64 @@ def test_sigma_chain_shape():
     chain = sigma_chain(P12, 6)
     assert [bs.level for bs in chain] == [1, 2, 3, 4, 5, 6]
     assert all(bs.kind == "sigma_k" for bs in chain)
+
+
+def test_gap_search_early_exit_keeps_every_decision(monkeypatch):
+    # Each same-container gap search of _solve_level also runs the full
+    # search (above=inf).  The open/closed decision must agree; a bracket that
+    # exits early keeps a probe strictly between its zeros with |x| > 1 + slack,
+    # and one that does not returns the full search's bits.
+    seen = {"early": 0, "full": 0}
+
+    def spy(p, level, lo, hi, width, above):
+        pos, val = _golden_max_abs(p, level, lo, hi, width, above)
+        full_pos, full_val = _golden_max_abs(p, level, lo, hi, width)
+        assert above == 1.0 + max(TOL, 1e3 * np.finfo(float).eps * fibonacci(level))
+        np.testing.assert_array_equal(val <= above, full_val <= above)
+        early = val > above
+        assert np.all((lo[early] < pos[early]) & (pos[early] < hi[early]))
+        assert np.array_equal(val[early], np.abs(trace_value(p, pos[early], level)))
+        assert pos[~early].tobytes() == full_pos[~early].tobytes()
+        assert val[~early].tobytes() == full_val[~early].tobytes()
+        seen["early"] += int(early.sum())
+        seen["full"] += int((~early).sum())
+        return pos, val
+
+    monkeypatch.setattr("fibjacobi.bands._golden_max_abs", spy)
+    _chain.cache_clear()
+    # Up to level 14 every gap at b != a exits early; at b = a every gap
+    # closes with a peak of exactly 1, which runs the full search.
+    for ratio in (1.0001, 1.05, 1.2, 2.0, 4.7, 20.0):
+        sigma_chain(HoppingPair(1.0, ratio), 14, TOL)
+    assert seen["full"] == 0
+    sigma_chain(P11, 14, TOL)
+    _chain.cache_clear()
+    assert seen["early"] > 0 and seen["full"] > 0
+
+
+# The couplings and deepest levels pinned in tests/golden/bands.json; at
+# b/a = 40 level 13 raises RootIsolationError either way.
+GOLDEN_COUPLINGS = ((1.0, 2.0, 16), (1.0, 1.0001, 14), (0.5, 7.3, 12), (1.0, 1.0, 8),
+                    (0.3, 0.31, 15), (1.0, 40.0, 12))
+
+
+def test_gap_search_early_exit_edge_bound(monkeypatch):
+    # Ending the edge brackets at the early-exit probe instead of the peak
+    # moves each band edge by at most tol / 2 (both bisections end within
+    # tol / 4 of the same root) and changes no band count or merge.
+    def full_search(p, level, lo, hi, width, above):
+        return _golden_max_abs(p, level, lo, hi, width)
+
+    for a, b, k in GOLDEN_COUPLINGS:
+        p = HoppingPair(a, b)
+        _chain.cache_clear()
+        early = sigma_chain(p, k, TOL)
+        with monkeypatch.context() as m:
+            m.setattr("fibjacobi.bands._golden_max_abs", full_search)
+            _chain.cache_clear()
+            full = sigma_chain(p, k, TOL)
+        _chain.cache_clear()
+        for e, f in zip(early, full):
+            assert (e.lo.size, e.merged_gaps) == (f.lo.size, f.merged_gaps), (a, b, e.level)
+            assert np.abs(e.lo - f.lo).max() <= TOL / 2, (a, b, e.level)
+            assert np.abs(e.hi - f.hi).max() <= TOL / 2, (a, b, e.level)

@@ -254,6 +254,22 @@ def test_verify_reports_a_diverging_check_and_runs_the_rest(capsys):
     assert "numerical failure: trace recursion diverged at level 12 at E = -3.95" in err
 
 
+@pytest.mark.parametrize(
+    "hopping, failure",
+    [
+        (("--b", "1e200"), "E = -3.95 leaves double range by position 13, level 6 (F_6 = 13)"),
+        (("--a", "1e-200"), "E = -3.95 leaves double range by position 8, level 5 (F_5 = 8)"),
+    ],
+)
+def test_verify_cocycle_range_failure_names_the_level(capsys, hopping, failure):
+    # The product over the level-12 prefix leaves double range at a position
+    # first reached by a shorter prefix; the FAIL line names that level.
+    code, out, err = run(capsys, "verify", *hopping)
+    assert code == EXIT_NUMERICAL
+    assert f"FAIL  recursion-vs-cocycle: cocycle product at {failure}\n" in out
+    assert f"numerical failure: cocycle product at {failure}\n" in err
+
+
 def test_verify_free_case_warns_but_passes(capsys):
     code, out, err = run(capsys, "verify", "--a", "1", "--b", "1")
     assert code == EXIT_OK

@@ -7,6 +7,7 @@ import pytest
 
 from fibjacobi.tracemap import HoppingPair, trace_bound, trace_value
 from fibjacobi.transfer import (
+    CocycleRangeError,
     LyapunovEstimate,
     SquareStructureError,
     RENORM_EVERY,
@@ -21,6 +22,7 @@ from fibjacobi.transfer import (
     lyapunov,
     lyapunov_grid,
     no_decay_witness,
+    window_cocycles,
 )
 from fibjacobi.words import (
     WindowCoverageError,
@@ -184,6 +186,21 @@ def test_check_range_names_first_failing_energy():
     windows = [periodize(word, 2) for word in ("ba", "ab")]
     with pytest.raises(ArithmeticError, match=r"E = 1e\+299 leaves double range by position 1$"):
         _products(windows, HoppingPair(1e-10, 1.0), [1.0, 1e299, -1e300, 2.0], [1, 2])
+
+
+def test_window_cocycles_is_the_batched_pass():
+    # The public entry point returns the one-length rows of _products bit for
+    # bit, and a range failure keeps its energy and position as fields.
+    p = HoppingPair(1, 2)
+    energies = np.linspace(-3.0, 3.0, 7) + 0.037
+    windows = [periodize(word, len(word)) for word in cyclic_conjugates(6)]
+    got = window_cocycles(windows, p, energies, 13)
+    assert got.shape == (5, len(windows), energies.size)
+    assert np.array_equal(got.view(np.int64), _products(windows, p, energies, [13])[0].view(np.int64))
+    with pytest.raises(CocycleRangeError) as info:
+        window_cocycles([periodize("ab", 2)], HoppingPair(1e-10, 1.0), [1.0, 1e299], 1)
+    assert (info.value.energy, info.value.position) == (1e299, 1)
+    assert isinstance(info.value, ArithmeticError)
 
 
 def test_non_finite_energies_rejected():
