@@ -11,7 +11,6 @@ from __future__ import annotations
 from .bands import (
     BandSet,
     EnergyWindow,
-    Interval,
     RootIsolationError,
     bandset_from_json,
     bandset_to_json,
@@ -75,7 +74,6 @@ from .transfer import (
     lyapunov,
     lyapunov_grid,
     no_decay_witness,
-    window_cocycles,
 )
 from .words import (
     SignedWindow,

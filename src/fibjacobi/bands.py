@@ -18,6 +18,10 @@ per zero of x_k.  The solver exploits three exact structural facts:
 Levels are computed bottom-up; each level's bands become the next level's
 search containers, which keeps the work proportional to the band structure
 instead of the window volume.
+
+A band set is arrays, not per-band objects: BandSet holds read-only lo and
+hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
+outputs read.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,25 +64,6 @@ class RootIsolationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Closed energy interval."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
-            raise ValueError(f"invalid interval ({self.lo}, {self.hi})")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-
-@dataclass(frozen=True)
 class EnergyWindow:
     """Search window; must contain the norm-bound interval of the operator."""
 
@@ -100,8 +85,8 @@ def energy_window(p: HoppingPair, margin: float = ENERGY_MARGIN) -> EnergyWindow
 class BandSet:
     """Sorted disjoint closed bands [lo[i], hi[i]] with their provenance.
 
-    lo and hi are read-only float arrays; `bands` gives one Interval per band
-    on demand.  Band sets compare by identity.
+    lo, hi and bands, the (n, 2) array of [lo, hi] rows built on first use,
+    are read-only float arrays.  Band sets compare by identity.
     """
 
     lo: np.ndarray
@@ -133,16 +118,16 @@ class BandSet:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def bands(self) -> tuple[Interval, ...]:
-        return tuple(map(Interval, self.lo.tolist(), self.hi.tolist()))
+    @cached_property
+    def bands(self) -> np.ndarray:
+        """The read-only (n, 2) array of [lo, hi] rows."""
+        bands = np.column_stack((self.lo, self.hi))
+        bands.flags.writeable = False
+        return bands
 
     def contains(self, x: float) -> bool:
         i = np.searchsorted(self.lo, x, side="right") - 1
         return bool(i >= 0 and x <= self.hi[i])
-
-    def edges(self) -> list[float]:
-        return np.column_stack((self.lo, self.hi)).ravel().tolist()
 
 
 def lebesgue_measure(bs: BandSet) -> float:
@@ -438,7 +423,7 @@ def bandset_to_dict(bs: BandSet) -> dict:
         "b": bs.params.b,
         "kind": bs.kind,
         "k": bs.level,
-        "bands": np.column_stack((bs.lo, bs.hi)).tolist(),
+        "bands": bs.bands.tolist(),
         "tol": bs.tol,
     }
 

@@ -46,7 +46,6 @@ from .transfer import (
     cayley_hamilton_defect,
     cocycles,
     lyapunov_grid,
-    window_cocycles,
 )
 from .words import (
     cyclic_conjugates,
@@ -121,8 +120,7 @@ def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
     if _resolve_format(args) == "json":
         _emit_json(cfg, bandset_to_dict(bs), args.out)
     else:
-        pairs = zip(bs.lo.tolist(), bs.hi.tolist())
-        rows = [f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(pairs)]
+        rows = [f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(bs.bands.tolist())]
         _emit_csv(cfg, "band,lo,hi", rows, args.out)
     return EXIT_OK
 
@@ -325,15 +323,15 @@ def _check_recursion_vs_cocycle(p: HoppingPair) -> tuple[bool, str]:
     levels = range(2, 13)
     lengths = [fibonacci(k) for k in levels]
     try:
-        rows = cocycles(omega_s(1, lengths[-1]), p, energies, lengths)
+        table = cocycles([omega_s(1, lengths[-1])], p, energies, lengths)[:, :, 0]
     except CocycleRangeError as exc:
         # Name the level whose prefix first reaches the failing position.
         k = next(k for k, n in zip(levels, lengths) if n >= exc.position)
         raise ArithmeticError(f"{exc}, level {k} (F_{k} = {fibonacci(k)})") from None
     worst = 0.0
-    for k, row in zip(levels, rows):
+    for k, row in zip(levels, table.transpose(0, 2, 1).tolist()):
         for m, want in zip(row, finite_traces(p, energies, k).tolist()):
-            worst = max(worst, abs(m.trace_half() - want) / max(1.0, abs(want)))
+            worst = max(worst, abs(TransferMatrix(*m).trace_half() - want) / max(1.0, abs(want)))
     ok = worst <= 1e-9
     return ok, f"max relative error {worst:.3e}, levels 2..12"
 
@@ -346,7 +344,7 @@ def _check_cyclic_traces(p: HoppingPair) -> tuple[bool, str]:
         words = cyclic_conjugates(k)
         # One pass multiplies every conjugate at every energy.
         windows = [periodize(word, len(word)) for word in words]
-        prods = window_cocycles(windows, p, energies, len(words[0]))
+        prods = cocycles(windows, p, energies, [len(words[0])])[0]
         for row in prods.transpose(1, 2, 0).tolist():
             for m, want in zip(row, wants):
                 worst = max(worst, abs(TransferMatrix(*m).trace_half() - want) / max(1.0, abs(want)))

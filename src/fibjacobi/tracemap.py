@@ -103,10 +103,22 @@ class EscapeResult:
         return f"Bounded({self.k_max})"
 
 
+def _x_minus_one(p: HoppingPair) -> float:
+    """x_{-1} = (a^2 + b^2) / 2ab, the energy-independent start of every orbit.
+
+    Computed as written while a and b lie in [2^-511, 2^511], where a^2, b^2
+    and 2ab are normal doubles; outside that range as (a/b + b/a) / 2, whose
+    quotients neither underflow nor overflow while b/a stays in range.
+    """
+    a, b = p.a, p.b
+    if 2.0**-511 <= min(a, b) and max(a, b) <= 2.0**511:
+        return (a * a + b * b) / (2.0 * a * b)
+    return (a / b + b / a) / 2.0
+
+
 def initial_triple(p: HoppingPair, E: float) -> TraceTriple:
     """Starting triple (x_1, x_0, x_{-1}) = (E/2a, E/2b, (a^2+b^2)/2ab)."""
-    a, b = p.a, p.b
-    return TraceTriple(E / (2.0 * a), E / (2.0 * b), (a * a + b * b) / (2.0 * a * b), 1)
+    return TraceTriple(E / (2.0 * p.a), E / (2.0 * p.b), _x_minus_one(p), 1)
 
 
 def step(t: TraceTriple) -> TraceTriple:
@@ -165,7 +177,7 @@ def finite_traces(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
 
 def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
     a, b = p.a, p.b
-    z0 = (a * a + b * b) / (2.0 * a * b)
+    z0 = _x_minus_one(p)
     if k == -1:
         return np.full(E.shape, z0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,15 +255,14 @@ def escape_grid(p: HoppingPair, E, K_max: int):
     if K_max < 2:
         raise ValueError(f"K_max must be >= 2, got {K_max}")
     E = np.asarray(E, dtype=float)
-    a, b = p.a, p.b
     thr = 1.0 + ESCAPE_GUARD
     k_escape = np.full(E.size, -1, dtype=np.int64)
     diverged = np.zeros(E.size, dtype=bool)
     running = np.arange(E.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        x_prev = np.full(E.size, (a * a + b * b) / (2.0 * a * b))
-        x_cur = E.ravel() / (2.0 * b)
-        x_next = E.ravel() / (2.0 * a)
+        x_prev = np.full(E.size, _x_minus_one(p))
+        x_cur = E.ravel() / (2.0 * p.b)
+        x_next = E.ravel() / (2.0 * p.a)
         for k in range(K_max - 1):
             blown = ~(np.isfinite(x_cur) & np.isfinite(x_next))
             done = blown | ((np.abs(x_cur) > thr) & (np.abs(x_next) > thr))

@@ -13,6 +13,13 @@ an explicit window, cocycle(s), cayley_hamilton_defect and the verify
 identities multiply one-step factors; the identities compare the trace
 recursion with that factor-by-factor product.
 
+Batched products are arrays: cocycles multiplies many windows at many
+energies in one pass and returns the (lengths, 5, windows, energies) table
+of m11, m12, m21, m22 and log_scale.  TransferMatrix is the one-value form,
+which cocycle returns; its trace_half and physical fold the scale in with
+math.exp, so cayley_hamilton_defect and the verify trace checks read
+table rows through it and keep their digits.
+
 The half-trace of the cocycle over the level-k Fibonacci block reproduces
 the trace-map value x_k, and over a repeated block the Cayley-Hamilton
 identity M(2n) - 2 x M(n) + I = 0 holds; both are the operator facts the
@@ -89,18 +96,6 @@ class TransferMatrix:
     def log_frobenius(self) -> float:
         return 0.5 * math.log(self.m11**2 + self.m12**2 + self.m21**2 + self.m22**2) + self.log_scale
 
-    def frobenius(self) -> float:
-        return math.exp(self.log_frobenius())
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-            self.log_scale + other.log_scale,
-        )
-
     def apply(self, vec: tuple[float, float]) -> tuple[float, float]:
         """Physical action on a 2-vector."""
         s = math.exp(self.log_scale)
@@ -163,13 +158,15 @@ def _check_range(sq: np.ndarray, E: np.ndarray, pos: int) -> None:
         raise CocycleRangeError(float(E[np.argmin(ok)]), pos)
 
 
-def _products(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
+def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
     """Cocycles over 1..n for each n in lengths, for every window and energy of E, in one pass.
 
-    Returns shape (len(lengths), 5, len(windows), E.size) holding m11, m12,
-    m21, m22 and log_scale.  Each window's hoppings form one row of a table,
-    and every operation acts element by element, so each (window, energy)
-    product has the bits of its own one-window pass.  A product whose
+    lengths must be strictly increasing.  Returns shape (len(lengths), 5,
+    len(windows), E.size) holding m11, m12, m21, m22 and log_scale; every
+    RENORM_EVERY factors the scale moves into log_scale, so the stored
+    entries stay of order one.  Each window's hoppings form one row of a
+    table, and every operation acts element by element, so each (window,
+    energy) product has the bits of its own one-window pass.  A product whose
     squared Frobenius norm overflows while its entries are finite is first
     divided by its largest entry.  Raises CocycleRangeError naming the energy
     and the position where a product's squared Frobenius norm is still no
@@ -233,13 +230,13 @@ def _products(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]
 
 
 def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
-    """_products over the special hull element at lengths F_j for j in levels, by blocks.
+    """cocycles over the special hull element at lengths F_j for j in levels, by blocks.
 
     s_j = S^m(s_{j-m}) with S^m(a) = s_{m+1} and S^m(b) = s_m, so positions
     1..F_j are copies of those two blocks in the letter order of s_{j-m}.
     With m = min(_BLOCK_LEVEL, levels[0] - 1) every F_j ends a block.  One
-    _products pass gives both block cocycles; each block step left-multiplies
-    the running product, checks its squared Frobenius norm as _products does
+    cocycles pass gives both block cocycles; each block step left-multiplies
+    the running product, checks its squared Frobenius norm as cocycles does
     and moves that norm into log_scale.
     """
     m = min(_BLOCK_LEVEL, levels[0] - 1)
@@ -248,7 +245,7 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
     # Unit-norm blocks keep every block step's entries at most 1 in size.
     blocks = {}
     for letter, size, (b11, b12, b21, b22, b_scale) in zip(
-        "ba", (short, long), _products([omega_s(1, long)], p, E, [short, long])[:, :, 0]
+        "ba", (short, long), cocycles([omega_s(1, long)], p, E, [short, long])[:, :, 0]
     ):
         f = np.sqrt(b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22)
         blocks[letter] = (size, b11 / f, b12 / f, b21 / f, b22 / f, b_scale + np.log(f))
@@ -276,29 +273,9 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
     return out
 
 
-def cocycles(window: SignedWindow, p: HoppingPair, E, lengths) -> list[list[TransferMatrix]]:
-    """cocycle(window, p, e, n) for every n in lengths and e in E, from one pass.
-
-    lengths must be strictly increasing; row i holds the products over
-    1..lengths[i], one per energy.  Every RENORM_EVERY factors the scale
-    moves into log_scale, so the stored entries stay of order one.
-    """
-    prods = _products([window], p, E, list(lengths))[:, :, 0]
-    return [[TransferMatrix(*m) for m in block.T.tolist()] for block in prods]
-
-
-def window_cocycles(windows: list[SignedWindow], p: HoppingPair, E, n: int) -> np.ndarray:
-    """Cocycles over 1..n for every window and every energy of E, in one pass.
-
-    Returns shape (5, len(windows), E.size) holding m11, m12, m21, m22 and
-    log_scale; each entry has the bits of cocycle(window, p, e, n).
-    """
-    return _products(list(windows), p, E, [n])[0]
-
-
 def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> TransferMatrix:
     """Ordered product of one-step factors over positions n..1 (rightmost first); see cocycles."""
-    return cocycles(window, p, [float(E)], [n])[0][0]
+    return TransferMatrix(*cocycles([window], p, [float(E)], [n])[0, :, 0, 0].tolist())
 
 
 def evolve_solution(
@@ -362,7 +339,7 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     if window is None:
         prods = _hull_products(p, E, list(range(first + 1, len(checkpoints) + 1)))
     else:
-        prods = _products([window], p, E, xs)[:, :, 0]
+        prods = cocycles([window], p, E, xs)[:, :, 0]
     m11, m12, m21, m22, scale = prods.transpose(1, 0, 2)
     ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
     # Centered least squares over the last half of the checkpoints.  Python's
@@ -399,13 +376,17 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
             f"window does not start with a level-{k} repeated block on positions 1..{2 * n}"
         )
     energies = np.atleast_1d(E)
-    halves, fulls = cocycles(window, p, E, [n, 2 * n])
+    try:
+        table = cocycles([window], p, energies, [n, 2 * n])[:, :, 0]
+    except CocycleRangeError as exc:
+        raise ArithmeticError(f"{exc}, level {k} (square over positions 1..{2 * n})") from None
+    halves, fulls = table.transpose(0, 2, 1).tolist()
     xs = finite_traces(p, energies, k + 1).tolist()
     defects = []
     for e, half, full, x in zip(energies.tolist(), halves, fulls, xs):
         with np.errstate(over="ignore"):
             try:
-                m_half, m_full = half.physical(), full.physical()
+                m_half, m_full = TransferMatrix(*half).physical(), TransferMatrix(*full).physical()
             except OverflowError:  # math.exp of a log-scale past double range
                 m_half = m_full = np.full((2, 2), math.inf)
         if not np.isfinite([m_half, m_full]).all():

@@ -112,12 +112,12 @@ def test_03_closed_form_low_level_bands():
         p = HoppingPair(a, b)
         s1 = sigma_k(p, 1).bands
         assert len(s1) == 1
-        worst = max(worst, abs(s1[0].lo + 2 * a), abs(s1[0].hi - 2 * a))
+        worst = max(worst, abs(s1[0, 0] + 2 * a), abs(s1[0, 1] - 2 * a))
         s2 = sigma_k(p, 2).bands
         assert len(s2) == 2
         lo, hi = abs(a - b), a + b
-        for band, (wl, wh) in zip(s2, [(-hi, -lo), (lo, hi)]):
-            worst = max(worst, abs(band.lo - wl), abs(band.hi - wh))
+        for (band_lo, band_hi), (wl, wh) in zip(s2, [(-hi, -lo), (lo, hi)]):
+            worst = max(worst, abs(band_lo - wl), abs(band_hi - wh))
     _verdict(
         "[03] closed-form low bands",
         worst <= 1e-10,
@@ -130,14 +130,13 @@ def test_04_band_covers_nest_and_shrink():
     slack = 1e-8
     nested = True
     for k in range(1, 16):
-        los = np.array([b.lo for b in covers[k].bands])
-        his = np.array([b.hi for b in covers[k].bands])
-        for band in covers[k + 1].bands:
-            i = int(np.searchsorted(los, band.lo + slack)) - 1
+        los, his = covers[k].lo, covers[k].hi
+        for band_lo, band_hi in covers[k + 1].bands:
+            i = int(np.searchsorted(los, band_lo + slack)) - 1
             if not any(
                 0 <= j < len(los)
-                and los[j] - slack <= band.lo
-                and band.hi <= his[j] + slack
+                and los[j] - slack <= band_lo
+                and band_hi <= his[j] + slack
                 for j in (i, i + 1)
             ):
                 nested = False
@@ -158,8 +157,8 @@ def test_05_trace_values_bounded_on_cover():
     assert bound == 1.75
     rng = np.random.default_rng(SEED + 5)
     bands = _cover_strong(14).bands
-    lens = np.array([b.hi - b.lo for b in bands])
-    los = np.array([b.lo for b in bands])
+    lens = bands[:, 1] - bands[:, 0]
+    los = bands[:, 0]
     pick = rng.choice(len(bands), size=1000, p=lens / lens.sum())
     es = los[pick] + rng.uniform(0.0, 1.0, 1000) * lens[pick]
     worst = max(float(np.abs(trace_value(p, es, j)).max()) for j in range(2, 15))
@@ -277,8 +276,7 @@ def test_10_lyapunov_dichotomy_and_scan():
     grid = np.round(np.arange(-4.0, 4.0 + 1e-9, 1e-2), 10)
     gamma, _, _ = lyapunov_grid(p, grid, n)
     bands = _cover_strong(14).bands
-    los = np.array([b.lo for b in bands])
-    his = np.array([b.hi for b in bands])
+    los, his = bands[:, 0], bands[:, 1]
     near = (
         (los[None, :] - 1e-2 <= grid[:, None]) & (grid[:, None] <= his[None, :] + 1e-2)
     ).any(axis=1)
@@ -318,7 +316,7 @@ def test_11_dimension_estimators():
     covers = [_cover_strong(13), _cover_strong(14)]
     box = box_dimension(covers, eps_ladder(covers))
 
-    mids = sorted(0.5 * (b.lo + b.hi) for b in _cover_strong(14).bands)
+    mids = sorted(0.5 * (lo + hi) for lo, hi in _cover_strong(14).bands.tolist())
     idxs = [round(q * (len(mids) - 1)) for q in (0.2, 0.4, 0.5, 0.6, 0.8)]
     locs = [local_dimension(P_STRONG, mids[i], 0.8, k_max=14) for i in idxs]
     worst_loc = max(abs(l.value - box.value) for l in locs)

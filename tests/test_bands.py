@@ -11,7 +11,6 @@ import pytest
 from fibjacobi.bands import (
     BandSet,
     EnergyWindow,
-    Interval,
     MERGE_FACTOR,
     RootIsolationError,
     _container_grid,
@@ -38,9 +37,9 @@ TOL = 1e-10
 
 def test_interval_and_bandset_validation():
     with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
+        BandSet([2.0], [1.0], "sigma_k", 1, P11, TOL)
     with pytest.raises(ValueError):
-        Interval(0.0, math.inf)
+        BandSet([0.0], [math.inf], "sigma_k", 1, P11, TOL)
     with pytest.raises(ValueError):
         BandSet([0, 1], [2, 3], "sigma_k", 1, P11, TOL)
     with pytest.raises(ValueError):
@@ -65,8 +64,8 @@ def test_sigma1_is_hopping_scaled_interval():
     for p in (P11, P12, HoppingPair(0.7, 1.9)):
         bs = sigma_k(p, 1)
         assert len(bs.bands) == 1
-        assert bs.bands[0].lo == pytest.approx(-2 * p.a, abs=2 * TOL)
-        assert bs.bands[0].hi == pytest.approx(2 * p.a, abs=2 * TOL)
+        assert bs.bands[0, 0] == pytest.approx(-2 * p.a, abs=2 * TOL)
+        assert bs.bands[0, 1] == pytest.approx(2 * p.a, abs=2 * TOL)
 
 
 def test_sigma2_closed_form():
@@ -75,10 +74,10 @@ def test_sigma2_closed_form():
         bs = sigma_k(HoppingPair(a, b), 2)
         assert len(bs.bands) == 2
         lo, hi = bs.bands
-        assert lo.lo == pytest.approx(-(a + b), abs=2 * TOL)
-        assert lo.hi == pytest.approx(-abs(a - b), abs=2 * TOL)
-        assert hi.lo == pytest.approx(abs(a - b), abs=2 * TOL)
-        assert hi.hi == pytest.approx(a + b, abs=2 * TOL)
+        assert lo[0] == pytest.approx(-(a + b), abs=2 * TOL)
+        assert lo[1] == pytest.approx(-abs(a - b), abs=2 * TOL)
+        assert hi[0] == pytest.approx(abs(a - b), abs=2 * TOL)
+        assert hi[1] == pytest.approx(a + b, abs=2 * TOL)
 
 
 def test_sigma3_closed_form_at_1_2():
@@ -86,9 +85,9 @@ def test_sigma3_closed_form_at_1_2():
     bs = sigma_k(P12, 3)
     expected = [(-1 - r3, -2.0), (-(r3 - 1), r3 - 1), (2.0, 1 + r3)]
     assert len(bs.bands) == 3
-    for iv, (lo, hi) in zip(bs.bands, expected):
-        assert iv.lo == pytest.approx(lo, abs=2 * TOL)
-        assert iv.hi == pytest.approx(hi, abs=2 * TOL)
+    for (got_lo, got_hi), (lo, hi) in zip(bs.bands, expected):
+        assert got_lo == pytest.approx(lo, abs=2 * TOL)
+        assert got_hi == pytest.approx(hi, abs=2 * TOL)
     assert lebesgue_measure(bs) == pytest.approx(4 * (r3 - 1), abs=1e-8)
 
 
@@ -97,8 +96,8 @@ def test_free_case_collapses_to_single_band():
     for k in (2, 5, 8, 11, 14):
         bs = sigma_k(P11, k)
         assert len(bs.bands) == 1
-        assert bs.bands[0].lo == pytest.approx(-2.0, abs=1e-8)
-        assert bs.bands[0].hi == pytest.approx(2.0, abs=1e-8)
+        assert bs.bands[0, 0] == pytest.approx(-2.0, abs=1e-8)
+        assert bs.bands[0, 1] == pytest.approx(2.0, abs=1e-8)
         assert bs.merged_gaps == fibonacci(k) - 1
 
 
@@ -113,8 +112,8 @@ def test_cover_level_one_at_1_2():
     c = cover(P12, 1)
     assert c.kind == "cover" and c.level == 1
     assert len(c.bands) == 1
-    assert c.bands[0].lo == pytest.approx(-3.0, abs=2 * TOL)
-    assert c.bands[0].hi == pytest.approx(3.0, abs=2 * TOL)
+    assert c.bands[0, 0] == pytest.approx(-3.0, abs=2 * TOL)
+    assert c.bands[0, 1] == pytest.approx(3.0, abs=2 * TOL)
 
 
 def test_cover_contains_bounded_orbit_energy():
@@ -124,11 +123,10 @@ def test_cover_contains_bounded_orbit_energy():
 
 
 def _inside_single_band(inner: BandSet, outer: BandSet, eps: float) -> bool:
-    lo = np.array([iv.lo for iv in outer.bands])
-    hi = np.array([iv.hi for iv in outer.bands])
-    for iv in inner.bands:
-        j = np.searchsorted(lo, iv.lo + eps, side="right") - 1
-        if j < 0 or iv.lo < lo[j] - eps or iv.hi > hi[j] + eps:
+    lo, hi = outer.lo, outer.hi
+    for iv_lo, iv_hi in inner.bands:
+        j = np.searchsorted(lo, iv_lo + eps, side="right") - 1
+        if j < 0 or iv_lo < lo[j] - eps or iv_hi > hi[j] + eps:
             return False
     return True
 
@@ -167,8 +165,8 @@ def test_trace_bound_on_cover_samples():
     c = cover(P12, 12)
     tb = trace_bound(P12)
     samples = []
-    for iv in c.bands:
-        samples.extend((iv.lo, 0.5 * (iv.lo + iv.hi), iv.hi))
+    for lo, hi in c.bands:
+        samples.extend((lo, 0.5 * (lo + hi), hi))
     E = np.array(samples)
     for j in range(2, 13):
         assert np.all(np.abs(trace_value(P12, E, j)) <= tb + 1e-6), j
@@ -178,15 +176,15 @@ def test_bandset_symmetry():
     for bs in (sigma_k(P12, 9), cover(P12, 9), sigma_k(HoppingPair(1, 5), 7)):
         n = len(bs.bands)
         for i in range(n):
-            assert bs.bands[i].lo == pytest.approx(-bs.bands[n - 1 - i].hi, abs=4 * TOL)
-            assert bs.bands[i].hi == pytest.approx(-bs.bands[n - 1 - i].lo, abs=4 * TOL)
+            assert bs.bands[i, 0] == pytest.approx(-bs.bands[n - 1 - i, 1], abs=4 * TOL)
+            assert bs.bands[i, 1] == pytest.approx(-bs.bands[n - 1 - i, 0], abs=4 * TOL)
 
 
 def test_band_edges_bracket_unit_crossing():
     # Certify each edge in the E domain: |x_k| - 1 flips sign within 2 tol.
     k = 8
     bs = sigma_k(P12, k)
-    edges = np.array(bs.edges())
+    edges = bs.bands.ravel()
     g_in = np.abs(trace_value(P12, edges - 2 * TOL, k)) - 1.0
     g_out = np.abs(trace_value(P12, edges + 2 * TOL, k)) - 1.0
     assert np.all(np.sign(g_in) != np.sign(g_out))
@@ -195,14 +193,14 @@ def test_band_edges_bracket_unit_crossing():
 def test_escape_within_cover_is_bounded_and_far_outside_escapes():
     k = 10
     c = cover(P12, k)
-    for iv in c.bands[:: max(1, len(c.bands) // 25)]:
-        r = escape_classify(P12, 0.5 * (iv.lo + iv.hi), k)
-        assert not r.escaped, iv
+    for lo, hi in c.bands[:: max(1, len(c.bands) // 25)]:
+        r = escape_classify(P12, 0.5 * (lo + hi), k)
+        assert not r.escaped, (lo, hi)
     # gap midpoints at distance >= 0.1 from every band
     gaps = [
-        0.5 * (prev.hi + cur.lo)
-        for prev, cur in zip(c.bands, c.bands[1:])
-        if cur.lo - prev.hi >= 0.2
+        0.5 * (prev_hi + cur_lo)
+        for prev_hi, cur_lo in zip(c.hi[:-1], c.lo[1:])
+        if cur_lo - prev_hi >= 0.2
     ]
     assert gaps, "expected at least one wide gap"
     for E in gaps:
@@ -278,7 +276,7 @@ def test_json_roundtrip():
     assert set(obj) == {"a", "b", "kind", "k", "bands", "tol"}
     assert obj["kind"] == "sigma_k" and obj["k"] == 6
     back = bandset_from_json(text)
-    assert back.bands == bs.bands
+    assert np.array_equal(back.bands, bs.bands)
     assert back.params == bs.params and back.tol == bs.tol
 
 
@@ -303,6 +301,10 @@ def test_cached_band_sets_are_read_only():
         bs.lo[0] = -1.0
     with pytest.raises(ValueError):
         bs.hi[:] = 0.0
+    with pytest.raises(ValueError):
+        bs.bands[0, 1] = 0.0
+    assert bs.bands.shape == (bs.lo.size, 2)
+    assert np.array_equal(bs.bands, np.column_stack((bs.lo, bs.hi)))
 
 
 def test_merge_matches_loop_reference():
@@ -357,7 +359,7 @@ def test_deterministic_recompute():
     first = sigma_k(P12, 10)
     _chain.cache_clear()
     second = sigma_k(P12, 10)
-    assert first.bands == second.bands
+    assert np.array_equal(first.bands, second.bands)
     assert first.merged_gaps == second.merged_gaps
 
 

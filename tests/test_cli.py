@@ -255,18 +255,32 @@ def test_verify_reports_a_diverging_check_and_runs_the_rest(capsys):
 
 
 @pytest.mark.parametrize(
-    "hopping, failure",
+    "hopping, failure, check",
     [
-        (("--b", "1e200"), "E = -3.95 leaves double range by position 13, level 6 (F_6 = 13)"),
-        (("--a", "1e-200"), "E = -3.95 leaves double range by position 8, level 5 (F_5 = 8)"),
+        (
+            ("--b", "1e200"),
+            "E = -3.95 leaves double range by position 13, level 6 (F_6 = 13)",
+            "recursion-vs-cocycle",
+        ),
+        (
+            ("--a", "1e-200"),
+            "E = -3.95 leaves double range by position 8, level 5 (F_5 = 8)",
+            "recursion-vs-cocycle",
+        ),
+        (
+            ("--a", "1e-200"),
+            "E = -3.987 leaves double range by position 3, level 2 (square over positions 1..6)",
+            "cayley-hamilton",
+        ),
     ],
 )
-def test_verify_cocycle_range_failure_names_the_level(capsys, hopping, failure):
-    # The product over the level-12 prefix leaves double range at a position
-    # first reached by a shorter prefix; the FAIL line names that level.
+def test_verify_cocycle_range_failure_names_the_level(capsys, hopping, failure, check):
+    # recursion-vs-cocycle: the product over the level-12 prefix leaves
+    # double range at a position first reached by a shorter prefix; the FAIL
+    # line names that level.  cayley-hamilton names the level of its square.
     code, out, err = run(capsys, "verify", *hopping)
     assert code == EXIT_NUMERICAL
-    assert f"FAIL  recursion-vs-cocycle: cocycle product at {failure}\n" in out
+    assert f"FAIL  {check}: cocycle product at {failure}\n" in out
     assert f"numerical failure: cocycle product at {failure}\n" in err
 
 

@@ -185,7 +185,7 @@ def test_local_matches_global_at_five_centers():
     p = HoppingPair(1.0, 1.2)
     covers = [cover(p, 19), cover(p, 20)]
     glob = box_dimension(covers, eps_ladder(covers))
-    mids = [(iv.lo + iv.hi) / 2.0 for iv in cover(p, 14).bands]
+    mids = [(lo + hi) / 2.0 for lo, hi in cover(p, 14).bands.tolist()]
     for q in (0.1, 0.3, 0.5, 0.7, 0.9):
         center = mids[int(q * (len(mids) - 1))]
         loc = local_dimension(p, center, 0.3, k_max=20)

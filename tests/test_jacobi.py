@@ -289,8 +289,8 @@ def test_band_count_cross_check():
         bs = sigma_k(P12, k)
         jw = build_window((fib_prefix(k) * 20)[:-1], P12)
         delta = 1e-8
-        lo = np.array([iv.lo - delta for iv in bs.bands])
-        hi = np.array([iv.hi + delta for iv in bs.bands])
+        lo = bs.bands[:, 0] - delta
+        hi = bs.bands[:, 1] + delta
         inside = eigenvalue_count_below(jw, hi) - eigenvalue_count_below(jw, lo)
         assert int((inside > 0).sum()) == fibonacci(k)
         assert int(inside.sum()) >= 0.9 * jw.n_sites

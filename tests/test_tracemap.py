@@ -56,6 +56,20 @@ def test_initial_triple_closed_forms():
     assert (t.x_next, t.x_cur, t.x_prev) == (0.5, 1.0, 1.25)
 
 
+def test_power_of_two_scaled_hoppings_match_unit_scale_bit_for_bit():
+    # Outside [2^-511, 2^511] a^2, b^2 or 2ab leave the normal doubles, and
+    # x_{-1} = (a/b + b/a) / 2 keeps the orbit of (s, 2s) at s E that of
+    # (1, 2) at E: every other step only multiplies by powers of two.
+    E = np.linspace(-3.5, 3.5, 701) + 0.013
+    unit = HoppingPair(1, 2)
+    for s in (2.0**-700, 2.0**600):
+        p = HoppingPair(s, 2 * s)
+        for k in (-1, 0, 1, 2, 7, 15):
+            assert trace_value(p, s * E, k).tobytes() == trace_value(unit, E, k).tobytes(), (s, k)
+        for got, want in zip(escape_grid(p, s * E, 20), escape_grid(unit, E, 20)):
+            assert np.array_equal(got, want), s
+
+
 def test_step_fixed_point_and_hand_iteration():
     fixed = TraceTriple(1.0, 1.0, 1.0, 1)
     out = step(fixed)

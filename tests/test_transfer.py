@@ -13,7 +13,6 @@ from fibjacobi.transfer import (
     RENORM_EVERY,
     TransferMatrix,
     _check_range,
-    _products,
     cayley_hamilton_defect,
     cocycle,
     cocycles,
@@ -22,7 +21,6 @@ from fibjacobi.transfer import (
     lyapunov,
     lyapunov_grid,
     no_decay_witness,
-    window_cocycles,
 )
 from fibjacobi.words import (
     WindowCoverageError,
@@ -123,18 +121,19 @@ def test_cocycles_match_scalar_loop():
     lengths = [1, 2, 31, 32, 33, 64, 233, 1000, 4181, 5000]
     for p in (HoppingPair(1, 2), HoppingPair(0.7, 3.9), HoppingPair(2.5, 0.4)):
         energies = np.concatenate([rng.uniform(-6.0, 6.0, 12), [0.0, -1.0, 9.5]])
-        table = cocycles(w, p, energies, lengths)
-        for n, row in zip(lengths, table):
+        table = cocycles([w], p, energies, lengths)
+        assert table.shape == (len(lengths), 5, 1, energies.size)
+        for n, block in zip(lengths, table[:, :, 0]):
+            row = [TransferMatrix(*m) for m in block.T.tolist()]
             assert row == [_cocycle_loop(w, p, float(e), n) for e in energies]
             assert row[3] == cocycle(w, p, float(energies[3]), n)
     with pytest.raises(ValueError, match="strictly increasing"):
-        cocycles(w, HoppingPair(1, 2), [0.0], [5, 5])
+        cocycles([w], HoppingPair(1, 2), [0.0], [5, 5])
 
 
 def _one_window_rows(window, p, E, lengths):
-    """cocycles of one window as an array shaped like one _products window."""
-    table = cocycles(window, p, E, lengths)
-    return np.array([[[m.m11, m.m12, m.m21, m.m22, m.log_scale] for m in row] for row in table])
+    """The one-window pass, as (lengths, energies, 5) rows."""
+    return cocycles([window], p, E, lengths)[:, :, 0].transpose(0, 2, 1)
 
 
 def test_batched_products_match_one_window_cocycles():
@@ -148,7 +147,7 @@ def test_batched_products_match_one_window_cocycles():
             windows = [periodize(word, len(word)) for word in words]
             n = len(words[0])
             lengths = sorted({1, (n + 1) // 2, n})
-            batch = _products(windows, p, energies, lengths)
+            batch = cocycles(windows, p, energies, lengths)
             assert batch.shape == (len(lengths), 5, len(windows), energies.size)
             for i, window in enumerate(windows):
                 one = _one_window_rows(window, p, energies, lengths)
@@ -167,7 +166,7 @@ def test_batched_products_divide_overflowing_rows_alone():
     a32 = _cocycle_loop(periodize("a", 31), p, 1e5, 31).m11 * 1e5
     b32 = _cocycle_loop(periodize("b", 31), p, 1e5, 31).m11 * 5e4
     assert math.isinf(a32 * a32) and math.isfinite(b32 * b32)
-    batch = _products(windows, p, energies, [32, 40])
+    batch = cocycles(windows, p, energies, [32, 40])
     for i, window in enumerate(windows):
         one = _one_window_rows(window, p, energies, [32, 40])
         assert np.array_equal(batch[:, :, i].transpose(0, 2, 1).view(np.int64), one.view(np.int64))
@@ -185,20 +184,10 @@ def test_check_range_names_first_failing_energy():
     # Entries E / a overflow at the first letter of "ab" from E = 1e299 on.
     windows = [periodize(word, 2) for word in ("ba", "ab")]
     with pytest.raises(ArithmeticError, match=r"E = 1e\+299 leaves double range by position 1$"):
-        _products(windows, HoppingPair(1e-10, 1.0), [1.0, 1e299, -1e300, 2.0], [1, 2])
-
-
-def test_window_cocycles_is_the_batched_pass():
-    # The public entry point returns the one-length rows of _products bit for
-    # bit, and a range failure keeps its energy and position as fields.
-    p = HoppingPair(1, 2)
-    energies = np.linspace(-3.0, 3.0, 7) + 0.037
-    windows = [periodize(word, len(word)) for word in cyclic_conjugates(6)]
-    got = window_cocycles(windows, p, energies, 13)
-    assert got.shape == (5, len(windows), energies.size)
-    assert np.array_equal(got.view(np.int64), _products(windows, p, energies, [13])[0].view(np.int64))
+        cocycles(windows, HoppingPair(1e-10, 1.0), [1.0, 1e299, -1e300, 2.0], [1, 2])
+    # A range failure keeps its energy and position as fields.
     with pytest.raises(CocycleRangeError) as info:
-        window_cocycles([periodize("ab", 2)], HoppingPair(1e-10, 1.0), [1.0, 1e299], 1)
+        cocycles([periodize("ab", 2)], HoppingPair(1e-10, 1.0), [1.0, 1e299], [1])
     assert (info.value.energy, info.value.position) == (1e299, 1)
     assert isinstance(info.value, ArithmeticError)
 
@@ -254,7 +243,7 @@ def test_products_divide_by_largest_entry_when_squares_overflow():
 
 def test_cocycles_reject_empty_lengths():
     with pytest.raises(ValueError, match="strictly increasing, got \\[\\]"):
-        cocycles(omega_s(1, 5), HoppingPair(1, 2), [0.0], [])
+        cocycles([omega_s(1, 5)], HoppingPair(1, 2), [0.0], [])
 
 
 def test_cocycle_window_coverage():
