@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid usage or parameters, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,7 +72,7 @@ def _warn(msg: str) -> None:
 
 def _config_payload(args: argparse.Namespace) -> dict:
     """Resolved run parameters, for embedding into output files."""
-    skip = {"func", "default_format"}
+    skip = {"default_format"}
     out = {}
     for key, val in vars(args).items():
         if key in skip or val is None:
@@ -433,12 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bands", help="bands of sigma_k")
     sp.add_argument("--k", type=int, required=True, help="approximant level")
     _add_common(sp, "json", tol=True)
-    sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("cover", help="bands of cover(k) = sigma_k union sigma_{k+1}")
     sp.add_argument("--k", type=int, required=True, help="cover level")
     _add_common(sp, "json", tol=True)
-    sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("spectrum", help="escape-time outer approximation")
     sp.add_argument("--kmax", type=int, required=True, help="escape scan depth")
@@ -446,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--emin", type=float, default=None, help="window lower edge")
     sp.add_argument("--emax", type=float, default=None, help="window upper edge")
     _add_common(sp, "json")
-    sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("lyapunov", help="Lyapunov exponent scan, CSV E,gamma,residual")
     sp.add_argument("--emin", type=float, default=-4.0, help="scan lower edge")
@@ -454,14 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=401, help="energy grid points")
     sp.add_argument("--length", type=int, default=2584, help="cocycle length")
     _add_common(sp, "csv")
-    sp.set_defaults(func=cmd_lyapunov)
 
     sp = sub.add_parser("dimension", help="dimension estimates or coupling sweep")
     sp.add_argument("--kmax", type=int, default=14, help="deepest cover level")
     sp.add_argument("--kmin", type=int, default=6, help="shallowest scaling level")
     sp.add_argument("--sweep", type=str, default=None, help="b sweep as start:stop:step")
     _add_common(sp, "csv", tol=True)
-    sp.set_defaults(func=cmd_dimension)
 
     sp = sub.add_parser("verify", help="invariant and identity self-checks")
     sp.add_argument(
@@ -471,21 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault injection: add this to every recursion step (negative control)",
     )
     _add_common(sp, None)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("words", help="substitution prefixes and factor counts")
     sp.add_argument("--k", type=int, required=True, help="prefix level")
     sp.add_argument("--complexity", type=int, default=0, help="check factor counts up to this length")
     sp.add_argument("--format", choices=("json",), default=None, help="output format")
     _add_common(sp, None, hoppings=False)
-    sp.set_defaults(func=cmd_words)
 
     sp = sub.add_parser("eigs", help="eigenvalues of a finite hopping window")
     sp.add_argument("--k", type=int, default=None, help="use the level-k prefix as the window")
     sp.add_argument("--letters", type=str, default=None, help="explicit hopping word over {a, b}")
     sp.add_argument("--repeats", type=int, default=1, help="repeat the window this many times")
     _add_common(sp, "json")
-    sp.set_defaults(func=cmd_eigs)
 
     return parser
 
@@ -517,20 +510,26 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return argv[:1] + tokens + argv[1:]
 
 
+# One parser per process: parsing leaves it unchanged, and building it
+# costs about as much as a small command.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config_file(argv)
     except (OSError, ValueError) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # Looked up at each call, so a cmd_* rebound after import is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

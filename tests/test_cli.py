@@ -4,12 +4,15 @@ Commands run in-process through main(argv) so the suite stays fast; the
 console script wraps the same function.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from test_golden import COMMANDS
 
+from fibjacobi import cli
 from fibjacobi.bands import bandset_from_json, cover, lebesgue_measure
 from fibjacobi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from fibjacobi.tracemap import HoppingPair
@@ -402,3 +405,22 @@ def test_unread_option_exits_2(capsys, argv, message):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == EXIT_OK
     assert run(capsys, "bands", "--help")[0] == EXIT_OK
+
+
+def test_main_gives_the_same_bytes_in_any_order(capsys):
+    # main parses with one parser per process; a usage error and a failing
+    # command between two runs must leave it as it was.
+    errors = [("bands", "--b", "2"), ("cover", "--k", "0")]
+    first = {argv: run(capsys, *argv) for argv in [*COMMANDS, *errors]}
+    assert [first[argv][0] for argv in errors] == [EXIT_USAGE, EXIT_USAGE]
+    for order in itertools.permutations(COMMANDS):
+        for argv in (order[0], *errors, *order[1:]):
+            assert run(capsys, *argv) == first[argv], argv
+
+
+def test_main_runs_the_command_bound_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "words", "--k", "3")[0] == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_words", lambda args: seen.append(args.k) or EXIT_NUMERICAL)
+    assert run(capsys, "words", "--k", "5")[0] == EXIT_NUMERICAL
+    assert seen == [5]

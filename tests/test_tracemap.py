@@ -15,6 +15,7 @@ import pytest
 from fibjacobi.tracemap import (
     ESCAPE_GUARD,
     _BLOCK,
+    _x_minus_one,
     EscapeResult,
     HoppingPair,
     TraceDivergedError,
@@ -145,10 +146,10 @@ def test_trace_value_array_matches_scalar():
 
 
 def _trace_loop(p, E, k):
-    """Reference: the plain recursion over the whole array, one temporary per step."""
+    """Reference: the three-op recursion x <- (2 x) y - z over the whole array."""
     a, b = p.a, p.b
     with np.errstate(over="ignore", invalid="ignore"):
-        x_prev = np.full(E.shape, (a * a + b * b) / (2.0 * a * b))
+        x_prev = np.full(E.shape, _x_minus_one(p))
         x_cur = E / (2.0 * b)
         x_next = E / (2.0 * a)
         if k == -1:
@@ -183,6 +184,42 @@ def test_trace_value_blocked_matches_loop():
         second = trace_value(p, E, 9)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept, equal_nan=True)
+
+
+def test_trace_value_matches_three_op_loop_bit_for_bit():
+    # The kernel runs u = 2x and hands overflowing orbits and energies below
+    # 2^-960 max(a, b) to the three-op loop; every other value must come
+    # out bit for bit as the loop's, across hopping scales and ratios.
+    rng = np.random.default_rng(12)
+    big = np.finfo(float).max
+    scales = 10.0 ** rng.uniform(-250, 250, 22)
+    ratios = np.where(np.arange(22) % 4 == 0, 1.0, 10.0 ** rng.uniform(-2.5, 2.5, 22))
+    # 2a or 2b overflows at the last two.
+    pairs = [HoppingPair(a, a * r) for a, r in zip(scales, ratios)]
+    pairs += [HoppingPair(1e308, 1e308), HoppingPair(1e308, 3e305)]
+    checked = 0
+    for p in pairs:
+        m = max(p.a, p.b)
+        sign = rng.choice([-1.0, 1.0], 200)
+        with np.errstate(over="ignore"):
+            # Separate calls, so that a group without small energies takes
+            # the kernel's fast check alone.
+            groups = [
+                np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1000 * m, big, -big,
+                          math.inf, -math.inf, math.nan]),
+                rng.uniform(-1.3, 1.3, 250) * p.norm_bound,
+                sign * np.power(10.0, rng.uniform(-330, 330, 200)),
+                # Both sides of the small-energy bound and of the subnormal products.
+                sign[:80] * m * np.exp2(rng.uniform(-1080, -900, 80)),
+            ]
+        for E in groups:
+            for k in range(-1, 46):
+                got = trace_value(p, E, k)
+                want = _trace_loop(p, E, k)
+                assert np.array_equal(got, want, equal_nan=True), (p, E[:3], k)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (p, E[:3], k)
+                checked += E.size
+    assert checked > 500_000
 
 
 def test_invariant_examples():
