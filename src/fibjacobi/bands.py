@@ -10,10 +10,20 @@ per zero of x_k.  The solver exploits three exact structural facts:
   that has found F_k zeros has found them all;
 * unimodality: |x_k| has exactly one interior peak between consecutive
   zeros, so any point between them with |x_k| > 1 splits the gap into two
-  brackets that each hold exactly one crossing of |x_k| = 1.  The
-  golden-section peak search stops at its first probe above 1 + slack,
-  which proves the gap open and becomes that point; a search that reaches
-  the peak at or below 1 + slack certifies a closed gap.
+  brackets that each hold exactly one crossing of |x_k| = 1.
+
+The sign grid that finds the zeros has usually evaluated a point on each
+side of both edges of every band, so an edge is bracketed by two adjacent
+grid points: an outer one with |x_k| > 1 in the gap (or a container end)
+and an inner one with |x_k| < 1 that unimodality places in the band.  A gap
+is open when a grid point between its zeros exceeds 1 + slack.  Only the
+rest is refined.  A zero is bisected where the grid does not bracket both
+edges of its band (a band narrower than the grid step, say) or where it
+bounds an unresolved gap.  A golden-section peak search decides each
+unresolved gap: its first probe above 1 + slack proves the gap open and
+bounds the edge brackets there, and a peak at or below 1 + slack certifies
+a closed gap.  Every edge is then bisected to within tol / 4 of its
+crossing.
 
 Levels are computed bottom-up; each level's bands become the next level's
 search containers, which keeps the work proportional to the band structure
@@ -34,7 +44,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tracemap import HoppingPair, escape_grid, trace_value
+from .tracemap import HoppingPair, escape_mask, trace_value
 from .words import fibonacci
 
 DEFAULT_TOL = 1e-10
@@ -152,20 +162,24 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray, gap: float):
     return lo[start], hi[np.roll(start, -1)]
 
 
-def _batch_bisect(fn, lo: np.ndarray, hi: np.ndarray, tol: float, f_lo=None) -> np.ndarray:
+def _batch_bisect(
+    fn, lo: np.ndarray, hi: np.ndarray, tol: float, f_lo=None, width: float | None = None
+) -> np.ndarray:
     """Roots of fn (vectorized, one sign change per bracket) to width <= tol.
 
-    f_lo, fn at lo, saves the first call where the caller has it.  Up to
-    _LOOKAHEAD_MAX brackets, one call of fn takes two steps: it evaluates
-    the midpoint and both quarter points, each computed as the next step
-    computes its midpoint (0.5 (lo + mid) or 0.5 (mid + hi)), and each
-    bracket reads the two points plain bisection visits, so the roots are
-    the same bit for bit.
+    f_lo, fn at lo, saves the first call where the caller has it.  The
+    number of steps is planned for brackets `width` wide, by default the
+    widest of lo, hi.  Up to _LOOKAHEAD_MAX brackets, one call of fn takes
+    two steps: it evaluates the midpoint and both quarter points, each
+    computed as the next step computes its midpoint (0.5 (lo + mid) or
+    0.5 (mid + hi)), and each bracket reads the two points plain bisection
+    visits, so the roots are the same bit for bit.
     """
     lo = lo.astype(float)
     hi = hi.astype(float)
     sign_lo = np.sign(fn(lo) if f_lo is None else f_lo)
-    width = float((hi - lo).max()) if lo.size else 0.0
+    if width is None:
+        width = float((hi - lo).max()) if lo.size else 0.0
     n_iter = max(1, int(math.ceil(math.log2(max(width / tol, 2.0)))) + 1)
     pairs = n_iter // 2 if lo.size <= _LOOKAHEAD_MAX else 0
     for _ in range(pairs):
@@ -227,12 +241,22 @@ def _golden_max_abs(
     return np.where(done, pos, mid), np.where(done, val, np.abs(trace_value(p, mid, level)))
 
 
-def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, at=None) -> np.ndarray:
     """np.linspace(lo[c], hi[c], counts[c]) for every container c, concatenated.
 
     Built in one pass with linspace's own arithmetic, i * ((hi - lo) / (n - 1))
     + lo with the last point set to hi, so the points agree bit for bit.
+    With at = (c, i), only points i and i + 1 of containers c, as the two
+    rows of a (2, i.size) array.
     """
+    if at is not None:
+        c, i = at
+        step = ((hi - lo) / (counts - 1))[c]
+        E = np.stack((i * step, (i + 1) * step))
+        E += lo[c]
+        last = np.flatnonzero(i + 2 == counts[c])
+        E[1, last] = hi[c[last]]
+        return E
     ends = np.cumsum(counts)
     E = np.arange(ends[-1], dtype=float)
     E -= np.repeat(ends - counts, counts)
@@ -242,13 +266,29 @@ def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> np.nd
     return E
 
 
-def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, tol: float):
-    """All F_level zeros of x_level inside the containers, with container ids.
+def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray):
+    """The F_level zeros of x_level inside the containers, as sign-grid data per zero.
 
     Signs are sampled on per-container grids (about 8 F_level points in
     total, distributed by length) and the grids double until the bracketed
     count reaches F_level exactly; it can never exceed it, so equality
-    certifies completeness.
+    certifies completeness.  The grid is then reduced to per-zero values
+    before anything is refined; for zero i, in container cid[i]:
+
+    * at[:, i]: indices j in the zero's container whose pair of grid points
+      (j, j + 1) brackets the zero, the band's lower edge and its upper edge
+      (see _container_grid).  An edge pair holds the last point with |x| > 1
+      before the zero, or the first one after it, within the zero's own gaps
+      (else the container end), and its neighbour towards the zero;
+    * xz[:, i]: x_level at the zero pair's points;
+    * g[:, i]: |x| - 1 at the lower-edge pair's first point and at both
+      points of the upper-edge pair;
+    * on_grid[:, i]: whether the lower- and upper-edge pairs bracket the
+      edge, that is, hold a point with |x| > 1 in the gap (or a container end)
+      and one with |x| < 1 in the zero's band;
+    * peak[i]: the largest |x| on the grid between zeros i and i + 1.
+
+    counts is the grid's points per container, for _container_grid.
     """
     target = fibonacci(level)
     lens = chi - clo
@@ -260,13 +300,14 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
         n_pts = int(counts.sum())
         if n_pts > GRID_CAP:
             raise RootIsolationError(level, -1, target, n_pts, "grid cap reached")
-        E = _container_grid(clo, chi, counts)
-        x = trace_value(p, E, level)
+        x = trace_value(p, _container_grid(clo, chi, counts), level)
         s = x >= 0.0
         ends = np.cumsum(counts) - 1
         flip = s[:-1] != s[1:]
+        del s
         flip[ends[:-1]] = False  # pairs that straddle two containers
         flips = np.flatnonzero(flip)
+        del flip
         if len(flips) == target:
             break
         if len(flips) > target:
@@ -275,57 +316,149 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
             )
         del x  # before the doubled grid's traces are allocated
         mult *= 2
-    zeros = _batch_bisect(
-        lambda EE: trace_value(p, EE, level), E[flips], E[flips + 1], tol, x[flips]
-    )
-    order = np.argsort(zeros)
-    return zeros[order], np.searchsorted(ends, flips)[order]
+    cid = np.searchsorted(ends, flips)
+    xz = np.stack((x[flips], x[flips + 1]))
+    ax = np.abs(x, out=x)
+    del x
+    peak = np.maximum.reduceat(ax, flips + 1)[:-1]
+    # outs[pos - 1] <= flips < outs[pos]
+    outs = np.flatnonzero(ax > 1.0)
+    pos = np.searchsorted(outs, flips, side="right")
+    has_lo, has_hi = pos > 0, pos < outs.size
+    j_lo = j_hi = flips
+    if outs.size:
+        j_lo, j_hi = outs[pos - 1], outs[np.minimum(pos, outs.size - 1)]
+    del outs, pos
+    # An outer point must lie in the zero's own gaps: after the previous zero
+    # and before the next one, in the zero's container.
+    end = ends[cid]
+    start = end - counts[cid] + 1
+    same = np.flatnonzero(cid[1:] == cid[:-1])
+    bound = start.copy()
+    bound[same + 1] = flips[same] + 1
+    has_lo &= j_lo >= bound
+    bound = end.copy()
+    bound[same] = flips[same + 1]
+    has_hi &= j_hi <= bound
+    del bound
+    at = np.stack((flips, np.where(has_lo, j_lo, start), np.where(has_hi, j_hi, end) - 1))
+    g = ax[np.stack((at[1], at[2], at[2] + 1))] - 1.0
+    # The inner point lies in the zero's band when it is on the edge's side
+    # of the zero, or on the other side before the first point with |x| > 1
+    # (unimodality again); it must have |x| < 1.
+    inside = (has_lo & (at[1] < flips)) | (has_hi & (at[2] > flips))
+    on_grid = np.stack((has_lo & inside & (ax[at[1] + 1] < 1.0), has_hi & inside & (g[1] < 0.0)))
+    return cid, at - start, xz, g, on_grid, peak, counts
+
+
+def _edge_brackets(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, tol: float):
+    """Brackets of sigma_level's band edges, and |x| - 1 at their first ends.
+
+    Column b of the (2, 2 n_bands) bracket array holds the lower edge of
+    band b, column n_bands + b its upper edge.
+    """
+    cid, at, xz, g, (on_lo, on_hi), peak, counts = _locate_zeros(p, level, clo, chi)
+    n = cid.size
+    above = 1.0 + max(tol, 1e3 * np.finfo(float).eps * fibonacci(level))
+
+    # Gap i lies between zeros i and i + 1.  It is open when the zeros lie in
+    # different containers or a grid point between them has |x| > 1 + slack
+    # (unimodality: the peak is at least as high).  The golden-section
+    # search decides the other gaps from the refined zeros: its first probe
+    # above 1 + slack opens the gap and is its gap point, a peak at or below
+    # 1 + slack closes it.
+    is_open = (cid[1:] != cid[:-1]) | (peak > above)
+    unresolved = np.flatnonzero(~is_open)
+    # Zeros are refined only for those gaps and for edges the grid does not
+    # bracket; such an edge's bracket runs from the zero to the gap point,
+    # the grid's point with |x| > 1 or the container end.
+    refine = ~(on_lo & on_hi)
+    refine[unresolved] = refine[unresolved + 1] = True
+    ref = np.flatnonzero(refine)
+    zeros = np.full(n, np.nan)
+    # Where both grid neighbours of a zero have |x| > 1 (a band narrower than
+    # the grid step), every point between them with |x| < 1 lies in its band.
+    # The zero bisection keeps the point of least |x| it evaluates there: the
+    # inner end of the edge brackets where the refined zero falls outside.
+    near = np.full(ref.size, np.nan)
+    near_abs = np.full(ref.size, np.inf)
+    if ref.size:
+        narrow = np.flatnonzero((np.abs(xz[:, ref]) > 1.0).all(axis=0))
+
+        def x_at(EE):
+            x = trace_value(p, EE, level)
+            ax = np.abs(x.reshape(-1, ref.size)[:, narrow])
+            i = ax.argmin(axis=0)
+            best = ax[i, np.arange(narrow.size)]
+            better = best < near_abs[narrow]
+            near[narrow[better]] = EE.reshape(-1, ref.size)[i, narrow][better]
+            near_abs[narrow[better]] = best[better]
+            return x
+
+        zb = _container_grid(clo, chi, counts, (cid, at[0]))
+        # Stepped for the widest zero bracket, as if every zero were refined.
+        zeros[ref] = _batch_bisect(
+            x_at if narrow.size else lambda EE: trace_value(p, EE, level),
+            zb[0, ref], zb[1, ref], tol, xz[0, ref], width=float((zb[1] - zb[0]).max()),
+        )
+        del zb
+    # The search's point in each unresolved gap, in slot i + 1 for gap i.
+    gap_pt = np.full(n + 1, np.nan)
+    gap_g = np.full(n + 1, np.nan)
+    if unresolved.size:
+        peak_pos, peak_val = _golden_max_abs(
+            p, level, zeros[unresolved], zeros[unresolved + 1], width=max(10.0 * tol, 1e-11),
+            above=above,
+        )
+        is_open[unresolved] = ~(peak_val <= above)
+        gap_pt[unresolved + 1] = peak_pos
+        gap_g[unresolved + 1] = peak_val - 1.0
+    gaps = np.flatnonzero(is_open)
+    first = np.append(0, gaps + 1)
+    last = np.append(gaps, n - 1)
+    del xz, peak, is_open, gaps
+
+    # Lower edges [outer, inner], then upper edges [inner, outer], as the
+    # columns of br, with |x| - 1 at both ends in gb (-1 stands for a grid
+    # point inside the band).
+    zi = np.concatenate((first, last))  # the zero whose band each edge bounds
+    br = _container_grid(clo, chi, counts, (cid[zi], np.concatenate((at[1, first], at[2, last]))))
+    gb = np.concatenate((np.stack((g[0, first], np.full(first.size, -1.0))), g[1:, last]), axis=1)
+    del cid, at, g
+    off = np.flatnonzero(np.concatenate((~on_lo[first], ~on_hi[last])))
+    if off.size:
+        upper = (off >= first.size).astype(int)
+        z = zi[off]
+        g_in = np.abs(trace_value(p, zeros[z], level)) - 1.0
+        k = np.searchsorted(ref, z)
+        swap = (g_in >= 0.0) & (near_abs[k] < 1.0)
+        br[1 - upper, off] = np.where(swap, near[k], zeros[z])
+        gb[1 - upper, off] = np.where(swap, near_abs[k] - 1.0, g_in)
+        slot = z + upper
+        opened = ~np.isnan(gap_pt[slot])
+        br[upper[opened], off[opened]] = gap_pt[slot[opened]]
+        gb[upper[opened], off[opened]] = gap_g[slot[opened]]
+    bad = np.flatnonzero(np.sign(gb[0]) == np.sign(gb[1]))
+    if bad.size:
+        raise RootIsolationError(
+            level, n, fibonacci(level), br.shape[1],
+            f"edge bracket ({br[0, bad[0]]}, {br[1, bad[0]]}) has no sign change of |x|-1",
+        )
+    return br, gb[0]
 
 
 def _solve_level(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, tol: float):
-    """Bands (lo, hi) of sigma_level inside the containers, plus the merge count."""
-    zeros, cid = _locate_zeros(p, level, clo, chi, tol)
-    slack = max(tol, 1e3 * np.finfo(float).eps * fibonacci(level))
+    """Bands (lo, hi) of sigma_level inside the containers, plus the merge count.
 
-    def g(EE):
-        return np.abs(trace_value(p, EE, level)) - 1.0
-
-    # Gap i lies between zeros i and i + 1; its edge brackets end at the
-    # container edges, or, when both zeros share a container, at a point
-    # between them where |x| > 1 + slack: the first golden-section probe
-    # that gets there, else the peak.  A peak of |x| at or below 1 + slack
-    # closes the gap.
-    gap_lo = chi[cid[:-1]]
-    gap_hi = clo[cid[1:]]
-    is_open = cid[1:] != cid[:-1]
-    same = np.flatnonzero(~is_open)
-    if same.size:
-        peak_pos, peak_val = _golden_max_abs(
-            p, level, zeros[same], zeros[same + 1], width=max(10.0 * tol, 1e-11),
-            above=1.0 + slack,
-        )
-        gap_lo[same] = gap_hi[same] = peak_pos
-        is_open[same] = ~(peak_val <= 1.0 + slack)
-    gaps = np.flatnonzero(is_open)
-    closed_gaps = len(zeros) - 1 - gaps.size
-
-    # Brackets alternate lower edge, upper edge, band by band.
-    blo = np.column_stack(
-        (np.append(clo[cid[0]], gap_hi[gaps]), np.append(zeros[gaps], zeros[-1]))
-    ).ravel()
-    bhi = np.column_stack(
-        (np.append(zeros[0], zeros[gaps + 1]), np.append(gap_lo[gaps], chi[cid[-1]]))
-    ).ravel()
-    g_lo, g_hi = g(np.concatenate((blo, bhi))).reshape(2, -1)
-    bad = np.flatnonzero(np.sign(g_lo) == np.sign(g_hi))
-    if bad.size:
-        raise RootIsolationError(
-            level, len(zeros), fibonacci(level), len(blo),
-            f"edge bracket ({blo[bad[0]]}, {bhi[bad[0]]}) has no sign change of |x|-1",
-        )
-    edges = _batch_bisect(g, blo, bhi, tol, g_lo)
-    lo, hi = _merge_intervals(edges[0::2], edges[1::2], MERGE_FACTOR * tol)
-    return lo, hi, closed_gaps + gaps.size + 1 - lo.size
+    The merge count is F_level less the band count: gaps closed by the peak
+    search plus those the merge at MERGE_FACTOR * tol joins.
+    """
+    br, g_lo = _edge_brackets(p, level, clo, chi, tol)
+    edges = _batch_bisect(
+        lambda EE: np.abs(trace_value(p, EE, level)) - 1.0, br[0], br[1], tol, g_lo
+    )
+    lo, hi = _merge_intervals(*edges.reshape(2, -1), MERGE_FACTOR * tol)
+    return lo, hi, fibonacci(level) - lo.size
 
 
 @lru_cache(maxsize=128)
@@ -370,14 +503,18 @@ def sigma_k(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
 
 
 def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
-    """sigma_k union sigma_{k+1}, the level-k outer cover of the spectrum."""
+    """sigma_k union sigma_{k+1}, the level-k outer cover of the spectrum.
+
+    Gaps of the union at most MERGE_FACTOR * tol wide are closed; merged_gaps
+    counts them.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     fine, finer = sigma_chain(p, k + 1, tol)[k - 1 :]
-    lo, hi = _merge_intervals(
-        np.r_[fine.lo, finer.lo], np.r_[fine.hi, finer.hi], gap=MERGE_FACTOR * float(tol)
-    )
-    return BandSet(lo, hi, "cover", k, p, float(tol))
+    lo, hi = _merge_intervals(np.r_[fine.lo, finer.lo], np.r_[fine.hi, finer.hi], gap=0.0)
+    close = lo[1:] - hi[:-1] <= MERGE_FACTOR * float(tol)
+    lo, hi = lo[np.append(True, ~close)], hi[np.append(~close, True)]
+    return BandSet(lo, hi, "cover", k, p, float(tol), int(np.count_nonzero(close)))
 
 
 def escape_spectrum(
@@ -411,15 +548,31 @@ def escape_spectrum(
             f"{window.width}, more than GRID_CAP = {GRID_CAP}"
         )
     n_cells = int(math.ceil(cells))
-    edges = np.linspace(window.lo, window.hi, n_cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    esc_edges, _, _ = escape_grid(p, edges, K_max)
-    esc_mids, _, _ = escape_grid(p, mids, K_max)
-    bounded_edges = ~esc_edges
-    keep = bounded_edges[:-1] | bounded_edges[1:] | ~esc_mids
+    # The cell edges are np.linspace(window.lo, window.hi, n_cells + 1), made
+    # with its arithmetic (i * step + lo, the last one hi) a block at a time,
+    # so a scan holds one flag per cell and no array of energies.
+    step = window.width / n_cells
+
+    def edges(i):
+        e = i * step + window.lo
+        e[i == n_cells] = window.hi
+        return e
+
+    keep = np.empty(n_cells, dtype=bool)
+    block = 1 << 16
+    for first in range(0, n_cells, block):
+        e = edges(np.arange(first, min(first + block, n_cells) + 1, dtype=float))
+        mids = e[:-1] + e[1:]
+        mids *= 0.5
+        bounded = ~escape_mask(p, e, K_max)
+        keep[first : first + mids.size] = (
+            ~escape_mask(p, mids, K_max) | bounded[:-1] | bounded[1:]
+        )
     # Runs of kept cells start where the step is +1 and end before a -1.
-    step = np.diff(keep.astype(np.int8), prepend=0, append=0)
-    return BandSet(edges[step == 1], edges[step == -1], "escape", K_max, p, float(grid_step))
+    runs = np.diff(keep.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    lo = edges(np.flatnonzero(runs == 1).astype(float))
+    hi = edges(np.flatnonzero(runs == -1).astype(float))
+    return BandSet(lo, hi, "escape", K_max, p, float(grid_step))
 
 
 def _distance_to_bands(xs: np.ndarray, bs: BandSet) -> np.ndarray:

@@ -320,14 +320,36 @@ def escape_grid(p: HoppingPair, E, K_max: int):
     Cells run in blocks of _BLOCK, so the scan's temporaries stay in cache
     and do not grow with the grid.
     """
+    E = np.asarray(E, dtype=float)
+    k_escape = np.full(E.size, -1, dtype=np.int64)
+    diverged = np.zeros(E.size, dtype=bool)
+    for cells, k, blown in _escapes(p, E.ravel(), K_max):
+        k_escape[cells] = k
+        diverged[blown] = True
+    k_escape = k_escape.reshape(E.shape)
+    return k_escape >= 0, k_escape, diverged.reshape(E.shape)
+
+
+def escape_mask(p: HoppingPair, E, K_max: int) -> np.ndarray:
+    """The escaped array of escape_grid alone, one byte per energy."""
+    E = np.asarray(E, dtype=float)
+    escaped = np.zeros(E.size, dtype=bool)
+    for cells, _, _ in _escapes(p, E.ravel(), K_max):
+        escaped[cells] = True
+    return escaped.reshape(E.shape)
+
+
+def _escapes(p: HoppingPair, flat: np.ndarray, K_max: int):
+    """The escape scan of escape_grid over a flat array, as it classifies cells.
+
+    Yields (cells, k, blown): the indices of the cells that escape at level
+    k, and those among them whose orbit is not finite.  The scan runs with
+    overflow and invalid-value warnings off, also at each yield.
+    """
     if K_max < 2:
         raise ValueError(f"K_max must be >= 2, got {K_max}")
-    E = np.asarray(E, dtype=float)
-    flat = E.ravel()
     thr = 1.0 + ESCAPE_GUARD
     z0 = _x_minus_one(p)
-    k_escape = np.full(flat.size, -1, dtype=np.int64)
-    diverged = np.zeros(flat.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, flat.size, _BLOCK):
             e = flat[start : start + _BLOCK]
@@ -339,16 +361,13 @@ def escape_grid(p: HoppingPair, E, K_max: int):
                 blown = ~(np.isfinite(x_cur) & np.isfinite(x_next))
                 done = blown | ((np.abs(x_cur) > thr) & (np.abs(x_next) > thr))
                 if done.any():
-                    k_escape[running[done]] = k
-                    diverged[running[blown]] = True
+                    yield running[done], k, running[blown]
                     keep = ~done
                     running = running[keep]
                     x_next, x_cur, x_prev = x_next[keep], x_cur[keep], x_prev[keep]
                 if k == K_max - 2 or not running.size:
                     break
                 x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
-    k_escape = k_escape.reshape(E.shape)
-    return k_escape >= 0, k_escape, diverged.reshape(E.shape)
 
 
 def _signed_log_sub(mA: float, sA: int, mB: float, sB: int) -> tuple[float, int]:

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import fibjacobi.bands as bands_module
 from fibjacobi.bands import (
     BandSet,
     EnergyWindow,
@@ -30,7 +31,7 @@ from fibjacobi.bands import (
     _merge_intervals,
 )
 from fibjacobi.tracemap import HoppingPair, escape_classify, trace_bound, trace_value
-from fibjacobi.words import fibonacci
+from fibjacobi.words import fib_prefix, fibonacci
 
 P11 = HoppingPair(1, 1)
 P12 = HoppingPair(1, 2)
@@ -395,6 +396,12 @@ def test_container_grid_matches_linspace():
     ref = np.concatenate([np.linspace(a, b, n) for a, b, n in zip(lo, hi, counts)])
     assert grid.tobytes() == ref.tobytes()
     assert np.array_equal(grid[np.cumsum(counts) - 1], hi)
+    # Pairs of adjacent points of one container, the last pair included.
+    c = np.repeat(np.arange(40), 3)
+    i = np.concatenate([(0, rng.integers(0, n - 1), n - 2) for n in counts])
+    start = np.cumsum(counts) - counts
+    pairs = _container_grid(lo, hi, counts, (c, i))
+    assert pairs.tobytes() == np.stack((grid[start[c] + i], grid[start[c] + i + 1])).tobytes()
 
 
 def test_deterministic_recompute():
@@ -470,3 +477,102 @@ def test_gap_search_early_exit_edge_bound(monkeypatch):
             assert (e.lo.size, e.merged_gaps) == (f.lo.size, f.merged_gaps), (a, b, e.level)
             assert np.abs(e.lo - f.lo).max() <= TOL / 2, (a, b, e.level)
             assert np.abs(e.hi - f.hi).max() <= TOL / 2, (a, b, e.level)
+
+
+def test_cover_counts_its_merges():
+    # At (1, 20), sigma_13 union sigma_14 has two gaps about 6.5e-10 wide near
+    # E = 0 (gap labels +-305), which the cover closes at MERGE_FACTOR * tol.
+    c = cover(HoppingPair(1, 20), 13)
+    assert (c.lo.size, c.merged_gaps) == (753, 2)
+    assert "merged_gaps" not in json.loads(bandset_to_json(c))
+    # Without merges the count is 0.
+    assert cover(P12, 14).merged_gaps == 0
+
+
+def _floquet_bands(p: HoppingPair, k: int, tol: float):
+    """sigma_k from one F_k period with periodic and antiperiodic corners.
+
+    The band edges of the F_k-periodic operator are the eigenvalues of the
+    two Floquet matrices, sorted and paired (van Moerbeke 1976); bands closer
+    than MERGE_FACTOR * tol merge, as the solver merges them.
+    """
+    h = np.array([p.a if ch == "a" else p.b for ch in fib_prefix(k)])
+    site = np.arange(h.size)
+    eig = []
+    for corner in (1.0, -1.0):
+        bond = h.copy()
+        bond[-1] *= corner
+        m = np.zeros((h.size, h.size))
+        np.add.at(m, (site, (site + 1) % h.size), bond)
+        np.add.at(m, ((site + 1) % h.size, site), bond)
+        eig.append(np.linalg.eigvalsh(m))
+    e = np.sort(np.concatenate(eig))
+    lo, hi = _merge_intervals(e[0::2], e[1::2], MERGE_FACTOR * tol)
+    return BandSet(lo, hi, "sigma_k", k, p, tol)
+
+
+# b/a over the supported range, and the level where the chain stops with
+# RootIsolationError (None: it reaches level 14).
+FLOQUET_RATIOS = ((1.0001, None), (1.05, None), (1.3, None), (2.0, None), (3.3, None),
+                  (4.7, None), (9.0, None), (20.0, None), (40.0, 13), (100.0, 11))
+
+
+@pytest.mark.parametrize("ratio, failing", FLOQUET_RATIOS)
+def test_bands_match_floquet_oracle(ratio, failing):
+    p = HoppingPair(1.0, ratio)
+    for k in range(1, 15):
+        if k == failing:
+            with pytest.raises(RootIsolationError, match=f"level {k}: "):
+                sigma_k(p, k, TOL)
+            return
+        got = sigma_k(p, k, TOL)
+        want = _floquet_bands(p, k, TOL)
+        assert got.lo.size == want.lo.size, (ratio, k)
+        assert hausdorff_distance(got, want) <= TOL, (ratio, k)
+    assert failing is None
+
+
+def test_edge_brackets_are_certified(monkeypatch):
+    # Every edge bracket passed to _batch_bisect has |x_k| > 1 at its outer
+    # end (in the gap) and |x_k| <= 1 at its inner end, which lies in the band
+    # the bisection returns: lower edges are [outer, inner], upper edges
+    # [inner, outer].  At (1, 2.27) the sign grid brackets almost every edge,
+    # so zero bisection runs on few bands.
+    calls = []
+    solve = bands_module._solve_level
+    bisect = bands_module._batch_bisect
+
+    def spy_solve(p, level, clo, chi, tol):
+        calls.append((p, level, []))
+        return solve(p, level, clo, chi, tol)
+
+    def spy_bisect(fn, lo, hi, tol, f_lo=None, width=None):
+        roots = bisect(fn, lo, hi, tol, f_lo, width)
+        calls[-1][2].append((lo.copy(), hi.copy(), roots))
+        return roots
+
+    monkeypatch.setattr(bands_module, "_solve_level", spy_solve)
+    monkeypatch.setattr(bands_module, "_batch_bisect", spy_bisect)
+    for ratio, k in ((1.2, 16), (2.27, 18), (4.7, 16), (20.0, 13)):
+        _chain.cache_clear()
+        sigma_chain(HoppingPair(1.0, ratio), k, TOL)
+    _chain.cache_clear()
+    checked = 0
+    for p, level, bisections in calls:
+        *zeros, (lo, hi, edges) = bisections
+        assert len(zeros) <= 1
+        n_bands = lo.size // 2  # before the merge at MERGE_FACTOR * tol
+        x_lo = np.abs(trace_value(p, lo, level))
+        x_hi = np.abs(trace_value(p, hi, level))
+        lower = np.arange(lo.size) < n_bands
+        assert np.all(np.where(lower, x_lo, x_hi) > 1.0), (p, level)
+        assert np.all(np.where(lower, x_hi, x_lo) <= 1.0), (p, level)
+        inner = np.where(lower, hi, lo).reshape(2, -1)
+        band_lo, band_hi = edges.reshape(2, -1)
+        # Each edge lies within tol / 4 of its crossing.
+        assert np.all((band_lo - TOL / 4 <= inner) & (inner <= band_hi + TOL / 4)), (p, level)
+        checked += lo.size
+        if (p.b, level) == (2.27, 18):
+            assert n_bands == fibonacci(18)
+            assert sum(z[0].size for z in zeros) < 0.1 * n_bands
+    assert checked > 20_000

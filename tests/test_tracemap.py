@@ -22,6 +22,7 @@ from fibjacobi.tracemap import (
     TraceTriple,
     escape_classify,
     escape_grid,
+    escape_mask,
     finite_traces,
     growth_rate_after_escape,
     initial_triple,
@@ -454,6 +455,9 @@ def test_escape_grid_matches_masked_loop():
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(g, w)
+        mask = escape_mask(q, E, K)
+        assert mask.dtype == bool and mask.shape == want[0].shape
+        assert np.array_equal(mask, want[0])
     assert escape_grid(p, special, 25)[2][2:5].all()
     _, k_esc, diverged = escape_grid(tiny, np.array([1.8, -1.8]), 25)
     assert diverged.all() and (k_esc == 1).all()
