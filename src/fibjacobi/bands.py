@@ -7,27 +7,37 @@ per zero of x_k.  The solver exploits three exact structural facts:
   consecutive half-traces beyond 1 force escape (so the complement of the
   union is trace-expanding at level k);
 * counting: x_k has exactly F_k simple real zeros, so a sign-change search
-  that has found F_k zeros has found them all;
+  that has found F_k zeros has found them all; each search container, a
+  merged band of sigma_{k-1} union sigma_{k-2}, holds as many zeros of x_k
+  as of x_{k-1} and x_{k-2} together;
 * unimodality: |x_k| has exactly one interior peak between consecutive
   zeros, so any point between them with |x_k| > 1 splits the gap into two
   brackets that each hold exactly one crossing of |x_k| = 1.
 
-The sign grid that finds the zeros has usually evaluated a point on each
-side of both edges of every band, so an edge is bracketed by two adjacent
-grid points: an outer one with |x_k| > 1 in the gap (or a container end)
-and an inner one with |x_k| < 1 that unimodality places in the band.  A gap
-is open when a grid point between its zeros exceeds 1 + slack.  Only the
-rest is refined.  A zero is bisected where the grid does not bracket both
-edges of its band (a band narrower than the grid step, say) or where it
-bounds an unresolved gap.  A golden-section peak search decides each
-unresolved gap: its first probe above 1 + slack proves the gap open and
-bounds the edge brackets there, and a peak at or below 1 + slack certifies
-a closed gap.  Every edge is then bisected to within tol / 4 of its
-crossing.
-
 Levels are computed bottom-up; each level's bands become the next level's
 search containers, which keeps the work proportional to the band structure
-instead of the window volume.
+instead of the window volume.  The chain keeps, beside its band sets, the
+bands that hold more than one zero (a gap closed inside them), so each
+container's zero count is known before its level is solved.
+
+The sign grid gives each container a fixed number of points per zero it
+holds.  Where the global count of sign changes falls short of F_k, only the
+containers short of their own count are gridded again; F_k stays the
+certificate, and every grid doubles once a container's count contradicts
+its target.  The grid has usually evaluated a point on each side of both
+edges of every band, so an edge is bracketed by two adjacent grid points:
+an outer one with |x_k| > 1 in the gap (or a container end) and an inner
+one with |x_k| < 1 that unimodality places in the band.  A gap is open
+when a grid point between its zeros exceeds 1 + slack.  Only the rest is
+refined.  A zero is bisected where the grid does not bracket both edges of
+its band (a band narrower than the grid step, say) or where it bounds an
+unresolved gap.  A golden-section peak search decides each unresolved gap:
+its first probe above 1 + slack proves the gap open and bounds the edge
+brackets there, and a peak at or below 1 + slack certifies a closed gap.
+Every edge then ends within tol / 4 of its crossing: a level with more
+than _LOOKAHEAD_MAX edges runs regula falsi from |x_k| - 1 at both bracket
+ends, certified by one probe tol / 4 beyond the estimate, and a level with
+fewer bisects.
 
 A band set is arrays, not per-band objects: BandSet holds read-only lo and
 hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
@@ -63,6 +73,22 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # of the time at 256-512 brackets, 1.03-1.07 at 640-896 and 1.10-1.24 at
 # 1024-1280.
 _LOOKAHEAD_MAX = 512
+
+# Sign-grid points per zero a container is known to hold, and the local
+# doublings in a row without a new sign change after which _locate_zeros
+# doubles every container's grid.  Close pairs of zeros at b/a = 1.0001
+# took up to three such doublings before a fourth resolved them.
+_PER_ZERO = 8
+_IDLE_MAX = 4
+
+# _refine_edges probes for a certificate after a regula falsi step shorter
+# than this many tol, and bisects what _FALSI_ROUNDS steps leave open.  On
+# twelve deep chains (b/a 1.27-4.58 to levels 21-23) thresholds of 1/4,
+# 1/2, 1, 2 and 4 tol took 4.03, 3.96, 3.90, 3.86 and 3.85 calls per edge,
+# and left 0.27, 0.26, 0.25, 0.25 and 0.49% of the edges to bisection
+# after 8 steps (2.1% after 6 at 1 tol).
+_PROBE_AFTER = 2.0
+_FALSI_ROUNDS = 8
 
 
 class RootIsolationError(RuntimeError):
@@ -266,14 +292,21 @@ def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, at=None)
     return E
 
 
-def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray):
+def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray):
     """The F_level zeros of x_level inside the containers, as sign-grid data per zero.
 
-    Signs are sampled on per-container grids (about 8 F_level points in
-    total, distributed by length) and the grids double until the bracketed
-    count reaches F_level exactly; it can never exceed it, so equality
-    certifies completeness.  The grid is then reduced to per-zero values
-    before anything is refined; for zero i, in container cid[i]:
+    target[c] is the number of zeros container c holds (see sigma_chain).
+    Signs are sampled on a grid of _PER_ZERO * target[c] + 1 points per
+    container.  Where the bracketed count falls short of F_level, only the
+    containers with fewer sign changes than their target double their grids,
+    and the others keep their traces.  Once a container has more sign
+    changes than its target, none has fewer, or _IDLE_MAX local doublings
+    in a row found no new sign change (a target too high beside one too
+    low would keep doubling the same containers), every grid doubles
+    instead.  The count can never exceed F_level, so equality certifies
+    completeness whatever the targets say.  The grid is then reduced to
+    per-zero values before anything is refined; for zero i, in container
+    cid[i]:
 
     * at[:, i]: indices j in the zero's container whose pair of grid points
       (j, j + 1) brackets the zero, the band's lower edge and its upper edge
@@ -281,7 +314,7 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray):
       before the zero, or the first one after it, within the zero's own gaps
       (else the container end), and its neighbour towards the zero;
     * xz[:, i]: x_level at the zero pair's points;
-    * g[:, i]: |x| - 1 at the lower-edge pair's first point and at both
+    * g[:, i]: |x| - 1 at both points of the lower-edge pair, then at both
       points of the upper-edge pair;
     * on_grid[:, i]: whether the lower- and upper-edge pairs bracket the
       edge, that is, hold a point with |x| > 1 in the gap (or a container end)
@@ -290,17 +323,26 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray):
 
     counts is the grid's points per container, for _container_grid.
     """
-    target = fibonacci(level)
-    lens = chi - clo
-    total = float(lens.sum())
-    base = np.maximum(9, np.ceil(8.0 * target * lens / max(total, 1e-300)).astype(int) + 1)
-    mult = 1
+    total = fibonacci(level)
+    counts = _PER_ZERO * target + 1
+    local = True
+    last = idle = 0  # sign changes so far, local doublings in a row that found none
+    redo = None  # the containers whose grid doubled; None for all
+    x = None
     while True:
-        counts = base * mult
         n_pts = int(counts.sum())
         if n_pts > GRID_CAP:
-            raise RootIsolationError(level, -1, target, n_pts, "grid cap reached")
-        x = trace_value(p, _container_grid(clo, chi, counts), level)
+            raise RootIsolationError(level, -1, total, n_pts, "grid cap reached")
+        if redo is None:
+            del x  # before the doubled grid's traces are allocated
+            x = trace_value(p, _container_grid(clo, chi, counts), level)
+        else:
+            kept = x[~np.repeat(redo, old)]
+            fresh = np.repeat(redo, counts)
+            x = np.empty(n_pts)
+            x[fresh] = trace_value(p, _container_grid(clo[redo], chi[redo], counts[redo]), level)
+            x[~fresh] = kept
+            del kept, fresh
         s = x >= 0.0
         ends = np.cumsum(counts) - 1
         flip = s[:-1] != s[1:]
@@ -308,14 +350,22 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray):
         flip[ends[:-1]] = False  # pairs that straddle two containers
         flips = np.flatnonzero(flip)
         del flip
-        if len(flips) == target:
+        if len(flips) == total:
             break
-        if len(flips) > target:
+        if len(flips) > total:
             raise RootIsolationError(
-                level, len(flips), target, n_pts, "more sign changes than zeros exist"
+                level, len(flips), total, n_pts, "more sign changes than zeros exist"
             )
-        del x  # before the doubled grid's traces are allocated
-        mult *= 2
+        old = counts
+        if local:
+            found = np.bincount(np.searchsorted(ends, flips), minlength=clo.size)
+            redo = found < target
+            idle = idle + 1 if len(flips) == last else 0
+            last = len(flips)
+            local = redo.any() and not (found > target).any() and idle < _IDLE_MAX
+        if not local:
+            redo = None
+        counts = 2 * counts if redo is None else np.where(redo, 2 * counts, counts)
     cid = np.searchsorted(ends, flips)
     xz = np.stack((x[flips], x[flips + 1]))
     ax = np.abs(x, out=x)
@@ -342,22 +392,25 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray):
     has_hi &= j_hi <= bound
     del bound
     at = np.stack((flips, np.where(has_lo, j_lo, start), np.where(has_hi, j_hi, end) - 1))
-    g = ax[np.stack((at[1], at[2], at[2] + 1))] - 1.0
+    g = ax[np.stack((at[1], at[1] + 1, at[2], at[2] + 1))] - 1.0
     # The inner point lies in the zero's band when it is on the edge's side
     # of the zero, or on the other side before the first point with |x| > 1
     # (unimodality again); it must have |x| < 1.
     inside = (has_lo & (at[1] < flips)) | (has_hi & (at[2] > flips))
-    on_grid = np.stack((has_lo & inside & (ax[at[1] + 1] < 1.0), has_hi & inside & (g[1] < 0.0)))
+    on_grid = np.stack((has_lo & inside & (g[1] < 0.0), has_hi & inside & (g[2] < 0.0)))
     return cid, at - start, xz, g, on_grid, peak, counts
 
 
-def _edge_brackets(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, tol: float):
-    """Brackets of sigma_level's band edges, and |x| - 1 at their first ends.
+def _edge_brackets(
+    p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray, tol: float
+):
+    """Brackets of sigma_level's band edges, |x| - 1 at their ends, and zeros per band.
 
-    Column b of the (2, 2 n_bands) bracket array holds the lower edge of
-    band b, column n_bands + b its upper edge.
+    Column b of the (2, 2 n_bands) bracket and value arrays holds the lower
+    edge of band b, column n_bands + b its upper edge.  Band b holds
+    zeros[b] zeros of x_level: one, plus the gaps the peak search closed.
     """
-    cid, at, xz, g, (on_lo, on_hi), peak, counts = _locate_zeros(p, level, clo, chi)
+    cid, at, xz, g, (on_lo, on_hi), peak, counts = _locate_zeros(p, level, clo, chi, target)
     n = cid.size
     above = 1.0 + max(tol, 1e3 * np.finfo(float).eps * fibonacci(level))
 
@@ -419,11 +472,10 @@ def _edge_brackets(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray,
     del xz, peak, is_open, gaps
 
     # Lower edges [outer, inner], then upper edges [inner, outer], as the
-    # columns of br, with |x| - 1 at both ends in gb (-1 stands for a grid
-    # point inside the band).
+    # columns of br, with |x| - 1 at both ends in gb.
     zi = np.concatenate((first, last))  # the zero whose band each edge bounds
     br = _container_grid(clo, chi, counts, (cid[zi], np.concatenate((at[1, first], at[2, last]))))
-    gb = np.concatenate((np.stack((g[0, first], np.full(first.size, -1.0))), g[1:, last]), axis=1)
+    gb = np.concatenate((g[:2, first], g[2:, last]), axis=1)
     del cid, at, g
     off = np.flatnonzero(np.concatenate((~on_lo[first], ~on_hi[last])))
     if off.size:
@@ -441,30 +493,91 @@ def _edge_brackets(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray,
     bad = np.flatnonzero(np.sign(gb[0]) == np.sign(gb[1]))
     if bad.size:
         raise RootIsolationError(
-            level, n, fibonacci(level), br.shape[1],
+            level, n, fibonacci(level), int(counts.sum()),
             f"edge bracket ({br[0, bad[0]]}, {br[1, bad[0]]}) has no sign change of |x|-1",
         )
-    return br, gb[0]
+    return br, gb, last - first + 1
 
 
-def _solve_level(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, tol: float):
-    """Bands (lo, hi) of sigma_level inside the containers, plus the merge count.
+def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
+    """Roots of fn (vectorized, one sign change per bracket), each within tol / 4.
 
-    The merge count is F_level less the band count: gaps closed by the peak
-    search plus those the merge at MERGE_FACTOR * tol joins.
+    f_lo and f_hi are fn at lo and hi.  Up to _LOOKAHEAD_MAX brackets are
+    bisected.  Larger batches take regula falsi steps, each of which keeps
+    the bracket end across the root from its new point.  An end kept twice
+    in a row has its value scaled down, by the Illinois factor 1/2 (Dowell
+    and Jarratt, BIT 11 (1971)) or, where positive, by Anderson and
+    Bjorck's 1 - f(new) / f(previous) (BIT 13 (1973)), which took 3.9
+    calls per edge on deep band chains where 1/2 alone took 4.7.  A step that moves
+    the estimate by less than _PROBE_AFTER * tol is followed by a probe
+    tol / 4 from the new point towards the kept end; where the sign changes
+    between the two, the root is their midpoint, within tol / 8 of a sign
+    change.  A bracket narrower than tol / 4 ends the same way.  Brackets
+    still open after _FALSI_ROUNDS calls of fn are bisected.
     """
-    br, g_lo = _edge_brackets(p, level, clo, chi, tol)
-    edges = _batch_bisect(
-        lambda EE: np.abs(trace_value(p, EE, level)) - 1.0, br[0], br[1], tol, g_lo
+    if lo.size <= _LOOKAHEAD_MAX:
+        return _batch_bisect(fn, lo, hi, tol, f_lo)
+    quarter = 0.25 * tol
+    root = np.empty(lo.size)
+    idx = np.arange(lo.size)
+    # a is the newest point, b the end across the root from it.
+    a, fa, b, fb = hi, f_hi, lo, f_lo
+    probe = np.zeros(lo.size, dtype=bool)
+    for _ in range(_FALSI_ROUNDS):
+        c = np.where(probe, a + np.copysign(quarter, b - a), (a * fb - b * fa) / (fb - fa))
+        fc = fn(c)
+        across = (fc < 0.0) != (fa < 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 1.0 - fc / fa
+        b = np.where(across, a, b)
+        fb = np.where(across, fa, np.where(scale > 0.0, scale, 0.5) * fb)
+        done = (np.abs(c - b) <= quarter) | (probe & across)
+        probe = ~probe & (np.abs(c - a) < _PROBE_AFTER * tol)
+        a, fa = c, fc
+        if done.any():
+            root[idx[done]] = 0.5 * (a[done] + b[done])
+            keep = ~done
+            idx, a, fa, b, fb, probe = idx[keep], a[keep], fa[keep], b[keep], fb[keep], probe[keep]
+            if not idx.size:
+                return root
+    left = a < b
+    root[idx] = _batch_bisect(
+        fn, np.where(left, a, b), np.where(left, b, a), tol, np.where(left, fa, fb)
+    )
+    return root
+
+
+def _solve_level(
+    p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray, tol: float
+):
+    """Bands (lo, hi) of sigma_level inside the containers, the merge count, and multi.
+
+    target[c] is the number of zeros of x_level in container c.  The merge
+    count is F_level less the band count: gaps closed by the peak search
+    plus those the merge at MERGE_FACTOR * tol joins.  multi holds the index
+    and the zero count of each band with more than one zero of x_level, as
+    the two rows of an int array.
+    """
+    br, gb, zeros = _edge_brackets(p, level, clo, chi, target, tol)
+    edges = _refine_edges(
+        lambda EE: np.abs(trace_value(p, EE, level)) - 1.0, br[0], br[1], gb[0], gb[1], tol
     )
     lo, hi = _merge_intervals(*edges.reshape(2, -1), MERGE_FACTOR * tol)
-    return lo, hi, fibonacci(level) - lo.size
+    if lo.size < zeros.size:
+        band = np.searchsorted(lo, edges[: zeros.size], side="right") - 1
+        zeros = np.bincount(band, weights=zeros, minlength=lo.size).astype(int)
+    multi = np.flatnonzero(zeros > 1)
+    return lo, hi, fibonacci(level) - lo.size, np.stack((multi, zeros[multi]))
 
 
 @lru_cache(maxsize=128)
-def _chain(p: HoppingPair, tol: float) -> list[BandSet]:
-    """sigma_1, sigma_2, ... as far as computed at (p, tol); sigma_chain extends it."""
-    return []
+def _chain(p: HoppingPair, tol: float) -> tuple[list[BandSet], list[np.ndarray]]:
+    """sigma_1, sigma_2, ... as far as computed at (p, tol), and each level's multi.
+
+    multi is _solve_level's: the bands holding more than one zero of x_k.
+    sigma_chain extends both lists.
+    """
+    return [], []
 
 
 # Extending a cached chain is check-then-append on a shared list.
@@ -472,28 +585,41 @@ _CHAIN_LOCK = threading.Lock()
 
 
 def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[BandSet]:
-    """sigma_1 .. sigma_k_max, computed bottom-up (and cached per (p, tol))."""
+    """sigma_1 .. sigma_k_max, computed bottom-up (and cached per (p, tol)).
+
+    Level k searches the containers sigma_{k-1} union sigma_{k-2}, with band
+    edges inflated by MERGE_FACTOR * tol and overlaps merged (the window at
+    levels 1 and 2).  Each container holds as many zeros of x_k as of
+    x_{k-1} and x_{k-2} together, the zero count of Suto's containment
+    (CMP 111 (1987)), so those are _locate_zeros's targets.
+    """
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
     tol = float(tol)
     with _CHAIN_LOCK:
-        chain = _chain(p, tol)
+        chain, multi = _chain(p, tol)
         while len(chain) < k_max:
             k = len(chain) + 1
             if k <= 2:
                 win = energy_window(p)
                 clo, chi = np.array([win.lo]), np.array([win.hi])
+                target = np.array([fibonacci(k)])
             else:
                 inflate = MERGE_FACTOR * tol
-                clo, chi = _merge_intervals(
-                    np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate,
-                    np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate,
-                    gap=0.0,
+                lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
+                hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
+                clo, chi = _merge_intervals(lo, hi, gap=0.0)
+                cid = np.searchsorted(clo, lo, side="right") - 1
+                target = np.bincount(cid, minlength=clo.size)
+                band, zeros = np.concatenate(
+                    (multi[-1], multi[-2] + [[chain[-1].lo.size], [0]]), axis=1
                 )
-            lo, hi, merged = _solve_level(p, k, clo, chi, tol)
+                np.add.at(target, cid[band], zeros - 1)
+            lo, hi, merged, many = _solve_level(p, k, clo, chi, target, tol)
             chain.append(BandSet(lo, hi, "sigma_k", k, p, tol, merged))
+            multi.append(many)
         return chain[:k_max]
 
 

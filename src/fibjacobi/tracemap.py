@@ -51,6 +51,10 @@ _BLOCK = 1 << 13
 # at |E| < 2^-1021 max(a, b); with it, none of 6.7 million did.
 _SMALL_E = 2.0**-960
 
+# Share of a block's levels after which _trace_block checks once whether
+# the block has overflowed (see there).
+_CHECKPOINT = 2.0 / 3.0
+
 
 class TraceDivergedError(ArithmeticError):
     """Trace recursion produced a non-finite value."""
@@ -231,7 +235,12 @@ def _trace_block(e, k, a, b, z0, out, u_cur, u_prev, tmp) -> None:
     recomputed by _trace_exact: those whose u_k is not finite (u overflows
     once some x_j passes DBL_MAX / 2, and a non-finite value stays
     non-finite), and energies with |E| < _SMALL_E max(a, b).  One dot
-    product and one minimum clear a block of both.
+    product and one minimum clear a block of both.  A block that has
+    overflowed at more than _CHECKPOINT of its energies after _CHECKPOINT
+    of its levels goes to _trace_exact whole from there: on non-finite
+    data a u step costs about what a three-op step does, so the u loop's
+    remaining levels cost more than the finite rest of the block in
+    _trace_exact.  One dot product per block tells whether to count.
     """
     if math.isinf(2.0 * max(a, b)):
         # x_1 or x_0 divides by an infinite 2a or 2b, which E / a does not.
@@ -241,7 +250,12 @@ def _trace_block(e, k, a, b, z0, out, u_cur, u_prev, tmp) -> None:
     u_next = np.divide(e, a, out=out)
     np.divide(e, b, out=u_cur)
     u_prev.fill(2.0 * z0)
-    for _ in range(k - 1):
+    check = int(_CHECKPOINT * (k - 1))
+    for i in range(k - 1):
+        if i == check and not math.isfinite(np.dot(u_next, u_next)):
+            if np.count_nonzero(~np.isfinite(u_next)) > _CHECKPOINT * u_next.size:
+                out[:] = _trace_exact(e, k, a, b, z0)
+                return
         np.multiply(u_next, u_cur, out=tmp)
         np.subtract(tmp, u_prev, out=u_prev)
         u_next, u_cur, u_prev = u_prev, u_next, u_cur

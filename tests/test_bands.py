@@ -533,26 +533,39 @@ def test_bands_match_floquet_oracle(ratio, failing):
 
 
 def test_edge_brackets_are_certified(monkeypatch):
-    # Every edge bracket passed to _batch_bisect has |x_k| > 1 at its outer
+    # Every edge bracket passed to _refine_edges has |x_k| > 1 at its outer
     # end (in the gap) and |x_k| <= 1 at its inner end, which lies in the band
-    # the bisection returns: lower edges are [outer, inner], upper edges
+    # the refinement returns: lower edges are [outer, inner], upper edges
     # [inner, outer].  At (1, 2.27) the sign grid brackets almost every edge,
-    # so zero bisection runs on few bands.
+    # so zero bisection (_batch_bisect outside _refine_edges) runs on few bands.
     calls = []
     solve = bands_module._solve_level
     bisect = bands_module._batch_bisect
+    refine = bands_module._refine_edges
+    refining = []
 
-    def spy_solve(p, level, clo, chi, tol):
+    def spy_solve(p, level, clo, chi, target, tol):
         calls.append((p, level, []))
-        return solve(p, level, clo, chi, tol)
+        return solve(p, level, clo, chi, target, tol)
 
     def spy_bisect(fn, lo, hi, tol, f_lo=None, width=None):
         roots = bisect(fn, lo, hi, tol, f_lo, width)
+        if not refining:
+            calls[-1][2].append((lo.copy(), hi.copy(), roots))
+        return roots
+
+    def spy_refine(fn, lo, hi, f_lo, f_hi, tol):
+        refining.append(True)
+        try:
+            roots = refine(fn, lo, hi, f_lo, f_hi, tol)
+        finally:
+            refining.pop()
         calls[-1][2].append((lo.copy(), hi.copy(), roots))
         return roots
 
     monkeypatch.setattr(bands_module, "_solve_level", spy_solve)
     monkeypatch.setattr(bands_module, "_batch_bisect", spy_bisect)
+    monkeypatch.setattr(bands_module, "_refine_edges", spy_refine)
     for ratio, k in ((1.2, 16), (2.27, 18), (4.7, 16), (20.0, 13)):
         _chain.cache_clear()
         sigma_chain(HoppingPair(1.0, ratio), k, TOL)
@@ -576,3 +589,234 @@ def test_edge_brackets_are_certified(monkeypatch):
             assert n_bands == fibonacci(18)
             assert sum(z[0].size for z in zeros) < 0.1 * n_bands
     assert checked > 20_000
+
+
+def test_edge_bracket_error_counts_grid_points():
+    # The error names the level's sign-grid points, _PER_ZERO per zero plus
+    # one per container, not the number of edge brackets (2 * 377).
+    with pytest.raises(RootIsolationError, match="no sign change") as exc:
+        sigma_k(HoppingPair(1, 40), 13)
+    err = exc.value
+    assert (err.level, err.found, err.expected, err.points) == (13, 377, 377, 3305)
+    assert "isolated 377 of 377 trace zeros using 3305 grid points" in str(err)
+
+
+def _zeros_per_band(p: HoppingPair, k: int):
+    """sigma_1 .. sigma_k and the zeros of x_j in each band of sigma_j, as the chain keeps them."""
+    chain = sigma_chain(p, k, TOL)
+    zeros = []
+    for bs, (band, count) in zip(chain, _chain(p, TOL)[1]):
+        z = np.ones(bs.lo.size, dtype=int)
+        z[band] = count
+        zeros.append(z)
+    return chain, zeros
+
+
+def _x_zeros(p: HoppingPair, k: int) -> np.ndarray:
+    """The F_k zeros of x_k: eigenvalues of one F_k period with corner phase i.
+
+    The Floquet discriminant of the period is 2 x_k, and phase theta gives
+    the energies where it equals 2 cos theta.
+    """
+    h = np.array([p.a if ch == "a" else p.b for ch in fib_prefix(k)], dtype=complex)
+    site = np.arange(h.size)
+    h[-1] *= 1j
+    m = np.zeros((h.size, h.size), dtype=complex)
+    m[site, (site + 1) % h.size] += h
+    m[(site + 1) % h.size, site] += h.conj()
+    return np.linalg.eigvalsh(m)
+
+
+# b/a and the deepest level; at b/a = 20 and 40 the chain stops at levels 15 and 13.
+COUNT_RATIOS = ((1.0001, 16), (1.05, 16), (1.3, 16), (2.0, 16), (4.0, 16), (9.0, 16),
+                (20.0, 14), (40.0, 12))
+
+
+@pytest.mark.parametrize("ratio, k_max", COUNT_RATIOS)
+def test_containers_hold_the_zeros_of_both_parent_levels(ratio, k_max):
+    # Each search container of level k, a merged band of sigma_{k-1} union
+    # sigma_{k-2}, holds as many zeros of x_k as of x_{k-1} and x_{k-2}
+    # together, merged gaps included; these are _locate_zeros's targets.
+    p = HoppingPair(1.0, ratio)
+    _chain.cache_clear()
+    chain, zeros = _zeros_per_band(p, k_max)
+    _chain.cache_clear()
+    for k in range(1, k_max + 1):
+        assert zeros[k - 1].sum() == fibonacci(k)
+        assert zeros[k - 1].size == chain[k - 1].lo.size == fibonacci(k) - chain[k - 1].merged_gaps
+    inflate = MERGE_FACTOR * TOL
+    for k in range(3, k_max + 1):
+        parents = chain[k - 2], chain[k - 3]
+        clo, chi = _merge_intervals(np.concatenate([bs.lo for bs in parents]) - inflate,
+                                    np.concatenate([bs.hi for bs in parents]) + inflate, 0.0)
+
+        def per_container(j):
+            c = np.searchsorted(clo, chain[j - 1].lo, side="right") - 1
+            assert np.all((c >= 0) & (chain[j - 1].hi <= chi[c])), (ratio, k, j)
+            return np.bincount(c, weights=zeros[j - 1], minlength=clo.size)
+
+        assert np.array_equal(per_container(k), per_container(k - 1) + per_container(k - 2)), k
+    # The counts per band against the zeros themselves, at level 12.
+    bs = chain[11]
+    band = np.searchsorted(bs.lo, _x_zeros(p, 12), side="right") - 1
+    assert np.all(_x_zeros(p, 12) <= bs.hi[band])
+    assert np.array_equal(np.bincount(band, minlength=bs.lo.size), zeros[11])
+    if ratio == 1.0001:
+        # Two bands of sigma_16 hold two zeros each.
+        assert chain[15].merged_gaps == 2 and sorted(zeros[15])[-3:] == [1, 2, 2]
+
+
+def _spy_sign_grids(monkeypatch):
+    """Record each level's (p, level, containers, targets) and its full sign grids."""
+    levels = []
+    locate = bands_module._locate_zeros
+    grid = bands_module._container_grid
+
+    def spy_locate(p, level, clo, chi, target):
+        levels.append((p, level, clo, target, []))
+        return locate(p, level, clo, chi, target)
+
+    def spy_grid(lo, hi, counts, at=None):
+        E = grid(lo, hi, counts, at)
+        if at is None:
+            levels[-1][4].append((lo, counts, E))
+        return E
+
+    monkeypatch.setattr(bands_module, "_locate_zeros", spy_locate)
+    monkeypatch.setattr(bands_module, "_container_grid", spy_grid)
+    return levels
+
+
+def _sign_changes(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sign changes of x on each container's stretch of a concatenated grid."""
+    ends = np.cumsum(counts)
+    return np.array([np.count_nonzero(np.diff(x[e - n : e] >= 0.0)) for e, n in zip(ends, counts)])
+
+
+def _assert_same_bands(got, want):
+    for g, w in zip(got, want):
+        assert (g.lo.size, g.merged_gaps) == (w.lo.size, w.merged_gaps), g.level
+        assert np.abs(g.lo - w.lo).max() <= TOL / 2, g.level
+        assert np.abs(g.hi - w.hi).max() <= TOL / 2, g.level
+
+
+def test_short_containers_are_gridded_again_alone(monkeypatch):
+    # At 2 points per target zero some containers come up short.  Only they
+    # are gridded again, each with its own points doubled, and the band sets
+    # agree with the default allotment's.
+    cases = ((1.3, 16), (1.05, 14))
+    want = {}
+    for ratio, k in cases:
+        _chain.cache_clear()
+        want[ratio] = sigma_chain(HoppingPair(1.0, ratio), k, TOL)
+    monkeypatch.setattr(bands_module, "_PER_ZERO", 2)
+    levels = _spy_sign_grids(monkeypatch)
+    for ratio, k in cases:
+        _chain.cache_clear()
+        _assert_same_bands(sigma_chain(HoppingPair(1.0, ratio), k, TOL), want[ratio])
+    _chain.cache_clear()
+    regridded = 0
+    for p, level, clo, target, grids in levels:
+        (lo, counts, E), *again = grids
+        assert np.array_equal(lo, clo) and np.array_equal(counts, 2 * target + 1)
+        found = _sign_changes(trace_value(p, E, level), counts)
+        points = counts.copy()
+        for lo, counts, E in again:
+            redo = np.searchsorted(clo, lo)
+            assert np.array_equal(clo[redo], lo)
+            assert np.array_equal(redo, np.flatnonzero(found < target)), (p, level)
+            assert np.array_equal(counts, 2 * points[redo])
+            points[redo] = counts
+            found[redo] = _sign_changes(trace_value(p, E, level), counts)
+            regridded += 1
+        assert found.sum() == fibonacci(level) and np.array_equal(found, target)
+    assert regridded >= 20
+
+
+def _first_grid_changes(p, level, clo, chi, target):
+    """Sign changes per container on _locate_zeros's first grid for these targets."""
+    counts = bands_module._PER_ZERO * target + 1
+    return _sign_changes(trace_value(p, _container_grid(clo, chi, counts), level), counts)
+
+
+def _over(p, level, clo, chi, target):
+    # One zero moved from a container that still finds all of its zeros to
+    # its neighbour, at a level that is short: the first count exceeds a target.
+    for r in np.flatnonzero(target >= 2):
+        wrong = target.copy()
+        wrong[r] -= 1
+        wrong[r - 1] += 1
+        found = _first_grid_changes(p, level, clo, chi, wrong)
+        if found[r] > wrong[r] and found.sum() < fibonacci(level):
+            return wrong
+    return None
+
+
+def _stall(p, level, clo, chi, target):
+    # A short container's target lowered to what its grid then finds, the
+    # missing zeros added to its neighbour: no count exceeds its target, the
+    # neighbour is short for good and the short container is never doubled.
+    found = _first_grid_changes(p, level, clo, chi, target)
+    for b in np.flatnonzero(found < target):
+        for m in range(1, target[b]):
+            wrong = target.copy()
+            wrong[b] = m
+            wrong[b - 1] += target[b] - m
+            if _first_grid_changes(p, level, clo, chi, wrong)[b] == m:
+                return wrong
+    return None
+
+
+def test_wrong_targets_fall_back_to_global_doubling(monkeypatch):
+    # Targets that contradict the grid make every container's grid double:
+    # a count above its target at once, and a target too high beside one too
+    # low after _IDLE_MAX doublings that find nothing new.  The band sets
+    # stay the default ones.
+    p = HoppingPair(1.0, 1.3)
+    _chain.cache_clear()
+    want = sigma_chain(p, 14, TOL)
+    monkeypatch.setattr(bands_module, "_PER_ZERO", 2)
+    locate = bands_module._locate_zeros
+    for make in (_over, _stall):
+        changed = []
+
+        def wrong(p, level, clo, chi, target):
+            bad = make(p, level, clo, chi, target) if clo.size > 1 else None
+            if bad is not None:
+                changed.append(level)
+                target = bad
+            return locate(p, level, clo, chi, target)
+
+        monkeypatch.setattr(bands_module, "_locate_zeros", wrong)
+        levels = _spy_sign_grids(monkeypatch)
+        _chain.cache_clear()
+        _assert_same_bands(sigma_chain(p, 14, TOL), want)
+        _chain.cache_clear()
+        monkeypatch.setattr(bands_module, "_container_grid", _container_grid)
+        assert len(changed) >= 3, make
+        # Each changed level ends by doubling every container's grid at once.
+        for _, level, clo, _, grids in levels:
+            if level in changed:
+                assert grids[-1][0].size == clo.size and len(grids) >= 2, (make, level)
+
+
+def test_sign_grid_stays_within_its_allotment(monkeypatch):
+    # With targets that hold, no level's final sign grid has more than
+    # (_PER_ZERO + 1) F_k points, so a return to global doubling (or to an
+    # allotment by length) fails here, not only in the benchmark.
+    sizes = []
+    locate = bands_module._locate_zeros
+
+    def spy(p, level, clo, chi, target):
+        out = locate(p, level, clo, chi, target)
+        sizes.append((p.b, level, int(out[-1].sum())))
+        return out
+
+    monkeypatch.setattr(bands_module, "_locate_zeros", spy)
+    for ratio in (2.0, 1.3):
+        _chain.cache_clear()
+        sigma_chain(HoppingPair(1.0, ratio), 20, TOL)
+    _chain.cache_clear()
+    assert len(sizes) == 40
+    for b, level, n in sizes:
+        assert n <= (bands_module._PER_ZERO + 1) * fibonacci(level), (b, level, n)
