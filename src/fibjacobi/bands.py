@@ -16,22 +16,24 @@ per zero of x_k.  The solver exploits three exact structural facts:
 
 Levels are computed bottom-up; each level's bands become the next level's
 search containers, which keeps the work proportional to the band structure
-instead of the window volume.  The chain keeps, beside its band sets, the
-bands that hold more than one zero (a gap closed inside them), so each
-container's zero count is known before its level is solved.
+instead of the window volume.  sigma_k keeps every gap certified open, and
+joins bands only where refined edges touch, so each band holds one zero of
+x_k unless the peak search closed a gap inside it.  A container's target is
+the number of parent bands it holds: its zero count wherever no gap closed.
 
-The sign grid gives each container a fixed number of points per zero it
-holds.  Where the global count of sign changes falls short of F_k, only the
-containers short of their own count are gridded again; F_k stays the
+The sign grid gives each container a fixed number of points per target
+zero.  Where the global count of sign changes falls short of F_k, only the
+containers short of their own target are gridded again; F_k stays the
 certificate, and every grid doubles once a container's count contradicts
-its target.  The grid has usually evaluated a point on each side of both
-edges of every band, so an edge is bracketed by two adjacent grid points:
-an outer one with |x_k| > 1 in the gap (or a container end) and an inner
-one with |x_k| < 1 that unimodality places in the band.  A gap is open
-when a grid point between its zeros exceeds 1 + slack.  Only the rest is
-refined.  A zero is bisected where the grid does not bracket both edges of
-its band (a band narrower than the grid step, say) or where it bounds an
-unresolved gap.  A golden-section peak search decides each unresolved gap:
+its target, as it does where closed gaps make targets short.  The grid has
+usually evaluated a point on each side of both edges of every band, so an
+edge is bracketed by two adjacent grid points: an outer one with |x_k| > 1
+in the gap (or a container end) and an inner one with |x_k| < 1 that
+unimodality places in the band.  A gap is open when a grid point between
+its zeros exceeds 1 + slack.  Only the rest is refined.  A zero is bisected
+where the grid does not bracket both edges of its band (a band narrower
+than the grid step, say) or where it bounds an unresolved gap.  A
+golden-section peak search decides each unresolved gap:
 its first probe above 1 + slack proves the gap open and bounds the edge
 brackets there, and a peak at or below 1 + slack certifies a closed gap.
 Every edge then ends within tol / 4 of its crossing: a level with more
@@ -60,7 +62,8 @@ from .words import fibonacci
 DEFAULT_TOL = 1e-10
 MIN_TOL = 1e-13
 ENERGY_MARGIN = 1e-6
-# Band edges closer than MERGE_FACTOR * tol merge into one band.
+# Search containers are parent bands widened by MERGE_FACTOR * tol on each
+# side, and cover joins the gaps of its union at most MERGE_FACTOR * tol wide.
 MERGE_FACTOR = 10.0
 # Grid cap: sign-grid points per level of root isolation, cells of an escape scan.
 GRID_CAP = 1 << 24
@@ -118,10 +121,10 @@ class EnergyWindow:
         return self.hi - self.lo
 
 
-def energy_window(p: HoppingPair, margin: float = ENERGY_MARGIN) -> EnergyWindow:
-    """Norm-bound window with a margin, since edges can sit exactly at it."""
+def energy_window(p: HoppingPair) -> EnergyWindow:
+    """Norm-bound window widened by ENERGY_MARGIN, since edges can sit exactly at it."""
     m = p.norm_bound
-    return EnergyWindow(-m - margin, m + margin)
+    return EnergyWindow(-m - ENERGY_MARGIN, m + ENERGY_MARGIN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +132,10 @@ class BandSet:
     """Sorted disjoint closed bands [lo[i], hi[i]] with their provenance.
 
     lo, hi and bands, the (n, 2) array of [lo, hi] rows built on first use,
-    are read-only float arrays.  Band sets compare by identity.
+    are read-only float arrays.  Band sets compare by identity.  merged_gaps
+    is, for sigma_k, F_k less the band count: the gaps the peak search closed
+    (or where refined edges touch); for a cover, the gaps of its union at
+    most MERGE_FACTOR * tol wide that it joins; for an escape scan, 0.
     """
 
     lo: np.ndarray
@@ -295,7 +301,8 @@ def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, at=None)
 def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray):
     """The F_level zeros of x_level inside the containers, as sign-grid data per zero.
 
-    target[c] is the number of zeros container c holds (see sigma_chain).
+    target[c] is the number of parent bands container c holds (see
+    sigma_chain), its zero count unless a closed gap hides a zero from it.
     Signs are sampled on a grid of _PER_ZERO * target[c] + 1 points per
     container.  Where the bracketed count falls short of F_level, only the
     containers with fewer sign changes than their target double their grids,
@@ -303,7 +310,8 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
     changes than its target, none has fewer, or _IDLE_MAX local doublings
     in a row found no new sign change (a target too high beside one too
     low would keep doubling the same containers), every grid doubles
-    instead.  The count can never exceed F_level, so equality certifies
+    instead, so a target short by a closed gap falls back to global
+    doubling.  The count can never exceed F_level, so equality certifies
     completeness whatever the targets say.  The grid is then reduced to
     per-zero values before anything is refined; for zero i, in container
     cid[i]:
@@ -326,13 +334,13 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
     total = fibonacci(level)
     counts = _PER_ZERO * target + 1
     local = True
-    last = idle = 0  # sign changes so far, local doublings in a row that found none
+    last = idle = 0  # sign changes on the last grid, local doublings in a row that found none
     redo = None  # the containers whose grid doubled; None for all
     x = None
     while True:
         n_pts = int(counts.sum())
         if n_pts > GRID_CAP:
-            raise RootIsolationError(level, -1, total, n_pts, "grid cap reached")
+            raise RootIsolationError(level, last, total, n_pts, "grid cap reached")
         if redo is None:
             del x  # before the doubled grid's traces are allocated
             x = trace_value(p, _container_grid(clo, chi, counts), level)
@@ -361,8 +369,8 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
             found = np.bincount(np.searchsorted(ends, flips), minlength=clo.size)
             redo = found < target
             idle = idle + 1 if len(flips) == last else 0
-            last = len(flips)
             local = redo.any() and not (found > target).any() and idle < _IDLE_MAX
+        last = len(flips)
         if not local:
             redo = None
         counts = 2 * counts if redo is None else np.where(redo, 2 * counts, counts)
@@ -404,11 +412,10 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
 def _edge_brackets(
     p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray, tol: float
 ):
-    """Brackets of sigma_level's band edges, |x| - 1 at their ends, and zeros per band.
+    """Brackets of sigma_level's band edges and |x| - 1 at their ends.
 
     Column b of the (2, 2 n_bands) bracket and value arrays holds the lower
-    edge of band b, column n_bands + b its upper edge.  Band b holds
-    zeros[b] zeros of x_level: one, plus the gaps the peak search closed.
+    edge of band b, column n_bands + b its upper edge.
     """
     cid, at, xz, g, (on_lo, on_hi), peak, counts = _locate_zeros(p, level, clo, chi, target)
     n = cid.size
@@ -496,7 +503,7 @@ def _edge_brackets(
             level, n, fibonacci(level), int(counts.sum()),
             f"edge bracket ({br[0, bad[0]]}, {br[1, bad[0]]}) has no sign change of |x|-1",
         )
-    return br, gb, last - first + 1
+    return br, gb
 
 
 def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
@@ -504,10 +511,11 @@ def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
 
     f_lo and f_hi are fn at lo and hi.  Up to _LOOKAHEAD_MAX brackets are
     bisected.  Larger batches take regula falsi steps, each of which keeps
-    the bracket end across the root from its new point.  An end kept twice
-    in a row has its value scaled down, by the Illinois factor 1/2 (Dowell
-    and Jarratt, BIT 11 (1971)) or, where positive, by Anderson and
-    Bjorck's 1 - f(new) / f(previous) (BIT 13 (1973)), which took 3.9
+    the bracket end across the root from its new point; a step whose point
+    rounds outside the bracket takes its midpoint instead.  An end
+    kept twice in a row has its value scaled down, by the Illinois factor
+    1/2 (Dowell and Jarratt, BIT 11 (1971)) or, where positive, by Anderson
+    and Bjorck's 1 - f(new) / f(previous) (BIT 13 (1973)), which took 3.9
     calls per edge on deep band chains where 1/2 alone took 4.7.  A step that moves
     the estimate by less than _PROBE_AFTER * tol is followed by a probe
     tol / 4 from the new point towards the kept end; where the sign changes
@@ -524,7 +532,9 @@ def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
     a, fa, b, fb = hi, f_hi, lo, f_lo
     probe = np.zeros(lo.size, dtype=bool)
     for _ in range(_FALSI_ROUNDS):
-        c = np.where(probe, a + np.copysign(quarter, b - a), (a * fb - b * fa) / (fb - fa))
+        c = (a * fb - b * fa) / (fb - fa)
+        c = np.where((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), c, 0.5 * (a + b))
+        c = np.where(probe, a + np.copysign(quarter, b - a), c)
         fc = fn(c)
         across = (fc < 0.0) != (fa < 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -550,34 +560,25 @@ def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
 def _solve_level(
     p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray, tol: float
 ):
-    """Bands (lo, hi) of sigma_level inside the containers, the merge count, and multi.
+    """Bands (lo, hi) of sigma_level inside the containers, and the merge count.
 
-    target[c] is the number of zeros of x_level in container c.  The merge
-    count is F_level less the band count: gaps closed by the peak search
-    plus those the merge at MERGE_FACTOR * tol joins.  multi holds the index
-    and the zero count of each band with more than one zero of x_level, as
-    the two rows of an int array.
+    target[c] is _locate_zeros's target for container c.  Every gap the grid
+    or the peak search certified open stays; bands join only where their
+    refined edges touch or cross, as those of a gap narrower than tol / 4
+    can.  The merge count is F_level less the band count.
     """
-    br, gb, zeros = _edge_brackets(p, level, clo, chi, target, tol)
+    br, gb = _edge_brackets(p, level, clo, chi, target, tol)
     edges = _refine_edges(
         lambda EE: np.abs(trace_value(p, EE, level)) - 1.0, br[0], br[1], gb[0], gb[1], tol
     )
-    lo, hi = _merge_intervals(*edges.reshape(2, -1), MERGE_FACTOR * tol)
-    if lo.size < zeros.size:
-        band = np.searchsorted(lo, edges[: zeros.size], side="right") - 1
-        zeros = np.bincount(band, weights=zeros, minlength=lo.size).astype(int)
-    multi = np.flatnonzero(zeros > 1)
-    return lo, hi, fibonacci(level) - lo.size, np.stack((multi, zeros[multi]))
+    lo, hi = _merge_intervals(*edges.reshape(2, -1), 0.0)
+    return lo, hi, fibonacci(level) - lo.size
 
 
 @lru_cache(maxsize=128)
-def _chain(p: HoppingPair, tol: float) -> tuple[list[BandSet], list[np.ndarray]]:
-    """sigma_1, sigma_2, ... as far as computed at (p, tol), and each level's multi.
-
-    multi is _solve_level's: the bands holding more than one zero of x_k.
-    sigma_chain extends both lists.
-    """
-    return [], []
+def _chain(p: HoppingPair, tol: float) -> list[BandSet]:
+    """sigma_1, sigma_2, ... as far as computed at (p, tol); sigma_chain extends it."""
+    return []
 
 
 # Extending a cached chain is check-then-append on a shared list.
@@ -591,7 +592,9 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
     edges inflated by MERGE_FACTOR * tol and overlaps merged (the window at
     levels 1 and 2).  Each container holds as many zeros of x_k as of
     x_{k-1} and x_{k-2} together, the zero count of Suto's containment
-    (CMP 111 (1987)), so those are _locate_zeros's targets.
+    (CMP 111 (1987)).  A band of sigma_j holds one zero of x_j unless the
+    peak search closed a gap, so the parent bands a container holds are
+    _locate_zeros's target for it (F_k for the window).
     """
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
@@ -599,7 +602,7 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
     tol = float(tol)
     with _CHAIN_LOCK:
-        chain, multi = _chain(p, tol)
+        chain = _chain(p, tol)
         while len(chain) < k_max:
             k = len(chain) + 1
             if k <= 2:
@@ -611,15 +614,9 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
                 lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
                 hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
                 clo, chi = _merge_intervals(lo, hi, gap=0.0)
-                cid = np.searchsorted(clo, lo, side="right") - 1
-                target = np.bincount(cid, minlength=clo.size)
-                band, zeros = np.concatenate(
-                    (multi[-1], multi[-2] + [[chain[-1].lo.size], [0]]), axis=1
-                )
-                np.add.at(target, cid[band], zeros - 1)
-            lo, hi, merged, many = _solve_level(p, k, clo, chi, target, tol)
+                target = np.bincount(np.searchsorted(clo, lo, side="right") - 1, minlength=clo.size)
+            lo, hi, merged = _solve_level(p, k, clo, chi, target, tol)
             chain.append(BandSet(lo, hi, "sigma_k", k, p, tol, merged))
-            multi.append(many)
         return chain[:k_max]
 
 

@@ -294,9 +294,9 @@ def _eigenvector(e: np.ndarray, lam: float) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def edge_weight(v: np.ndarray, fraction: float = EDGE_FRACTION) -> float:
-    """Probability weight of a unit vector in the outer site fraction."""
-    m = int(math.ceil(fraction * v.size))
+def edge_weight(v: np.ndarray) -> float:
+    """Probability weight of a unit vector in its outer EDGE_FRACTION of sites at each end."""
+    m = int(math.ceil(EDGE_FRACTION * v.size))
     return float((v[:m] ** 2).sum() + (v[-m:] ** 2).sum())
 
 

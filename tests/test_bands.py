@@ -493,8 +493,8 @@ def _floquet_bands(p: HoppingPair, k: int, tol: float):
     """sigma_k from one F_k period with periodic and antiperiodic corners.
 
     The band edges of the F_k-periodic operator are the eigenvalues of the
-    two Floquet matrices, sorted and paired (van Moerbeke 1976); bands closer
-    than MERGE_FACTOR * tol merge, as the solver merges them.
+    two Floquet matrices, sorted and paired (van Moerbeke 1976).  No bands
+    are joined: at b != a every gap is open, and the solver keeps it.
     """
     h = np.array([p.a if ch == "a" else p.b for ch in fib_prefix(k)])
     site = np.arange(h.size)
@@ -507,8 +507,7 @@ def _floquet_bands(p: HoppingPair, k: int, tol: float):
         np.add.at(m, ((site + 1) % h.size, site), bond)
         eig.append(np.linalg.eigvalsh(m))
     e = np.sort(np.concatenate(eig))
-    lo, hi = _merge_intervals(e[0::2], e[1::2], MERGE_FACTOR * tol)
-    return BandSet(lo, hi, "sigma_k", k, p, tol)
+    return BandSet(e[0::2], e[1::2], "sigma_k", k, p, tol)
 
 
 # b/a over the supported range, and the level where the chain stops with
@@ -527,7 +526,7 @@ def test_bands_match_floquet_oracle(ratio, failing):
             return
         got = sigma_k(p, k, TOL)
         want = _floquet_bands(p, k, TOL)
-        assert got.lo.size == want.lo.size, (ratio, k)
+        assert got.lo.size == want.lo.size == fibonacci(k), (ratio, k)
         assert hausdorff_distance(got, want) <= TOL, (ratio, k)
     assert failing is None
 
@@ -601,15 +600,21 @@ def test_edge_bracket_error_counts_grid_points():
     assert "isolated 377 of 377 trace zeros using 3305 grid points" in str(err)
 
 
-def _zeros_per_band(p: HoppingPair, k: int):
-    """sigma_1 .. sigma_k and the zeros of x_j in each band of sigma_j, as the chain keeps them."""
-    chain = sigma_chain(p, k, TOL)
-    zeros = []
-    for bs, (band, count) in zip(chain, _chain(p, TOL)[1]):
-        z = np.ones(bs.lo.size, dtype=int)
-        z[band] = count
-        zeros.append(z)
-    return chain, zeros
+def test_regula_falsi_points_stay_inside_their_brackets():
+    # In this bracket |x_3| - 1 is -1.04e-14 at the lower end and 3.87 at the
+    # upper one, so the first regula falsi point rounds to one ulp below the
+    # lower end, where |x_3| - 1 is positive again.  Taken as it is, the
+    # tol / 4 test certifies that crossing, the band's lower edge.  Batches
+    # above _LOOKAHEAD_MAX take falsi steps; they must find the upper edge
+    # that bisecting one copy finds.
+    p = HoppingPair(0.23993068122206987, 5.550792379413606)
+    fn = lambda E: np.abs(trace_value(p, E, 3)) - 1.0
+    lo = np.full(_LOOKAHEAD_MAX + 1, 5.550792379413606)
+    hi = np.full(_LOOKAHEAD_MAX + 1, 5.6107750463)
+    roots = bands_module._refine_edges(fn, lo, hi, fn(lo), fn(hi), TOL)
+    want = _batch_bisect(fn, lo[:1], hi[:1], TOL)
+    assert want[0] == pytest.approx(5.571457253667, abs=1e-11)
+    assert np.abs(roots - want).max() <= TOL / 2
 
 
 def _x_zeros(p: HoppingPair, k: int) -> np.ndarray:
@@ -634,16 +639,16 @@ COUNT_RATIOS = ((1.0001, 16), (1.05, 16), (1.3, 16), (2.0, 16), (4.0, 16), (9.0,
 
 @pytest.mark.parametrize("ratio, k_max", COUNT_RATIOS)
 def test_containers_hold_the_zeros_of_both_parent_levels(ratio, k_max):
-    # Each search container of level k, a merged band of sigma_{k-1} union
-    # sigma_{k-2}, holds as many zeros of x_k as of x_{k-1} and x_{k-2}
-    # together, merged gaps included; these are _locate_zeros's targets.
+    # Each band of sigma_k holds one zero of x_k, so each search container of
+    # level k, a merged band of sigma_{k-1} union sigma_{k-2}, holds as many
+    # bands of sigma_k as of sigma_{k-1} and sigma_{k-2} together; the parent
+    # counts are _locate_zeros's targets.
     p = HoppingPair(1.0, ratio)
     _chain.cache_clear()
-    chain, zeros = _zeros_per_band(p, k_max)
+    chain = sigma_chain(p, k_max, TOL)
     _chain.cache_clear()
     for k in range(1, k_max + 1):
-        assert zeros[k - 1].sum() == fibonacci(k)
-        assert zeros[k - 1].size == chain[k - 1].lo.size == fibonacci(k) - chain[k - 1].merged_gaps
+        assert chain[k - 1].lo.size == fibonacci(k), k
     inflate = MERGE_FACTOR * TOL
     for k in range(3, k_max + 1):
         parents = chain[k - 2], chain[k - 3]
@@ -653,17 +658,25 @@ def test_containers_hold_the_zeros_of_both_parent_levels(ratio, k_max):
         def per_container(j):
             c = np.searchsorted(clo, chain[j - 1].lo, side="right") - 1
             assert np.all((c >= 0) & (chain[j - 1].hi <= chi[c])), (ratio, k, j)
-            return np.bincount(c, weights=zeros[j - 1], minlength=clo.size)
+            return np.bincount(c, minlength=clo.size)
 
         assert np.array_equal(per_container(k), per_container(k - 1) + per_container(k - 2)), k
-    # The counts per band against the zeros themselves, at level 12.
+    # One zero per band against the zeros themselves, at level 12.
     bs = chain[11]
-    band = np.searchsorted(bs.lo, _x_zeros(p, 12), side="right") - 1
-    assert np.all(_x_zeros(p, 12) <= bs.hi[band])
-    assert np.array_equal(np.bincount(band, minlength=bs.lo.size), zeros[11])
+    zeros = _x_zeros(p, 12)
+    band = np.searchsorted(bs.lo, zeros, side="right") - 1
+    assert np.all(zeros <= bs.hi[band])
+    assert np.array_equal(band, np.arange(fibonacci(12)))
     if ratio == 1.0001:
-        # Two bands of sigma_16 hold two zeros each.
-        assert chain[15].merged_gaps == 2 and sorted(zeros[15])[-3:] == [1, 2, 2]
+        # Two gaps of sigma_16 are narrower than 1e-9, the distance at which
+        # sigma_k once joined bands; each holds a point with |x_16| > 1 + slack.
+        bs = chain[15]
+        gaps = np.flatnonzero(bs.lo[1:] - bs.hi[:-1] < 1e-9)
+        assert gaps.size == 2
+        above = 1.0 + max(TOL, 1e3 * np.finfo(float).eps * fibonacci(16))
+        for i in gaps:
+            E = np.linspace(bs.hi[i], bs.lo[i + 1], 101)[1:-1]
+            assert np.abs(trace_value(p, E, 16)).max() > above, i
 
 
 def _spy_sign_grids(monkeypatch):
@@ -820,3 +833,25 @@ def test_sign_grid_stays_within_its_allotment(monkeypatch):
     assert len(sizes) == 40
     for b, level, n in sizes:
         assert n <= (bands_module._PER_ZERO + 1) * fibonacci(level), (b, level, n)
+
+
+def test_grid_cap_error_counts_the_last_grid(monkeypatch):
+    # The error names the sign changes on the last grid evaluated, and 0
+    # where the cap stops the first grid.
+    levels = _spy_sign_grids(monkeypatch)
+    monkeypatch.setattr(bands_module, "GRID_CAP", 200)
+    _chain.cache_clear()
+    with pytest.raises(RootIsolationError, match="grid cap reached") as exc:
+        sigma_k(P11, 12)
+    p, level, clo, target, grids = levels[-1]
+    lo, counts, E = grids[-1]
+    assert clo.size == lo.size == 1
+    found = int(_sign_changes(trace_value(p, E, level), counts).sum())
+    err = exc.value
+    assert (err.level, err.found, err.points) == (level, found, 2 * counts.sum())
+    assert 0 < err.found < err.expected == fibonacci(level) and err.points > 200
+    monkeypatch.setattr(bands_module, "GRID_CAP", 8)
+    _chain.cache_clear()
+    with pytest.raises(RootIsolationError, match="isolated 0 of 1 trace zeros using 9 grid"):
+        sigma_k(P11, 5)
+    _chain.cache_clear()
