@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tracemap import HoppingPair, escape_mask, trace_value
+from .tracemap import HoppingPair, escape_grid, trace_value
 from .words import fibonacci
 
 DEFAULT_TOL = 1e-10
@@ -234,8 +234,7 @@ def _batch_bisect(
 
 
 def _golden_max_abs(
-    p: HoppingPair, level: int, lo: np.ndarray, hi: np.ndarray, width: float,
-    above: float = math.inf,
+    p: HoppingPair, level: int, lo: np.ndarray, hi: np.ndarray, width: float, above: float
 ):
     """Peak position and value of |x_level| on unimodal brackets, or a point above `above`.
 
@@ -595,12 +594,18 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
     (CMP 111 (1987)).  A band of sigma_j holds one zero of x_j unless the
     peak search closed a gap, so the parent bands a container holds are
     _locate_zeros's target for it (F_k for the window).
+
+    At a = b, E = 2a cos(theta) gives x_k(E) = cos(F_k theta), so sigma_k is
+    the single band [-2a, 2a] holding all F_k zeros, returned as such.
     """
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
     tol = float(tol)
+    if p.equal:
+        m = np.array([p.norm_bound])
+        return [BandSet(-m, m, "sigma_k", k, p, tol, fibonacci(k) - 1) for k in range(1, k_max + 1)]
     with _CHAIN_LOCK:
         chain = _chain(p, tol)
         while len(chain) < k_max:
@@ -687,9 +692,9 @@ def escape_spectrum(
         e = edges(np.arange(first, min(first + block, n_cells) + 1, dtype=float))
         mids = e[:-1] + e[1:]
         mids *= 0.5
-        bounded = ~escape_mask(p, e, K_max)
+        bounded = ~escape_grid(p, e, K_max)[0]
         keep[first : first + mids.size] = (
-            ~escape_mask(p, mids, K_max) | bounded[:-1] | bounded[1:]
+            ~escape_grid(p, mids, K_max)[0] | bounded[:-1] | bounded[1:]
         )
     # Runs of kept cells start where the step is +1 and end before a -1.
     runs = np.diff(keep.view(np.int8), prepend=np.int8(0), append=np.int8(0))

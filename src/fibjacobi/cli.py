@@ -206,7 +206,6 @@ def cmd_dimension(args: argparse.Namespace) -> int:
                 f"{fitted[0].estimate.value:.4f} ({fitted[0].b:g}) -> "
                 f"{fitted[-1].estimate.value:.4f} ({fitted[-1].b:g})"
             )
-        text = sweep_to_csv(entries, args.kmax, tol)
         if _resolve_format(args) == "json":
             rows = [
                 {
@@ -221,7 +220,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
             ]
             _emit_json(cfg, {"k_max": args.kmax, "tol": tol, "rows": rows}, args.out)
         else:
-            header, _, body = text.partition("\n")
+            header, _, body = sweep_to_csv(entries, args.kmax, tol).partition("\n")
             _emit_csv(cfg, header, body.splitlines(), args.out)
         return EXIT_OK
     p = _hoppings(args)

@@ -135,15 +135,13 @@ def _finest(covers: Sequence[BandSet]) -> tuple[BandSet, bool]:
     return finest, bool(dev <= atol)
 
 
-def eps_ladder(covers: Sequence[BandSet], n_scales: int = 10) -> tuple[float, ...]:
-    """Geometric box-size ladder adapted to the finest cover.
+def eps_ladder(covers: Sequence[BandSet]) -> tuple[float, ...]:
+    """Geometric ladder of ten box sizes adapted to the finest cover.
 
     Runs from a quarter of the cover's extent down to its resolution:
     max(2 * mean band length, longest band), or 1/500 of the top scale
     when the covers have converged to an exact interval union.
     """
-    if n_scales < MIN_SCALES:
-        raise ValueError(f"need at least {MIN_SCALES} scales, got {n_scales}")
     finest, converged = _finest(covers)
     lengths = finest.hi - finest.lo
     emax = float(finest.hi[-1] - finest.lo[0]) / 4.0
@@ -156,7 +154,7 @@ def eps_ladder(covers: Sequence[BandSet], n_scales: int = 10) -> tuple[float, ..
             f"insufficient scale span: {emax:.3g} over {emin:.3g} is below two "
             "decades; deepen the cover or widen the window"
         )
-    return tuple(np.geomspace(emax, emin, n_scales))
+    return tuple(np.geomspace(emax, emin, 10))
 
 
 def box_dimension(covers: Sequence[BandSet], eps_list: Sequence[float]) -> DimensionEstimate:
@@ -252,7 +250,6 @@ def local_dimension(
     delta: float,
     k_max: int = 14,
     tol: float = DEFAULT_TOL,
-    n_scales: int = 10,
 ) -> DimensionEstimate:
     """Box-fit dimension of the cover restricted to (e_center +- delta).
 
@@ -270,7 +267,7 @@ def local_dimension(
     # Nesting makes the coarser restriction nonempty whenever the finer is.
     prev = _restrict(cover(p, k_max - 1, tol), lo, hi)
     restricted = [prev, fin]
-    return box_dimension(restricted, eps_ladder(restricted, n_scales))
+    return box_dimension(restricted, eps_ladder(restricted))
 
 
 def dimension_sweep(

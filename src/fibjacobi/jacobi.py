@@ -319,9 +319,7 @@ def _defect_excluding_edge_states(e, lam, bands):
     return 0.0, n_excluded
 
 
-def periodic_band_check(
-    p: HoppingPair, k: int, tol: float | None = None, m: int = DEFAULT_PERIODS
-) -> float:
+def periodic_band_check(p: HoppingPair, k: int, m: int = DEFAULT_PERIODS) -> float:
     """Max distance from periodized-chain eigenvalues to the sigma_k bands.
 
     Builds the free chain of m repetitions of the level-k block (m*F_k
@@ -333,9 +331,7 @@ def periodic_band_check(
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     jw = build_window((fib_prefix(k) * m)[:-1], p)
-    if tol is None:
-        tol = 1e-10 * p.norm_bound
-    lam = eigenvalues_free(jw, tol).values
+    lam = eigenvalues_free(jw, 1e-10 * p.norm_bound).values
     bands = sigma_k(p, k)
     defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, bands)
     inside = _distance_to_bands(lam, bands) == 0.0
@@ -346,9 +342,7 @@ def periodic_band_check(
     return defect
 
 
-def truncation_spectrum_consistency(
-    p: HoppingPair, k: int, L: int, tol: float | None = None
-) -> float:
+def truncation_spectrum_consistency(p: HoppingPair, k: int, L: int) -> float:
     """Max distance from bulk truncation eigenvalues to the level-k cover.
 
     The chain is the length-L truncation of the hull word (sites 1..L);
@@ -358,9 +352,7 @@ def truncation_spectrum_consistency(
     if L < 2 * fibonacci(k):
         raise ValueError(f"L must be >= 2 F_k = {2 * fibonacci(k)}, got {L}")
     jw = build_window(omega_s(1, L - 1), p)
-    if tol is None:
-        tol = 1e-10 * p.norm_bound
-    lam = eigenvalues_free(jw, tol).values
+    lam = eigenvalues_free(jw, 1e-10 * p.norm_bound).values
     defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, cover(p, k))
     return defect
 

@@ -51,10 +51,6 @@ _BLOCK = 1 << 13
 # at |E| < 2^-1021 max(a, b); with it, none of 6.7 million did.
 _SMALL_E = 2.0**-960
 
-# Share of a block's levels after which _trace_block checks once whether
-# the block has overflowed (see there).
-_CHECKPOINT = 2.0 / 3.0
-
 
 class TraceDivergedError(ArithmeticError):
     """Trace recursion produced a non-finite value."""
@@ -235,12 +231,7 @@ def _trace_block(e, k, a, b, z0, out, u_cur, u_prev, tmp) -> None:
     recomputed by _trace_exact: those whose u_k is not finite (u overflows
     once some x_j passes DBL_MAX / 2, and a non-finite value stays
     non-finite), and energies with |E| < _SMALL_E max(a, b).  One dot
-    product and one minimum clear a block of both.  A block that has
-    overflowed at more than _CHECKPOINT of its energies after _CHECKPOINT
-    of its levels goes to _trace_exact whole from there: on non-finite
-    data a u step costs about what a three-op step does, so the u loop's
-    remaining levels cost more than the finite rest of the block in
-    _trace_exact.  One dot product per block tells whether to count.
+    product and one minimum clear a block of both.
     """
     if math.isinf(2.0 * max(a, b)):
         # x_1 or x_0 divides by an infinite 2a or 2b, which E / a does not.
@@ -250,12 +241,7 @@ def _trace_block(e, k, a, b, z0, out, u_cur, u_prev, tmp) -> None:
     u_next = np.divide(e, a, out=out)
     np.divide(e, b, out=u_cur)
     u_prev.fill(2.0 * z0)
-    check = int(_CHECKPOINT * (k - 1))
-    for i in range(k - 1):
-        if i == check and not math.isfinite(np.dot(u_next, u_next)):
-            if np.count_nonzero(~np.isfinite(u_next)) > _CHECKPOINT * u_next.size:
-                out[:] = _trace_exact(e, k, a, b, z0)
-                return
+    for _ in range(k - 1):
         np.multiply(u_next, u_cur, out=tmp)
         np.subtract(tmp, u_prev, out=u_prev)
         u_next, u_cur, u_prev = u_prev, u_next, u_cur
@@ -332,36 +318,14 @@ def escape_grid(p: HoppingPair, E, K_max: int):
     level recurses only the orbits still running, so a classified cell
     keeps the level it escaped at and later overflow cannot reach it.
     Cells run in blocks of _BLOCK, so the scan's temporaries stay in cache
-    and do not grow with the grid.
-    """
-    E = np.asarray(E, dtype=float)
-    k_escape = np.full(E.size, -1, dtype=np.int64)
-    diverged = np.zeros(E.size, dtype=bool)
-    for cells, k, blown in _escapes(p, E.ravel(), K_max):
-        k_escape[cells] = k
-        diverged[blown] = True
-    k_escape = k_escape.reshape(E.shape)
-    return k_escape >= 0, k_escape, diverged.reshape(E.shape)
-
-
-def escape_mask(p: HoppingPair, E, K_max: int) -> np.ndarray:
-    """The escaped array of escape_grid alone, one byte per energy."""
-    E = np.asarray(E, dtype=float)
-    escaped = np.zeros(E.size, dtype=bool)
-    for cells, _, _ in _escapes(p, E.ravel(), K_max):
-        escaped[cells] = True
-    return escaped.reshape(E.shape)
-
-
-def _escapes(p: HoppingPair, flat: np.ndarray, K_max: int):
-    """The escape scan of escape_grid over a flat array, as it classifies cells.
-
-    Yields (cells, k, blown): the indices of the cells that escape at level
-    k, and those among them whose orbit is not finite.  The scan runs with
-    overflow and invalid-value warnings off, also at each yield.
+    and only the three result arrays grow with the grid.
     """
     if K_max < 2:
         raise ValueError(f"K_max must be >= 2, got {K_max}")
+    E = np.asarray(E, dtype=float)
+    flat = E.ravel()
+    k_escape = np.full(flat.size, -1, dtype=np.int64)
+    diverged = np.zeros(flat.size, dtype=bool)
     thr = 1.0 + ESCAPE_GUARD
     z0 = _x_minus_one(p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -375,13 +339,16 @@ def _escapes(p: HoppingPair, flat: np.ndarray, K_max: int):
                 blown = ~(np.isfinite(x_cur) & np.isfinite(x_next))
                 done = blown | ((np.abs(x_cur) > thr) & (np.abs(x_next) > thr))
                 if done.any():
-                    yield running[done], k, running[blown]
+                    k_escape[running[done]] = k
+                    diverged[running[blown]] = True
                     keep = ~done
                     running = running[keep]
                     x_next, x_cur, x_prev = x_next[keep], x_cur[keep], x_prev[keep]
                 if k == K_max - 2 or not running.size:
                     break
                 x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
+    k_escape = k_escape.reshape(E.shape)
+    return k_escape >= 0, k_escape, diverged.reshape(E.shape)
 
 
 def _signed_log_sub(mA: float, sA: int, mB: float, sB: int) -> tuple[float, int]:

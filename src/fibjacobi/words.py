@@ -107,19 +107,19 @@ class SignedWindow:
         return self.lo <= lo and hi <= self.hi
 
 
-def window_from_word(w: str, lo: int = 1) -> SignedWindow:
-    """Wrap a plain word as a window starting at position lo (default 1)."""
-    return SignedWindow(lo, lo + len(w) - 1, w)
+def window_from_word(w: str) -> SignedWindow:
+    """Wrap a plain word as a window starting at position 1."""
+    return SignedWindow(1, len(w), w)
 
 
-def periodize(w: str, n_letters: int, lo: int = 1) -> SignedWindow:
-    """Window of n_letters letters starting at position lo, repeating w."""
+def periodize(w: str, n_letters: int) -> SignedWindow:
+    """Window of n_letters letters starting at position 1, repeating w."""
     if not w:
         raise ValueError("cannot periodize the empty word")
     if n_letters > _MAX_LETTERS:
         raise WordLengthError(f"periodization of {n_letters} letters over the cap")
     reps = -(-n_letters // len(w))
-    return SignedWindow(lo, lo + n_letters - 1, (w * reps)[:n_letters])
+    return SignedWindow(1, n_letters, (w * reps)[:n_letters])
 
 
 def omega_s(lo: int, hi: int) -> SignedWindow:
@@ -157,27 +157,19 @@ def omega_s(lo: int, hi: int) -> SignedWindow:
     return SignedWindow(lo, hi, letters)
 
 
-def subwords(L: int, depth: int | None = None) -> set[str]:
+def subwords(L: int) -> set[str]:
     """All length-L factors of u, enumerated from S^depth(a).
 
-    depth defaults to the smallest m with F_{m+1} >= 3L + 4; every length-L
-    factor already occurs in a prefix of length about phi^2 L ~ 2.62 L, so
-    that is deep enough for the factor set to have stabilized.  The result
-    must have exactly L + 1 elements (Sturmian complexity); a smaller count
+    depth is the smallest m with F_{m+1} >= 3L + 4; every length-L factor
+    already occurs in a prefix of length about phi^2 L ~ 2.62 L, so that is
+    deep enough for the factor set to have stabilized.  The result must
+    have exactly L + 1 elements (Sturmian complexity); a smaller count
     means the depth was insufficient and is reported as such.
     """
     if L < 1:
         raise ValueError(f"subwords requires L >= 1, got {L}")
-    min_depth = _stable_depth(L)
-    if depth is None:
-        depth = min_depth
-    if depth < 1:
-        raise InsufficientDepthError(f"depth must be >= 1, got {depth}")
+    depth = _stable_depth(L)
     length = fibonacci(depth + 1)  # |S^depth(a)|
-    if length < L:
-        raise InsufficientDepthError(
-            f"S^{depth}(a) has {length} letters, shorter than L = {L}"
-        )
     if length > _MAX_LETTERS:
         raise WordLengthError(f"S^{depth}(a) has {length} letters, over the cap")
     word = fib_prefix(depth + 1)
@@ -185,7 +177,7 @@ def subwords(L: int, depth: int | None = None) -> set[str]:
     if len(found) != L + 1:
         raise InsufficientDepthError(
             f"factor set of length {L} at depth {depth} has {len(found)} "
-            f"elements, expected {L + 1}; increase depth (>= {min_depth})"
+            f"elements, expected {L + 1}"
         )
     return found
 

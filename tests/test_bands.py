@@ -34,6 +34,8 @@ from fibjacobi.tracemap import HoppingPair, escape_classify, trace_bound, trace_
 from fibjacobi.words import fib_prefix, fibonacci
 
 P11 = HoppingPair(1, 1)
+# The peak search closes gaps here: 1, 2, 2 and 5 of them at levels 2-5.
+P_CLOSING = HoppingPair(1, 1.00001)
 P12 = HoppingPair(1, 2)
 TOL = 1e-10
 
@@ -142,6 +144,16 @@ def test_free_case_collapses_to_single_band():
         assert bs.bands[0, 0] == pytest.approx(-2.0, abs=1e-8)
         assert bs.bands[0, 1] == pytest.approx(2.0, abs=1e-8)
         assert bs.merged_gaps == fibonacci(k) - 1
+
+
+def test_free_case_is_exact_at_level_20():
+    # At a = b, x_k(E) = cos(F_k theta) with E = 2a cos(theta), so sigma_k is
+    # [-2a, 2a] at every level, also where a sign grid would need more than
+    # GRID_CAP points to resolve the closest zeros.
+    bs = sigma_k(P11, 20)
+    assert bs.bands.tolist() == [[-2.0, 2.0]]
+    assert bs.merged_gaps == fibonacci(20) - 1 == 10945
+    assert sigma_k(HoppingPair(3, 3), 7).bands.tolist() == [[-6.0, 6.0]]
 
 
 def test_band_count_is_fibonacci_at_coupled_pair():
@@ -427,7 +439,7 @@ def test_gap_search_early_exit_keeps_every_decision(monkeypatch):
 
     def spy(p, level, lo, hi, width, above):
         pos, val = _golden_max_abs(p, level, lo, hi, width, above)
-        full_pos, full_val = _golden_max_abs(p, level, lo, hi, width)
+        full_pos, full_val = _golden_max_abs(p, level, lo, hi, width, math.inf)
         assert above == 1.0 + max(TOL, 1e3 * np.finfo(float).eps * fibonacci(level))
         np.testing.assert_array_equal(val <= above, full_val <= above)
         early = val > above
@@ -441,12 +453,12 @@ def test_gap_search_early_exit_keeps_every_decision(monkeypatch):
 
     monkeypatch.setattr("fibjacobi.bands._golden_max_abs", spy)
     _chain.cache_clear()
-    # Up to level 14 every gap at b != a exits early; at b = a every gap
-    # closes with a peak of exactly 1, which runs the full search.
+    # Up to level 14 every gap at b/a >= 1.0001 exits early; at b/a = 1.00001
+    # the peak search closes gaps, which runs the full search.
     for ratio in (1.0001, 1.05, 1.2, 2.0, 4.7, 20.0):
         sigma_chain(HoppingPair(1.0, ratio), 14, TOL)
     assert seen["full"] == 0
-    sigma_chain(P11, 14, TOL)
+    sigma_chain(P_CLOSING, 14, TOL)
     _chain.cache_clear()
     assert seen["early"] > 0 and seen["full"] > 0
 
@@ -462,7 +474,7 @@ def test_gap_search_early_exit_edge_bound(monkeypatch):
     # moves each band edge by at most tol / 2 (both bisections end within
     # tol / 4 of the same root) and changes no band count or merge.
     def full_search(p, level, lo, hi, width, above):
-        return _golden_max_abs(p, level, lo, hi, width)
+        return _golden_max_abs(p, level, lo, hi, width, math.inf)
 
     for a, b, k in GOLDEN_COUPLINGS:
         p = HoppingPair(a, b)
@@ -842,7 +854,7 @@ def test_grid_cap_error_counts_the_last_grid(monkeypatch):
     monkeypatch.setattr(bands_module, "GRID_CAP", 200)
     _chain.cache_clear()
     with pytest.raises(RootIsolationError, match="grid cap reached") as exc:
-        sigma_k(P11, 12)
+        sigma_k(P_CLOSING, 12)
     p, level, clo, target, grids = levels[-1]
     lo, counts, E = grids[-1]
     assert clo.size == lo.size == 1
@@ -853,5 +865,5 @@ def test_grid_cap_error_counts_the_last_grid(monkeypatch):
     monkeypatch.setattr(bands_module, "GRID_CAP", 8)
     _chain.cache_clear()
     with pytest.raises(RootIsolationError, match="isolated 0 of 1 trace zeros using 9 grid"):
-        sigma_k(P11, 5)
+        sigma_k(P_CLOSING, 5)
     _chain.cache_clear()

@@ -8,7 +8,6 @@ ranges large enough to exercise the generation code paths.
 import pytest
 
 from fibjacobi.words import (
-    InsufficientDepthError,
     SignedWindow,
     WindowCoverageError,
     WordLengthError,
@@ -99,8 +98,8 @@ def test_window_from_word_and_periodize():
     assert (w.lo, w.hi, w.letters) == (1, 5, "abaab")
     p = periodize("ab", 5)
     assert p.letters == "ababa"
-    p2 = periodize("aba", 7, lo=0)
-    assert (p2.lo, p2.hi, p2.letters) == (0, 6, "abaabaa")
+    p2 = periodize("aba", 7)
+    assert (p2.lo, p2.hi, p2.letters) == (1, 7, "abaabaa")
     with pytest.raises(ValueError):
         periodize("", 3)
 
@@ -156,10 +155,7 @@ def test_subwords_complexity():
             assert "aaa" not in f
 
 
-def test_subwords_depth_control():
-    assert subwords(3, depth=8) == subwords(3)
-    with pytest.raises(InsufficientDepthError):
-        subwords(10, depth=2)
+def test_subwords_validation():
     with pytest.raises(ValueError):
         subwords(0)
 
@@ -208,4 +204,4 @@ def test_square_prefix_check_window_too_short():
         square_prefix_check(omega_s(1, 5), 2)
     # A window missing position 1 cannot be checked even if it is long.
     with pytest.raises(WindowCoverageError):
-        square_prefix_check(window_from_word("ab" * 5, lo=2), 2)
+        square_prefix_check(SignedWindow(2, 11, "ab" * 5), 2)
