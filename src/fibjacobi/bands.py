@@ -602,6 +602,8 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
         raise ValueError(f"k must be >= 1, got {k_max}")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
+    if not math.isfinite(p.norm_bound):
+        raise ValueError(f"norm bound 2 max(a, b) overflows at a = {p.a!r}, b = {p.b!r}")
     tol = float(tol)
     if p.equal:
         m = np.array([p.norm_bound])

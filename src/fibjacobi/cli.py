@@ -279,9 +279,11 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     p = _hoppings(args)
     if (args.k is None) == (args.letters is None):
         raise ValueError("give exactly one of --k or --letters")
-    letters = fib_prefix(args.k) if args.k is not None else args.letters
-    letters = letters * args.repeats
-    win = build_window(letters, p)
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    word = fib_prefix(args.k) if args.k is not None else args.letters
+    # periodize checks the letters, and their count against the cap before building them.
+    win = build_window(periodize(word, len(word) * args.repeats), p)
     eig = eigenvalues_free(win)
     vals = eig.values.tolist()
     cfg = _config_payload(args)

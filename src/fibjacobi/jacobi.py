@@ -18,7 +18,17 @@ n - count(s).  A pass therefore counts only at the distinct |s|.  The
 mirror breaks where a pivot comes out exactly zero, because the nudge to
 -tiny has one sign; shift 0, and every shift whose mirror had a zero
 pivot, is counted directly.  Windows whose squared hoppings leave the
-normal double range are bisected scaled by a power of two.  Free
+normal double range are bisected scaled by a power of two.
+
+Windows cut from the hull repeat a few blocks (w^M, s_k = s_{k-1} s_{k-2}),
+and the negative-pivot count composes over blocks, as the rotation number
+does (Johnson and Moser, Commun. Math. Phys. 84 (1982)).  So where the
+hopping word's prefixes have short periods, the bisection passes count by
+composing the 2x2 pivot maps of repeated blocks, reading only signs, in
+far fewer steps than one per site.  Products of blocks round differently
+from the site loop, so one site-loop pass then checks every eigenvalue's
+final bracket, and an eigenvalue that fails is bisected again with the
+site loop: the values stay those of the site loop bit for bit.  Free
 truncations sprout O(1) eigenvalues inside spectral gaps; those are
 finite-volume boundary artifacts, which the band-defect checks identify
 by their eigenvectors (weight concentrated in the outer 10% of sites)
@@ -37,7 +47,7 @@ import numpy as np
 
 from .bands import _distance_to_bands, cover, sigma_k
 from .tracemap import HoppingPair, trace_value
-from .words import fib_prefix, fibonacci, omega_s
+from .words import _check_word, fib_prefix, fibonacci, omega_s
 
 DEFAULT_PERIODS = 20
 EDGE_FRACTION = 0.1
@@ -94,6 +104,7 @@ def build_window(window, p: HoppingPair) -> JacobiWindow:
     letters = getattr(window, "letters", window)
     if len(letters) == 0:
         raise ValueError("empty window")
+    _check_word(letters)
     table = {"a": p.a, "b": p.b}
     return JacobiWindow(tuple(table[ch] for ch in letters))
 
@@ -155,24 +166,129 @@ def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.nda
     return count_all, zero_all
 
 
-def _mirrored_count(e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _mirrored_count(e2: np.ndarray, shifts: np.ndarray, plan=None) -> np.ndarray:
     """Sturm counts at shifts, from one pass at their distinct magnitudes.
 
     With zero diagonal every pivot at -s is exactly minus the pivot at s
     (IEEE division and subtraction are sign-symmetric), until a pivot is
     zero and the nudge to -tiny breaks the symmetry.  So a negative shift
     reads n - count(|s|) unless a pivot at |s| was zero; those shifts, like
-    shift 0 and NaN, are counted directly.
+    shift 0 and NaN, are counted directly.  With a plan the pass is
+    _block_count's, whose products at -s are likewise exact sign flips of
+    those at s.
     """
     n = e2.size + 1
     negative = shifts < 0.0
     mags, inv = np.unique(np.abs(shifts), return_inverse=True)
-    counts, zero = _sturm_count(e2, mags)
+    counts, zero = _sturm_count(e2, mags) if plan is None else _block_count(plan, e2, mags)
     count = np.where(negative, n - counts[inv], counts[inv])
     direct = negative & zero[inv]
     if direct.any():
         count[direct] = _sturm_count(e2, shifts[direct])[0]
     return count
+
+
+def _block_plan(e2: np.ndarray) -> list[tuple[int, int, int, list[int]]] | None:
+    """How _block_count composes the pivot map of a window, or None.
+
+    map(L) is the pivot map of the sites behind the first L hoppings.  A
+    prefix of the hopping word whose minimal period p (from the KMP failure
+    function) is below L is its first a letters, a = p 2^j the longest such
+    run that fits, then its first L - a letters; so map(L) is map(L - a)
+    after map(a), or map(L / 2) twice where a = L.  Any other prefix is site
+    L after map(L - 1).  Step (L, a, b, done) makes map(L) from map(a), then
+    map(b), or site L when b = 0, and done lists the maps used for the last
+    time.  w^M takes about |w| site steps and 2 log2 M compositions, and
+    s_k one per level.  None where the steps cost more than the site loop,
+    counting a step as eight sites (one costs 7 to 13 sites' time per shift).
+    """
+    word = e2.tolist()
+    m = len(word)
+    fail = [0] * (m + 1)
+    k = 0
+    for i in range(1, m):
+        while k and word[i] != word[k]:
+            k = fail[k]
+        if word[i] == word[k]:
+            k += 1
+        fail[i + 1] = k
+    parts: dict[int, tuple[int, int]] = {}
+    todo = [m]
+    while todo:
+        L = todo.pop()
+        if L in parts:
+            continue
+        p = L - fail[L]
+        a = p << ((L // p).bit_length() - 1)
+        parts[L] = (L - 1, 0) if p == L else (L // 2, L // 2) if a == L else (a, L - a)
+        todo += [x for x in parts[L] if x]
+    if 8 * len(parts) >= m:
+        return None
+    order = sorted(parts)
+    last = {x: L for L in order for x in parts[L] if x}
+    return [(L, *parts[L], [x for x in set(parts[L]) if last.get(x) == L]) for L in order]
+
+
+def _block_count(plan, e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sturm counts at shifts from the composed pivot maps of _block_plan.
+
+    Site i's pivot step q -> -shift - e_{i-1}^2 / q is the Moebius map of
+    M_i = [[-shift, -e_{i-1}^2], [1, 0]].  For a block B of sites and input
+    pivot r, the count of negative pivots in the block is
+    G_B - [r > r*] - [r < 0] + [F_B(r) < 0], with F_B the map of B, r* its
+    pole -B22 / B21 and G_B one integer per shift: 1 for a site, and
+    G_U + G_V - [(VU)21 U21 V21 > 0] for U then V.  Only signs are read,
+    and every product is rescaled by a power of two.  The window starts at
+    q_1 = -shift in front of the map of all its hoppings.  Shifts where a
+    sign read is exactly zero are counted by _sturm_count, whose zero flags
+    they return, and shift 0 (always one of them) by _pivots; the others
+    are not flagged.
+    Where products cancel, close to eigenvalues and further out at strong
+    coupling, these counts can differ from the site loop's, so
+    eigenvalues_free checks its final brackets with the site loop.
+    """
+    count = np.empty(shifts.shape, dtype=np.int64)
+    unsure = np.zeros(shifts.shape, dtype=bool)
+    hops = e2.tolist()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for cols in range(0, shifts.size, _BLOCK_SHIFTS):
+            neg = -shifts[cols : cols + _BLOCK_SHIFTS]
+            flag = unsure[cols : cols + _BLOCK_SHIFTS]
+            # map(L) is kept as (B, G_B - 1, B21 < 0).
+            maps = {}
+            for L, a, b, done in plan:
+                if b:
+                    (U, gu, su), (V, gv, sv) = maps[a], maps[b]
+                else:
+                    V = np.empty((2, 2, neg.size))
+                    V[0, 0], V[0, 1], V[1, 0], V[1, 1] = neg, -hops[L - 1], 1.0, 0.0
+                    gv, sv = 0, False
+                    if not a:
+                        maps[L] = V, gv, sv
+                        continue
+                    U, gu, su = maps[a]
+                for x in done:
+                    del maps[x]
+                W = np.einsum("ijs,jks->iks", V, U)
+                flag |= W[1, 0] == 0.0
+                sw = W[1, 0] < 0.0
+                W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=(0, 1)))[1])
+                maps[L] = W, gu + gv + (sw ^ su ^ sv), sw
+            B, g, sb = maps[len(hops)]
+            den = B[1, 0] * neg + B[1, 1]
+            num = B[0, 0] * neg + B[0, 1]
+            flag |= (den == 0.0) | (num == 0.0)
+            count[cols : cols + _BLOCK_SHIFTS] = (
+                g + 1 - ((den > 0.0) != sb) + ((num < 0.0) != (den < 0.0))
+            )
+    zero = shifts == 0.0
+    if zero.any():
+        # One shift through the site loop's steps, without its cost per pass.
+        count[zero] = np.count_nonzero(_pivots(e2, 0.0) < 0.0)
+    unsure &= ~zero
+    if unsure.any():
+        count[unsure], zero[unsure] = _sturm_count(e2, shifts[unsure])
+    return count, zero
 
 
 def _scaled_squares(e: np.ndarray) -> tuple[np.ndarray, int]:
@@ -199,21 +315,23 @@ def eigenvalue_count_below(j: JacobiWindow, shifts) -> np.ndarray:
 
 
 def _descend(
-    e2: np.ndarray, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray, depth: int
+    e2: np.ndarray, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray, depth: int, plan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brackets (lo, hi) of eigenvalues idx after depth more bisection rounds.
 
     Each distinct bracket gets the dyadic tree of its midpoints
     0.5 * (lo + hi) down to the given depth, and one Sturm pass counts at
-    all of them.  Eigenvalue i then walks down its bracket's tree and reads
-    the count only at the midpoints that one-shift-per-round bisection
-    would visit, so lo and hi come out bit for bit as from depth rounds.
+    all of them, by the block maps of plan where it is given.  Eigenvalue i
+    then walks down its bracket's tree and reads the count only at the
+    midpoints that one-shift-per-round bisection would visit, so lo and hi
+    come out bit for bit as from depth rounds.
     """
-    # Compare brackets by their bits, so a tree starts from the very values
-    # each of its eigenvalues carries.
-    keys = np.stack((lo.view(np.int64), hi.view(np.int64)), axis=1)
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    inv = inv.reshape(-1)
+    # Brackets keep the order of the eigenvalues, so equal ones are
+    # neighbours.  Compare them by their bits, so a tree starts from the very
+    # values each of its eigenvalues carries.
+    kl, kh = lo.view(np.int64), hi.view(np.int64)
+    new = np.concatenate(([True], (kl[1:] != kl[:-1]) | (kh[1:] != kh[:-1])))
+    first, inv = np.flatnonzero(new), np.cumsum(new) - 1
     # Level l holds one row of 2^l midpoints per bracket; the children of
     # node j are nodes 2j (lower half) and 2j + 1 (upper half).
     los, his = lo[first, None], hi[first, None]
@@ -223,7 +341,7 @@ def _descend(
         mids.append(mid)
         los = np.stack((los, mid), axis=2).reshape(first.size, -1)
         his = np.stack((mid, his), axis=2).reshape(first.size, -1)
-    counts = _mirrored_count(e2, np.concatenate([mid.ravel() for mid in mids]))
+    counts = _mirrored_count(e2, np.concatenate([mid.ravel() for mid in mids]), plan)
     node = np.zeros_like(idx)
     start = 0
     for mid in mids:
@@ -236,31 +354,70 @@ def _descend(
     return lo, hi
 
 
+def _site_path(
+    e2: np.ndarray, edge: float, hi: np.ndarray, idx: np.ndarray, rounds: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Where the site loop's bisection of eigenvalues idx leaves the path to hi.
+
+    From (-edge, edge), bisection ends at the brackets with upper ends hi by
+    keeping the lower half exactly where the midpoint is at or above hi.
+    One site-loop pass counts at every midpoint of those paths.  Returns the
+    first round at which a count, for any of idx, keeps the other half, and
+    the brackets entering that round; up to there the site loop alone
+    visits the same midpoints.
+    """
+    a, b = np.full(idx.size, -edge), np.full(idx.size, edge)
+    los, his = [], []
+    for _ in range(rounds):
+        los.append(a)
+        his.append(b)
+        mid = 0.5 * (a + b)
+        below = mid >= hi
+        a, b = np.where(below, a, mid), np.where(below, mid, b)
+    mids = 0.5 * (np.array(los) + np.array(his))
+    below = _mirrored_count(e2, mids.ravel()).reshape(mids.shape) > idx
+    t = int(np.argmax((below != (mids >= hi)).any(axis=1)))
+    return t, los[t], his[t]
+
+
 def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueList:
     """All eigenvalues of the free chain, each to absolute accuracy tol.
 
-    Bisection from [-bound - tol, bound + tol]: each round halves every
+    Bisection from [-bound - tol, bound + tol], bound = 2 max(h), taken
+    where _scaled_squares scales the window: each round halves every
     eigenvalue's bracket at 0.5 * (lo + hi) by the Sturm count there.  The
     first _SHARED_DEPTH rounds take one pass over the common start's tree,
-    later ones _LOCAL_DEPTH rounds per pass (_descend).
+    later ones _LOCAL_DEPTH rounds per pass (_descend).  Where the window
+    has a _block_plan, those passes count by composed block maps, and one
+    site-loop pass then checks count(lo) <= i < count(hi) at every final
+    bracket.  The count is monotone in the shift, so a bracket that passes
+    is the one the site loop alone gives; eigenvalues that fail are
+    bisected again with the site loop from the first round where it
+    disagrees (_site_path).
     """
     e = np.array(j.hoppings, dtype=float)
     n = len(e) + 1
-    bound = 2.0 * float(e.max())
-    if tol is None:
-        tol = 1e-10 * bound
     e2, s = _scaled_squares(e)
-    bound_s, tol_s = math.ldexp(bound, s), math.ldexp(tol, s)
-    lo = np.full(n, -bound_s - tol_s)
-    hi = np.full(n, bound_s + tol_s)
+    bound_s = 2.0 * math.ldexp(float(e.max()), s)
+    tol_s = 1e-10 * bound_s if tol is None else math.ldexp(tol, s)
+    edge = bound_s + tol_s
+    rounds = max(1, int(math.ceil(math.log2(2 * edge / tol_s))))
     idx = np.arange(n)
-    rounds = max(1, int(math.ceil(math.log2((2 * bound_s + 2 * tol_s) / tol_s))))
-    done = 0
-    while done < rounds:
-        depth = min(_LOCAL_DEPTH if done else _SHARED_DEPTH, rounds - done)
-        lo, hi = _descend(e2, lo, hi, idx, depth)
-        done += depth
-    return EigenvalueList(np.ldexp(0.5 * (lo + hi), -s), float(tol), n, "free")
+    plan = _block_plan(e2)
+    lo, hi = np.full(n, -edge), np.full(n, edge)
+    lo, hi = _descend(e2, lo, hi, idx, min(rounds, _SHARED_DEPTH), plan)
+    for done in range(_SHARED_DEPTH, rounds, _LOCAL_DEPTH):
+        lo, hi = _descend(e2, lo, hi, idx, min(_LOCAL_DEPTH, rounds - done), plan)
+    if plan is not None:
+        count = _mirrored_count(e2, np.concatenate((lo, hi)))
+        wrong = np.flatnonzero((count[:n] > idx) | (count[n:] <= idx))
+        if wrong.size:
+            t, a, b = _site_path(e2, edge, hi[wrong], wrong, rounds)
+            for done in range(t, rounds, _LOCAL_DEPTH):
+                a, b = _descend(e2, a, b, wrong, min(_LOCAL_DEPTH, rounds - done), None)
+            lo[wrong], hi[wrong] = a, b
+    tol = math.ldexp(tol_s, -s) if tol is None else float(tol)
+    return EigenvalueList(np.ldexp(0.5 * (lo + hi), -s), tol, n, "free")
 
 
 def _pivots(e2: np.ndarray, shift: float) -> np.ndarray:

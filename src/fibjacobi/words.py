@@ -86,7 +86,7 @@ class SignedWindow:
                 f"window ({self.lo}, {self.hi}) needs {self.hi - self.lo + 1} "
                 f"letters, got {len(self.letters)}"
             )
-        _check_word(self.letters)
+        _check_word(self.letters, self.lo)
 
     def letter(self, n: int) -> str:
         if not self.lo <= n <= self.hi:
@@ -232,7 +232,12 @@ def square_prefix_check(w: SignedWindow, k: int) -> bool:
     return first in cyclic_conjugates(k)
 
 
-def _check_word(w: str) -> None:
-    bad = set(w) - set(ALPHABET)
-    if bad:
-        raise ValueError(f"word contains letters outside 'ab': {sorted(bad)!r}")
+def _check_word(w: str, first: int = 1) -> None:
+    """Reject a word with a letter outside 'ab', naming the first one and its position.
+
+    first is the position of w's first letter.
+    """
+    if set(w) <= set(ALPHABET):
+        return
+    i = next(i for i, ch in enumerate(w) if ch not in ALPHABET)
+    raise ValueError(f"word has letter {w[i]!r} outside 'ab' at position {first + i}")

@@ -156,6 +156,19 @@ def test_free_case_is_exact_at_level_20():
     assert sigma_k(HoppingPair(3, 3), 7).bands.tolist() == [[-6.0, 6.0]]
 
 
+@pytest.mark.parametrize("p", [HoppingPair(1e308, 5e307), HoppingPair(1e308, 1e308)])
+def test_infinite_norm_bound_is_refused_before_any_grid(p, monkeypatch):
+    # 2 max(a, b) overflows: a typed error naming the coupling, for b != a
+    # and for the a = b closed form, with no warning and no grid point.
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(bands_module, "_container_grid", no_grid)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=r"overflows at a = 1e\+308, b = .*e\+30"):
+            sigma_k(p, 3)
+
+
 def test_band_count_is_fibonacci_at_coupled_pair():
     for k in range(1, 17):
         bs = sigma_k(P12, k)

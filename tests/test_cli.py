@@ -343,6 +343,44 @@ def test_eigs_requires_exactly_one_window_source(capsys):
     assert run(capsys, "eigs", "--k", "3", "--letters", "ab")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--letters", "abc"), "letter 'c' outside 'ab' at position 3"),
+        (("--letters", "ab", "--repeats", "0"), "--repeats must be >= 1, got 0"),
+        (("--letters", "ab", "--repeats", "-2"), "--repeats must be >= 1, got -2"),
+        # 10^12 letters: refused by their count before any string is built.
+        (("--letters", "ab", "--repeats", str(5 * 10**11)), "1000000000000 letters over the cap"),
+        (("--k", "20", "--repeats", "5000"), "letters over the cap"),
+    ],
+)
+def test_eigs_window_checks_exit_2(capsys, extra, message):
+    code, out, err = run(capsys, "eigs", "--a", "1", "--b", "2", *extra)
+    assert code == EXIT_USAGE
+    assert message in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_eigs_past_double_range_of_the_norm_bound(capsys):
+    # 2 max(h) overflows; the eigenvalues themselves are finite.
+    code, out, err = run(
+        capsys, "eigs", "--a", "1e308", "--b", "5e307", "--letters", "ab", "--repeats", "3",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    result = json.loads(out.splitlines()[-1])["result"]
+    assert math.isfinite(result["tol"])
+    e = np.array([1.0, 0.5] * 3)
+    dense = 1e308 * np.linalg.eigvalsh(np.diag(e, 1) + np.diag(e, -1))
+    assert np.abs(np.array(result["values"]) - dense).max() <= result["tol"]
+
+
+def test_bands_with_infinite_norm_bound_exit_2(capsys):
+    code, _, err = run(capsys, "bands", "--a", "1e308", "--b", "5e307", "--k", "3")
+    assert code == EXIT_USAGE
+    assert "a = 1e+308, b = 5e+307" in err
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a = 1\nb = 2\nk = 3  # level\n")

@@ -1,11 +1,13 @@
 """Jacobi window spectra: Sturm solver, band defects, edge-state handling."""
 
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fibjacobi import jacobi
 from fibjacobi.jacobi import (
     EigenvalueList,
     JacobiWindow,
@@ -20,6 +22,8 @@ from fibjacobi.jacobi import (
     EDGE_FRACTION,
     EDGE_WEIGHT_LIMIT,
     _TINY,
+    _block_count,
+    _block_plan,
     _defect_excluding_edge_states,
     _eigenvector,
     _mirrored_count,
@@ -209,6 +213,159 @@ def test_eigenvalues_at_extreme_hopping_scales():
     # Shifts far outside the spectrum may overflow when scaled; they count
     # as below or above every eigenvalue.
     assert eigenvalue_count_below(tiny, [-1e200, 1e200]).tolist() == [0, jw.n_sites]
+
+
+def test_eigenvalues_past_double_range_of_the_norm_bound():
+    # 2 max(h) overflows to inf; bound and tol are taken scaled, so the
+    # eigenvalues 0 and +-sqrt(2) 1e308 come out finite, as does the tol.
+    eig = eigenvalues_free(JacobiWindow((1e308, 1e308)))
+    assert math.isfinite(eig.residual_bound)
+    assert eig.residual_bound == pytest.approx(2e298, rel=1e-15)
+    want = np.array([-math.sqrt(2.0) * 1e308, 0.0, math.sqrt(2.0) * 1e308])
+    assert np.all(np.abs(eig.values - want) <= eig.residual_bound)
+
+
+# Windows for the block counts: w^M (w = abab is itself periodic), s_k,
+# hull truncations, periodized s_k, weak and strong coupling, and scales
+# whose squares leave the double range.
+BLOCK_WINDOWS = {
+    "abbab^200 b/a=1.0001": build_window("abbab" * 200, HoppingPair(1, 1.0001)),
+    "abbab^200 b/a=100": build_window("abbab" * 200, HoppingPair(1, 100)),
+    "abab^150 b/a=2": build_window("abab" * 150, P12),
+    "abab^150 b/a=100": build_window("abab" * 150, HoppingPair(1, 100)),
+    **{f"s_{k} b/a=2": build_window(fib_prefix(k), P12) for k in (10, 13, 16)},
+    "s_14 b/a=1.0001": build_window(fib_prefix(14), HoppingPair(1, 1.0001)),
+    "omega_s(1, 900) b/a=2": build_window(omega_s(1, 900), P12),
+    "s_10^5 b/a=2": build_window((fib_prefix(10) * 5)[:-1], P12),
+    "s_12 x 1e-200": build_window(fib_prefix(12), HoppingPair(1e-200, 2e-200)),
+    "abaab^100 x 1e200": build_window("abaab" * 100, HoppingPair(1e200, 2e200)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_WINDOWS)
+def test_block_counts_equal_site_loop_away_from_eigenvalues(name):
+    # At random shifts and at shifts 1e5 eps |T| or more from every dense
+    # eigenvalue, in both signs, block counts equal the site loop's, and
+    # the mirror n - count(|s|) holds exactly for them.
+    jw = BLOCK_WINDOWS[name]
+    e2, s = _scaled_squares(np.array(jw.hoppings))
+    plan = _block_plan(e2)
+    assert plan is not None
+    bound = 2.0 * math.sqrt(e2.max())
+    lam = np.linalg.eigvalsh(_dense(np.sqrt(e2)))
+    unit = 1e5 * np.finfo(float).eps * bound
+    near = np.concatenate([lam + sign * d * unit for sign in (1, -1) for d in (1, 3, 30, 1e3)])
+    dist = np.abs(near[:, None] - lam[None, :]).min(axis=1)
+    rng = np.random.default_rng(17)
+    shifts = np.concatenate((rng.uniform(-bound, bound, 2000), near[dist >= unit]))
+    count, zero = _block_count(plan, e2, shifts)
+    assert np.array_equal(count, _sturm_count(e2, shifts)[0])
+    mirror, mirror_zero = _block_count(plan, e2, -shifts)
+    sure = ~(zero | mirror_zero)
+    assert np.array_equal(mirror[sure], jw.n_sites - count[sure])
+    assert np.array_equal(_mirrored_count(e2, shifts, plan), count)
+    # Eigenvalues lie within tol / 2 of the dense ones, scaled back.
+    eig = eigenvalues_free(jw)
+    assert np.abs(eig.values - np.ldexp(lam, -s)).max() <= eig.residual_bound / 2
+
+
+@pytest.mark.parametrize("word", ["abbab" * 200, fib_prefix(15), omega_s(1, 1000).letters])
+def test_block_plan_composes_prefixes(word):
+    # Each step's map covers a prefix made of the prefixes it composes, and
+    # maps are dropped after their last use; w^M and s_k take few steps.
+    e2 = build_window(word, HoppingPair(1, 2.5)).hoppings
+    plan = _block_plan(np.array(e2) ** 2)
+    made = set()
+    for L, a, b, done in plan:
+        if b:
+            assert word[:L] == word[:a] + word[:b]
+        else:
+            assert a == L - 1
+        assert {a, b} - {0} <= made
+        made |= {L}
+        made -= set(done)
+    assert made == {len(word)}
+    assert len(plan) <= 2 * math.log2(len(word)) + 5
+
+
+def test_aperiodic_words_take_the_site_loop(monkeypatch):
+    # No short period: composing would cost more than the sites themselves.
+    rng = np.random.default_rng(2)
+    word = "".join(rng.choice(["a", "b"], 600))
+    calls = []
+    monkeypatch.setattr("fibjacobi.jacobi._block_count", lambda *args: calls.append(args))
+    for jw in (build_window(word, P12), WINDOWS["coupled copies"]):
+        assert _block_plan(np.array(jw.hoppings) ** 2) is None
+        eig = eigenvalues_free(jw)
+        assert np.array_equal(eig.values, _bisect_reference(np.array(jw.hoppings)))
+    assert calls == []
+
+
+def test_certificate_rebisects_a_planted_error(monkeypatch):
+    # The block counter reads one too few in a short interval just above an
+    # eigenvalue; that eigenvalue's bracket ends up above it, the site loop
+    # rejects it, and it is bisected again: values equal the site loop's.
+    jw = build_window(fib_prefix(13), P12)
+    e = np.array(jw.hoppings)
+    want = _bisect_reference(e)
+    j = jw.n_sites - 40
+    lam = want[j]
+    real = _block_count
+    flipped = []
+
+    def planted(plan, e2, shifts):
+        count, zero = real(plan, e2, shifts)
+        hit = (shifts > lam) & (shifts < lam + 1e-7)
+        flipped.append(int(hit.sum()))
+        count[hit] -= 1
+        return count, zero
+
+    rechecked = []
+    real_path = jacobi._site_path
+
+    def spy(e2, edge, hi, idx, rounds):
+        rechecked.append(idx.tolist())
+        return real_path(e2, edge, hi, idx, rounds)
+
+    monkeypatch.setattr(jacobi, "_block_count", planted)
+    monkeypatch.setattr(jacobi, "_site_path", spy)
+    got = eigenvalues_free(jw).values
+    assert sum(flipped) > 0
+    # Counts at -s are read as n - count(|s|), so the mirror image of the
+    # eigenvalue is caught too.
+    assert rechecked == [[jw.n_sites - 1 - j, j]]
+    assert np.array_equal(got, want)
+
+
+def test_strong_coupling_hull_windows_lean_on_the_certificate(monkeypatch):
+    # At b/a = 100 products over s_k cancel far more than in the site loop:
+    # block counts on s_14 already disagree with it at some bisection
+    # midpoints, a few of them more than 1e5 eps |T| from any eigenvalue.
+    # The site-loop check rejects those brackets and re-bisects them.
+    jw = build_window(fib_prefix(14), HoppingPair(1, 100))
+    rechecked = []
+    real_path = jacobi._site_path
+
+    def spy(e2, edge, hi, idx, rounds):
+        rechecked.extend(idx.tolist())
+        return real_path(e2, edge, hi, idx, rounds)
+
+    monkeypatch.setattr(jacobi, "_site_path", spy)
+    got = eigenvalues_free(jw).values
+    assert rechecked
+    assert np.array_equal(got, _bisect_reference(np.array(jw.hoppings)))
+
+
+def test_block_passes_leave_no_reference_cycles():
+    # Maps are freed when a pass ends, not when the collector next runs.
+    jw = BLOCK_WINDOWS["s_13 b/a=2"]
+    gc.collect()
+    gc.disable()
+    try:
+        eigenvalues_free(jw)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_build_window_examples():
