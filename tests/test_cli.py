@@ -7,6 +7,10 @@ console script wraps the same function.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,6 +442,47 @@ def test_unread_option_exits_2(capsys, argv, message):
     assert code == EXIT_USAGE
     assert message in err
     assert out == ""
+
+
+# Usage errors that the commands raise after parsing, with their messages.
+LATE_USAGE = [
+    (("spectrum", "--kmax", "12", "--grid", "1e-3", "--emin=-1"),
+     "give both --emin and --emax, or neither"),
+    (("lyapunov", "--points", "1"), "need at least 2 grid points, got 1"),
+    (("dimension", "--sweep", "1:2"), "sweep range must be start:stop:step, got '1:2'"),
+    (("dimension", "--sweep", "2:1:1"),
+     "sweep range must have stop >= start and step > 0, got '2:1:1'"),
+    (("bands", "--k", "3", "--config"), "--config needs a file path"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LATE_USAGE, ids=[f"argv{i}" for i in range(len(LATE_USAGE))])
+def test_late_usage_error_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err == f"fibjacobi: error: {message}\n"
+    assert out == ""
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "s3.json"
+    code, out, err = run(capsys, "bands", "--k", "3", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert err == f"fibjacobi: error: [Errno 2] No such file or directory: '{target}'\n"
+    # The summary line comes before the write; no payload reaches stdout.
+    assert out == "sigma_3: 3 bands, measure 2.92820323028\n"
+    assert not target.parent.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "fibjacobi", "words", "--k", "3"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "level 3: length 3  aba\n"
 
 
 def test_help_exits_zero(capsys):

@@ -8,7 +8,9 @@ residual bytes of six Lyapunov scans (four on the default window, two on an
 explicit window, the reference path of the product loop), of the repr of cocycle and
 cayley_hamilton_defect at a few points, of the stdout of `eigs` in JSON and
 CSV, of the repr of scalar trace_value and escape_classify at a few
-points, and of the repr of the periodic and truncation band defects.  A call that raises is pinned by its error class and message instead.  Regenerate the file with
+points, of the repr of the periodic and truncation band defects, and of
+every other CLI output form whole (exit code, stdout, stderr and the --out
+file).  A call that raises is pinned by its error class and message instead.  Regenerate the file with
 `python tests/golden/make.py` only when an output change is intended.
 """
 
@@ -17,6 +19,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 from fibjacobi.bands import bandset_to_json, cover, escape_spectrum, sigma_k
@@ -57,6 +61,24 @@ DEFECTS = ((2.0, 0.013, 2), (2.0, 1.5, 5), (2.0, -3.1, 9), (4.7, 0.4, 7), (4.7, 
 EIGS = (("eigs", "--b", "2", "--k", "13"),
         ("eigs", "--b", "3.3", "--letters", "abaab", "--repeats", "60"))
 
+# CLI forms pinned whole: exit code, stdout and stderr, once writing to
+# stdout and once with --out, which pins the file too.  In the sweep, b = 30
+# fails at level 14 and b = 2 succeeds.
+FORMS = tuple(
+    (*argv, "--format", fmt) if fmt else argv
+    for argv, fmts in (
+        (("lyapunov", "--b", "2", "--points", "21", "--length", "233"), ("csv", "json")),
+        (("dimension", "--b", "2"), ("csv", "json")),
+        (("dimension", "--a", "1", "--b", "1"), ("csv", "json")),
+        (("dimension", "--sweep", "2:30:28", "--kmax", "14"), ("csv", "json")),
+        (("words", "--k", "10", "--complexity", "4"), ("json",)),
+        (("spectrum", "--b", "2", "--kmax", "16", "--grid", "0.001"), ("csv",)),
+        (("eigs", "--b", "3.3", "--letters", "abaab", "--repeats", "60"), ("csv",)),
+        (("verify", "--b", "2"), (None,)),
+    )
+    for fmt in fmts
+)
+
 # (a, b, E, k) for scalar trace_value: the 6-cycle orbit at E = 0, an
 # irrational point, k = -1, 0 and 1, and four energies whose recursion
 # overflows at (1, 2) (level 3 for 1e154, level 2 for the rest).
@@ -94,6 +116,21 @@ def _stdout(argv: list[str]) -> str:
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     return f"exit {code}\n{buf.getvalue()}"
+
+
+def _run_whole(argv: list[str]) -> str:
+    """Exit code, stdout, stderr and any out.txt of main(argv), run in an empty directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = Path("out.txt").read_text() if Path("out.txt").exists() else ""
+        finally:
+            os.chdir(cwd)
+    return f"exit {code}\n--stdout\n{out.getvalue()}--stderr\n{err.getvalue()}--file\n{written}"
 
 
 def digests() -> dict[str, str]:
@@ -151,6 +188,9 @@ def digests() -> dict[str, str]:
         out[f"truncation_spectrum_consistency({a}, {b}, {k}, {n})"] = _digest(
             lambda: repr(truncation_spectrum_consistency(HoppingPair(a, b), k, n))
         )
+    for argv in FORMS:
+        for cmd in (list(argv), [*argv, "--out", "out.txt"]):
+            out[f"cli({' '.join(cmd)})"] = _digest(lambda: _run_whole(cmd))
     return out
 
 
