@@ -31,7 +31,6 @@ from .fractal import (
     dimension_sweep,
     eps_ladder,
     local_dimension,
-    sweep_to_csv,
 )
 from .jacobi import (
     EigenvalueList,

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from .bands import (
     sigma_k,
 )
 from .fractal import (
+    DimensionEstimate,
     band_scaling_dimension,
     box_dimension,
     dimension_sweep,
     eps_ladder,
-    sweep_to_csv,
 )
 from .jacobi import build_window, eigenvalues_free, eigenvalues_to_dict
 from .tracemap import HoppingPair, finite_traces, initial_triple, invariant_expected
@@ -70,35 +70,32 @@ def _warn(msg: str) -> None:
     print(f"{_PROG}: warning: {msg}", file=sys.stderr)
 
 
-def _config_payload(args: argparse.Namespace) -> dict:
-    """Resolved run parameters, for embedding into output files."""
-    skip = {"default_format"}
-    out = {}
-    for key, val in vars(args).items():
-        if key in skip or val is None:
-            continue
-        out[key] = val
-    return dict(sorted(out.items()))
+def _write(
+    args: argparse.Namespace,
+    result: Callable[[], dict] | None,
+    lines: Callable[[], Iterable[str]] | None = None,
+) -> None:
+    """Write a command's output, with the resolved config, to --out or stdout.
 
-
-def _config_comments(cfg: dict) -> str:
-    return "".join(f"# {k}={v}\n" for k, v in cfg.items())
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+    The output is the JSON payload {"config", "result"} or, in CSV format or
+    for a command with only lines, '# key=value' config comments and then the
+    lines; only the form written is built.  The format is --format, else the
+    command's default; a command without a default (verify, words) writes
+    only when --format or --out asks for it.
+    """
+    fmt = getattr(args, "format", None) or args.default_format
+    if not (fmt or args.out):
+        return
+    cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None and k != "default_format"}
+    if lines is None or fmt == "json":
+        payload = {"config": cfg, "result": result()}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        text = "".join(f"{line}\n" for line in [*(f"# {k}={v}" for k, v in cfg.items()), *lines()])
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(cfg: dict, result: dict, out: str | None) -> None:
-    payload = {"config": cfg, "result": result}
-    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", out)
-
-
-def _emit_csv(cfg: dict, header: str, rows: Sequence[str], out: str | None) -> None:
-    _emit(_config_comments(cfg) + header + "\n" + "".join(r + "\n" for r in rows), out)
 
 
 def _hoppings(args: argparse.Namespace) -> HoppingPair:
@@ -108,43 +105,39 @@ def _hoppings(args: argparse.Namespace) -> HoppingPair:
     return p
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
-    return args.format or args.default_format
-
-
 # -- band-set commands -------------------------------------------------------
 
 
-def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
-    cfg = _config_payload(args)
+def _report_bandset(args: argparse.Namespace, bs, label: str) -> int:
     print(f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}")
-    if _resolve_format(args) == "json":
-        _emit_json(cfg, bandset_to_dict(bs), args.out)
-    else:
-        rows = [f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(bs.bands.tolist())]
-        _emit_csv(cfg, "band,lo,hi", rows, args.out)
+    _write(
+        args,
+        lambda: bandset_to_dict(bs),
+        lambda: [
+            "band,lo,hi",
+            *(f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(bs.bands.tolist())),
+        ],
+    )
     return EXIT_OK
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
     p = _hoppings(args)
-    return _emit_bandset(args, sigma_k(p, args.k, args.tol), f"sigma_{args.k}")
+    return _report_bandset(args, sigma_k(p, args.k, args.tol), f"sigma_{args.k}")
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
     p = _hoppings(args)
-    return _emit_bandset(args, cover(p, args.k, args.tol), f"cover({args.k})")
+    return _report_bandset(args, cover(p, args.k, args.tol), f"cover({args.k})")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     p = _hoppings(args)
-    window = None
     if (args.emin is None) != (args.emax is None):
         raise ValueError("give both --emin and --emax, or neither")
-    if args.emin is not None:
-        window = EnergyWindow(args.emin, args.emax)
+    window = None if args.emin is None else EnergyWindow(args.emin, args.emax)
     bs = escape_spectrum(p, args.kmax, args.grid, window)
-    return _emit_bandset(args, bs, f"escape({args.kmax})")
+    return _report_bandset(args, bs, f"escape({args.kmax})")
 
 
 # -- scans -------------------------------------------------------------------
@@ -158,24 +151,16 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
         raise ValueError(f"need at least 2 grid points, got {args.points}")
     energies = np.linspace(args.emin, args.emax, args.points)
     gamma, residual, _ = lyapunov_grid(p, energies, args.length)
-    cfg = _config_payload(args)
     print(
         f"lyapunov: {args.points} energies in [{args.emin:g}, {args.emax:g}], "
         f"gamma in [{gamma.min():.6g}, {gamma.max():.6g}]"
     )
-    if _resolve_format(args) == "json":
-        result = {
-            "E": [float(x) for x in energies],
-            "gamma": [float(x) for x in gamma],
-            "residual": [float(x) for x in residual],
-        }
-        _emit_json(cfg, result, args.out)
-    else:
-        rows = [
-            f"{e:.17g},{g:.17g},{r:.17g}"
-            for e, g, r in zip(energies, gamma, residual)
-        ]
-        _emit_csv(cfg, "E,gamma,residual", rows, args.out)
+    columns = (energies.tolist(), gamma.tolist(), residual.tolist())
+    _write(
+        args,
+        lambda: dict(zip(("E", "gamma", "residual"), columns)),
+        lambda: ["E,gamma,residual", *(f"{e:.17g},{g:.17g},{r:.17g}" for e, g, r in zip(*columns))],
+    )
     return EXIT_OK
 
 
@@ -190,69 +175,53 @@ def _parse_sweep(arg: str) -> list[float]:
     return [round(start + i * step_, 12) for i in range(n)]
 
 
+def _dimension_row(b: float, est: DimensionEstimate | None, k_max: int, tol: float) -> str:
+    """CSV row b,dim_value,method,r_squared,k_max,tol; without an estimate: nan,error,nan."""
+    if est is None:
+        return f"{b:.10g},nan,error,nan,{k_max},{tol:.10g}"
+    return f"{b:.10g},{est.value:.10g},{est.method},{est.r_squared:.10g},{k_max},{tol:.10g}"
+
+
 def cmd_dimension(args: argparse.Namespace) -> int:
-    cfg = _config_payload(args)
-    tol = args.tol
+    # rows: (b, estimate or None, JSON keys of the row besides the estimate's).
     if args.sweep:
-        b_values = _parse_sweep(args.sweep)
-        entries = dimension_sweep(args.a, b_values, args.kmax, tol, args.kmin)
-        failed = [e for e in entries if e.error]
+        entries = dimension_sweep(args.a, _parse_sweep(args.sweep), args.kmax, args.tol, args.kmin)
+        for e in entries:
+            if e.error:
+                _warn(f"b = {e.b:g}: {e.error}")
         fitted = [e for e in entries if e.estimate is not None]
-        for e in failed:
-            _warn(f"b = {e.b:g}: {e.error}")
         if fitted:
             print(
                 f"dimension sweep: {len(fitted)} couplings, values "
                 f"{fitted[0].estimate.value:.4f} ({fitted[0].b:g}) -> "
                 f"{fitted[-1].estimate.value:.4f} ({fitted[-1].b:g})"
             )
-        if _resolve_format(args) == "json":
-            rows = [
-                {
-                    "b": e.b,
-                    "dim_value": e.estimate.value if e.estimate else None,
-                    "method": e.estimate.method if e.estimate else "error",
-                    "r_squared": e.estimate.r_squared if e.estimate else None,
-                    "degenerate": bool(e.estimate.degenerate) if e.estimate else False,
-                    "error": e.error,
-                }
-                for e in entries
-            ]
-            _emit_json(cfg, {"k_max": args.kmax, "tol": tol, "rows": rows}, args.out)
-        else:
-            header, _, body = sweep_to_csv(entries, args.kmax, tol).partition("\n")
-            _emit_csv(cfg, header, body.splitlines(), args.out)
-        return EXIT_OK
-    p = _hoppings(args)
-    scaling = band_scaling_dimension(p, args.kmin, args.kmax, tol)
-    if scaling.degenerate:
-        _warn("degenerate band scaling (equal hoppings): value 1 by convention")
-    covers = [cover(p, args.kmax - 1, tol), cover(p, args.kmax, tol)]
-    box = box_dimension(covers, eps_ladder(covers))
-    print(
-        f"dimension: band-scaling {scaling.value:.4f} (r2 {scaling.r_squared:.4f}), "
-        f"box-fit {box.value:.4f} (r2 {box.r_squared:.4f})"
-    )
-    if _resolve_format(args) == "json":
-        rows = [
-            {
-                "b": args.b,
-                "dim_value": est.value,
-                "method": est.method,
-                "r_squared": est.r_squared,
-                "degenerate": est.degenerate,
-                "clamped": est.clamped,
-            }
-            for est in (scaling, box)
-        ]
-        _emit_json(cfg, {"k_max": args.kmax, "tol": tol, "rows": rows}, args.out)
+        rows = [(e.b, e.estimate, {"error": e.error}) for e in entries]
     else:
-        rows = [
-            f"{args.b:.10g},{est.value:.10g},{est.method},{est.r_squared:.10g},"
-            f"{args.kmax},{tol:.10g}"
-            for est in (scaling, box)
-        ]
-        _emit_csv(cfg, "b,dim_value,method,r_squared,k_max,tol", rows, args.out)
+        p = _hoppings(args)
+        scaling = band_scaling_dimension(p, args.kmin, args.kmax, args.tol)
+        if scaling.degenerate:
+            _warn("degenerate band scaling (equal hoppings): value 1 by convention")
+        covers = [cover(p, args.kmax - 1, args.tol), cover(p, args.kmax, args.tol)]
+        box = box_dimension(covers, eps_ladder(covers))
+        print(
+            f"dimension: band-scaling {scaling.value:.4f} (r2 {scaling.r_squared:.4f}), "
+            f"box-fit {box.value:.4f} (r2 {box.r_squared:.4f})"
+        )
+        rows = [(args.b, est, {"clamped": est.clamped}) for est in (scaling, box)]
+    json_rows = [
+        {"b": b, "dim_value": est and est.value, "method": est.method if est else "error",
+         "r_squared": est and est.r_squared, "degenerate": bool(est and est.degenerate), **extra}
+        for b, est, extra in rows
+    ]
+    _write(
+        args,
+        lambda: {"k_max": args.kmax, "tol": args.tol, "rows": json_rows},
+        lambda: [
+            "b,dim_value,method,r_squared,k_max,tol",
+            *(_dimension_row(b, est, args.kmax, args.tol) for b, est, _ in rows),
+        ],
+    )
     return EXIT_OK
 
 
@@ -268,10 +237,8 @@ def cmd_words(args: argparse.Namespace) -> int:
         count = len(subwords(length))
         complexity[str(length)] = count
         print(f"factors of length {length}: {count}")
-    if args.out or args.format == "json":
-        cfg = _config_payload(args)
-        result = {"k": args.k, "length": len(prefix), "prefix": prefix, "complexity": complexity}
-        _emit_json(cfg, result, args.out)
+    result = {"k": args.k, "length": len(prefix), "prefix": prefix, "complexity": complexity}
+    _write(args, lambda: result)
     return EXIT_OK
 
 
@@ -286,13 +253,12 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     win = build_window(periodize(word, len(word) * args.repeats), p)
     eig = eigenvalues_free(win)
     vals = eig.values.tolist()
-    cfg = _config_payload(args)
     print(f"eigs: {len(vals)} eigenvalues in [{vals[0]:.6g}, {vals[-1]:.6g}]")
-    if _resolve_format(args) == "json":
-        _emit_json(cfg, eigenvalues_to_dict(eig), args.out)
-    else:
-        rows = [f"{i},{v:.17g}" for i, v in enumerate(vals)]
-        _emit_csv(cfg, "index,value", rows, args.out)
+    _write(
+        args,
+        lambda: eigenvalues_to_dict(eig),
+        lambda: ["index,value", *(f"{i},{v:.17g}" for i, v in enumerate(vals))],
+    )
     return EXIT_OK
 
 
@@ -402,9 +368,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     verdict = "all checks passed" if all_ok else "verification FAILED"
     print(verdict)
-    if args.out:
-        cfg = _config_payload(args)
-        _emit(_config_comments(cfg) + "\n".join(lines + [verdict]) + "\n", args.out)
+    _write(args, None, lambda: [*lines, verdict])
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
@@ -421,7 +385,7 @@ def _add_common(sp: argparse.ArgumentParser, fmt: str | None, tol=False, hopping
     sp.add_argument("--out", type=str, default=None, help="output file path")
     if fmt:
         sp.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-        sp.set_defaults(default_format=fmt)
+    sp.set_defaults(default_format=fmt)
     sp.add_argument("--config", type=str, default=None, help="flat key = value config file")
 
 

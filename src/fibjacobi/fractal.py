@@ -296,16 +296,3 @@ def dimension_sweep(
             entries.append(SweepEntry(float(b), None, inv, str(exc)))
     return entries
 
-
-def sweep_to_csv(entries: Sequence[SweepEntry], k_max: int, tol: float) -> str:
-    """CSV table of a sweep: b, dim_value, method, r_squared, k_max, tol."""
-    lines = ["b,dim_value,method,r_squared,k_max,tol"]
-    for e in entries:
-        if e.estimate is None:
-            lines.append(f"{e.b:.10g},nan,error,nan,{k_max},{tol:.10g}")
-        else:
-            lines.append(
-                f"{e.b:.10g},{e.estimate.value:.10g},{e.estimate.method},"
-                f"{e.estimate.r_squared:.10g},{k_max},{tol:.10g}"
-            )
-    return "\n".join(lines) + "\n"

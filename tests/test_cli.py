@@ -192,6 +192,25 @@ def test_dimension_sweep_table(tmp_path, capsys):
     assert vals == sorted(vals, reverse=True)
 
 
+def test_dimension_sweep_csv_rows(tmp_path, capsys):
+    # b = -1 is no hopping value: its row reads nan and error, and the sweep goes on.
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys,
+        "dimension", "--a", "1", "--sweep=-1:2:3", "--kmax", "14", "--out", str(out_file),
+    )
+    assert code == EXIT_OK
+    assert "warning: b = -1: hopping b must be a positive finite real" in err
+    lines = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "b,dim_value,method,r_squared,k_max,tol"
+    bad, ok = (l.split(",") for l in lines[1:])
+    assert bad == ["-1", "nan", "error", "nan", "14", "1e-10"]
+    assert float(ok[0]) == 2.0
+    assert 0.0 < float(ok[1]) < 1.0
+    assert ok[2] == "band-scaling"
+    assert ok[4:] == ["14", "1e-10"]
+
+
 def test_dimension_degenerate_flagged(capsys):
     code, out, err = run(capsys, "dimension", "--a", "1", "--b", "1", "--kmax", "10")
     assert code == EXIT_OK

@@ -22,7 +22,6 @@ from fibjacobi.fractal import (
     dimension_sweep,
     eps_ladder,
     local_dimension,
-    sweep_to_csv,
 )
 from fibjacobi.tracemap import HoppingPair
 
@@ -234,22 +233,6 @@ def test_sweep_equal_hoppings_degenerate():
 
 def test_sweep_empty():
     assert dimension_sweep(1.0, [], k_max=14) == []
-
-
-def test_sweep_csv_format():
-    entries = dimension_sweep(1.0, [2.0, -1.0], k_max=14)
-    text = sweep_to_csv(entries, 14, 1e-10)
-    lines = text.strip().split("\n")
-    assert lines[0] == "b,dim_value,method,r_squared,k_max,tol"
-    assert len(lines) == 3
-    ok = lines[1].split(",")
-    assert float(ok[0]) == 2.0
-    assert 0.0 < float(ok[1]) < 1.0
-    assert ok[2] == "band-scaling"
-    assert int(ok[4]) == 14
-    bad = lines[2].split(",")
-    assert bad[2] == "error"
-    assert math.isnan(float(bad[1]))
 
 
 def test_estimates_stay_in_unit_interval():
