@@ -175,12 +175,16 @@ def _mirrored_count(e2: np.ndarray, shifts: np.ndarray, plan=None) -> np.ndarray
     reads n - count(|s|) unless a pivot at |s| was zero; those shifts, like
     shift 0 and NaN, are counted directly.  With a plan the pass is
     _block_count's, whose products at -s are likewise exact sign flips of
-    those at s.
+    those at s; where a sign read there is zero, eigenvalues_free's
+    site-loop check stands in for a direct count.
     """
     n = e2.size + 1
     negative = shifts < 0.0
     mags, inv = np.unique(np.abs(shifts), return_inverse=True)
-    counts, zero = _sturm_count(e2, mags) if plan is None else _block_count(plan, e2, mags)
+    if plan is None:
+        counts, zero = _sturm_count(e2, mags)
+    else:
+        counts, zero = _block_count(plan, e2, mags), np.zeros(mags.shape, dtype=bool)
     count = np.where(negative, n - counts[inv], counts[inv])
     direct = negative & zero[inv]
     if direct.any():
@@ -229,7 +233,7 @@ def _block_plan(e2: np.ndarray) -> list[tuple[int, int, int, list[int]]] | None:
     return [(L, *parts[L], [x for x in set(parts[L]) if last.get(x) == L]) for L in order]
 
 
-def _block_count(plan, e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_count(plan, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Sturm counts at shifts from the composed pivot maps of _block_plan.
 
     Site i's pivot step q -> -shift - e_{i-1}^2 / q is the Moebius map of
@@ -239,21 +243,19 @@ def _block_count(plan, e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, 
     pole -B22 / B21 and G_B one integer per shift: 1 for a site, and
     G_U + G_V - [(VU)21 U21 V21 > 0] for U then V.  Only signs are read,
     and every product is rescaled by a power of two.  The window starts at
-    q_1 = -shift in front of the map of all its hoppings.  Shifts where a
-    sign read is exactly zero are counted by _sturm_count, whose zero flags
-    they return, and shift 0 (always one of them) by _pivots; the others
-    are not flagged.
+    q_1 = -shift in front of the map of all its hoppings.  At shift 0 the
+    pivots -e^2 / q alternate in sign from q_1 = -tiny, so ceil(n / 2) of
+    the n sites count.
     Where products cancel, close to eigenvalues and further out at strong
-    coupling, these counts can differ from the site loop's, so
-    eigenvalues_free checks its final brackets with the site loop.
+    coupling, or a sign read is exactly zero, these counts can differ from
+    the site loop's, so eigenvalues_free checks its final brackets with the
+    site loop.
     """
     count = np.empty(shifts.shape, dtype=np.int64)
-    unsure = np.zeros(shifts.shape, dtype=bool)
     hops = e2.tolist()
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for cols in range(0, shifts.size, _BLOCK_SHIFTS):
             neg = -shifts[cols : cols + _BLOCK_SHIFTS]
-            flag = unsure[cols : cols + _BLOCK_SHIFTS]
             # map(L) is kept as (B, G_B - 1, B21 < 0).
             maps = {}
             for L, a, b, done in plan:
@@ -270,25 +272,17 @@ def _block_count(plan, e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, 
                 for x in done:
                     del maps[x]
                 W = np.einsum("ijs,jks->iks", V, U)
-                flag |= W[1, 0] == 0.0
                 sw = W[1, 0] < 0.0
                 W = np.ldexp(W, -np.frexp(np.abs(W).max(axis=(0, 1)))[1])
                 maps[L] = W, gu + gv + (sw ^ su ^ sv), sw
             B, g, sb = maps[len(hops)]
             den = B[1, 0] * neg + B[1, 1]
             num = B[0, 0] * neg + B[0, 1]
-            flag |= (den == 0.0) | (num == 0.0)
             count[cols : cols + _BLOCK_SHIFTS] = (
                 g + 1 - ((den > 0.0) != sb) + ((num < 0.0) != (den < 0.0))
             )
-    zero = shifts == 0.0
-    if zero.any():
-        # One shift through the site loop's steps, without its cost per pass.
-        count[zero] = np.count_nonzero(_pivots(e2, 0.0) < 0.0)
-    unsure &= ~zero
-    if unsure.any():
-        count[unsure], zero[unsure] = _sturm_count(e2, shifts[unsure])
-    return count, zero
+    count[shifts == 0.0] = (e2.size + 2) // 2
+    return count
 
 
 def _scaled_squares(e: np.ndarray) -> tuple[np.ndarray, int]:
@@ -399,8 +393,12 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
     n = len(e) + 1
     e2, s = _scaled_squares(e)
     bound_s = 2.0 * math.ldexp(float(e.max()), s)
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     tol_s = 1e-10 * bound_s if tol is None else math.ldexp(tol, s)
     edge = bound_s + tol_s
+    if not 0.0 < tol_s or 2 * edge / tol_s == math.inf:
+        raise ValueError(f"tol {tol} is too small: the count of bisection rounds is not finite")
     rounds = max(1, int(math.ceil(math.log2(2 * edge / tol_s))))
     idx = np.arange(n)
     plan = _block_plan(e2)
@@ -487,9 +485,9 @@ def periodic_band_check(p: HoppingPair, k: int, m: int = DEFAULT_PERIODS) -> flo
         raise ValueError(f"k must be in 1..16, got {k}")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    bands = sigma_k(p, k)
     jw = build_window((fib_prefix(k) * m)[:-1], p)
     lam = eigenvalues_free(jw, 1e-10 * p.norm_bound).values
-    bands = sigma_k(p, k)
     defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, bands)
     inside = _distance_to_bands(lam, bands) == 0.0
     x = np.abs(trace_value(p, lam[inside], k))
@@ -508,9 +506,10 @@ def truncation_spectrum_consistency(p: HoppingPair, k: int, L: int) -> float:
     """
     if L < 2 * fibonacci(k):
         raise ValueError(f"L must be >= 2 F_k = {2 * fibonacci(k)}, got {L}")
+    bands = cover(p, k)
     jw = build_window(omega_s(1, L - 1), p)
     lam = eigenvalues_free(jw, 1e-10 * p.norm_bound).values
-    defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, cover(p, k))
+    defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, bands)
     return defect
 
 

@@ -258,15 +258,23 @@ def test_block_counts_equal_site_loop_away_from_eigenvalues(name):
     dist = np.abs(near[:, None] - lam[None, :]).min(axis=1)
     rng = np.random.default_rng(17)
     shifts = np.concatenate((rng.uniform(-bound, bound, 2000), near[dist >= unit]))
-    count, zero = _block_count(plan, e2, shifts)
+    count = _block_count(plan, e2, shifts)
     assert np.array_equal(count, _sturm_count(e2, shifts)[0])
-    mirror, mirror_zero = _block_count(plan, e2, -shifts)
-    sure = ~(zero | mirror_zero)
-    assert np.array_equal(mirror[sure], jw.n_sites - count[sure])
+    assert np.array_equal(_block_count(plan, e2, -shifts), jw.n_sites - count)
     assert np.array_equal(_mirrored_count(e2, shifts, plan), count)
     # Eigenvalues lie within tol / 2 of the dense ones, scaled back.
     eig = eigenvalues_free(jw)
     assert np.abs(eig.values - np.ldexp(lam, -s)).max() <= eig.residual_bound / 2
+
+
+def test_block_counts_at_shift_zero():
+    # Each pivot -e^2 / q at shift 0 has the opposite sign of the one before,
+    # from q_1 = -tiny: ceil(n / 2) pivots are negative, as the site loop counts.
+    for jw in BLOCK_WINDOWS.values():
+        e2, _ = _scaled_squares(np.array(jw.hoppings))
+        zero = np.array([0.0])
+        count = _block_count(_block_plan(e2), e2, zero)
+        assert count.tolist() == _sturm_count(e2, zero)[0].tolist() == [(jw.n_sites + 1) // 2]
 
 
 @pytest.mark.parametrize("word", ["abbab" * 200, fib_prefix(15), omega_s(1, 1000).letters])
@@ -314,11 +322,11 @@ def test_certificate_rebisects_a_planted_error(monkeypatch):
     flipped = []
 
     def planted(plan, e2, shifts):
-        count, zero = real(plan, e2, shifts)
+        count = real(plan, e2, shifts)
         hit = (shifts > lam) & (shifts < lam + 1e-7)
         flipped.append(int(hit.sum()))
         count[hit] -= 1
-        return count, zero
+        return count
 
     rechecked = []
     real_path = jacobi._site_path
@@ -474,6 +482,21 @@ def test_periodic_band_check_validation():
         periodic_band_check(P12, 17)
     with pytest.raises(ValueError):
         periodic_band_check(P12, 4, m=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, -math.inf, math.nan, 1e-320])
+def test_eigenvalues_free_rejects_tol_without_finite_rounds(tol):
+    with pytest.raises(ValueError, match="tol"):
+        eigenvalues_free(JacobiWindow((1.0, 2.0)), tol)
+
+
+def test_band_checks_report_an_overflowing_norm_bound_first():
+    # 2 max(a, b) = inf would make tol inf; the band set's typed error comes first.
+    p = HoppingPair(1e308, 5e307)
+    with pytest.raises(ValueError, match=r"norm bound 2 max\(a, b\) overflows"):
+        periodic_band_check(p, 4)
+    with pytest.raises(ValueError, match=r"norm bound 2 max\(a, b\) overflows"):
+        truncation_spectrum_consistency(p, 3, 100)
 
 
 def test_truncation_consistency():
