@@ -108,7 +108,7 @@ def _hoppings(args: argparse.Namespace) -> HoppingPair:
 # -- band-set commands -------------------------------------------------------
 
 
-def _report_bandset(args: argparse.Namespace, bs, label: str) -> int:
+def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
     print(f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}")
     _write(
         args,
@@ -123,12 +123,12 @@ def _report_bandset(args: argparse.Namespace, bs, label: str) -> int:
 
 def cmd_bands(args: argparse.Namespace) -> int:
     p = _hoppings(args)
-    return _report_bandset(args, sigma_k(p, args.k, args.tol), f"sigma_{args.k}")
+    return _emit_bandset(args, sigma_k(p, args.k, args.tol), f"sigma_{args.k}")
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
     p = _hoppings(args)
-    return _report_bandset(args, cover(p, args.k, args.tol), f"cover({args.k})")
+    return _emit_bandset(args, cover(p, args.k, args.tol), f"cover({args.k})")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -137,7 +137,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise ValueError("give both --emin and --emax, or neither")
     window = None if args.emin is None else EnergyWindow(args.emin, args.emax)
     bs = escape_spectrum(p, args.kmax, args.grid, window)
-    return _report_bandset(args, bs, f"escape({args.kmax})")
+    return _emit_bandset(args, bs, f"escape({args.kmax})")
 
 
 # -- scans -------------------------------------------------------------------

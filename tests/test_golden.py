@@ -64,19 +64,21 @@ EIGS = (("eigs", "--b", "2", "--k", "13"),
 # CLI forms pinned whole: exit code, stdout and stderr, once writing to
 # stdout and once with --out, which pins the file too.  In the sweep, b = 30
 # fails at level 14 and b = 2 succeeds.
-FORMS = tuple(
-    (*argv, "--format", fmt) if fmt else argv
-    for argv, fmts in (
-        (("lyapunov", "--b", "2", "--points", "21", "--length", "233"), ("csv", "json")),
-        (("dimension", "--b", "2"), ("csv", "json")),
-        (("dimension", "--a", "1", "--b", "1"), ("csv", "json")),
-        (("dimension", "--sweep", "2:30:28", "--kmax", "14"), ("csv", "json")),
-        (("words", "--k", "10", "--complexity", "4"), ("json",)),
-        (("spectrum", "--b", "2", "--kmax", "16", "--grid", "0.001"), ("csv",)),
-        (("eigs", "--b", "3.3", "--letters", "abaab", "--repeats", "60"), ("csv",)),
-        (("verify", "--b", "2"), (None,)),
-    )
-    for fmt in fmts
+LYAPUNOV_ARGV = ("lyapunov", "--b", "2", "--points", "21", "--length", "233")
+SWEEP_ARGV = ("dimension", "--sweep", "2:30:28", "--kmax", "14")
+FORMS = (
+    (*LYAPUNOV_ARGV, "--format", "csv"),
+    (*LYAPUNOV_ARGV, "--format", "json"),
+    ("dimension", "--b", "2", "--format", "csv"),
+    ("dimension", "--b", "2", "--format", "json"),
+    ("dimension", "--a", "1", "--b", "1", "--format", "csv"),
+    ("dimension", "--a", "1", "--b", "1", "--format", "json"),
+    (*SWEEP_ARGV, "--format", "csv"),
+    (*SWEEP_ARGV, "--format", "json"),
+    ("words", "--k", "10", "--complexity", "4", "--format", "json"),
+    ("spectrum", "--b", "2", "--kmax", "16", "--grid", "0.001", "--format", "csv"),
+    ("eigs", "--b", "3.3", "--letters", "abaab", "--repeats", "60", "--format", "csv"),
+    ("verify", "--b", "2"),
 )
 
 # (a, b, E, k) for scalar trace_value: the 6-cycle orbit at E = 0, an
