@@ -72,6 +72,7 @@ def _warn(msg: str) -> None:
 
 def _write(
     args: argparse.Namespace,
+    summary: Iterable[str],
     result: Callable[[], dict] | None,
     lines: Callable[[], Iterable[str]] | None = None,
 ) -> None:
@@ -81,21 +82,24 @@ def _write(
     for a command with only lines, '# key=value' config comments and then the
     lines; only the form written is built.  The format is --format, else the
     command's default; a command without a default (verify, words) writes
-    only when --format or --out asks for it.
+    only when --format or --out asks for it.  The summary lines go to
+    stdout, ahead of the output there, or once the --out file is written,
+    so a run whose write fails prints no result.
     """
+    stdout = "".join(f"{line}\n" for line in summary)
     fmt = getattr(args, "format", None) or args.default_format
-    if not (fmt or args.out):
-        return
-    cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None and k != "default_format"}
-    if lines is None or fmt == "json":
-        payload = {"config": cfg, "result": result()}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        text = "".join(f"{line}\n" for line in [*(f"# {k}={v}" for k, v in cfg.items()), *lines()])
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if fmt or args.out:
+        cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None and k != "default_format"}
+        if lines is None or fmt == "json":
+            payload = {"config": cfg, "result": result()}
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            text = "".join(f"{line}\n" for line in [*(f"# {k}={v}" for k, v in cfg.items()), *lines()])
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            stdout += text
+    sys.stdout.write(stdout)
 
 
 def _hoppings(args: argparse.Namespace) -> HoppingPair:
@@ -109,9 +113,9 @@ def _hoppings(args: argparse.Namespace) -> HoppingPair:
 
 
 def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
-    print(f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}")
     _write(
         args,
+        [f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}"],
         lambda: bandset_to_dict(bs),
         lambda: [
             "band,lo,hi",
@@ -151,13 +155,14 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
         raise ValueError(f"need at least 2 grid points, got {args.points}")
     energies = np.linspace(args.emin, args.emax, args.points)
     gamma, residual, _ = lyapunov_grid(p, energies, args.length)
-    print(
+    summary = [
         f"lyapunov: {args.points} energies in [{args.emin:g}, {args.emax:g}], "
         f"gamma in [{gamma.min():.6g}, {gamma.max():.6g}]"
-    )
+    ]
     columns = (energies.tolist(), gamma.tolist(), residual.tolist())
     _write(
         args,
+        summary,
         lambda: dict(zip(("E", "gamma", "residual"), columns)),
         lambda: ["E,gamma,residual", *(f"{e:.17g},{g:.17g},{r:.17g}" for e, g, r in zip(*columns))],
     )
@@ -190,12 +195,11 @@ def cmd_dimension(args: argparse.Namespace) -> int:
             if e.error:
                 _warn(f"b = {e.b:g}: {e.error}")
         fitted = [e for e in entries if e.estimate is not None]
-        if fitted:
-            print(
-                f"dimension sweep: {len(fitted)} couplings, values "
-                f"{fitted[0].estimate.value:.4f} ({fitted[0].b:g}) -> "
-                f"{fitted[-1].estimate.value:.4f} ({fitted[-1].b:g})"
-            )
+        summary = [
+            f"dimension sweep: {len(fitted)} couplings, values "
+            f"{fitted[0].estimate.value:.4f} ({fitted[0].b:g}) -> "
+            f"{fitted[-1].estimate.value:.4f} ({fitted[-1].b:g})"
+        ] if fitted else []
         rows = [(e.b, e.estimate, {"error": e.error}) for e in entries]
     else:
         p = _hoppings(args)
@@ -204,10 +208,10 @@ def cmd_dimension(args: argparse.Namespace) -> int:
             _warn("degenerate band scaling (equal hoppings): value 1 by convention")
         covers = [cover(p, args.kmax - 1, args.tol), cover(p, args.kmax, args.tol)]
         box = box_dimension(covers, eps_ladder(covers))
-        print(
+        summary = [
             f"dimension: band-scaling {scaling.value:.4f} (r2 {scaling.r_squared:.4f}), "
             f"box-fit {box.value:.4f} (r2 {box.r_squared:.4f})"
-        )
+        ]
         rows = [(args.b, est, {"clamped": est.clamped}) for est in (scaling, box)]
     json_rows = [
         {"b": b, "dim_value": est and est.value, "method": est.method if est else "error",
@@ -216,6 +220,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     ]
     _write(
         args,
+        summary,
         lambda: {"k_max": args.kmax, "tol": args.tol, "rows": json_rows},
         lambda: [
             "b,dim_value,method,r_squared,k_max,tol",
@@ -231,14 +236,14 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 def cmd_words(args: argparse.Namespace) -> int:
     prefix = fib_prefix(args.k)
     shown = prefix if len(prefix) <= 64 else prefix[:61] + "..."
-    print(f"level {args.k}: length {len(prefix)}  {shown}")
+    summary = [f"level {args.k}: length {len(prefix)}  {shown}"]
     complexity: dict[str, int] = {}
     for length in range(1, args.complexity + 1):
         count = len(subwords(length))
         complexity[str(length)] = count
-        print(f"factors of length {length}: {count}")
+        summary.append(f"factors of length {length}: {count}")
     result = {"k": args.k, "length": len(prefix), "prefix": prefix, "complexity": complexity}
-    _write(args, lambda: result)
+    _write(args, summary, lambda: result)
     return EXIT_OK
 
 
@@ -253,9 +258,9 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     win = build_window(periodize(word, len(word) * args.repeats), p)
     eig = eigenvalues_free(win)
     vals = eig.values.tolist()
-    print(f"eigs: {len(vals)} eigenvalues in [{vals[0]:.6g}, {vals[-1]:.6g}]")
     _write(
         args,
+        [f"eigs: {len(vals)} eigenvalues in [{vals[0]:.6g}, {vals[-1]:.6g}]"],
         lambda: eigenvalues_to_dict(eig),
         lambda: ["index,value", *(f"{i},{v:.17g}" for i, v in enumerate(vals))],
     )
@@ -363,12 +368,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{_PROG}: numerical failure: {exc}", file=sys.stderr)
             ok, detail = False, str(exc)
         all_ok &= ok
-        line = f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
-        lines.append(line)
-        print(line)
-    verdict = "all checks passed" if all_ok else "verification FAILED"
-    print(verdict)
-    _write(args, None, lambda: [*lines, verdict])
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    lines.append("all checks passed" if all_ok else "verification FAILED")
+    _write(args, lines, None, lambda: lines)
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 

@@ -11,14 +11,13 @@ midpoints of a two-level tree under every distinct bracket (clusters of
 the Cantor spectrum share brackets).  Each eigenvalue reads the counts at
 exactly the midpoints one-shift-per-round bisection visits, so the values
 are those of plain bisection bit for bit, from far fewer passes over the
-sites.  With zero diagonal the spectrum is mirrored, sigma = -sigma, and so
-are the pivots: IEEE division and subtraction are sign-symmetric, so every
-pivot at -s is exactly minus the pivot at s, and the count at -s is
-n - count(s).  A pass therefore counts only at the distinct |s|.  The
-mirror breaks where a pivot comes out exactly zero, because the nudge to
--tiny has one sign; shift 0, and every shift whose mirror had a zero
-pivot, is counted directly.  Windows whose squared hoppings leave the
-normal double range are bisected scaled by a power of two.
+sites.  The pivots run in plain IEEE arithmetic, a zero followed by an
+infinity (Demmel, Dhillon and Ren, ETNA 3 (1995)), and the count reads
+their sign bits.  With zero diagonal the spectrum is mirrored, sigma =
+-sigma, and so are the pivots, so the count at -s follows in closed form
+from the pass at s, and a pass counts only at the distinct |s|.  Windows
+whose squared hoppings leave the normal double range are bisected scaled
+by a power of two.
 
 Windows cut from the hull repeat a few blocks (w^M, s_k = s_{k-1} s_{k-2}),
 and the negative-pivot count composes over blocks, as the rotation number
@@ -56,6 +55,9 @@ EDGE_WEIGHT_LIMIT = 0.5
 _TINY = float(np.finfo(float).tiny)
 # Hoppings in this range have squares in the normal double range.
 _HOP_MIN, _HOP_MAX = 2.0**-511, 2.0**511
+# Scaled tols from here up all take one bisection round; above it the
+# bracket width 2 (bound + tol) would leave the double range.
+_TOL_MAX = float(np.finfo(float).max) / 2
 # The Sturm kernel's pivot buffer holds this many sites by this many shifts.
 _BLOCK_SITES, _BLOCK_SHIFTS = 32, 4096
 # Bisection rounds per Sturm pass: first over the common starting bracket,
@@ -109,87 +111,74 @@ def build_window(window, p: HoppingPair) -> JacobiWindow:
     return JacobiWindow(tuple(table[ch] for ch in letters))
 
 
-def _pivot_block(hops: list[float], q: np.ndarray, neg: np.ndarray, rows, nudge: bool) -> None:
+def _pivot_block(hops: list[float], q: np.ndarray, neg: np.ndarray, rows) -> None:
     """Pivots of the sites with squared hoppings hops, one per row, from pivots q.
 
-    neg holds the negated shifts.  With nudge, zero pivots become -tiny.
+    neg holds the negated shifts.
     """
     prev = q
     for ee, row in zip(hops, rows):
         np.divide(ee, prev, out=row)
         np.subtract(neg, row, out=row)
-        if nudge:
-            np.copyto(row, -_TINY, where=row == 0.0)
         prev = row
 
 
 def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number of eigenvalues strictly below each shift, vectorized.
+    """Number of eigenvalues below each shift, vectorized.
 
     Pivot recursion q_i = -shift - e_{i-1}^2 / q_{i-1} for the zero-diagonal
-    matrix; the count of negative pivots equals the eigenvalue count below
-    the shift.  Zero pivots are nudged to -tiny; infinities self-heal.
-    The pivots of _BLOCK_SITES sites at a time go into one buffer, whose
-    negatives are counted once per block.  A block in which a pivot came
-    out zero is computed again from its first site with the nudge, so every
-    pivot is the one of the site-by-site recursion.  Shifts are taken
-    _BLOCK_SHIFTS at a time, so the buffer stays the same size for any count
-    of shifts.  Returns the counts and, per shift, whether any pivot came
-    out exactly zero before its nudge.
+    matrix, in plain IEEE arithmetic; a pivot counts when its sign bit is
+    set.  A zero pivot is followed by an infinity of the other sign, then
+    by exactly -shift, so one pivot of the pair counts.  A last pivot of +0
+    makes the shift an eigenvalue, which counts as below it.  The pivots of
+    _BLOCK_SITES sites at a time go into one buffer, whose sign bits are
+    counted once per block.  Shifts are taken _BLOCK_SHIFTS at a time, so
+    the buffer stays the same size for any count of shifts.  Returns the
+    counts and, per shift, whether the last pivot is +0.
     """
     neg_all = -np.asarray(shifts, dtype=float)
     count_all = np.empty(neg_all.shape, dtype=np.int64)
-    zero_all = neg_all == 0.0
+    last_zero_all = np.empty(neg_all.shape, dtype=bool)
     buf = np.empty((_BLOCK_SITES, min(neg_all.size, _BLOCK_SHIFTS)))
     mask = np.empty(buf.shape, dtype=bool)
     hops = e2.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for cols in range(0, neg_all.size, _BLOCK_SHIFTS):
             neg = neg_all[cols : cols + _BLOCK_SHIFTS]
-            zero = zero_all[cols : cols + _BLOCK_SHIFTS]
-            q = np.where(zero, -_TINY, neg)
-            count = (q < 0.0).astype(np.int64)
+            q = neg.copy()
+            count = np.signbit(q).astype(np.int64)
             for start in range(0, len(hops), _BLOCK_SITES):
                 block = hops[start : start + _BLOCK_SITES]
                 pivots, flags = buf[: len(block), : neg.size], mask[: len(block), : neg.size]
-                _pivot_block(block, q, neg, pivots, nudge=False)
-                if np.equal(pivots, 0.0, out=flags).any():
-                    # Until its first zero a shift's raw pivots are the nudged
-                    # ones, so the raw pass flags exactly the shifts nudged.
-                    zero |= flags.any(axis=0)
-                    _pivot_block(block, q, neg, pivots, nudge=True)
+                _pivot_block(block, q, neg, pivots)
                 # A block holds fewer than 256 sites, so uint8 sums are exact.
-                np.less(pivots, 0.0, out=flags)
+                np.signbit(pivots, out=flags)
                 count += np.add.reduce(flags.view(np.uint8), axis=0, dtype=np.uint8)
                 q[...] = pivots[-1]
-            count_all[cols : cols + _BLOCK_SHIFTS] = count
-    return count_all, zero_all
+            last_zero = (q == 0.0) & ~np.signbit(q)
+            count_all[cols : cols + _BLOCK_SHIFTS] = count + last_zero
+            last_zero_all[cols : cols + _BLOCK_SHIFTS] = last_zero
+    return count_all, last_zero_all
 
 
 def _mirrored_count(e2: np.ndarray, shifts: np.ndarray, plan=None) -> np.ndarray:
     """Sturm counts at shifts, from one pass at their distinct magnitudes.
 
     With zero diagonal every pivot at -s is exactly minus the pivot at s
-    (IEEE division and subtraction are sign-symmetric), until a pivot is
-    zero and the nudge to -tiny breaks the symmetry.  So a negative shift
-    reads n - count(|s|) unless a pivot at |s| was zero; those shifts, like
-    shift 0 and NaN, are counted directly.  With a plan the pass is
-    _block_count's, whose products at -s are likewise exact sign flips of
-    those at s; where a sign read there is zero, eigenvalues_free's
-    site-loop check stands in for a direct count.
+    (IEEE division and subtraction are sign-symmetric), but for zero pivots
+    away from shift 0, +0 at both.  A zero inside the chain is followed by
+    -inf at both, so its pair counts once at each sign, as mirrored pivots
+    would; a last pivot of +0 counts once at each sign too.  So a negative
+    shift reads n - count(|s|) + [last pivot at |s| is +0], and -0 reads
+    as 0.  With a plan the pass is _block_count's, whose products at -s are
+    likewise exact sign flips of those at s; where a sign read there is
+    zero, eigenvalues_free's site-loop check stands in.
     """
-    n = e2.size + 1
-    negative = shifts < 0.0
     mags, inv = np.unique(np.abs(shifts), return_inverse=True)
-    if plan is None:
-        counts, zero = _sturm_count(e2, mags)
-    else:
-        counts, zero = _block_count(plan, e2, mags), np.zeros(mags.shape, dtype=bool)
-    count = np.where(negative, n - counts[inv], counts[inv])
-    direct = negative & zero[inv]
-    if direct.any():
-        count[direct] = _sturm_count(e2, shifts[direct])[0]
-    return count
+    counts, last_zero = (
+        _sturm_count(e2, mags) if plan is None else (_block_count(plan, e2, mags), False)
+    )
+    return np.where(shifts < 0.0, (e2.size + 1 - counts + last_zero)[inv], counts[inv])
 
 
 def _block_plan(e2: np.ndarray) -> list[tuple[int, int, int, list[int]]] | None:
@@ -244,8 +233,8 @@ def _block_count(plan, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     G_U + G_V - [(VU)21 U21 V21 > 0] for U then V.  Only signs are read,
     and every product is rescaled by a power of two.  The window starts at
     q_1 = -shift in front of the map of all its hoppings.  At shift 0 the
-    pivots -e^2 / q alternate in sign from q_1 = -tiny, so ceil(n / 2) of
-    the n sites count.
+    pivots -e^2 / q alternate in sign from q_1 = -0, so ceil(n / 2) of the
+    n sites count.
     Where products cancel, close to eigenvalues and further out at strong
     coupling, or a sign read is exactly zero, these counts can differ from
     the site loop's, so eigenvalues_free checks its final brackets with the
@@ -290,9 +279,9 @@ def _scaled_squares(e: np.ndarray) -> tuple[np.ndarray, int]:
 
     s is 0 unless a square of e would leave the normal double range; then
     the largest scaled hopping lies in [0.5, 1).  The pivot recursion is
-    homogeneous in (e, shift), so apart from the nudge of exact zero
-    pivots the counts of the scaled window at 2^s shift are the counts at
-    shift, and power-of-two scaling rounds no value.
+    homogeneous in (e, shift), so the counts of the scaled window at
+    2^s shift are the counts at shift, and power-of-two scaling rounds no
+    value.
     """
     smallest, largest = float(e.min()), float(e.max())
     s = 0 if _HOP_MIN <= smallest and largest <= _HOP_MAX else -math.frexp(largest)[1]
@@ -301,10 +290,14 @@ def _scaled_squares(e: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def eigenvalue_count_below(j: JacobiWindow, shifts) -> np.ndarray:
-    """Sturm counts at the given shifts."""
+    """Sturm counts at the given shifts; a NaN shift raises ValueError."""
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    nan = np.flatnonzero(np.isnan(shifts))
+    if nan.size:
+        raise ValueError(f"shift at flat index {nan[0]} is NaN; no eigenvalue count is below it")
     e2, s = _scaled_squares(np.array(j.hoppings, dtype=float))
     with np.errstate(over="ignore"):
-        shifts = np.ldexp(np.atleast_1d(np.asarray(shifts, dtype=float)), s)
+        shifts = np.ldexp(shifts, s)
     return _mirrored_count(e2, shifts.ravel()).reshape(shifts.shape)
 
 
@@ -395,7 +388,8 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
     bound_s = 2.0 * math.ldexp(float(e.max()), s)
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
-    tol_s = 1e-10 * bound_s if tol is None else math.ldexp(tol, s)
+    with np.errstate(over="ignore"):
+        tol_s = 1e-10 * bound_s if tol is None else min(float(np.ldexp(tol, s)), _TOL_MAX)
     edge = bound_s + tol_s
     if not 0.0 < tol_s or 2 * edge / tol_s == math.inf:
         raise ValueError(f"tol {tol} is too small: the count of bisection rounds is not finite")
@@ -421,7 +415,8 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
 def _pivots(e2: np.ndarray, shift: float) -> np.ndarray:
     """Sturm pivots q_i = -shift - e_{i-1}^2 / q_{i-1} at one shift, top down.
 
-    Zero pivots become -tiny, as in _sturm_count; infinities self-heal.
+    Zero pivots become -tiny, since Python floats raise on division by
+    zero; infinities self-heal.
     """
     pivots = []
     q = 1.0

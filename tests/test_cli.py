@@ -484,12 +484,13 @@ def test_late_usage_error_exits_2(capsys, argv, message):
 
 
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    # The summary lines follow the write, so a failed write prints no result.
     target = tmp_path / "missing" / "s3.json"
-    code, out, err = run(capsys, "bands", "--k", "3", "--out", str(target))
-    assert code == EXIT_USAGE
-    assert err == f"fibjacobi: error: [Errno 2] No such file or directory: '{target}'\n"
-    # The summary line comes before the write; no payload reaches stdout.
-    assert out == "sigma_3: 3 bands, measure 2.92820323028\n"
+    for argv in (("bands", "--k", "3"), ("words", "--k", "3")):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_USAGE
+        assert err == f"fibjacobi: error: [Errno 2] No such file or directory: '{target}'\n"
+        assert out == ""
     assert not target.parent.exists()
 
 

@@ -104,6 +104,21 @@ def test_box_dimension_scale_validation():
         box_dimension([cs], np.geomspace(1e-3, 1e-5, 8))
     with pytest.raises(ValueError):
         box_dimension([], [0.3, 0.1, 0.03, 0.01])
+    empty = BandSet([], [], "cover", 1, HoppingPair(1.0, 1.0), 1e-12)
+    for covers in ([empty], [cs, "cover"]):
+        with pytest.raises(ValueError, match="covers must be nonempty BandSet instances"):
+            box_dimension(covers, [0.3, 0.1, 0.03, 0.01])
+    for eps in ([], [0.3, 0.1, 0.0], [0.3, -0.1], [math.inf, 0.1], [math.nan, 0.1]):
+        with pytest.raises(ValueError, match="box sizes must be positive and finite"):
+            box_dimension([cs], eps)
+    # One band of length 0.5 among 99 of length 1e-6: boxes down to twice
+    # the mean band length span two decades, but the smallest is shorter
+    # than the long band.
+    lo = np.concatenate(([0.0], np.linspace(0.6, 1.0, 99)))
+    lopsided = BandSet(lo, lo + np.concatenate(([0.5], np.full(99, 1e-6))), "cover", 1,
+                       HoppingPair(1.0, 1.0), 1e-12)
+    with pytest.raises(ValueError, match="smallest box 0.0101 is below the finest cover's longest band 0.5"):
+        box_dimension([lopsided], np.geomspace(2.0, 0.0101, 8))
 
 
 def test_box_dimension_clips_sub_resolution_scales():
@@ -194,6 +209,21 @@ def test_local_matches_global_at_five_centers():
 def test_local_dimension_window_outside_spectrum():
     with pytest.raises(ValueError, match="does not intersect"):
         local_dimension(HoppingPair(1.0, 2.0), 5.0, 0.1, k_max=10)
+
+
+@pytest.mark.parametrize(
+    "center, delta, k_max, match",
+    [
+        (math.nan, 0.1, 10, "need a finite window"),
+        (0.0, math.inf, 10, "need a finite window"),
+        (0.0, 0.0, 10, "need a finite window"),
+        (0.0, -0.1, 10, "need a finite window"),
+        (0.0, 0.1, 1, "k_max must be at least 2, got 1"),
+    ],
+)
+def test_local_dimension_input_validation(center, delta, k_max, match):
+    with pytest.raises(ValueError, match=match):
+        local_dimension(HoppingPair(1.0, 2.0), center, delta, k_max=k_max)
 
 
 def test_local_dimension_window_too_narrow():

@@ -104,17 +104,20 @@ def test_eigenvalues_bit_identical_to_one_shift_bisection(name):
 
 
 def test_zero_pivots_at_shift_zero():
-    # The bisection's first midpoint is exactly 0.  There the first pivot is
-    # zero, and later ones come out zero too (after +-tiny and +-huge pivots
-    # a quotient underflows), so the kernel recomputes their blocks.  Odd
-    # chains count their zero eigenvalue as below 0.
+    # The bisection's first midpoint is exactly 0.  There the pivots run
+    # -0, +inf, -0, ... (the reference's run -tiny, +huge, ...), so every
+    # other pivot counts, and odd chains count their zero eigenvalue as
+    # below 0.  At -0 they run +0, -inf, ..., ending in +0 on odd chains,
+    # which counts too; -0 is counted as 0.
+    zeros = np.array([0.0, -0.0])
     for b in (1.0001, 2.0, 100.0):
         for n in (89, 90):
             e2 = np.array(WINDOWS[f"b/a={b} n={n}"].hoppings) ** 2
             assert np.any(_pivots(e2, 0.0)[1:] == -_TINY)
-            count, zero = _sturm_count(e2, np.array([0.0]))
-            assert count[0] == (n + 1) // 2
-            assert zero[0]
+            count, last_zero = _sturm_count(e2, zeros)
+            assert count.tolist() == [(n + 1) // 2] * 2
+            assert last_zero.tolist() == [False, n % 2 == 1]
+            assert _mirrored_count(e2, zeros).tolist() == [(n + 1) // 2] * 2
 
 
 @pytest.mark.parametrize("name", WINDOWS)
@@ -143,7 +146,7 @@ def test_sturm_count_against_dense_oracle(name):
 
 @pytest.mark.parametrize("name", WINDOWS)
 def test_mirrored_count_matches_reference(name):
-    # Shifts in +- pairs, with 0 and -0, the bounds, the eigenvalues and
+    # Shifts in +- pairs, with 0 and -0, +-1, the bounds, the eigenvalues and
     # points just off them: the mirrored counts equal site-by-site counts.
     jw = WINDOWS[name]
     e2 = np.array(jw.hoppings) ** 2
@@ -151,36 +154,31 @@ def test_mirrored_count_matches_reference(name):
     lam = eigenvalues_free(jw).values
     rng = np.random.default_rng(11)
     half = np.concatenate(
-        (rng.uniform(0.0, bound, 500), [0.0, bound, 2.0 * bound], lam, np.nextafter(lam, np.inf))
+        (rng.uniform(0.0, bound, 500), [0.0, 1.0, bound, 2.0 * bound], lam, np.nextafter(lam, np.inf))
     )
     shifts = np.concatenate((half, -half, [-0.0]))
     rng.shuffle(shifts)
     assert np.array_equal(_mirrored_count(e2, shifts), _count_reference(e2, shifts))
 
 
-def test_mirrored_count_counts_directly_after_zero_pivots(monkeypatch):
-    # Equal hoppings 1 at shift 1 give q_0 = -1, then q_1 = -1 + 1 = 0: a
-    # zero pivot away from shift 0.  The nudge breaks the mirror, so -1 is
-    # counted directly, for an odd and an even number of sites.  On 41 sites
-    # n - count(1) would even give the wrong count.
-    mirrored = []
+def test_mirrored_count_after_zero_pivots():
+    # Equal hoppings 1 at shift 1 give q_1 = -1, then q_2 = -1 + 1 = +0: a
+    # zero pivot away from shift 0, +0 at shifts 1 and -1 alike and followed
+    # by -inf, for an odd and an even number of sites.  On 41 sites the last
+    # pivot at 1 is +0: 1 = 2 cos(14 pi / 42) is an eigenvalue, counted as
+    # below itself, and -1 reads n - count(1) + 1.
+    shifts = np.array([1.0, -1.0, 0.5])
     for hops in ((1.0,) * 40, (1.0,) * 41):
         e2 = np.array(hops) ** 2
-        count, zero = _sturm_count(e2, np.array([1.0, -1.0, 0.5]))
-        assert zero.tolist() == [True, True, False]
-        want = _count_reference(e2, np.array([-1.0, 1.0]))
-        mirrored.append(e2.size + 1 - count[0] == want[0])
-        calls = []
-
-        def spy(e2, shifts):
-            calls.append(np.array(shifts))
-            return _sturm_count(e2, shifts)
-
-        monkeypatch.setattr("fibjacobi.jacobi._sturm_count", spy)
-        assert np.array_equal(_mirrored_count(e2, np.array([-1.0, 1.0])), want)
-        monkeypatch.undo()
-        assert [c.tolist() for c in calls] == [[1.0], [-1.0]]
-    assert mirrored == [False, True]
+        want = _count_reference(e2, shifts)
+        count, last_zero = _sturm_count(e2, shifts)
+        assert np.array_equal(count, want)
+        assert np.array_equal(_mirrored_count(e2, shifts), want)
+        on_eigenvalue = e2.size == 40
+        assert last_zero.tolist() == [on_eigenvalue, on_eigenvalue, False]
+        below = _sturm_count(e2, np.nextafter(shifts[:1], 0.0))[0]
+        assert count[0] - below[0] == on_eigenvalue
+        assert want[1] == e2.size + 1 - want[0] + on_eigenvalue
 
 
 def test_mirrored_count_of_scaled_shifts_past_double_range():
@@ -195,6 +193,14 @@ def test_mirrored_count_of_scaled_shifts_past_double_range():
     assert np.isinf(scaled[:4]).all()
     assert np.array_equal(eigenvalue_count_below(jw, shifts), _count_reference(e2, scaled))
     assert eigenvalue_count_below(jw, shifts[:4]).tolist() == [0, jw.n_sites, jw.n_sites, 0]
+
+
+def test_eigenvalue_count_below_rejects_nan_shifts():
+    # A NaN shift has no count; its sign bit must not pick one.
+    jw = JacobiWindow((1.0, 2.0))
+    for shifts, at in (([math.nan], 0), ([0.5, -math.nan], 1), ([[0.0, 1.0], [math.nan, 2.0]], 2)):
+        with pytest.raises(ValueError, match=f"shift at flat index {at} is NaN"):
+            eigenvalue_count_below(jw, shifts)
 
 
 def test_eigenvalues_at_extreme_hopping_scales():
@@ -488,6 +494,19 @@ def test_periodic_band_check_validation():
 def test_eigenvalues_free_rejects_tol_without_finite_rounds(tol):
     with pytest.raises(ValueError, match="tol"):
         eigenvalues_free(JacobiWindow((1.0, 2.0)), tol)
+
+
+def test_eigenvalues_free_takes_a_tol_past_double_range():
+    # Scaled by 2^995, tols like 1e300 leave the double range, and at (1, 2)
+    # 1e308 makes the bracket width overflow.  Such a tol takes one round.
+    for hops in ((1e-300, 2e-300), (1.0, 2.0)):
+        dense = np.linalg.eigvalsh(_dense(np.array(hops)))
+        for tol in (1e300, 1e308, np.finfo(float).max):
+            eig = eigenvalues_free(JacobiWindow(hops), tol)
+            assert eig.residual_bound == tol
+            assert np.all(np.abs(eig.values - dense) <= tol)
+    # One round from [-(4 + tol), 4 + tol] splits the values at 0.
+    assert eigenvalues_free(JacobiWindow((1.0, 2.0)), 1e300).values.tolist() == [-5e299, -5e299, 5e299]
 
 
 def test_band_checks_report_an_overflowing_norm_bound_first():

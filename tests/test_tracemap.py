@@ -15,6 +15,7 @@ import pytest
 from fibjacobi.tracemap import (
     ESCAPE_GUARD,
     _BLOCK,
+    _signed_log_sub,
     _x_minus_one,
     EscapeResult,
     HoppingPair,
@@ -338,8 +339,27 @@ def test_escape_classify_escaped_case():
     assert res.k_escape == 0
     assert not res.diverged
     assert isinstance(res, EscapeResult)
+    assert res.classification == "Escaped(0)"
+    # An infinite half-trace counts as escaped, with diverged set.
+    res = escape_classify(HoppingPair(1, 2), math.inf, 100)
+    assert (res.escaped, res.diverged) == (True, True)
+    assert res.classification == "EscapedDiverged(0)"
     with pytest.raises(ValueError):
         escape_classify(HoppingPair(1, 2), 10.0, 1)
+
+
+def test_signed_log_sub_matches_float_subtraction():
+    # (m, s) stands for s e^m, and zero for (-inf, 0): every sign pattern,
+    # zeros and equal magnitudes give a - b as plain floats do.
+    def signed_log(x):
+        return (math.log(abs(x)), 1 if x > 0 else -1) if x else (-math.inf, 0)
+
+    values = (3.0, -3.0, 0.5, -0.5, 1e-3, 0.0)
+    for a in values:
+        for b in values:
+            m, s = _signed_log_sub(*signed_log(a), *signed_log(b))
+            assert s == (a > b) - (a < b), (a, b)
+            assert s * math.exp(m) == pytest.approx(a - b, rel=1e-14, abs=0.0), (a, b)
 
 
 def test_escape_invariant_two_consecutive_large():

@@ -92,6 +92,7 @@ def test_cocycle_long_product_det_via_log():
     p = HoppingPair(1, 2)
     m = cocycle(omega_s(1, 5000), p, 0.0, 5000)
     assert abs(m.log_abs_det()) <= 1e-10
+    assert TransferMatrix(1.0, 2.0, 2.0, 4.0, 3.0).log_abs_det() == -math.inf
     # Far outside the spectrum the product reaches astronomical norms
     # without overflowing, which is what the tracked scale is for.
     m = cocycle(omega_s(1, 5000), p, 10.0, 5000)
@@ -204,6 +205,9 @@ def test_non_finite_energies_rejected():
             cocycle(w, p, bad, 10)
         with pytest.raises(ValueError, match="energies must be finite"):
             cayley_hamilton_defect(w, p, bad, 4)
+    for n in (4, 0):
+        with pytest.raises(ValueError, match=f"lyapunov needs n >= 5, got {n}"):
+            lyapunov_grid(p, [0.0], n)
 
 
 def test_products_leaving_double_range_raise():
@@ -328,6 +332,8 @@ def test_evolve_solution_window_coverage():
     p = HoppingPair(1, 2)
     with pytest.raises(WindowCoverageError):
         evolve_solution(omega_s(1, 5), p, 1.0, 0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        evolve_solution(omega_s(1, 5), p, 1.0, 0.0, 1.0, 0)
 
 
 def test_lyapunov_free_chain_zero():
@@ -485,6 +491,8 @@ def test_cayley_hamilton_defect_requires_square():
     bad = window_from_word("babab" * 4)
     with pytest.raises(SquareStructureError):
         cayley_hamilton_defect(bad, p, 0.0, 3)
+    with pytest.raises(SquareStructureError, match="does not start with a level-2 repeated block"):
+        no_decay_witness(bad, p, 0.0, 3, 0.0, 1.0)
 
 
 def test_no_decay_witness_bounded_energy():

@@ -87,6 +87,8 @@ def test_signed_window_basics():
         w.letter(4)
     with pytest.raises(WindowCoverageError):
         w.slice(0, 5)
+    with pytest.raises(ValueError, match="slice requires lo <= hi"):
+        w.slice(1, 0)
     with pytest.raises(ValueError):
         SignedWindow(2, 1, "")
     with pytest.raises(ValueError):
@@ -137,6 +139,8 @@ def test_omega_s_two_sided():
 def test_omega_s_argument_validation():
     with pytest.raises(ValueError):
         omega_s(3, 1)
+    with pytest.raises(WordLengthError, match="omega_s window of 50000001 letters over the cap"):
+        omega_s(0, 50_000_000)
 
 
 def test_subwords_small():
@@ -158,12 +162,17 @@ def test_subwords_complexity():
 def test_subwords_validation():
     with pytest.raises(ValueError):
         subwords(0)
+    # Factors of length 2e7 need a prefix of 6e7 + 4 letters or more.
+    with pytest.raises(WordLengthError, match=r"S\^37\(a\) has 63245986 letters, over the cap"):
+        subwords(20_000_000)
 
 
 def test_cyclic_conjugates_small():
     assert cyclic_conjugates(1) == ["ab", "ba"]
     assert cyclic_conjugates(2) == ["aba", "baa", "aab"]
     assert cyclic_conjugates(3) == ["abaab", "baaba", "aabab", "ababa", "babaa"]
+    with pytest.raises(ValueError, match="cyclic_conjugates requires k >= 1, got 0"):
+        cyclic_conjugates(0)
 
 
 def test_cyclic_conjugates_distinct():
@@ -176,6 +185,8 @@ def test_cyclic_conjugates_distinct():
 
 def test_square_prefix_block_lengths():
     assert [square_prefix_block(k) for k in range(1, 6)] == [2, 3, 5, 8, 13]
+    with pytest.raises(ValueError, match="square level must be >= 1, got 0"):
+        square_prefix_block(0)
 
 
 def test_square_prefix_check_on_hull_element():
