@@ -369,8 +369,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok, detail = False, str(exc)
         all_ok &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        if not args.out:
+            print(lines[-1])
     lines.append("all checks passed" if all_ok else "verification FAILED")
-    _write(args, lines, None, lambda: lines)
+    _write(args, lines if args.out else lines[-1:], None, lambda: lines)
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 

@@ -130,35 +130,39 @@ def _sturm_count(e2: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.nda
     matrix, in plain IEEE arithmetic; a pivot counts when its sign bit is
     set.  A zero pivot is followed by an infinity of the other sign, then
     by exactly -shift, so one pivot of the pair counts.  A last pivot of +0
-    makes the shift an eigenvalue, which counts as below it.  The pivots of
-    _BLOCK_SITES sites at a time go into one buffer, whose sign bits are
-    counted once per block.  Shifts are taken _BLOCK_SHIFTS at a time, so
-    the buffer stays the same size for any count of shifts.  Returns the
-    counts and, per shift, whether the last pivot is +0.
+    makes the shift an eigenvalue, which counts as below it.  A zero square
+    (a hopping that underflows in _scaled_squares) splits the matrix into
+    chains, each counted from q = -shift.  The pivots of _BLOCK_SITES sites
+    at a time go into one buffer, whose sign bits are counted once per
+    block.  Shifts are taken _BLOCK_SHIFTS at a time, so the buffer stays
+    the same size for any count of shifts.  Returns the counts and, per
+    shift, the number of chains whose last pivot is +0.
     """
     neg_all = -np.asarray(shifts, dtype=float)
-    count_all = np.empty(neg_all.shape, dtype=np.int64)
-    last_zero_all = np.empty(neg_all.shape, dtype=bool)
+    out = np.empty((2, neg_all.size), dtype=np.int64)
     buf = np.empty((_BLOCK_SITES, min(neg_all.size, _BLOCK_SHIFTS)))
     mask = np.empty(buf.shape, dtype=bool)
     hops = e2.tolist()
+    cuts = [i for i, ee in enumerate(hops) if ee == 0.0]
+    chains = [hops[i + 1 : j] for i, j in zip([-1, *cuts], [*cuts, len(hops)])]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for cols in range(0, neg_all.size, _BLOCK_SHIFTS):
             neg = neg_all[cols : cols + _BLOCK_SHIFTS]
-            q = neg.copy()
-            count = np.signbit(q).astype(np.int64)
-            for start in range(0, len(hops), _BLOCK_SITES):
-                block = hops[start : start + _BLOCK_SITES]
-                pivots, flags = buf[: len(block), : neg.size], mask[: len(block), : neg.size]
-                _pivot_block(block, q, neg, pivots)
-                # A block holds fewer than 256 sites, so uint8 sums are exact.
-                np.signbit(pivots, out=flags)
-                count += np.add.reduce(flags.view(np.uint8), axis=0, dtype=np.uint8)
-                q[...] = pivots[-1]
-            last_zero = (q == 0.0) & ~np.signbit(q)
-            count_all[cols : cols + _BLOCK_SHIFTS] = count + last_zero
-            last_zero_all[cols : cols + _BLOCK_SHIFTS] = last_zero
-    return count_all, last_zero_all
+            count, zeros = np.zeros((2, neg.size), dtype=np.int64)
+            for chain in chains:
+                q = neg.copy()
+                count += np.signbit(q)
+                for start in range(0, len(chain), _BLOCK_SITES):
+                    block = chain[start : start + _BLOCK_SITES]
+                    pivots, flags = buf[: len(block), : neg.size], mask[: len(block), : neg.size]
+                    _pivot_block(block, q, neg, pivots)
+                    # A block holds fewer than 256 sites, so uint8 sums are exact.
+                    np.signbit(pivots, out=flags)
+                    count += np.add.reduce(flags.view(np.uint8), axis=0, dtype=np.uint8)
+                    q[...] = pivots[-1]
+                zeros += (q == 0.0) & ~np.signbit(q)
+            out[:, cols : cols + _BLOCK_SHIFTS] = count + zeros, zeros
+    return out[0], out[1]
 
 
 def _mirrored_count(e2: np.ndarray, shifts: np.ndarray, plan=None) -> np.ndarray:
@@ -166,19 +170,16 @@ def _mirrored_count(e2: np.ndarray, shifts: np.ndarray, plan=None) -> np.ndarray
 
     With zero diagonal every pivot at -s is exactly minus the pivot at s
     (IEEE division and subtraction are sign-symmetric), but for zero pivots
-    away from shift 0, +0 at both.  A zero inside the chain is followed by
-    -inf at both, so its pair counts once at each sign, as mirrored pivots
-    would; a last pivot of +0 counts once at each sign too.  So a negative
-    shift reads n - count(|s|) + [last pivot at |s| is +0], and -0 reads
-    as 0.  With a plan the pass is _block_count's, whose products at -s are
-    likewise exact sign flips of those at s; where a sign read there is
-    zero, eigenvalues_free's site-loop check stands in.
+    away from shift 0, +0 at both.  A zero inside a chain is followed by
+    -inf at both, so its pair counts once at each sign, and so does a last
+    pivot of +0.  So a negative shift reads n - count(|s|) + (chains ending
+    in +0 at |s|), and -0 reads as 0.  With a plan the pass is
+    _block_count's, whose products at -s are exact sign flips of those at
+    s; where a sign read there is zero, eigenvalues_free's check stands in.
     """
     mags, inv = np.unique(np.abs(shifts), return_inverse=True)
-    counts, last_zero = (
-        _sturm_count(e2, mags) if plan is None else (_block_count(plan, e2, mags), False)
-    )
-    return np.where(shifts < 0.0, (e2.size + 1 - counts + last_zero)[inv], counts[inv])
+    counts, zeros = _sturm_count(e2, mags) if plan is None else (_block_count(plan, e2, mags), 0)
+    return np.where(shifts < 0.0, (e2.size + 1 - counts + zeros)[inv], counts[inv])
 
 
 def _block_plan(e2: np.ndarray) -> list[tuple[int, int, int, list[int]]] | None:
@@ -234,7 +235,7 @@ def _block_count(plan, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     and every product is rescaled by a power of two.  The window starts at
     q_1 = -shift in front of the map of all its hoppings.  At shift 0 the
     pivots -e^2 / q alternate in sign from q_1 = -0, so ceil(n / 2) of the
-    n sites count.
+    n sites count where no square is zero.
     Where products cancel, close to eigenvalues and further out at strong
     coupling, or a sign read is exactly zero, these counts can differ from
     the site loop's, so eigenvalues_free checks its final brackets with the
@@ -415,8 +416,7 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
 def _pivots(e2: np.ndarray, shift: float) -> np.ndarray:
     """Sturm pivots q_i = -shift - e_{i-1}^2 / q_{i-1} at one shift, top down.
 
-    Zero pivots become -tiny, since Python floats raise on division by
-    zero; infinities self-heal.
+    Zero pivots become -tiny, as Python floats raise on division by zero.
     """
     pivots = []
     q = 1.0

@@ -114,9 +114,9 @@ def test_zero_pivots_at_shift_zero():
         for n in (89, 90):
             e2 = np.array(WINDOWS[f"b/a={b} n={n}"].hoppings) ** 2
             assert np.any(_pivots(e2, 0.0)[1:] == -_TINY)
-            count, last_zero = _sturm_count(e2, zeros)
+            count, ends = _sturm_count(e2, zeros)
             assert count.tolist() == [(n + 1) // 2] * 2
-            assert last_zero.tolist() == [False, n % 2 == 1]
+            assert ends.tolist() == [0, n % 2]
             assert _mirrored_count(e2, zeros).tolist() == [(n + 1) // 2] * 2
 
 
@@ -171,11 +171,11 @@ def test_mirrored_count_after_zero_pivots():
     for hops in ((1.0,) * 40, (1.0,) * 41):
         e2 = np.array(hops) ** 2
         want = _count_reference(e2, shifts)
-        count, last_zero = _sturm_count(e2, shifts)
+        count, ends = _sturm_count(e2, shifts)
         assert np.array_equal(count, want)
         assert np.array_equal(_mirrored_count(e2, shifts), want)
         on_eigenvalue = e2.size == 40
-        assert last_zero.tolist() == [on_eigenvalue, on_eigenvalue, False]
+        assert ends.tolist() == [on_eigenvalue, on_eigenvalue, 0]
         below = _sturm_count(e2, np.nextafter(shifts[:1], 0.0))[0]
         assert count[0] - below[0] == on_eigenvalue
         assert want[1] == e2.size + 1 - want[0] + on_eigenvalue
@@ -193,6 +193,39 @@ def test_mirrored_count_of_scaled_shifts_past_double_range():
     assert np.isinf(scaled[:4]).all()
     assert np.array_equal(eigenvalue_count_below(jw, shifts), _count_reference(e2, scaled))
     assert eigenvalue_count_below(jw, shifts[:4]).tolist() == [0, jw.n_sites, jw.n_sites, 0]
+
+
+# Windows with hoppings 1e-200 and 1, whose scaled squares of 1e-200
+# underflow to 0: the matrix splits there into chains.  The hull window of
+# 100 sites is longer than one pivot block and has a block plan.
+ZERO_SQUARE_WINDOWS = {
+    "n=3": JacobiWindow((1e-200, 1.0)),
+    "n=4": JacobiWindow((1e-200, 1.0, 1e-200)),
+    "hull 100": build_window(omega_s(1, 99), HoppingPair(1e-200, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_SQUARE_WINDOWS)
+def test_counts_where_squares_underflow(name):
+    # Each chain starts again from -shift, so a zero pivot at the end of one
+    # chain never meets a zero square (0 / 0 would give NaN).  Counts at +-0,
+    # at subnormal shifts, at the chains' eigenvalues +-1 and at the computed
+    # eigenvalues equal the reference's; the eigenvalues equal one-shift
+    # bisection bit for bit and the dense ones within tol.
+    jw = ZERO_SQUARE_WINDOWS[name]
+    e = np.array(jw.hoppings)
+    e2, s = _scaled_squares(e)
+    assert np.any(e2 == 0.0)
+    eig = eigenvalues_free(jw)
+    lam = eig.values
+    half = np.concatenate(([0.0, 5e-324, 1e-300, 1e-200, 0.5, 1.0, 2.0], lam, np.nextafter(lam, np.inf)))
+    shifts = np.concatenate((half, -half, [-0.0]))
+    scaled = np.ldexp(shifts, s)
+    want = _count_reference(e2, scaled)
+    assert np.array_equal(eigenvalue_count_below(jw, shifts), want)
+    assert np.array_equal(_sturm_count(e2, scaled)[0], want)
+    assert np.array_equal(lam.view(np.int64), _bisect_reference(e).view(np.int64))
+    assert np.abs(lam - np.linalg.eigvalsh(_dense(e))).max() <= eig.residual_bound / 2
 
 
 def test_eigenvalue_count_below_rejects_nan_shifts():
@@ -275,7 +308,7 @@ def test_block_counts_equal_site_loop_away_from_eigenvalues(name):
 
 def test_block_counts_at_shift_zero():
     # Each pivot -e^2 / q at shift 0 has the opposite sign of the one before,
-    # from q_1 = -tiny: ceil(n / 2) pivots are negative, as the site loop counts.
+    # from q_1 = -0: ceil(n / 2) pivots are negative, as the site loop counts.
     for jw in BLOCK_WINDOWS.values():
         e2, _ = _scaled_squares(np.array(jw.hoppings))
         zero = np.array([0.0])
