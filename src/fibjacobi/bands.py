@@ -1,28 +1,38 @@
 """Band sets: sigma_k, nested covers, measures, escape approximations.
 
 sigma_k = {E : |x_k(E)| <= 1} is a union of at most F_k closed bands, one
-per zero of x_k.  The solver exploits three exact structural facts:
+per zero of x_k.  The solver exploits four exact structural facts:
 
+* symmetry: with zero diagonal |x_k(-E)| = |x_k(E)|, and the trace kernel
+  keeps it bit for bit, as IEEE negation, products and differences round
+  symmetrically; each level is solved on the search containers with
+  hi > 0 and returned with its exact mirror image;
 * containment: sigma_k lies inside sigma_{k-1} union sigma_{k-2}, since two
   consecutive half-traces beyond 1 force escape (so the complement of the
   union is trace-expanding at level k);
 * counting: x_k has exactly F_k simple real zeros, so a sign-change search
   that has found F_k zeros has found them all; each search container, a
   merged band of sigma_{k-1} union sigma_{k-2}, holds as many zeros of x_k
-  as of x_{k-1} and x_{k-2} together;
+  as of x_{k-1} and x_{k-2} together.  The sign changes of a container on
+  E > 0 count twice, for its mirror image, and those of the container
+  across E = 0 once; no container shows more sign changes than it holds
+  zeros, so a weighted count of F_k still proves that all were found;
 * unimodality: |x_k| has exactly one interior peak between consecutive
   zeros, so any point between them with |x_k| > 1 splits the gap into two
   brackets that each hold exactly one crossing of |x_k| = 1.
 
 Levels are computed bottom-up; each level's bands become the next level's
 search containers, which keeps the work proportional to the band structure
-instead of the window volume.  sigma_k keeps every gap certified open, and
-joins bands only where refined edges touch, so each band holds one zero of
-x_k unless the peak search closed a gap inside it.  A container's target is
-the number of parent bands it holds: its zero count wherever no gap closed.
+instead of the window volume.  The containers are exact mirror images by
+induction: the window is, and negation, the MERGE_FACTOR * tol inflation
+and _merge_intervals' gap tests are all sign-symmetric.  sigma_k keeps
+every gap certified open, and joins bands only where refined edges touch,
+so each band holds one zero of x_k unless the peak search closed a gap
+inside it.  A container's target is the number of parent bands it holds:
+its zero count wherever no gap closed.
 
 The sign grid gives each container a fixed number of points per target
-zero.  Where the global count of sign changes falls short of F_k, only the
+zero.  Where the weighted count of sign changes falls short of F_k, only the
 containers short of their own target are gridded again; F_k stays the
 certificate, and every grid doubles once a container's count contradicts
 its target, as it does where closed gaps make targets short.  The grid has
@@ -297,23 +307,29 @@ def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, at=None)
     return E
 
 
-def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray):
-    """The F_level zeros of x_level inside the containers, as sign-grid data per zero.
+def _locate_zeros(
+    p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray,
+    weight: np.ndarray,
+):
+    """The zeros of x_level inside the containers, as sign-grid data per zero.
 
     target[c] is the number of parent bands container c holds (see
     sigma_chain), its zero count unless a closed gap hides a zero from it.
-    Signs are sampled on a grid of _PER_ZERO * target[c] + 1 points per
-    container.  Where the bracketed count falls short of F_level, only the
-    containers with fewer sign changes than their target double their grids,
-    and the others keep their traces.  Once a container has more sign
-    changes than its target, none has fewer, or _IDLE_MAX local doublings
-    in a row found no new sign change (a target too high beside one too
-    low would keep doubling the same containers), every grid doubles
-    instead, so a target short by a closed gap falls back to global
-    doubling.  The count can never exceed F_level, so equality certifies
-    completeness whatever the targets say.  The grid is then reduced to
-    per-zero values before anything is refined; for zero i, in container
-    cid[i]:
+    weight[c] is how many times its zeros count towards F_level: 2 for a
+    container whose mirror image, which holds as many, is left out (see
+    _solve_level), else 1.  Signs are sampled on a grid of
+    _PER_ZERO * target[c] + 1 points per container.  Where the weighted
+    count of sign changes falls short of F_level, only the containers with
+    fewer sign changes than their target double their grids, and the others
+    keep their traces.  Once a container has more sign changes than its
+    target, none has fewer, or _IDLE_MAX local doublings in a row found no
+    new sign change (a target too high beside one too low would keep
+    doubling the same containers), every grid doubles instead, so a target
+    short by a closed gap falls back to global doubling.  No container
+    shows more sign changes than it holds zeros, so the weighted count can
+    never exceed F_level, and equality certifies completeness whatever the
+    targets say.  The grid is then reduced to per-zero values before
+    anything is refined; for zero i, in container cid[i]:
 
     * at[:, i]: indices j in the zero's container whose pair of grid points
       (j, j + 1) brackets the zero, the band's lower edge and its upper edge
@@ -333,7 +349,8 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
     total = fibonacci(level)
     counts = _PER_ZERO * target + 1
     local = True
-    last = idle = 0  # sign changes on the last grid, local doublings in a row that found none
+    # Weighted sign changes on the last grid; local doublings in a row that found none.
+    last = idle = 0
     redo = None  # the containers whose grid doubled; None for all
     x = None
     while True:
@@ -357,23 +374,24 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
         flip[ends[:-1]] = False  # pairs that straddle two containers
         flips = np.flatnonzero(flip)
         del flip
-        if len(flips) == total:
+        cid = np.searchsorted(ends, flips)
+        found = np.bincount(cid, minlength=clo.size)
+        counted = int(weight @ found)  # zeros over the whole line
+        if counted == total:
             break
-        if len(flips) > total:
+        if counted > total:
             raise RootIsolationError(
-                level, len(flips), total, n_pts, "more sign changes than zeros exist"
+                level, counted, total, n_pts, "more sign changes than zeros exist"
             )
         old = counts
         if local:
-            found = np.bincount(np.searchsorted(ends, flips), minlength=clo.size)
             redo = found < target
-            idle = idle + 1 if len(flips) == last else 0
+            idle = idle + 1 if counted == last else 0
             local = redo.any() and not (found > target).any() and idle < _IDLE_MAX
-        last = len(flips)
+        last = counted
         if not local:
             redo = None
         counts = 2 * counts if redo is None else np.where(redo, 2 * counts, counts)
-    cid = np.searchsorted(ends, flips)
     xz = np.stack((x[flips], x[flips + 1]))
     ax = np.abs(x, out=x)
     del x
@@ -409,14 +427,17 @@ def _locate_zeros(p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, 
 
 
 def _edge_brackets(
-    p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray, tol: float
+    p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray,
+    weight: np.ndarray, tol: float,
 ):
-    """Brackets of sigma_level's band edges and |x| - 1 at their ends.
+    """Brackets of the band edges of sigma_level in the containers, and |x| - 1 at their ends.
 
     Column b of the (2, 2 n_bands) bracket and value arrays holds the lower
     edge of band b, column n_bands + b its upper edge.
     """
-    cid, at, xz, g, (on_lo, on_hi), peak, counts = _locate_zeros(p, level, clo, chi, target)
+    cid, at, xz, g, (on_lo, on_hi), peak, counts = _locate_zeros(
+        p, level, clo, chi, target, weight
+    )
     n = cid.size
     above = 1.0 + max(tol, 1e3 * np.finfo(float).eps * fibonacci(level))
 
@@ -498,8 +519,9 @@ def _edge_brackets(
         gb[upper[opened], off[opened]] = gap_g[slot[opened]]
     bad = np.flatnonzero(np.sign(gb[0]) == np.sign(gb[1]))
     if bad.size:
+        # All F_level zeros were found; the grid covers the containers given.
         raise RootIsolationError(
-            level, n, fibonacci(level), int(counts.sum()),
+            level, fibonacci(level), fibonacci(level), int(counts.sum()),
             f"edge bracket ({br[0, bad[0]]}, {br[1, bad[0]]}) has no sign change of |x|-1",
         )
     return br, gb
@@ -545,10 +567,11 @@ def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
         a, fa = c, fc
         if done.any():
             root[idx[done]] = 0.5 * (a[done] + b[done])
-            keep = ~done
-            idx, a, fa, b, fb, probe = idx[keep], a[keep], fa[keep], b[keep], fb[keep], probe[keep]
-            if not idx.size:
+            # One index array and a take per array: cheaper than masks.
+            keep = np.flatnonzero(~done)
+            if not keep.size:
                 return root
+            idx, a, fa, b, fb, probe = (v.take(keep) for v in (idx, a, fa, b, fb, probe))
     left = a < b
     root[idx] = _batch_bisect(
         fn, np.where(left, a, b), np.where(left, b, a), tol, np.where(left, fa, fb)
@@ -561,16 +584,28 @@ def _solve_level(
 ):
     """Bands (lo, hi) of sigma_level inside the containers, and the merge count.
 
-    target[c] is _locate_zeros's target for container c.  Every gap the grid
-    or the peak search certified open stays; bands join only where their
-    refined edges touch or cross, as those of a gap narrower than tol / 4
-    can.  The merge count is F_level less the band count.
+    target[c] is _locate_zeros's target for container c.  The containers
+    are exact mirror images of each other under E -> -E, and so is
+    sigma_level (see the module docstring).  Only the containers with
+    hi > 0 are solved, the one across E = 0 (if any) whole, where its zeros
+    count once and the others' twice.  Of the bands found, those with
+    hi <= 0 are dropped, one across E = 0 becomes [-hi, hi], and the rest
+    are returned with their exact negatives.  Every gap the grid or the peak
+    search certified open stays; bands join only where their refined edges
+    touch or cross, as those of a gap narrower than tol / 4 can.  The merge
+    count is F_level less the band count.
     """
-    br, gb = _edge_brackets(p, level, clo, chi, target, tol)
+    half = chi > 0.0
+    clo, chi, target = clo[half], chi[half], target[half]
+    br, gb = _edge_brackets(p, level, clo, chi, target, np.where(clo > 0.0, 2, 1), tol)
     edges = _refine_edges(
         lambda EE: np.abs(trace_value(p, EE, level)) - 1.0, br[0], br[1], gb[0], gb[1], tol
     )
     lo, hi = _merge_intervals(*edges.reshape(2, -1), 0.0)
+    up = hi > 0.0
+    lo, hi = lo[up], hi[up]
+    s = int(lo[0] <= 0.0)  # the band across E = 0 is its own mirror image
+    lo, hi = np.concatenate((-hi[::-1], lo[s:])), np.concatenate((-lo[s:][::-1], hi))
     return lo, hi, fibonacci(level) - lo.size
 
 
@@ -589,7 +624,8 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
 
     Level k searches the containers sigma_{k-1} union sigma_{k-2}, with band
     edges inflated by MERGE_FACTOR * tol and overlaps merged (the window at
-    levels 1 and 2).  Each container holds as many zeros of x_k as of
+    levels 1 and 2), those with hi > 0 and their mirror images (see
+    _solve_level).  Each container holds as many zeros of x_k as of
     x_{k-1} and x_{k-2} together, the zero count of Suto's containment
     (CMP 111 (1987)).  A band of sigma_j holds one zero of x_j unless the
     peak search closed a gap, so the parent bands a container holds are
@@ -653,7 +689,9 @@ def escape_spectrum(
     """Union of grid cells not classified as escaped by level K_max.
 
     A cell is retained when any of its endpoints or midpoint stays Bounded,
-    making the result an outer approximation at the grid resolution.
+    making the result an outer approximation at the grid resolution.  The
+    scan covers the whole window: unlike sigma_k it is not mirrored, as its
+    cell edges i * step + lo are not symmetric about E = 0.
     """
     if window is None:
         window = energy_window(p)

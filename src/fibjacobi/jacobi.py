@@ -194,8 +194,12 @@ def _block_plan(e2: np.ndarray) -> list[tuple[int, int, int, list[int]]] | None:
     map(b), or site L when b = 0, and done lists the maps used for the last
     time.  w^M takes about |w| site steps and 2 log2 M compositions, and
     s_k one per level.  None where the steps cost more than the site loop,
-    counting a step as eight sites (one costs 7 to 13 sites' time per shift).
+    counting a step as eight sites (one costs 7 to 13 sites' time per shift),
+    and where a square is zero: _block_count does not split the window into
+    chains there, as _sturm_count does.
     """
+    if not e2.all():
+        return None
     word = e2.tolist()
     m = len(word)
     fail = [0] * (m + 1)

@@ -240,12 +240,51 @@ def test_trace_bound_on_cover_samples():
         assert np.all(np.abs(trace_value(P12, E, j)) <= tb + 1e-6), j
 
 
+# Couplings and the deepest level at which every sigma_k and cover is an
+# exact mirror image: strong and weak coupling, a > b and a = 0.37.
+MIRROR_CASES = ((1.0, 2.0, 10), (1.0, 5.0, 8), (1.0, 1.0001, 16), (1.0, 20.0, 14),
+                (2.3, 0.7, 12), (0.37, 1.0, 12), (0.37, 0.5, 12))
+
+
 def test_bandset_symmetry():
-    for bs in (sigma_k(P12, 9), cover(P12, 9), sigma_k(HoppingPair(1, 5), 7)):
-        n = len(bs.bands)
-        for i in range(n):
-            assert bs.bands[i, 0] == pytest.approx(-bs.bands[n - 1 - i, 1], abs=4 * TOL)
-            assert bs.bands[i, 1] == pytest.approx(-bs.bands[n - 1 - i, 0], abs=4 * TOL)
+    # sigma_k is solved on E > 0 and mirrored, so lo is exactly -hi reversed,
+    # and the cover of two mirror images is one too.
+    for a, b, k in MIRROR_CASES:
+        p = HoppingPair(a, b)
+        chain = sigma_chain(p, k, TOL)
+        for bs in (*chain, *(cover(p, j, TOL) for j in range(1, k))):
+            assert np.array_equal(bs.lo, -bs.hi[::-1]), (a, b, bs.kind, bs.level)
+
+
+def test_level_solves_evaluate_only_containers_with_hi_above_zero(monkeypatch):
+    # Every energy at which the chain evaluates x_k lies in one of the search
+    # containers with hi > 0: the one across E = 0, if any, and those on E > 0.
+    solve = bands_module._solve_level
+    trace = bands_module.trace_value
+    levels = []
+
+    def spy_solve(p, level, clo, chi, target, tol):
+        levels.append((level, clo[chi > 0.0], chi[chi > 0.0], []))
+        return solve(p, level, clo, chi, target, tol)
+
+    def spy_trace(p, E, k):
+        assert k == levels[-1][0]
+        levels[-1][3].append(np.array(E, dtype=float, copy=True).ravel())
+        return trace(p, E, k)
+
+    monkeypatch.setattr(bands_module, "_solve_level", spy_solve)
+    monkeypatch.setattr(bands_module, "trace_value", spy_trace)
+    for a, b, k in ((1.0, 2.27, 16), (1.0, 1.0001, 14), (2.3, 0.7, 12), (1.0, 20.0, 13)):
+        _chain.cache_clear()
+        sigma_chain(HoppingPair(a, b), k, TOL)
+    _chain.cache_clear()
+    evaluated = 0
+    for level, clo, chi, energies in levels:
+        E = np.concatenate(energies)
+        c = np.searchsorted(clo, E, side="right") - 1
+        assert np.all((c >= 0) & (E <= chi[np.maximum(c, 0)])), level
+        evaluated += E.size
+    assert len(levels) == 16 + 14 + 12 + 13 and evaluated > 100_000
 
 
 def test_band_edges_bracket_unit_crossing():
@@ -562,6 +601,7 @@ def test_edge_brackets_are_certified(monkeypatch):
     # the refinement returns: lower edges are [outer, inner], upper edges
     # [inner, outer].  At (1, 2.27) the sign grid brackets almost every edge,
     # so zero bisection (_batch_bisect outside _refine_edges) runs on few bands.
+    # Only the containers with hi > 0 are solved, from the lowest of them up.
     calls = []
     solve = bands_module._solve_level
     bisect = bands_module._batch_bisect
@@ -569,13 +609,13 @@ def test_edge_brackets_are_certified(monkeypatch):
     refining = []
 
     def spy_solve(p, level, clo, chi, target, tol):
-        calls.append((p, level, []))
+        calls.append((p, level, clo[chi > 0.0].min(), []))
         return solve(p, level, clo, chi, target, tol)
 
     def spy_bisect(fn, lo, hi, tol, f_lo=None, width=None):
         roots = bisect(fn, lo, hi, tol, f_lo, width)
         if not refining:
-            calls[-1][2].append((lo.copy(), hi.copy(), roots))
+            calls[-1][3].append((lo.copy(), hi.copy(), roots))
         return roots
 
     def spy_refine(fn, lo, hi, f_lo, f_hi, tol):
@@ -584,18 +624,19 @@ def test_edge_brackets_are_certified(monkeypatch):
             roots = refine(fn, lo, hi, f_lo, f_hi, tol)
         finally:
             refining.pop()
-        calls[-1][2].append((lo.copy(), hi.copy(), roots))
+        calls[-1][3].append((lo.copy(), hi.copy(), roots))
         return roots
 
     monkeypatch.setattr(bands_module, "_solve_level", spy_solve)
     monkeypatch.setattr(bands_module, "_batch_bisect", spy_bisect)
     monkeypatch.setattr(bands_module, "_refine_edges", spy_refine)
+    chains = {}
     for ratio, k in ((1.2, 16), (2.27, 18), (4.7, 16), (20.0, 13)):
         _chain.cache_clear()
-        sigma_chain(HoppingPair(1.0, ratio), k, TOL)
+        chains[ratio] = sigma_chain(HoppingPair(1.0, ratio), k, TOL)
     _chain.cache_clear()
     checked = 0
-    for p, level, bisections in calls:
+    for p, level, lowest, bisections in calls:
         *zeros, (lo, hi, edges) = bisections
         assert len(zeros) <= 1
         n_bands = lo.size // 2  # before the merge at MERGE_FACTOR * tol
@@ -610,19 +651,23 @@ def test_edge_brackets_are_certified(monkeypatch):
         assert np.all((band_lo - TOL / 4 <= inner) & (inner <= band_hi + TOL / 4)), (p, level)
         checked += lo.size
         if (p.b, level) == (2.27, 18):
-            assert n_bands == fibonacci(18)
+            # Every band of sigma_18 from the lowest solved container up: the
+            # positive half of F_18 and those the container across E = 0 holds.
+            assert n_bands == np.count_nonzero(chains[2.27][17].lo >= lowest) < 0.51 * fibonacci(18)
             assert sum(z[0].size for z in zeros) < 0.1 * n_bands
     assert checked > 20_000
 
 
 def test_edge_bracket_error_counts_grid_points():
-    # The error names the level's sign-grid points, _PER_ZERO per zero plus
-    # one per container, not the number of edge brackets (2 * 377).
+    # The error counts zeros over the whole line and names the sign-grid
+    # points evaluated: _PER_ZERO per zero plus one per container, over the
+    # 145 containers with hi > 0, which hold 189 zeros (377 counted with
+    # their mirrors), not the number of edge brackets (2 * 189).
     with pytest.raises(RootIsolationError, match="no sign change") as exc:
         sigma_k(HoppingPair(1, 40), 13)
     err = exc.value
-    assert (err.level, err.found, err.expected, err.points) == (13, 377, 377, 3305)
-    assert "isolated 377 of 377 trace zeros using 3305 grid points" in str(err)
+    assert (err.level, err.found, err.expected, err.points) == (13, 377, 377, 8 * 189 + 145)
+    assert "isolated 377 of 377 trace zeros using 1657 grid points" in str(err)
 
 
 def test_regula_falsi_points_stay_inside_their_brackets():
@@ -705,19 +750,19 @@ def test_containers_hold_the_zeros_of_both_parent_levels(ratio, k_max):
 
 
 def _spy_sign_grids(monkeypatch):
-    """Record each level's (p, level, containers, targets) and its full sign grids."""
+    """Record each level's (p, level, containers, targets, weights) and its full sign grids."""
     levels = []
     locate = bands_module._locate_zeros
     grid = bands_module._container_grid
 
-    def spy_locate(p, level, clo, chi, target):
-        levels.append((p, level, clo, target, []))
-        return locate(p, level, clo, chi, target)
+    def spy_locate(p, level, clo, chi, target, weight):
+        levels.append((p, level, clo, target, weight, []))
+        return locate(p, level, clo, chi, target, weight)
 
     def spy_grid(lo, hi, counts, at=None):
         E = grid(lo, hi, counts, at)
         if at is None:
-            levels[-1][4].append((lo, counts, E))
+            levels[-1][5].append((lo, counts, E))
         return E
 
     monkeypatch.setattr(bands_module, "_locate_zeros", spy_locate)
@@ -754,7 +799,7 @@ def test_short_containers_are_gridded_again_alone(monkeypatch):
         _assert_same_bands(sigma_chain(HoppingPair(1.0, ratio), k, TOL), want[ratio])
     _chain.cache_clear()
     regridded = 0
-    for p, level, clo, target, grids in levels:
+    for p, level, clo, target, weight, grids in levels:
         (lo, counts, E), *again = grids
         assert np.array_equal(lo, clo) and np.array_equal(counts, 2 * target + 1)
         found = _sign_changes(trace_value(p, E, level), counts)
@@ -767,7 +812,7 @@ def test_short_containers_are_gridded_again_alone(monkeypatch):
             points[redo] = counts
             found[redo] = _sign_changes(trace_value(p, E, level), counts)
             regridded += 1
-        assert found.sum() == fibonacci(level) and np.array_equal(found, target)
+        assert weight @ found == fibonacci(level) and np.array_equal(found, target)
     assert regridded >= 20
 
 
@@ -777,7 +822,7 @@ def _first_grid_changes(p, level, clo, chi, target):
     return _sign_changes(trace_value(p, _container_grid(clo, chi, counts), level), counts)
 
 
-def _over(p, level, clo, chi, target):
+def _over(p, level, clo, chi, target, weight):
     # One zero moved from a container that still finds all of its zeros to
     # its neighbour, at a level that is short: the first count exceeds a target.
     for r in np.flatnonzero(target >= 2):
@@ -785,12 +830,12 @@ def _over(p, level, clo, chi, target):
         wrong[r] -= 1
         wrong[r - 1] += 1
         found = _first_grid_changes(p, level, clo, chi, wrong)
-        if found[r] > wrong[r] and found.sum() < fibonacci(level):
+        if found[r] > wrong[r] and weight @ found < fibonacci(level):
             return wrong
     return None
 
 
-def _stall(p, level, clo, chi, target):
+def _stall(p, level, clo, chi, target, weight):
     # A short container's target lowered to what its grid then finds, the
     # missing zeros added to its neighbour: no count exceeds its target, the
     # neighbour is short for good and the short container is never doubled.
@@ -818,12 +863,12 @@ def test_wrong_targets_fall_back_to_global_doubling(monkeypatch):
     for make in (_over, _stall):
         changed = []
 
-        def wrong(p, level, clo, chi, target):
-            bad = make(p, level, clo, chi, target) if clo.size > 1 else None
+        def wrong(p, level, clo, chi, target, weight):
+            bad = make(p, level, clo, chi, target, weight) if clo.size > 1 else None
             if bad is not None:
                 changed.append(level)
                 target = bad
-            return locate(p, level, clo, chi, target)
+            return locate(p, level, clo, chi, target, weight)
 
         monkeypatch.setattr(bands_module, "_locate_zeros", wrong)
         levels = _spy_sign_grids(monkeypatch)
@@ -833,21 +878,24 @@ def test_wrong_targets_fall_back_to_global_doubling(monkeypatch):
         monkeypatch.setattr(bands_module, "_container_grid", _container_grid)
         assert len(changed) >= 3, make
         # Each changed level ends by doubling every container's grid at once.
-        for _, level, clo, _, grids in levels:
+        for _, level, clo, _, _, grids in levels:
             if level in changed:
                 assert grids[-1][0].size == clo.size and len(grids) >= 2, (make, level)
 
 
 def test_sign_grid_stays_within_its_allotment(monkeypatch):
     # With targets that hold, no level's final sign grid has more than
-    # (_PER_ZERO + 1) F_k points, so a return to global doubling (or to an
-    # allotment by length) fails here, not only in the benchmark.
+    # _PER_ZERO + 1 points per zero its containers hold, so a return to global
+    # doubling (or to an allotment by length) fails here, not only in the
+    # benchmark.  The targets sum to F_k with those of the containers on
+    # E > 0 counted twice, for their mirror images.
     sizes = []
     locate = bands_module._locate_zeros
 
-    def spy(p, level, clo, chi, target):
-        out = locate(p, level, clo, chi, target)
-        sizes.append((p.b, level, int(out[-1].sum())))
+    def spy(p, level, clo, chi, target, weight):
+        out = locate(p, level, clo, chi, target, weight)
+        assert weight @ target == fibonacci(level), (p.b, level)
+        sizes.append((p.b, level, int(target.sum()), int(out[-1].sum())))
         return out
 
     monkeypatch.setattr(bands_module, "_locate_zeros", spy)
@@ -856,22 +904,22 @@ def test_sign_grid_stays_within_its_allotment(monkeypatch):
         sigma_chain(HoppingPair(1.0, ratio), 20, TOL)
     _chain.cache_clear()
     assert len(sizes) == 40
-    for b, level, n in sizes:
-        assert n <= (bands_module._PER_ZERO + 1) * fibonacci(level), (b, level, n)
+    for b, level, zeros, n in sizes:
+        assert n <= (bands_module._PER_ZERO + 1) * zeros, (b, level, n)
 
 
 def test_grid_cap_error_counts_the_last_grid(monkeypatch):
-    # The error names the sign changes on the last grid evaluated, and 0
-    # where the cap stops the first grid.
+    # The error names the weighted sign changes on the last grid evaluated,
+    # and 0 where the cap stops the first grid.
     levels = _spy_sign_grids(monkeypatch)
     monkeypatch.setattr(bands_module, "GRID_CAP", 200)
     _chain.cache_clear()
     with pytest.raises(RootIsolationError, match="grid cap reached") as exc:
         sigma_k(P_CLOSING, 12)
-    p, level, clo, target, grids = levels[-1]
+    p, level, clo, target, weight, grids = levels[-1]
     lo, counts, E = grids[-1]
     assert clo.size == lo.size == 1
-    found = int(_sign_changes(trace_value(p, E, level), counts).sum())
+    found = int(weight @ _sign_changes(trace_value(p, E, level), counts))
     err = exc.value
     assert (err.level, err.found, err.points) == (level, found, 2 * counts.sum())
     assert 0 < err.found < err.expected == fibonacci(level) and err.points > 200

@@ -228,6 +228,27 @@ def test_counts_where_squares_underflow(name):
     assert np.abs(lam - np.linalg.eigvalsh(_dense(e))).max() <= eig.residual_bound / 2
 
 
+@pytest.mark.parametrize("n", [100, 701, 2001])
+def test_zero_squares_take_the_site_loop(n, monkeypatch):
+    # Block counts do not split the window into chains at zero squares, so
+    # hull windows at (1e-200, 1) have no block plan: nothing is bisected
+    # twice, and the eigenvalues are one-shift bisection's bit for bit.
+    jw = build_window(omega_s(1, n - 1), HoppingPair(1e-200, 1.0))
+    e2, _ = _scaled_squares(np.array(jw.hoppings))
+    assert not e2.all() and _block_plan(e2) is None
+    rechecked = []
+    real_path = jacobi._site_path
+
+    def spy(e2, edge, hi, idx, rounds):
+        rechecked.extend(idx.tolist())
+        return real_path(e2, edge, hi, idx, rounds)
+
+    monkeypatch.setattr(jacobi, "_site_path", spy)
+    got = eigenvalues_free(jw).values
+    assert rechecked == []
+    assert np.array_equal(got.view(np.int64), _bisect_reference(np.array(jw.hoppings)).view(np.int64))
+
+
 def test_eigenvalue_count_below_rejects_nan_shifts():
     # A NaN shift has no count; its sign bit must not pick one.
     jw = JacobiWindow((1.0, 2.0))

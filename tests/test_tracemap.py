@@ -323,6 +323,34 @@ def test_parity_in_energy():
         assert np.array_equal(minus[m], sign * plus[m])
 
 
+def test_trace_kernel_is_mirror_symmetric_bit_for_bit():
+    # |x_k(-E)| = |x_k(E)| in every bit, overflowed and NaN entries included,
+    # since IEEE negation, products and differences round symmetrically:
+    # sigma_k is solved on E > 0 and mirrored.  Hopping scales 1e-300 to
+    # 1e300, signed zeros, subnormal energies, energies below the kernel's
+    # small-energy bound (the three-op loop) and orbits that overflow.
+    rng = np.random.default_rng(21)
+    checked = 0
+    for scale in (1e-300, 1e-200, 1e-20, 0.37, 1.0, 3.3, 1e20, 1e200, 1e300):
+        for ratio in (1.0, 1.0001, 1.3, 2.27, 20.0, 100.0, 1 / 7.3):
+            p = HoppingPair(scale, scale * ratio)
+            m = max(p.a, p.b)
+            E = np.concatenate((
+                [0.0, -0.0, 5e-324, 1e-310, 2.0**-1022, 2.0**-961 * m, 2.0**-959 * m],
+                m * np.exp2(rng.uniform(-1080, -900, 30)),
+                p.norm_bound * rng.uniform(0.0, 1.2, 300),
+                # Escaping orbits: they overflow to inf, then to NaN.
+                p.norm_bound * rng.uniform(1.2, 4.0, 30),
+            ))
+            for k in range(-1, 46):
+                plus = np.abs(trace_value(p, E, k))
+                minus = np.abs(trace_value(p, -E, k))
+                assert np.array_equal(plus.view(np.int64), minus.view(np.int64)), (p, k)
+                checked += E.size
+            assert np.isnan(plus).any(), p
+    assert checked > 1_000_000
+
+
 def test_escape_classify_bounded_cases():
     res = escape_classify(HoppingPair(1, 2), 0.0, 100)
     assert not res.escaped
