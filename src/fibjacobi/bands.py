@@ -29,13 +29,14 @@ and _merge_intervals' gap tests are all sign-symmetric.  sigma_k keeps
 every gap certified open, and joins bands only where refined edges touch,
 so each band holds one zero of x_k unless the peak search closed a gap
 inside it.  A container's target is the number of parent bands it holds:
-its zero count wherever no gap closed.
+its zero count wherever no gap closed, and never more, as every band holds
+a zero.
 
 The sign grid gives each container a fixed number of points per target
-zero.  Where the weighted count of sign changes falls short of F_k, only the
-containers short of their own target are gridded again; F_k stays the
-certificate, and every grid doubles once a container's count contradicts
-its target, as it does where closed gaps make targets short.  The grid has
+zero.  After each grid whose weighted count of sign changes falls short of
+F_k, the containers with fewer sign changes than their target double their
+grids, or every container where none has fewer (a closed gap has hidden
+zeros from a target); F_k stays the certificate.  The grid has
 usually evaluated a point on each side of both edges of every band, so an
 edge is bracketed by two adjacent grid points: an outer one with |x_k| > 1
 in the gap (or a container end) and an inner one with |x_k| < 1 that
@@ -87,12 +88,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # 1024-1280.
 _LOOKAHEAD_MAX = 512
 
-# Sign-grid points per zero a container is known to hold, and the local
-# doublings in a row without a new sign change after which _locate_zeros
-# doubles every container's grid.  Close pairs of zeros at b/a = 1.0001
-# took up to three such doublings before a fourth resolved them.
+# Sign-grid points per zero a container is known to hold.
 _PER_ZERO = 8
-_IDLE_MAX = 4
 
 # _refine_edges probes for a certificate after a regula falsi step shorter
 # than this many tol, and bisects what _FALSI_ROUNDS steps leave open.  On
@@ -121,7 +118,7 @@ class RootIsolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnergyWindow:
-    """Search window; must contain the norm-bound interval of the operator."""
+    """Search window: the norm-bound interval of the operator, widened."""
 
     lo: float
     hi: float
@@ -132,9 +129,15 @@ class EnergyWindow:
 
 
 def energy_window(p: HoppingPair) -> EnergyWindow:
-    """Norm-bound window widened by ENERGY_MARGIN, since edges can sit exactly at it."""
+    """Norm-bound window widened by ENERGY_MARGIN, since edges can sit exactly at it.
+
+    Raises ValueError where its width, about 4 max(a, b), overflows.
+    """
     m = p.norm_bound
-    return EnergyWindow(-m - ENERGY_MARGIN, m + ENERGY_MARGIN)
+    win = EnergyWindow(-m - ENERGY_MARGIN, m + ENERGY_MARGIN)
+    if not math.isfinite(win.width):
+        raise ValueError(f"norm bound 2 max(a, b) overflows at a = {p.a!r}, b = {p.b!r}")
+    return win
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,18 +214,28 @@ def _batch_bisect(
 
     f_lo, fn at lo, saves the first call where the caller has it.  The
     number of steps is planned for brackets `width` wide, by default the
-    widest of lo, hi.  Up to _LOOKAHEAD_MAX brackets, one call of fn takes
-    two steps: it evaluates the midpoint and both quarter points, each
-    computed as the next step computes its midpoint (0.5 (lo + mid) or
-    0.5 (mid + hi)), and each bracket reads the two points plain bisection
-    visits, so the roots are the same bit for bit.
+    widest of lo, hi, to reach tol, or two steps past the one after which
+    every bracket is two adjacent doubles, if fewer: such a bracket moves
+    at most once more, so the roots keep their bits where tol is finer than
+    the doubles in the brackets.  Up to _LOOKAHEAD_MAX brackets, one call
+    of fn takes two steps: it evaluates the midpoint and both quarter
+    points, each computed as the next step computes its midpoint
+    (0.5 (lo + mid) or 0.5 (mid + hi)), and each bracket reads the two
+    points plain bisection visits, so the roots are the same bit for bit.
     """
     lo = lo.astype(float)
     hi = hi.astype(float)
     sign_lo = np.sign(fn(lo) if f_lo is None else f_lo)
     if width is None:
         width = float((hi - lo).max()) if lo.size else 0.0
-    n_iter = max(1, int(math.ceil(math.log2(max(width / tol, 2.0)))) + 1)
+    steps = 1.0
+    if width > 0.0:
+        # In logs, as width / tol overflows at hopping scales near 1e299;
+        # fine is log2 of half the spacing of the doubles nearest 0 in any bracket.
+        low = np.abs(np.minimum(np.maximum(lo, 0.0), hi)).min()
+        fine = max(math.frexp(low or 5e-324)[1] - 54, -1075)
+        steps = max(math.log2(width) - max(math.log2(tol), fine), 1.0)
+    n_iter = int(math.ceil(steps)) + 1
     pairs = n_iter // 2 if lo.size <= _LOOKAHEAD_MAX else 0
     for _ in range(pairs):
         mid = 0.5 * (lo + hi)
@@ -318,18 +331,19 @@ def _locate_zeros(
     weight[c] is how many times its zeros count towards F_level: 2 for a
     container whose mirror image, which holds as many, is left out (see
     _solve_level), else 1.  Signs are sampled on a grid of
-    _PER_ZERO * target[c] + 1 points per container.  Where the weighted
-    count of sign changes falls short of F_level, only the containers with
-    fewer sign changes than their target double their grids, and the others
-    keep their traces.  Once a container has more sign changes than its
-    target, none has fewer, or _IDLE_MAX local doublings in a row found no
-    new sign change (a target too high beside one too low would keep
-    doubling the same containers), every grid doubles instead, so a target
-    short by a closed gap falls back to global doubling.  No container
-    shows more sign changes than it holds zeros, so the weighted count can
-    never exceed F_level, and equality certifies completeness whatever the
-    targets say.  The grid is then reduced to per-zero values before
-    anything is refined; for zero i, in container cid[i]:
+    _PER_ZERO * target[c] + 1 points per container.  One rule follows each
+    grid whose weighted count of sign changes falls short of F_level: the
+    containers with fewer sign changes than their target double their grids
+    and the others keep their traces, or every grid doubles where none has
+    fewer, as where a closed gap hides zeros from a target.  A target never
+    exceeds the container's zero count: each parent band holds a zero of
+    its level, and the container holds the zeros of both parent levels
+    (Suto's containment), so a short container always has a zero left to
+    find.  No container shows more sign changes than it holds zeros, so the
+    weighted count can never exceed F_level, and equality certifies
+    completeness whatever the targets say.  The grid is then reduced to
+    per-zero values before anything is refined; for zero i, in container
+    cid[i]:
 
     * at[:, i]: indices j in the zero's container whose pair of grid points
       (j, j + 1) brackets the zero, the band's lower edge and its upper edge
@@ -348,15 +362,13 @@ def _locate_zeros(
     """
     total = fibonacci(level)
     counts = _PER_ZERO * target + 1
-    local = True
-    # Weighted sign changes on the last grid; local doublings in a row that found none.
-    last = idle = 0
+    counted = 0  # weighted sign changes on the last grid
     redo = None  # the containers whose grid doubled; None for all
     x = None
     while True:
         n_pts = int(counts.sum())
         if n_pts > GRID_CAP:
-            raise RootIsolationError(level, last, total, n_pts, "grid cap reached")
+            raise RootIsolationError(level, counted, total, n_pts, "grid cap reached")
         if redo is None:
             del x  # before the doubled grid's traces are allocated
             x = trace_value(p, _container_grid(clo, chi, counts), level)
@@ -384,12 +396,8 @@ def _locate_zeros(
                 level, counted, total, n_pts, "more sign changes than zeros exist"
             )
         old = counts
-        if local:
-            redo = found < target
-            idle = idle + 1 if counted == last else 0
-            local = redo.any() and not (found > target).any() and idle < _IDLE_MAX
-        last = counted
-        if not local:
+        redo = found < target
+        if not redo.any():
             redo = None
         counts = 2 * counts if redo is None else np.where(redo, 2 * counts, counts)
     xz = np.stack((x[flips], x[flips + 1]))
@@ -636,10 +644,11 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
     """
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
-    if not math.isfinite(p.norm_bound):
-        raise ValueError(f"norm bound 2 max(a, b) overflows at a = {p.a!r}, b = {p.b!r}")
+    win = energy_window(p)
     tol = float(tol)
     if p.equal:
         m = np.array([p.norm_bound])
@@ -649,7 +658,6 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
         while len(chain) < k_max:
             k = len(chain) + 1
             if k <= 2:
-                win = energy_window(p)
                 clo, chi = np.array([win.lo]), np.array([win.hi])
                 target = np.array([fibonacci(k)])
             else:
@@ -683,26 +691,15 @@ def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
     return BandSet(lo, hi, "cover", k, p, float(tol), int(np.count_nonzero(close)))
 
 
-def escape_spectrum(
-    p: HoppingPair, K_max: int, grid_step: float, window: EnergyWindow | None = None
-) -> BandSet:
-    """Union of grid cells not classified as escaped by level K_max.
+def escape_spectrum(p: HoppingPair, K_max: int, grid_step: float) -> BandSet:
+    """Union of grid cells of energy_window(p) not classified as escaped by level K_max.
 
     A cell is retained when any of its endpoints or midpoint stays Bounded,
     making the result an outer approximation at the grid resolution.  The
     scan covers the whole window: unlike sigma_k it is not mirrored, as its
     cell edges i * step + lo are not symmetric about E = 0.
     """
-    if window is None:
-        window = energy_window(p)
-    else:
-        m = p.norm_bound
-        if window.lo > -m or window.hi < m:
-            raise ValueError(
-                f"window [{window.lo}, {window.hi}] must contain [-{m}, {m}]"
-            )
-    if not math.isfinite(window.width):
-        raise ValueError(f"window [{window.lo}, {window.hi}] has no finite width")
+    window = energy_window(p)
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be a positive finite number, got {grid_step}")
     if grid_step > 1e-3 * window.width:

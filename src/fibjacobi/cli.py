@@ -24,10 +24,8 @@ import numpy as np
 
 from .bands import (
     DEFAULT_TOL,
-    EnergyWindow,
     bandset_to_dict,
     cover,
-    energy_window,
     escape_spectrum,
     lebesgue_measure,
     sigma_k,
@@ -137,10 +135,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     p = _hoppings(args)
-    if (args.emin is None) != (args.emax is None):
-        raise ValueError("give both --emin and --emax, or neither")
-    window = None if args.emin is None else EnergyWindow(args.emin, args.emax)
-    bs = escape_spectrum(p, args.kmax, args.grid, window)
+    bs = escape_spectrum(p, args.kmax, args.grid)
     return _emit_bandset(args, bs, f"escape({args.kmax})")
 
 
@@ -411,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="escape-time outer approximation")
     sp.add_argument("--kmax", type=int, required=True, help="escape scan depth")
     sp.add_argument("--grid", type=float, required=True, help="energy grid step")
-    sp.add_argument("--emin", type=float, default=None, help="window lower edge")
-    sp.add_argument("--emax", type=float, default=None, help="window upper edge")
     _add_common(sp, "json")
 
     sp = sub.add_parser("lyapunov", help="Lyapunov exponent scan, CSV E,gamma,residual")

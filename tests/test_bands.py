@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import threading
 
@@ -11,7 +12,6 @@ import pytest
 import fibjacobi.bands as bands_module
 from fibjacobi.bands import (
     BandSet,
-    EnergyWindow,
     MERGE_FACTOR,
     RootIsolationError,
     _LOOKAHEAD_MAX,
@@ -97,6 +97,36 @@ def test_interval_and_bandset_validation():
         cover(P12, 0)
     with pytest.raises(ValueError):
         sigma_k(P12, 3, tol=1e-14)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"tol must be a positive finite number, got {tol}"):
+            cover(P12, 3, tol)
+
+
+def test_batch_bisect_stops_where_brackets_collapse():
+    # At a scale of 1e100 a tol of 1e-10 lies far below the spacing of the
+    # doubles: every bracket collapses long before the 366 steps that tol
+    # asks for, and the capped count returns the same roots bit for bit.
+    rng = np.random.default_rng(7)
+    s = 1e100
+    fn = lambda x: np.sin(7.0 * x / s) + 0.3
+    lo = rng.uniform(0.1, 2.0, 37) * s
+    hi = lo + rng.uniform(1e-3, 0.8, 37) * s
+    want, n_iter = _plain_bisect(fn, lo, hi, TOL)
+    calls = []
+    got = _batch_bisect(lambda x: fn(calls.append(x) or x), lo, hi, TOL)
+    assert np.array_equal(got, want)
+    assert len(calls) < 40 and n_iter > 300
+
+
+@pytest.mark.parametrize("scale", [1e299, 1e300, 1e306])
+def test_huge_hopping_scales_give_fibonacci_bands(scale):
+    # width / tol overflows at these scales; sigma_14 scaled back matches
+    # (1, 2)'s within tol at every edge.
+    want = sigma_k(P12, 14, TOL)
+    bs = sigma_k(HoppingPair(scale, 2 * scale), 14, TOL)
+    assert bs.lo.size == fibonacci(14)
+    assert np.abs(bs.lo / scale - want.lo).max() <= TOL
+    assert np.abs(bs.hi / scale - want.hi).max() <= TOL
 
 
 def test_root_isolation_error_payload():
@@ -156,16 +186,19 @@ def test_free_case_is_exact_at_level_20():
     assert sigma_k(HoppingPair(3, 3), 7).bands.tolist() == [[-6.0, 6.0]]
 
 
-@pytest.mark.parametrize("p", [HoppingPair(1e308, 5e307), HoppingPair(1e308, 1e308)])
+@pytest.mark.parametrize(
+    "p", [HoppingPair(1e308, 5e307), HoppingPair(1e308, 1e308), HoppingPair(5e307, 7.5e307)]
+)
 def test_infinite_norm_bound_is_refused_before_any_grid(p, monkeypatch):
-    # 2 max(a, b) overflows: a typed error naming the coupling, for b != a
-    # and for the a = b closed form, with no warning and no grid point.
+    # 2 max(a, b), or the window 4 max(a, b) wide, overflows: a typed error
+    # naming the coupling, for b != a and for the a = b closed form, with no
+    # warning and no grid point.
     def no_grid(*args):
         raise AssertionError("grid built")
 
     monkeypatch.setattr(bands_module, "_container_grid", no_grid)
     with np.errstate(all="raise"):
-        with pytest.raises(ValueError, match=r"overflows at a = 1e\+308, b = .*e\+30"):
+        with pytest.raises(ValueError, match=re.escape(f"overflows at a = {p.a!r}, b = {p.b!r}")):
             sigma_k(p, 3)
 
 
@@ -335,18 +368,18 @@ def test_escape_spectrum_never_retains_far_energy():
 def test_escape_spectrum_validation():
     with pytest.raises(ValueError):
         escape_spectrum(P12, 20, grid_step=0.5)  # coarser than 1e-3 * width
-    with pytest.raises(ValueError):
-        escape_spectrum(P12, 20, grid_step=1e-3, window=EnergyWindow(-1.0, 1.0))
     for bad in (0.0, -1e-4, math.nan, math.inf):
         with pytest.raises(ValueError, match="grid_step"):
             escape_spectrum(P12, 12, grid_step=bad)
-    for lo, hi in ((-math.inf, math.inf), (-1e308, 1e308), (math.nan, math.nan), (-5.0, math.nan)):
-        with pytest.raises(ValueError, match="no finite width"):
-            escape_spectrum(P12, 12, grid_step=1e-3, window=EnergyWindow(lo, hi))
     with pytest.raises(ValueError, match="8e\\+12 cells"):
         escape_spectrum(P12, 12, grid_step=1e-12)
     with pytest.raises(ValueError, match="inf cells"):
-        escape_spectrum(P12, 12, grid_step=1e-3, window=EnergyWindow(-1e307, 1e307))
+        escape_spectrum(HoppingPair(1e307, 2e307), 12, grid_step=1e-3)
+    # The window 4 max(a, b) wide overflows: the error sigma_chain gives.
+    for p in (HoppingPair(1e308, 5e307), HoppingPair(5e307, 7.5e307)):
+        message = f"norm bound 2 max(a, b) overflows at a = {p.a!r}, b = {p.b!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            escape_spectrum(p, 12, grid_step=1e-3)
 
 
 def test_energy_window_margin():
@@ -822,19 +855,6 @@ def _first_grid_changes(p, level, clo, chi, target):
     return _sign_changes(trace_value(p, _container_grid(clo, chi, counts), level), counts)
 
 
-def _over(p, level, clo, chi, target, weight):
-    # One zero moved from a container that still finds all of its zeros to
-    # its neighbour, at a level that is short: the first count exceeds a target.
-    for r in np.flatnonzero(target >= 2):
-        wrong = target.copy()
-        wrong[r] -= 1
-        wrong[r - 1] += 1
-        found = _first_grid_changes(p, level, clo, chi, wrong)
-        if found[r] > wrong[r] and weight @ found < fibonacci(level):
-            return wrong
-    return None
-
-
 def _stall(p, level, clo, chi, target, weight):
     # A short container's target lowered to what its grid then finds, the
     # missing zeros added to its neighbour: no count exceeds its target, the
@@ -850,37 +870,61 @@ def _stall(p, level, clo, chi, target, weight):
     return None
 
 
-def test_wrong_targets_fall_back_to_global_doubling(monkeypatch):
-    # Targets that contradict the grid make every container's grid double:
-    # a count above its target at once, and a target too high beside one too
-    # low after _IDLE_MAX doublings that find nothing new.  The band sets
-    # stay the default ones.
-    p = HoppingPair(1.0, 1.3)
+def test_regrids_double_the_short_containers_or_every_container(monkeypatch):
+    # At (1, 1.00005) the peak search closes gaps, so some targets fall short
+    # of their containers' zero counts: counts exceed targets on some grids,
+    # and a grid on which no container is short doubles every container.
+    # Every other regrid doubles exactly the containers short of their
+    # target.  sigma_19 and sigma_20 keep their closed gaps.
+    p = HoppingPair(1.0, 1.00005)
+    levels = _spy_sign_grids(monkeypatch)
     _chain.cache_clear()
-    want = sigma_chain(p, 14, TOL)
+    chain = sigma_chain(p, 20, TOL)
+    _chain.cache_clear()
+    over = every = 0
+    for p, level, clo, target, weight, grids in levels:
+        (lo, counts, E), *again = grids
+        found = _sign_changes(trace_value(p, E, level), counts)
+        points = counts.copy()
+        for lo, counts, E in again:
+            over += bool((found > target).any())
+            short = np.flatnonzero(found < target)
+            every += not short.size
+            redo = np.searchsorted(clo, lo)
+            assert np.array_equal(clo[redo], lo)
+            assert np.array_equal(redo, short if short.size else np.arange(clo.size)), level
+            assert np.array_equal(counts, 2 * points[redo])
+            points[redo] = counts
+            found[redo] = _sign_changes(trace_value(p, E, level), counts)
+        assert weight @ found == fibonacci(level)
+    assert over >= 4 and every >= 4, (over, every)
+    assert [fibonacci(k) - chain[k - 1].lo.size for k in (19, 20)] == [1818, 5373]
+
+
+def test_target_above_a_zero_count_ends_in_a_typed_error(monkeypatch):
+    # Suto's containment keeps every target within its container's zero
+    # count.  A target raised above it, beside one lowered to what its first
+    # grid finds, leaves the raised container short for good: it alone
+    # doubles until the grid cap, a typed error and not a hang.
     monkeypatch.setattr(bands_module, "_PER_ZERO", 2)
+    monkeypatch.setattr(bands_module, "GRID_CAP", 1 << 16)
     locate = bands_module._locate_zeros
-    for make in (_over, _stall):
-        changed = []
+    changed = []
 
-        def wrong(p, level, clo, chi, target, weight):
-            bad = make(p, level, clo, chi, target, weight) if clo.size > 1 else None
-            if bad is not None:
-                changed.append(level)
-                target = bad
-            return locate(p, level, clo, chi, target, weight)
+    def wrong(p, level, clo, chi, target, weight):
+        bad = _stall(p, level, clo, chi, target, weight) if clo.size > 1 else None
+        if bad is not None:
+            changed.append(level)
+            target = bad
+        return locate(p, level, clo, chi, target, weight)
 
-        monkeypatch.setattr(bands_module, "_locate_zeros", wrong)
-        levels = _spy_sign_grids(monkeypatch)
-        _chain.cache_clear()
-        _assert_same_bands(sigma_chain(p, 14, TOL), want)
-        _chain.cache_clear()
-        monkeypatch.setattr(bands_module, "_container_grid", _container_grid)
-        assert len(changed) >= 3, make
-        # Each changed level ends by doubling every container's grid at once.
-        for _, level, clo, _, _, grids in levels:
-            if level in changed:
-                assert grids[-1][0].size == clo.size and len(grids) >= 2, (make, level)
+    monkeypatch.setattr(bands_module, "_locate_zeros", wrong)
+    _chain.cache_clear()
+    with pytest.raises(RootIsolationError, match="grid cap reached") as exc:
+        sigma_k(HoppingPair(1.0, 1.3), 14, TOL)
+    _chain.cache_clear()
+    assert exc.value.level == changed[0]
+    assert exc.value.found < exc.value.expected and exc.value.points > 1 << 16
 
 
 def test_sign_grid_stays_within_its_allotment(monkeypatch):

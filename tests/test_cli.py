@@ -117,9 +117,8 @@ def test_spectrum_invalid_grid_exits_2(capsys):
     assert out == ""
     cases = [
         (("--grid", "1e-12"), "needs 8e+12 cells"),
-        (("--grid", "1e-3", "--emin=-inf", "--emax=inf"), "window [-inf, inf] has no finite width"),
-        (("--grid", "1e-3", "--emin=-1e308", "--emax=1e308"), "has no finite width"),
-        (("--grid", "1e-3", "--emin=nan", "--emax=nan"), "window [nan, nan] has no finite width"),
+        (("--grid", "1e-3", "--a", "1e308", "--b", "5e307"),
+         "norm bound 2 max(a, b) overflows at a = 1e+308, b = 5e+307"),
     ]
     for extra, message in cases:
         code, out, err = run(capsys, "spectrum", "--kmax", "12", *extra)
@@ -452,6 +451,7 @@ UNREAD = [
     (("verify", "--format", "csv"), "unrecognized arguments"),
     (("eigs", "--k", "4", "--tol", "1e-3"), "unrecognized arguments"),
     (("words", "--k", "5", "--format", "csv"), "invalid choice: 'csv'"),
+    (("spectrum", "--kmax", "12", "--grid", "1e-3", "--emin=-5"), "unrecognized arguments: --emin=-5"),
 ]
 
 
@@ -465,13 +465,14 @@ def test_unread_option_exits_2(capsys, argv, message):
 
 # Usage errors that the commands raise after parsing, with their messages.
 LATE_USAGE = [
-    (("spectrum", "--kmax", "12", "--grid", "1e-3", "--emin=-1"),
-     "give both --emin and --emax, or neither"),
+    (("bands", "--k", "3", "--tol", "nan"), "tol must be a positive finite number, got nan"),
     (("lyapunov", "--points", "1"), "need at least 2 grid points, got 1"),
     (("dimension", "--sweep", "1:2"), "sweep range must be start:stop:step, got '1:2'"),
     (("dimension", "--sweep", "2:1:1"),
      "sweep range must have stop >= start and step > 0, got '2:1:1'"),
     (("bands", "--k", "3", "--config"), "--config needs a file path"),
+    (("cover", "--k", "3", "--tol", "inf"), "tol must be a positive finite number, got inf"),
+    (("dimension", "--kmax", "10", "--tol", "inf"), "tol must be a positive finite number, got inf"),
 ]
 
 
