@@ -48,9 +48,12 @@ golden-section peak search decides each unresolved gap:
 its first probe above 1 + slack proves the gap open and bounds the edge
 brackets there, and a peak at or below 1 + slack certifies a closed gap.
 Every edge then ends within tol / 4 of its crossing: a level with more
-than _LOOKAHEAD_MAX edges runs regula falsi from |x_k| - 1 at both bracket
+than _BISECT_MAX edges runs regula falsi from |x_k| - 1 at both bracket
 ends, certified by one probe tol / 4 beyond the estimate, and a level with
-fewer bisects.
+fewer bisects.  Bisection of up to _SPLIT_POINTS / 7 brackets takes
+several halvings per call of the trace kernel: one call evaluates every
+point of the tree that bisection could visit in that many steps, with the
+bits bisection would give it, so the roots keep theirs.
 
 A band set is arrays, not per-band objects: BandSet holds read-only lo and
 hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
@@ -81,12 +84,24 @@ GRID_CAP = 1 << 24
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# _batch_bisect takes two steps per call of fn up to this many brackets,
-# where a call's fixed cost outweighs the half more points it evaluates.
-# On level-16 edge brackets at (1, 2.3) two steps per call took 0.82-0.91
-# of the time at 256-512 brackets, 1.03-1.07 at 640-896 and 1.10-1.24 at
-# 1024-1280.
-_LOOKAHEAD_MAX = 512
+# _batch_bisect halves n brackets s times per call of fn, evaluating
+# n (2^s - 1) points, for the largest s <= _SPLIT_MAX that keeps them
+# within _SPLIT_POINTS, and takes one step per call where that s is below 3.
+# On the jobs of the sweep and deep-cover benchmarks at seed 1 (interleaved
+# in one process, 2-core VM) budgets of 2048 and 8192 points took 1.00 and
+# 1.03 of the time of 4096 on sweep, 1.03 each on deep-cover, and caps of 6
+# and 8 halvings 1.01 each of that of 7 on sweep; on weak-coupling chains
+# (b/a 1.0001-1.01, levels 18-19) trees of 1 or 2 halvings in place of the
+# single steps took 1.06 of the time.
+_SPLIT_POINTS = 4096
+_SPLIT_MAX = 7
+
+# _refine_edges bisects up to this many edge brackets and runs regula falsi
+# on more.  The two give roots that differ in the last bits, so moving the
+# switch would change outputs.  Against the split bisection, falsi took
+# 0.63-0.89 of the time on 146-382 edges at b/a 1.5-5.1, but 1.02-1.33 at
+# b/a 1.3 and 8 (levels 11-13, medians of 7 interleaved).
+_BISECT_MAX = 512
 
 # Sign-grid points per zero a container is known to hold.
 _PER_ZERO = 8
@@ -164,12 +179,12 @@ class BandSet:
         hi = np.array(self.hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError(f"lo and hi must be 1-d of equal length, got {lo.shape}, {hi.shape}")
-        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi))
+        bad = (~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)).nonzero()[0]
         if bad.size:
             raise ValueError(f"invalid interval ({float(lo[bad[0]])}, {float(hi[bad[0]])})")
         if self.kind not in ("sigma_k", "cover", "escape"):
             raise ValueError(f"unknown band-set kind {self.kind!r}")
-        bad = np.flatnonzero(lo[1:] <= hi[:-1])
+        bad = (lo[1:] <= hi[:-1]).nonzero()[0]
         if bad.size:
             raise ValueError(
                 f"bands must be disjoint and sorted, got ...{float(hi[bad[0]])}] "
@@ -199,12 +214,14 @@ def lebesgue_measure(bs: BandSet) -> float:
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray, gap: float):
     """Sorted union of the intervals, joining those at most `gap` apart."""
-    order = np.argsort(lo, kind="stable")
+    order = lo.argsort(kind="stable")
     lo = lo[order]
     hi = np.maximum.accumulate(hi[order])
     start = np.ones(lo.size, dtype=bool)
     start[1:] = lo[1:] - hi[:-1] > gap
-    return lo[start], hi[np.roll(start, -1)]
+    end = np.ones(lo.size, dtype=bool)
+    end[:-1] = start[1:]
+    return lo[start], hi[end]
 
 
 def _batch_bisect(
@@ -217,11 +234,12 @@ def _batch_bisect(
     widest of lo, hi, to reach tol, or two steps past the one after which
     every bracket is two adjacent doubles, if fewer: such a bracket moves
     at most once more, so the roots keep their bits where tol is finer than
-    the doubles in the brackets.  Up to _LOOKAHEAD_MAX brackets, one call
-    of fn takes two steps: it evaluates the midpoint and both quarter
-    points, each computed as the next step computes its midpoint
-    (0.5 (lo + mid) or 0.5 (mid + hi)), and each bracket reads the two
-    points plain bisection visits, so the roots are the same bit for bit.
+    the doubles in the brackets.  Where s >= 3 halvings of every bracket
+    fit _SPLIT_POINTS points, the steps go to as few calls of fn as take at
+    most _SPLIT_MAX each, split as evenly as they go (see _split_step);
+    otherwise each call takes one step.  Either way fn sees every point
+    plain bisection visits, with its bits, and the roots are the same bit
+    for bit.
     """
     lo = lo.astype(float)
     hi = hi.astype(float)
@@ -236,24 +254,59 @@ def _batch_bisect(
         fine = max(math.frexp(low or 5e-324)[1] - 54, -1075)
         steps = max(math.log2(width) - max(math.log2(tol), fine), 1.0)
     n_iter = int(math.ceil(steps)) + 1
-    pairs = n_iter // 2 if lo.size <= _LOOKAHEAD_MAX else 0
-    for _ in range(pairs):
-        mid = 0.5 * (lo + hi)
-        q_lo = 0.5 * (lo + mid)
-        q_hi = 0.5 * (mid + hi)
-        same = np.sign(fn(np.concatenate((mid, q_lo, q_hi)))).reshape(3, -1) == sign_lo
-        lo = np.where(same[0], mid, lo)
-        hi = np.where(same[0], hi, mid)
-        mid = np.where(same[0], q_hi, q_lo)
-        later = np.where(same[0], same[2], same[1])
-        lo = np.where(later, mid, lo)
-        hi = np.where(later, hi, mid)
-    for _ in range(n_iter - 2 * pairs):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(fn(mid)) == sign_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+    split = min(_SPLIT_MAX, (_SPLIT_POINTS // max(lo.size, 1) + 1).bit_length() - 1)
+    if split < 3:
+        for _ in range(n_iter):
+            mid = 0.5 * (lo + hi)
+            same = np.sign(fn(mid)) == sign_lo
+            lo = np.where(same, mid, lo)
+            hi = np.where(same, hi, mid)
+    else:
+        calls = -(-n_iter // split)
+        for c in range(calls):
+            # Halvings per call as even as can be, summing to n_iter.
+            lo, hi = _split_step(fn, lo, hi, sign_lo, (n_iter + c) // calls)
     return 0.5 * (lo + hi)
+
+
+def _split_step(fn, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, s: int):
+    """s bisection steps of every bracket in one call of fn; the brackets they leave.
+
+    Row i of the (2^s + 1, n) array pts is, for every bracket, point i of
+    the 2^s-cell partition bisection can reach: rows 0 and 2^s are lo and
+    hi, and each other point is 0.5 (left + right) of the two points whose
+    cell it halves, as bisection computes it.  fn sees the interior rows
+    point-major, one call for all.  Where the points' signs, left to right,
+    equal sign_lo up to some point and differ after it, bisection ends in
+    the cell at that change; the rare bracket whose signs change more than
+    once walks the tree as bisection does.
+    """
+    n = lo.size
+    m = 1 << s
+    pts = np.empty((m + 1, n))
+    pts[0] = lo
+    pts[m] = hi
+    h = m >> 1
+    while h:
+        # Halved into the strided rows in one pass: faster than in place.
+        np.multiply(np.add(pts[: m : 2 * h], pts[2 * h :: 2 * h]), 0.5, out=pts[h :: 2 * h])
+        h >>= 1
+    same = np.sign(fn(pts[1:m].ravel())).reshape(m - 1, n) == sign_lo
+    cell = same.sum(axis=0)
+    # Brackets where a point's sign equals sign_lo again after one that differs.
+    multi = (same[1:] > same[:-1]).any(axis=0).nonzero()[0]
+    if multi.size:
+        left = np.zeros(multi.size, dtype=cell.dtype)
+        right = np.full(multi.size, m)
+        for _ in range(s):
+            mid = (left + right) >> 1
+            go = same[mid - 1, multi]
+            left = np.where(go, mid, left)
+            right = np.where(go, right, mid)
+        cell[multi] = left
+    flat = pts.ravel()
+    at = cell * n + np.arange(n)
+    return flat[at], flat[at + n]
 
 
 def _golden_max_abs(
@@ -306,16 +359,16 @@ def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, at=None)
     if at is not None:
         c, i = at
         step = ((hi - lo) / (counts - 1))[c]
-        E = np.stack((i * step, (i + 1) * step))
+        E = np.array((i * step, (i + 1) * step))
         E += lo[c]
-        last = np.flatnonzero(i + 2 == counts[c])
+        last = (i + 2 == counts[c]).nonzero()[0]
         E[1, last] = hi[c[last]]
         return E
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     E = np.arange(ends[-1], dtype=float)
-    E -= np.repeat(ends - counts, counts)
-    E *= np.repeat((hi - lo) / (counts - 1), counts)
-    E += np.repeat(lo, counts)
+    E -= (ends - counts).repeat(counts)
+    E *= ((hi - lo) / (counts - 1)).repeat(counts)
+    E += lo.repeat(counts)
     E[ends - 1] = hi
     return E
 
@@ -373,20 +426,20 @@ def _locate_zeros(
             del x  # before the doubled grid's traces are allocated
             x = trace_value(p, _container_grid(clo, chi, counts), level)
         else:
-            kept = x[~np.repeat(redo, old)]
-            fresh = np.repeat(redo, counts)
+            kept = x[~redo.repeat(old)]
+            fresh = redo.repeat(counts)
             x = np.empty(n_pts)
             x[fresh] = trace_value(p, _container_grid(clo[redo], chi[redo], counts[redo]), level)
             x[~fresh] = kept
             del kept, fresh
         s = x >= 0.0
-        ends = np.cumsum(counts) - 1
+        ends = counts.cumsum() - 1
         flip = s[:-1] != s[1:]
         del s
         flip[ends[:-1]] = False  # pairs that straddle two containers
-        flips = np.flatnonzero(flip)
+        flips = flip.nonzero()[0]
         del flip
-        cid = np.searchsorted(ends, flips)
+        cid = ends.searchsorted(flips)
         found = np.bincount(cid, minlength=clo.size)
         counted = int(weight @ found)  # zeros over the whole line
         if counted == total:
@@ -400,13 +453,13 @@ def _locate_zeros(
         if not redo.any():
             redo = None
         counts = 2 * counts if redo is None else np.where(redo, 2 * counts, counts)
-    xz = np.stack((x[flips], x[flips + 1]))
+    xz = np.array((x[flips], x[flips + 1]))
     ax = np.abs(x, out=x)
     del x
     peak = np.maximum.reduceat(ax, flips + 1)[:-1]
     # outs[pos - 1] <= flips < outs[pos]
-    outs = np.flatnonzero(ax > 1.0)
-    pos = np.searchsorted(outs, flips, side="right")
+    outs = (ax > 1.0).nonzero()[0]
+    pos = outs.searchsorted(flips, side="right")
     has_lo, has_hi = pos > 0, pos < outs.size
     j_lo = j_hi = flips
     if outs.size:
@@ -416,7 +469,7 @@ def _locate_zeros(
     # and before the next one, in the zero's container.
     end = ends[cid]
     start = end - counts[cid] + 1
-    same = np.flatnonzero(cid[1:] == cid[:-1])
+    same = (cid[1:] == cid[:-1]).nonzero()[0]
     bound = start.copy()
     bound[same + 1] = flips[same] + 1
     has_lo &= j_lo >= bound
@@ -424,13 +477,13 @@ def _locate_zeros(
     bound[same] = flips[same + 1]
     has_hi &= j_hi <= bound
     del bound
-    at = np.stack((flips, np.where(has_lo, j_lo, start), np.where(has_hi, j_hi, end) - 1))
-    g = ax[np.stack((at[1], at[1] + 1, at[2], at[2] + 1))] - 1.0
+    at = np.array((flips, np.where(has_lo, j_lo, start), np.where(has_hi, j_hi, end) - 1))
+    g = ax[np.array((at[1], at[1] + 1, at[2], at[2] + 1))] - 1.0
     # The inner point lies in the zero's band when it is on the edge's side
     # of the zero, or on the other side before the first point with |x| > 1
     # (unimodality again); it must have |x| < 1.
     inside = (has_lo & (at[1] < flips)) | (has_hi & (at[2] > flips))
-    on_grid = np.stack((has_lo & inside & (g[1] < 0.0), has_hi & inside & (g[2] < 0.0)))
+    on_grid = np.array((has_lo & inside & (g[1] < 0.0), has_hi & inside & (g[2] < 0.0)))
     return cid, at - start, xz, g, on_grid, peak, counts
 
 
@@ -456,13 +509,13 @@ def _edge_brackets(
     # above 1 + slack opens the gap and is its gap point, a peak at or below
     # 1 + slack closes it.
     is_open = (cid[1:] != cid[:-1]) | (peak > above)
-    unresolved = np.flatnonzero(~is_open)
+    unresolved = (~is_open).nonzero()[0]
     # Zeros are refined only for those gaps and for edges the grid does not
     # bracket; such an edge's bracket runs from the zero to the gap point,
     # the grid's point with |x| > 1 or the container end.
     refine = ~(on_lo & on_hi)
     refine[unresolved] = refine[unresolved + 1] = True
-    ref = np.flatnonzero(refine)
+    ref = refine.nonzero()[0]
     zeros = np.full(n, np.nan)
     # Where both grid neighbours of a zero have |x| > 1 (a band narrower than
     # the grid step), every point between them with |x| < 1 lies in its band.
@@ -471,7 +524,7 @@ def _edge_brackets(
     near = np.full(ref.size, np.nan)
     near_abs = np.full(ref.size, np.inf)
     if ref.size:
-        narrow = np.flatnonzero((np.abs(xz[:, ref]) > 1.0).all(axis=0))
+        narrow = (np.abs(xz[:, ref]) > 1.0).all(axis=0).nonzero()[0]
 
         def x_at(EE):
             x = trace_value(p, EE, level)
@@ -501,9 +554,9 @@ def _edge_brackets(
         is_open[unresolved] = ~(peak_val <= above)
         gap_pt[unresolved + 1] = peak_pos
         gap_g[unresolved + 1] = peak_val - 1.0
-    gaps = np.flatnonzero(is_open)
-    first = np.append(0, gaps + 1)
-    last = np.append(gaps, n - 1)
+    gaps = is_open.nonzero()[0]
+    first = np.concatenate(([0], gaps + 1))
+    last = np.concatenate((gaps, [n - 1]))
     del xz, peak, is_open, gaps
 
     # Lower edges [outer, inner], then upper edges [inner, outer], as the
@@ -512,12 +565,12 @@ def _edge_brackets(
     br = _container_grid(clo, chi, counts, (cid[zi], np.concatenate((at[1, first], at[2, last]))))
     gb = np.concatenate((g[:2, first], g[2:, last]), axis=1)
     del cid, at, g
-    off = np.flatnonzero(np.concatenate((~on_lo[first], ~on_hi[last])))
+    off = np.concatenate((~on_lo[first], ~on_hi[last])).nonzero()[0]
     if off.size:
         upper = (off >= first.size).astype(int)
         z = zi[off]
         g_in = np.abs(trace_value(p, zeros[z], level)) - 1.0
-        k = np.searchsorted(ref, z)
+        k = ref.searchsorted(z)
         swap = (g_in >= 0.0) & (near_abs[k] < 1.0)
         br[1 - upper, off] = np.where(swap, near[k], zeros[z])
         gb[1 - upper, off] = np.where(swap, near_abs[k] - 1.0, g_in)
@@ -525,7 +578,7 @@ def _edge_brackets(
         opened = ~np.isnan(gap_pt[slot])
         br[upper[opened], off[opened]] = gap_pt[slot[opened]]
         gb[upper[opened], off[opened]] = gap_g[slot[opened]]
-    bad = np.flatnonzero(np.sign(gb[0]) == np.sign(gb[1]))
+    bad = (np.sign(gb[0]) == np.sign(gb[1])).nonzero()[0]
     if bad.size:
         # All F_level zeros were found; the grid covers the containers given.
         raise RootIsolationError(
@@ -538,7 +591,7 @@ def _edge_brackets(
 def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
     """Roots of fn (vectorized, one sign change per bracket), each within tol / 4.
 
-    f_lo and f_hi are fn at lo and hi.  Up to _LOOKAHEAD_MAX brackets are
+    f_lo and f_hi are fn at lo and hi.  Up to _BISECT_MAX brackets are
     bisected.  Larger batches take regula falsi steps, each of which keeps
     the bracket end across the root from its new point; a step whose point
     rounds outside the bracket takes its midpoint instead.  An end
@@ -552,7 +605,7 @@ def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
     change.  A bracket narrower than tol / 4 ends the same way.  Brackets
     still open after _FALSI_ROUNDS calls of fn are bisected.
     """
-    if lo.size <= _LOOKAHEAD_MAX:
+    if lo.size <= _BISECT_MAX:
         return _batch_bisect(fn, lo, hi, tol, f_lo)
     quarter = 0.25 * tol
     root = np.empty(lo.size)
@@ -576,7 +629,7 @@ def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
         if done.any():
             root[idx[done]] = 0.5 * (a[done] + b[done])
             # One index array and a take per array: cheaper than masks.
-            keep = np.flatnonzero(~done)
+            keep = (~done).nonzero()[0]
             if not keep.size:
                 return root
             idx, a, fa, b, fb, probe = (v.take(keep) for v in (idx, a, fa, b, fb, probe))
@@ -617,6 +670,14 @@ def _solve_level(
     return lo, hi, fibonacci(level) - lo.size
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless tol is a finite band-edge tolerance of at least MIN_TOL."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if tol < MIN_TOL:
+        raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
+
+
 @lru_cache(maxsize=128)
 def _chain(p: HoppingPair, tol: float) -> list[BandSet]:
     """sigma_1, sigma_2, ... as far as computed at (p, tol); sigma_chain extends it."""
@@ -644,10 +705,7 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
     """
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
-    if tol < MIN_TOL:
-        raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
+    _check_tol(tol)
     win = energy_window(p)
     tol = float(tol)
     if p.equal:
@@ -665,7 +723,7 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
                 lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
                 hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
                 clo, chi = _merge_intervals(lo, hi, gap=0.0)
-                target = np.bincount(np.searchsorted(clo, lo, side="right") - 1, minlength=clo.size)
+                target = np.bincount(clo.searchsorted(lo, side="right") - 1, minlength=clo.size)
             lo, hi, merged = _solve_level(p, k, clo, chi, target, tol)
             chain.append(BandSet(lo, hi, "sigma_k", k, p, tol, merged))
         return chain[:k_max]
@@ -685,7 +743,9 @@ def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     fine, finer = sigma_chain(p, k + 1, tol)[k - 1 :]
-    lo, hi = _merge_intervals(np.r_[fine.lo, finer.lo], np.r_[fine.hi, finer.hi], gap=0.0)
+    lo, hi = _merge_intervals(
+        np.concatenate((fine.lo, finer.lo)), np.concatenate((fine.hi, finer.hi)), gap=0.0
+    )
     close = lo[1:] - hi[:-1] <= MERGE_FACTOR * float(tol)
     lo, hi = lo[np.append(True, ~close)], hi[np.append(~close, True)]
     return BandSet(lo, hi, "cover", k, p, float(tol), int(np.count_nonzero(close)))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bands import DEFAULT_TOL, BandSet, cover, sigma_chain
+from .bands import DEFAULT_TOL, BandSet, _check_tol, cover, sigma_chain
 from .tracemap import HoppingPair, invariant_expected
 
 MIN_SCALES = 4
@@ -195,6 +195,14 @@ def box_dimension(covers: Sequence[BandSet], eps_list: Sequence[float]) -> Dimen
     return DimensionEstimate(value, "box-fit", r2, scales, clamped=value != slope)
 
 
+def _check_levels(k_min: int, k_max: int) -> None:
+    if k_min < 1 or k_max > MAX_SCALING_LEVEL or k_max - k_min < MIN_SCALES - 1:
+        raise ValueError(
+            f"need 1 <= k_min <= k_max - {MIN_SCALES - 1} and k_max <= "
+            f"{MAX_SCALING_LEVEL}, got [{k_min}, {k_max}]"
+        )
+
+
 def band_scaling_dimension(
     p: HoppingPair,
     k_min: int = 6,
@@ -209,11 +217,7 @@ def band_scaling_dimension(
     hopping values leave l_k constant; that fit is degenerate and reports
     the interval value 1.0 by convention.
     """
-    if k_min < 1 or k_max > MAX_SCALING_LEVEL or k_max - k_min < MIN_SCALES - 1:
-        raise ValueError(
-            f"need 1 <= k_min <= k_max - {MIN_SCALES - 1} and k_max <= "
-            f"{MAX_SCALING_LEVEL}, got [{k_min}, {k_max}]"
-        )
+    _check_levels(k_min, k_max)
     sigma_chain(p, k_max, tol)
     log_inv, log_n, scales = [], [], []
     for k in range(k_min, k_max + 1):
@@ -282,8 +286,11 @@ def dimension_sweep(
     Rows keep the input order.  A failing entry carries its error message
     and a None estimate; the sweep continues.  Expected dimensions fall as
     b moves away from a, but only the range (0, 1) is guaranteed, so the
-    monotone trend is left to the caller to inspect.
+    monotone trend is left to the caller to inspect.  A level range or tol
+    that no coupling accepts raises ValueError before the first row.
     """
+    _check_levels(k_min, k_max)
+    _check_tol(tol)
     entries: list[SweepEntry] = []
     for b in b_values:
         inv = float("nan")

@@ -14,7 +14,8 @@ from fibjacobi.bands import (
     BandSet,
     MERGE_FACTOR,
     RootIsolationError,
-    _LOOKAHEAD_MAX,
+    _BISECT_MAX,
+    _SPLIT_MAX,
     _batch_bisect,
     _container_grid,
     _golden_max_abs,
@@ -41,7 +42,7 @@ TOL = 1e-10
 
 
 def _plain_bisect(fn, lo, hi, tol):
-    """Reference: one midpoint per call of fn, as _batch_bisect stepped before its lookahead."""
+    """Reference: plain bisection, one midpoint per call of fn."""
     lo = lo.astype(float).copy()
     hi = hi.astype(float).copy()
     sign_lo = np.sign(fn(lo))
@@ -55,29 +56,78 @@ def _plain_bisect(fn, lo, hi, tol):
     return 0.5 * (lo + hi), n_iter
 
 
-def test_batch_bisect_equals_plain_bisection_bit_for_bit():
-    rng = np.random.default_rng(5)
+def test_batch_bisect_equals_plain_bisection_bit_for_bit(monkeypatch):
     smooth = lambda x: np.sin(7.0 * x) + 0.3
     # Plateaus of exact zeros exercise the sign-0 comparisons.
     steps = lambda x: np.floor(8.0 * x) - 3.0
-    for n in (0, 1, 37, _LOOKAHEAD_MAX, _LOOKAHEAD_MAX + 1, 3 * _LOOKAHEAD_MAX):
-        lo = rng.uniform(-2.0, 2.0, n)
-        width = rng.uniform(1e-3, 0.8, n)
-        width[:1] = 0.8
-        hi = lo + width
-        parities = set()
-        for fn in (smooth, steps):
-            for tol in (1e-10, 5e-11, 1e-13, 0.3):
-                plain, two_step = [], []
-                want, n_iter = _plain_bisect(lambda x: fn(plain.append(x) or x), lo, hi, tol)
-                parities.add(n_iter % 2)
-                for f_lo in (None, fn(lo)):
-                    two_step.clear()
-                    got = _batch_bisect(lambda x: fn(two_step.append(x) or x), lo, hi, tol, f_lo)
-                    assert got.dtype == want.dtype and np.array_equal(got, want), (n, tol)
-                    # Every point plain bisection evaluates, with its bits.
-                    assert np.isin(np.concatenate(plain[1:]), np.concatenate(two_step)).all()
-        assert parities == {0, 1} or n == 0
+    # Whether any bracket of a tree's call showed signs that leave sign_lo
+    # and come back, the case _split_step walks as bisection does.
+    walked = []
+    step = bands_module._split_step
+
+    def spy(fn, lo, hi, sign_lo, s):
+        def seen(x):
+            f = fn(x)
+            same = np.sign(f).reshape((1 << s) - 1, lo.size) == sign_lo
+            walked.append(bool((same[1:] & ~same[:-1]).any()))
+            return f
+
+        return step(seen, lo, hi, sign_lo, s)
+
+    monkeypatch.setattr(bands_module, "_split_step", spy)
+    # The point budget is set so that each batch takes `split` halvings per
+    # call of fn: below 3, one step per call.
+    for split in range(1, _SPLIT_MAX + 1):
+        rng = np.random.default_rng(5)
+        walked.clear()
+        for n in (0, 1, 37, 600):
+            monkeypatch.setattr(bands_module, "_SPLIT_POINTS", max(n, 1) * ((1 << split) - 1))
+            lo = rng.uniform(-2.0, 2.0, n)
+            width = rng.uniform(1e-3, 0.8, n)
+            width[:1] = 0.8
+            hi = lo + width
+
+            def record(fn, calls):
+                def call(x):
+                    calls.append(x)
+                    if n:
+                        pts = x.reshape(-1, n)
+                        assert ((lo <= pts) & (pts <= hi)).all(), "a point outside its bracket"
+                    return fn(x)
+
+                return call
+
+            parities = set()
+            for fn in (smooth, steps):
+                for tol in (1e-10, 5e-11, 1e-13, 0.3):
+                    plain, batch = [], []
+                    want, n_iter = _plain_bisect(record(fn, plain), lo, hi, tol)
+                    parities.add(n_iter % 2)
+                    for f_lo in (None, fn(lo)):
+                        batch.clear()
+                        got = _batch_bisect(record(fn, batch), lo, hi, tol, f_lo)
+                        assert got.dtype == want.dtype and np.array_equal(got, want), (split, n, tol)
+                        # Every point plain bisection evaluates, with its bits.
+                        assert np.isin(np.concatenate(plain[1:]), np.concatenate(batch)).all()
+                        if n:
+                            calls = len(batch) - (f_lo is None)
+                            assert calls == (n_iter if split < 3 else -(-n_iter // split))
+            assert parities == {0, 1} or n == 0
+        # The 0.8-wide brackets of sin(7x) + 0.3 cross zero twice.
+        assert any(walked) == (split >= 3), split
+
+
+def test_batch_bisect_takes_several_halvings_per_call():
+    # Two brackets 0.5 wide need 34 halvings to reach 1e-10: one step per
+    # call took 35 calls of fn and two per call 18; at most _SPLIT_MAX per
+    # call take 1 + ceil(34 / _SPLIT_MAX).
+    calls = []
+    fn = lambda x: np.sin(7.0 * x) + 0.3
+    lo = np.array([0.1, 1.0])
+    want, n_iter = _plain_bisect(fn, lo, lo + 0.5, TOL)
+    got = _batch_bisect(lambda x: fn(calls.append(x) or x), lo, lo + 0.5, TOL)
+    assert np.array_equal(got, want)
+    assert n_iter == 34 and len(calls) <= 6
 
 
 def test_interval_and_bandset_validation():
@@ -708,12 +758,12 @@ def test_regula_falsi_points_stay_inside_their_brackets():
     # upper one, so the first regula falsi point rounds to one ulp below the
     # lower end, where |x_3| - 1 is positive again.  Taken as it is, the
     # tol / 4 test certifies that crossing, the band's lower edge.  Batches
-    # above _LOOKAHEAD_MAX take falsi steps; they must find the upper edge
+    # above _BISECT_MAX take falsi steps; they must find the upper edge
     # that bisecting one copy finds.
     p = HoppingPair(0.23993068122206987, 5.550792379413606)
     fn = lambda E: np.abs(trace_value(p, E, 3)) - 1.0
-    lo = np.full(_LOOKAHEAD_MAX + 1, 5.550792379413606)
-    hi = np.full(_LOOKAHEAD_MAX + 1, 5.6107750463)
+    lo = np.full(_BISECT_MAX + 1, 5.550792379413606)
+    hi = np.full(_BISECT_MAX + 1, 5.6107750463)
     roots = bands_module._refine_edges(fn, lo, hi, fn(lo), fn(hi), TOL)
     want = _batch_bisect(fn, lo[:1], hi[:1], TOL)
     assert want[0] == pytest.approx(5.571457253667, abs=1e-11)

@@ -210,6 +210,20 @@ def test_dimension_sweep_csv_rows(tmp_path, capsys):
     assert ok[4:] == ["14", "1e-10"]
 
 
+@pytest.mark.parametrize(
+    "bad", [("--tol", "nan"), ("--tol", "1e-14"), ("--kmax", "21"), ("--kmin", "8"), ("--kmax", "8")]
+)
+def test_dimension_sweep_checks_options_before_the_sweep(capsys, bad):
+    # A --tol or level range that no coupling accepts is one usage error,
+    # the single-coupling form's, not an error row per coupling.
+    single = run(capsys, "dimension", "--kmax", "10", *bad)
+    sweep = run(capsys, "dimension", "--sweep", "1.5:1.6:0.1", "--kmax", "10", *bad)
+    assert single[0] == sweep[0] == EXIT_USAGE
+    assert sweep[1] == ""
+    assert sweep[2] == single[2] and sweep[2].startswith("fibjacobi: error: ")
+    assert sweep[2].count("\n") == 1
+
+
 def test_dimension_degenerate_flagged(capsys):
     code, out, err = run(capsys, "dimension", "--a", "1", "--b", "1", "--kmax", "10")
     assert code == EXIT_OK

@@ -261,6 +261,13 @@ def test_sweep_equal_hoppings_degenerate():
     assert entries[0].invariant_expected == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sweep_rejects_options_no_coupling_accepts():
+    with pytest.raises(ValueError, match="tol must be a positive finite number, got nan"):
+        dimension_sweep(1.0, [2.0], k_max=14, tol=math.nan)
+    with pytest.raises(ValueError, match="got \\[6, 21\\]"):
+        dimension_sweep(1.0, [], k_max=21)
+
+
 def test_sweep_empty():
     assert dimension_sweep(1.0, [], k_max=14) == []
 
