@@ -50,10 +50,11 @@ brackets there, and a peak at or below 1 + slack certifies a closed gap.
 Every edge then ends within tol / 4 of its crossing: a level with more
 than _BISECT_MAX edges runs regula falsi from |x_k| - 1 at both bracket
 ends, certified by one probe tol / 4 beyond the estimate, and a level with
-fewer bisects.  Bisection of up to _SPLIT_POINTS / 7 brackets takes
-several halvings per call of the trace kernel: one call evaluates every
-point of the tree that bisection could visit in that many steps, with the
-bits bisection would give it, so the roots keep theirs.
+fewer bisects.  Bisection takes as many halvings per call of the trace
+kernel as keep a batch within _SPLIT_POINTS points: one call evaluates
+every point of the tree that bisection could visit in that many steps,
+with the bits bisection would give it (_bisection_tree), so the roots keep
+theirs.
 
 A band set is arrays, not per-band objects: BandSet holds read-only lo and
 hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
@@ -86,13 +87,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # _batch_bisect halves n brackets s times per call of fn, evaluating
 # n (2^s - 1) points, for the largest s <= _SPLIT_MAX that keeps them
-# within _SPLIT_POINTS, and takes one step per call where that s is below 3.
-# On the jobs of the sweep and deep-cover benchmarks at seed 1 (interleaved
-# in one process, 2-core VM) budgets of 2048 and 8192 points took 1.00 and
-# 1.03 of the time of 4096 on sweep, 1.03 each on deep-cover, and caps of 6
-# and 8 halvings 1.01 each of that of 7 on sweep; on weak-coupling chains
-# (b/a 1.0001-1.01, levels 18-19) trees of 1 or 2 halvings in place of the
-# single steps took 1.06 of the time.
+# within _SPLIT_POINTS, and at least once.  On the jobs of the sweep and
+# deep-cover benchmarks at seed 1 (interleaved in one process, 2-core VM)
+# budgets of 2048 and 8192 points took 1.00 and 1.03 of the time of 4096
+# on sweep, 1.03 each on deep-cover, and caps of 6 and 8 halvings 1.01
+# each of that of 7 on sweep.
 _SPLIT_POINTS = 4096
 _SPLIT_MAX = 7
 
@@ -155,6 +154,24 @@ def energy_window(p: HoppingPair) -> EnergyWindow:
     return win
 
 
+def _band_arrays(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """lo, hi as new float arrays; ValueError unless they are sorted disjoint closed bands."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError(f"lo and hi must be 1-d of equal length, got {lo.shape}, {hi.shape}")
+    bad = (~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)).nonzero()[0]
+    if bad.size:
+        raise ValueError(f"invalid interval ({float(lo[bad[0]])}, {float(hi[bad[0]])})")
+    bad = (lo[1:] <= hi[:-1]).nonzero()[0]
+    if bad.size:
+        raise ValueError(
+            f"bands must be disjoint and sorted, got ...{float(hi[bad[0]])}] "
+            f"then [{float(lo[bad[0] + 1])}..."
+        )
+    return lo, hi
+
+
 @dataclass(frozen=True, eq=False)
 class BandSet:
     """Sorted disjoint closed bands [lo[i], hi[i]] with their provenance.
@@ -175,21 +192,9 @@ class BandSet:
     merged_gaps: int = 0
 
     def __post_init__(self) -> None:
-        lo = np.array(self.lo, dtype=float)
-        hi = np.array(self.hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError(f"lo and hi must be 1-d of equal length, got {lo.shape}, {hi.shape}")
-        bad = (~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)).nonzero()[0]
-        if bad.size:
-            raise ValueError(f"invalid interval ({float(lo[bad[0]])}, {float(hi[bad[0]])})")
         if self.kind not in ("sigma_k", "cover", "escape"):
             raise ValueError(f"unknown band-set kind {self.kind!r}")
-        bad = (lo[1:] <= hi[:-1]).nonzero()[0]
-        if bad.size:
-            raise ValueError(
-                f"bands must be disjoint and sorted, got ...{float(hi[bad[0]])}] "
-                f"then [{float(lo[bad[0] + 1])}..."
-            )
+        lo, hi = _band_arrays(self.lo, self.hi)
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
@@ -234,12 +239,11 @@ def _batch_bisect(
     widest of lo, hi, to reach tol, or two steps past the one after which
     every bracket is two adjacent doubles, if fewer: such a bracket moves
     at most once more, so the roots keep their bits where tol is finer than
-    the doubles in the brackets.  Where s >= 3 halvings of every bracket
-    fit _SPLIT_POINTS points, the steps go to as few calls of fn as take at
-    most _SPLIT_MAX each, split as evenly as they go (see _split_step);
-    otherwise each call takes one step.  Either way fn sees every point
-    plain bisection visits, with its bits, and the roots are the same bit
-    for bit.
+    the doubles in the brackets.  The steps go to as few calls of fn as
+    take at most s each, split as evenly as they go (see _split_step), for
+    the largest s <= _SPLIT_MAX at which s halvings of every bracket fit
+    _SPLIT_POINTS points, or s = 1.  fn sees every point plain bisection
+    visits, with its bits, and the roots are the same bit for bit.
     """
     lo = lo.astype(float)
     hi = hi.astype(float)
@@ -254,36 +258,25 @@ def _batch_bisect(
         fine = max(math.frexp(low or 5e-324)[1] - 54, -1075)
         steps = max(math.log2(width) - max(math.log2(tol), fine), 1.0)
     n_iter = int(math.ceil(steps)) + 1
-    split = min(_SPLIT_MAX, (_SPLIT_POINTS // max(lo.size, 1) + 1).bit_length() - 1)
-    if split < 3:
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            same = np.sign(fn(mid)) == sign_lo
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-    else:
-        calls = -(-n_iter // split)
-        for c in range(calls):
-            # Halvings per call as even as can be, summing to n_iter.
-            lo, hi = _split_step(fn, lo, hi, sign_lo, (n_iter + c) // calls)
+    split = max(1, min(_SPLIT_MAX, (_SPLIT_POINTS // max(lo.size, 1) + 1).bit_length() - 1))
+    calls = -(-n_iter // split)
+    for c in range(calls):
+        # Halvings per call as even as can be, summing to n_iter.
+        lo, hi = _split_step(fn, lo, hi, sign_lo, (n_iter + c) // calls)
     return 0.5 * (lo + hi)
 
 
-def _split_step(fn, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, s: int):
-    """s bisection steps of every bracket in one call of fn; the brackets they leave.
+def _bisection_tree(lo: np.ndarray, hi: np.ndarray, s: int) -> np.ndarray:
+    """The (2^s + 1, n) points that s bisection steps of brackets (lo, hi) can visit.
 
-    Row i of the (2^s + 1, n) array pts is, for every bracket, point i of
-    the 2^s-cell partition bisection can reach: rows 0 and 2^s are lo and
-    hi, and each other point is 0.5 (left + right) of the two points whose
-    cell it halves, as bisection computes it.  fn sees the interior rows
-    point-major, one call for all.  Where the points' signs, left to right,
-    equal sign_lo up to some point and differ after it, bisection ends in
-    the cell at that change; the rare bracket whose signs change more than
-    once walks the tree as bisection does.
+    Row i is, for every bracket, point i of its 2^s-cell partition, in
+    order: rows 0 and 2^s are lo and hi, and each other point is
+    (left + right) * 0.5 of the two points whose cell it halves.  That is
+    how bisection computes its midpoint (IEEE products commute), so a
+    cell of the tree has the bits of the bracket bisection would leave.
     """
-    n = lo.size
     m = 1 << s
-    pts = np.empty((m + 1, n))
+    pts = np.empty((m + 1, lo.size))
     pts[0] = lo
     pts[m] = hi
     h = m >> 1
@@ -291,19 +284,37 @@ def _split_step(fn, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, s: int)
         # Halved into the strided rows in one pass: faster than in place.
         np.multiply(np.add(pts[: m : 2 * h], pts[2 * h :: 2 * h]), 0.5, out=pts[h :: 2 * h])
         h >>= 1
+    return pts
+
+
+def _walk(up, n: int, s: int) -> np.ndarray:
+    """Cells of a depth-s _bisection_tree where bisection of n roots ends.
+
+    up(mid) says, for every root i, that it lies above tree point mid[i].
+    """
+    cell = np.zeros(n, dtype=np.intp)
+    for j in reversed(range(s)):
+        cell += up(cell + (1 << j)) * (1 << j)
+    return cell
+
+
+def _split_step(fn, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, s: int):
+    """s bisection steps of every bracket in one call of fn; the brackets they leave.
+
+    fn sees the interior rows of the _bisection_tree point-major.  Where the
+    signs, in order, equal sign_lo up to a point and differ after it,
+    bisection ends in the cell at that change; the rare bracket whose signs
+    change more than once walks the tree.
+    """
+    n = lo.size
+    m = 1 << s
+    pts = _bisection_tree(lo, hi, s)
     same = np.sign(fn(pts[1:m].ravel())).reshape(m - 1, n) == sign_lo
     cell = same.sum(axis=0)
     # Brackets where a point's sign equals sign_lo again after one that differs.
     multi = (same[1:] > same[:-1]).any(axis=0).nonzero()[0]
     if multi.size:
-        left = np.zeros(multi.size, dtype=cell.dtype)
-        right = np.full(multi.size, m)
-        for _ in range(s):
-            mid = (left + right) >> 1
-            go = same[mid - 1, multi]
-            left = np.where(go, mid, left)
-            right = np.where(go, right, mid)
-        cell[multi] = left
+        cell[multi] = _walk(lambda mid: same[mid - 1, multi], multi.size, s)
     flat = pts.ravel()
     at = cell * n + np.arange(n)
     return flat[at], flat[at + n]

@@ -277,7 +277,8 @@ def _check_invariant_conservation(p: HoppingPair, perturb: float) -> tuple[bool,
             if max(abs(x), abs(y), abs(z)) > 1e3:
                 break
             drift = abs(x * x + y * y + z * z - 2 * x * y * z - 1.0 - expected)
-            worst = max(worst, drift / (1.0 + expected))
+            rel = drift / (1.0 + expected)
+            worst = rel if math.isnan(rel) else max(worst, rel)  # max() drops a NaN
             samples += 1
     if not samples:
         return False, "nothing checked: every orbit passed 1e3 at its first step"

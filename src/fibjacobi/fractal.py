@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bands import DEFAULT_TOL, BandSet, _check_tol, cover, sigma_chain
+from .bands import DEFAULT_TOL, BandSet, _band_arrays, _check_tol, cover, sigma_chain
 from .tracemap import HoppingPair, invariant_expected
 
 MIN_SCALES = 4
@@ -82,21 +82,24 @@ class SweepEntry:
 
 
 def box_count(lo: Sequence[float], hi: Sequence[float], eps: float) -> int:
-    """Number of grid boxes [j*eps, (j+1)*eps) meeting the union of bands [lo[i], hi[i]]."""
+    """Number of grid boxes [j*eps, (j+1)*eps) meeting the sorted disjoint bands [lo[i], hi[i]].
+
+    ValueError where the bands are not finite, sorted and disjoint, or |j| reaches 2^62.
+    """
     if eps <= 0.0 or not math.isfinite(eps):
         raise ValueError(f"box size must be positive and finite, got {eps}")
-    if len(lo) == 0:
-        return 0
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = _band_arrays(lo, hi)
     d = _EDGE_NUDGE * eps
-    jlo = np.floor((lo + d) / eps).astype(np.int64)
-    jhi = np.maximum(jlo, np.floor((hi - d) / eps).astype(np.int64))
-    total = int(np.sum(jhi - jlo + 1))
+    with np.errstate(over="ignore"):
+        j = np.floor(np.array((lo + d, hi - d)) / eps)
+    # Below 2^62 every index, and every count of boxes between two, fits int64.
+    if lo.size and np.abs(j).max() >= 2.0**62:
+        raise ValueError(f"box indices reach 2^62 for bands [{lo[0]}, {hi[-1]}] at eps {eps}")
+    jlo, jhi = j.astype(np.int64)
+    jhi = np.maximum(jlo, jhi)
     # Bands are sorted and disjoint, so consecutive bands can share at most
     # the single box containing the gap between them.
-    total -= int(np.sum(jlo[1:] <= jhi[:-1]))
-    return total
+    return int(np.sum(jhi - jlo + 1)) - int(np.sum(jlo[1:] <= jhi[:-1]))
 
 
 def _fit_loglog(log_inv_scale: np.ndarray, log_count: np.ndarray) -> tuple[float, float]:

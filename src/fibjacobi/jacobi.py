@@ -5,13 +5,13 @@ entries come from mapping window letters to the two hopping values.
 Eigenvalues are found by bisection on the Sturm pivot recursion (the
 count of eigenvalues below a shift), deterministic and free of external
 linear-algebra dependencies.  Every eigenvalue starts from the same
-bracket, so one Sturm pass over that bracket's dyadic tree of midpoints
-settles the first rounds for all of them; each later pass counts at the
-midpoints of a two-level tree under every distinct bracket (clusters of
-the Cantor spectrum share brackets).  Each eigenvalue reads the counts at
-exactly the midpoints one-shift-per-round bisection visits, so the values
-are those of plain bisection bit for bit, from far fewer passes over the
-sites.  The pivots run in plain IEEE arithmetic, a zero followed by an
+bracket, so one Sturm pass over the tree of points that _SHARED_DEPTH
+rounds can visit settles those rounds for all of them; each later pass
+counts on a tree of _LOCAL_DEPTH rounds under every distinct bracket
+(clusters of the Cantor spectrum share brackets).  Each eigenvalue reads
+the counts only at the midpoints one-shift-per-round bisection visits, so
+the values are plain bisection's bit for bit, from far fewer passes over
+the sites.  The pivots run in plain IEEE arithmetic, a zero followed by an
 infinity (Demmel, Dhillon and Ren, ETNA 3 (1995)), and the count reads
 their sign bits.  With zero diagonal the spectrum is mirrored, sigma =
 -sigma, and so are the pivots, so the count at -s follows in closed form
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _distance_to_bands, cover, sigma_k
+from .bands import _bisection_tree, _distance_to_bands, _walk, cover, sigma_k
 from .tracemap import HoppingPair, trace_value
 from .words import _check_word, fib_prefix, fibonacci, omega_s
 
@@ -311,12 +311,11 @@ def _descend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brackets (lo, hi) of eigenvalues idx after depth more bisection rounds.
 
-    Each distinct bracket gets the dyadic tree of its midpoints
-    0.5 * (lo + hi) down to the given depth, and one Sturm pass counts at
-    all of them, by the block maps of plan where it is given.  Eigenvalue i
-    then walks down its bracket's tree and reads the count only at the
-    midpoints that one-shift-per-round bisection would visit, so lo and hi
-    come out bit for bit as from depth rounds.
+    Each distinct bracket gets the _bisection_tree of depth rounds, and one
+    Sturm pass counts at all its points, by the block maps of plan where it
+    is given.  Eigenvalue i walks its bracket's tree, reading counts only
+    where one-shift-per-round bisection would, so lo and hi are bit for bit
+    those of depth rounds.
     """
     # Brackets keep the order of the eigenvalues, so equal ones are
     # neighbours.  Compare them by their bits, so a tree starts from the very
@@ -324,26 +323,10 @@ def _descend(
     kl, kh = lo.view(np.int64), hi.view(np.int64)
     new = np.concatenate(([True], (kl[1:] != kl[:-1]) | (kh[1:] != kh[:-1])))
     first, inv = np.flatnonzero(new), np.cumsum(new) - 1
-    # Level l holds one row of 2^l midpoints per bracket; the children of
-    # node j are nodes 2j (lower half) and 2j + 1 (upper half).
-    los, his = lo[first, None], hi[first, None]
-    mids = []
-    for _ in range(depth):
-        mid = 0.5 * (los + his)
-        mids.append(mid)
-        los = np.stack((los, mid), axis=2).reshape(first.size, -1)
-        his = np.stack((mid, his), axis=2).reshape(first.size, -1)
-    counts = _mirrored_count(e2, np.concatenate([mid.ravel() for mid in mids]), plan)
-    node = np.zeros_like(idx)
-    start = 0
-    for mid in mids:
-        above = counts[start : start + mid.size].reshape(mid.shape)[inv, node] > idx
-        start += mid.size
-        m = mid[inv, node]
-        hi = np.where(above, m, hi)
-        lo = np.where(above, lo, m)
-        node = 2 * node + ~above
-    return lo, hi
+    pts = _bisection_tree(lo[first], hi[first], depth)
+    counts = _mirrored_count(e2, pts[1:-1].ravel(), plan).reshape(-1, first.size)
+    cell = _walk(lambda mid: counts[mid - 1, inv] <= idx, idx.size, depth)
+    return pts[cell, inv], pts[cell + 1, inv]
 
 
 def _site_path(

@@ -76,7 +76,7 @@ def test_batch_bisect_equals_plain_bisection_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(bands_module, "_split_step", spy)
     # The point budget is set so that each batch takes `split` halvings per
-    # call of fn: below 3, one step per call.
+    # call of fn.
     for split in range(1, _SPLIT_MAX + 1):
         rng = np.random.default_rng(5)
         walked.clear()
@@ -111,10 +111,10 @@ def test_batch_bisect_equals_plain_bisection_bit_for_bit(monkeypatch):
                         assert np.isin(np.concatenate(plain[1:]), np.concatenate(batch)).all()
                         if n:
                             calls = len(batch) - (f_lo is None)
-                            assert calls == (n_iter if split < 3 else -(-n_iter // split))
+                            assert calls == -(-n_iter // split)
             assert parities == {0, 1} or n == 0
         # The 0.8-wide brackets of sin(7x) + 0.3 cross zero twice.
-        assert any(walked) == (split >= 3), split
+        assert any(walked) == (split >= 2), split
 
 
 def test_batch_bisect_takes_several_halvings_per_call():

@@ -238,10 +238,16 @@ def test_verify_default_passes(capsys):
     assert "all checks passed" in out
 
 
-def test_verify_fault_injection_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--a", "1", "--b", "2", "--perturb-recursion", "1e-6")
+@pytest.mark.parametrize(
+    "perturb, detail",
+    [("1e-6", "max relative drift"), ("nan", "max relative drift nan"), ("inf", "nothing checked")],
+)
+def test_verify_fault_injection_fails(capsys, perturb, detail):
+    # A NaN orbit never passes the 1e3 cutoff, and its drift must not read as 0.
+    code, out, _ = run(capsys, "verify", "--a", "1", "--b", "2", "--perturb-recursion", perturb)
     assert code == EXIT_NUMERICAL
-    assert "FAIL  invariant-conservation" in out
+    assert f"FAIL  invariant-conservation: {detail}" in out
+    assert "verification FAILED" in out
 
 
 def test_verify_invariant_check_needs_a_sample(capsys):

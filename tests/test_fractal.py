@@ -63,6 +63,23 @@ def test_box_count_examples():
         box_count(*bands, 0.0)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, eps, match",
+    [
+        ([math.nan], [1.0], 0.1, "invalid interval"),
+        ([0.0], [math.inf], 0.1, "invalid interval"),
+        ([1.0], [0.0], 0.1, "invalid interval"),
+        ([0.0, 0.5], [1.0, 2.0], 0.1, "disjoint and sorted"),
+        ([0.0], [1e300], 1e-300, r"2\^62"),
+    ],
+)
+def test_box_count_rejects_what_it_would_miscount(lo, hi, eps, match):
+    # Each once gave a wrong count: a huge negative one, 1 box, or 24 where
+    # the union of the overlapping bands meets 20.
+    with pytest.raises(ValueError, match=match):
+        box_count(lo, hi, eps)
+
+
 def test_box_count_grid_aligned_cantor():
     cs = middle_thirds(8)
     counts = [box_count(cs.lo, cs.hi, 3.0 ** -j) for j in range(1, 8)]

@@ -369,6 +369,22 @@ def test_aperiodic_words_take_the_site_loop(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("shared, local", [(1, 1), (3, 3), (12, 4), (9, 2)])
+def test_eigenvalues_bit_identical_at_any_tree_depths(shared, local, monkeypatch):
+    # Trees of any depth, shared and per bracket, read the counts at the
+    # midpoints one-shift bisection visits: on a window with a block plan,
+    # one whose certificate re-bisects with the site loop, and an aperiodic
+    # one.
+    monkeypatch.setattr(jacobi, "_SHARED_DEPTH", shared)
+    monkeypatch.setattr(jacobi, "_LOCAL_DEPTH", local)
+    rng = np.random.default_rng(3)
+    aperiodic = build_window("".join(rng.choice(["a", "b"], 300)), P12)
+    strong = build_window(fib_prefix(14), HoppingPair(1, 100))
+    for jw in (BLOCK_WINDOWS["s_13 b/a=2"], strong, aperiodic):
+        want = _bisect_reference(np.array(jw.hoppings))
+        assert np.array_equal(eigenvalues_free(jw).values.view(np.int64), want.view(np.int64))
+
+
 def test_certificate_rebisects_a_planted_error(monkeypatch):
     # The block counter reads one too few in a short interval just above an
     # eigenvalue; that eigenvalue's bracket ends up above it, the site loop
