@@ -232,16 +232,17 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray, gap: float):
 def _batch_bisect(
     fn, lo: np.ndarray, hi: np.ndarray, tol: float, f_lo=None, width: float | None = None
 ) -> np.ndarray:
-    """Roots of fn (vectorized, one sign change per bracket) to width <= tol.
+    """Roots of fn (elementwise, one sign change per bracket) to width <= tol.
 
-    f_lo, fn at lo, saves the first call where the caller has it.  The
-    number of steps is planned for brackets `width` wide, by default the
-    widest of lo, hi, to reach tol, or two steps past the one after which
-    every bracket is two adjacent doubles, if fewer: such a bracket moves
-    at most once more, so the roots keep their bits where tol is finer than
-    the doubles in the brackets.  The steps go to as few calls of fn as
-    take at most s each, split as evenly as they go (see _split_step), for
-    the largest s <= _SPLIT_MAX at which s halvings of every bracket fit
+    fn takes arrays of any shape: lo, then the (2^s - 1, n) trees of
+    _split_step.  f_lo, fn at lo, saves the first call where the caller has
+    it.  The number of steps is planned for brackets `width` wide, by
+    default the widest of lo, hi, to reach tol, or two steps past the one
+    after which every bracket is two adjacent doubles, if fewer: such a
+    bracket moves at most once more, so the roots keep their bits where tol
+    is finer than the doubles in the brackets.  The steps go to as few
+    calls of fn as take at most s each, split as evenly as they go, for the
+    largest s <= _SPLIT_MAX at which s halvings of every bracket fit
     _SPLIT_POINTS points, or s = 1.  fn sees every point plain bisection
     visits, with its bits, and the roots are the same bit for bit.
     """
@@ -301,23 +302,21 @@ def _walk(up, n: int, s: int) -> np.ndarray:
 def _split_step(fn, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, s: int):
     """s bisection steps of every bracket in one call of fn; the brackets they leave.
 
-    fn sees the interior rows of the _bisection_tree point-major.  Where the
-    signs, in order, equal sign_lo up to a point and differ after it,
-    bisection ends in the cell at that change; the rare bracket whose signs
-    change more than once walks the tree.
+    fn gets the interior rows of the _bisection_tree, a (2^s - 1, n) array,
+    and returns its values in that shape.  Where the signs, in order, equal
+    sign_lo up to a point and differ after it, bisection ends in the cell at
+    that change; the rare bracket whose signs change more than once walks
+    the tree.
     """
-    n = lo.size
-    m = 1 << s
     pts = _bisection_tree(lo, hi, s)
-    same = np.sign(fn(pts[1:m].ravel())).reshape(m - 1, n) == sign_lo
+    same = np.sign(fn(pts[1:-1])) == sign_lo
     cell = same.sum(axis=0)
     # Brackets where a point's sign equals sign_lo again after one that differs.
     multi = (same[1:] > same[:-1]).any(axis=0).nonzero()[0]
     if multi.size:
         cell[multi] = _walk(lambda mid: same[mid - 1, multi], multi.size, s)
-    flat = pts.ravel()
-    at = cell * n + np.arange(n)
-    return flat[at], flat[at + n]
+    i = np.arange(lo.size)
+    return pts[cell, i], pts[cell + 1, i]
 
 
 def _golden_max_abs(
@@ -359,22 +358,12 @@ def _golden_max_abs(
     return np.where(done, pos, mid), np.where(done, val, np.abs(trace_value(p, mid, level)))
 
 
-def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, at=None) -> np.ndarray:
+def _container_grid(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """np.linspace(lo[c], hi[c], counts[c]) for every container c, concatenated.
 
     Built in one pass with linspace's own arithmetic, i * ((hi - lo) / (n - 1))
     + lo with the last point set to hi, so the points agree bit for bit.
-    With at = (c, i), only points i and i + 1 of containers c, as the two
-    rows of a (2, i.size) array.
     """
-    if at is not None:
-        c, i = at
-        step = ((hi - lo) / (counts - 1))[c]
-        E = np.array((i * step, (i + 1) * step))
-        E += lo[c]
-        last = (i + 2 == counts[c]).nonzero()[0]
-        E[1, last] = hi[c[last]]
-        return E
     ends = counts.cumsum()
     E = np.arange(ends[-1], dtype=float)
     E -= (ends - counts).repeat(counts)
@@ -398,20 +387,20 @@ def _locate_zeros(
     _PER_ZERO * target[c] + 1 points per container.  One rule follows each
     grid whose weighted count of sign changes falls short of F_level: the
     containers with fewer sign changes than their target double their grids
-    and the others keep their traces, or every grid doubles where none has
-    fewer, as where a closed gap hides zeros from a target.  A target never
-    exceeds the container's zero count: each parent band holds a zero of
-    its level, and the container holds the zeros of both parent levels
-    (Suto's containment), so a short container always has a zero left to
-    find.  No container shows more sign changes than it holds zeros, so the
-    weighted count can never exceed F_level, and equality certifies
-    completeness whatever the targets say.  The grid is then reduced to
-    per-zero values before anything is refined; for zero i, in container
-    cid[i]:
+    and the others keep their points and traces, or every grid doubles
+    where none has fewer, as where a closed gap hides zeros from a target.
+    A target never exceeds the container's zero count: each parent band
+    holds a zero of its level, and the container holds the zeros of both
+    parent levels (Suto's containment), so a short container always has a
+    zero left to find.  No container shows more sign changes than it holds
+    zeros, so the weighted count can never exceed F_level, and equality
+    certifies completeness whatever the targets say.  The grid is then
+    reduced to per-zero values before anything is refined; for zero i, in
+    container cid[i]:
 
-    * at[:, i]: indices j in the zero's container whose pair of grid points
-      (j, j + 1) brackets the zero, the band's lower edge and its upper edge
-      (see _container_grid).  An edge pair holds the last point with |x| > 1
+    * pairs[:, i]: the energies of three pairs of adjacent grid points,
+      which bracket the zero, the band's lower edge and its upper edge, in
+      rows 0-1, 2-3 and 4-5.  An edge pair holds the last point with |x| > 1
       before the zero, or the first one after it, within the zero's own gaps
       (else the container end), and its neighbour towards the zero;
     * xz[:, i]: x_level at the zero pair's points;
@@ -422,27 +411,35 @@ def _locate_zeros(
       and one with |x| < 1 in the zero's band;
     * peak[i]: the largest |x| on the grid between zeros i and i + 1.
 
-    counts is the grid's points per container, for _container_grid.
+    n_pts is the number of points of the last grid.
     """
     total = fibonacci(level)
     counts = _PER_ZERO * target + 1
     counted = 0  # weighted sign changes on the last grid
     redo = None  # the containers whose grid doubled; None for all
-    x = None
+    E = x = None
     while True:
         n_pts = int(counts.sum())
         if n_pts > GRID_CAP:
             raise RootIsolationError(level, counted, total, n_pts, "grid cap reached")
         if redo is None:
-            del x  # before the doubled grid's traces are allocated
-            x = trace_value(p, _container_grid(clo, chi, counts), level)
+            del E, x  # before the doubled grid is allocated
+            E = _container_grid(clo, chi, counts)
+            x = trace_value(p, E, level)
         else:
-            kept = x[~redo.repeat(old)]
+            # The kept containers' points and traces carry over, in order.
+            kept = ~redo.repeat(old)
             fresh = redo.repeat(counts)
-            x = np.empty(n_pts)
-            x[fresh] = trace_value(p, _container_grid(clo[redo], chi[redo], counts[redo]), level)
-            x[~fresh] = kept
-            del kept, fresh
+            grid = _container_grid(clo[redo], chi[redo], counts[redo])
+            E_new = np.empty(n_pts)
+            E_new[fresh] = grid
+            E_new[~fresh] = E[kept]
+            E = E_new
+            x_new = np.empty(n_pts)
+            x_new[fresh] = trace_value(p, grid, level)
+            x_new[~fresh] = x[kept]
+            x = x_new
+            del kept, fresh, grid, E_new, x_new
         s = x >= 0.0
         ends = counts.cumsum() - 1
         flip = s[:-1] != s[1:]
@@ -488,14 +485,17 @@ def _locate_zeros(
     bound[same] = flips[same + 1]
     has_hi &= j_hi <= bound
     del bound
-    at = np.array((flips, np.where(has_lo, j_lo, start), np.where(has_hi, j_hi, end) - 1))
-    g = ax[np.array((at[1], at[1] + 1, at[2], at[2] + 1))] - 1.0
+    j_lo = np.where(has_lo, j_lo, start)
+    j_hi = np.where(has_hi, j_hi, end) - 1
+    at = np.array((flips, flips + 1, j_lo, j_lo + 1, j_hi, j_hi + 1))
+    g = ax[at[2:]] - 1.0
+    del ax  # before the pairs' energies are gathered
     # The inner point lies in the zero's band when it is on the edge's side
     # of the zero, or on the other side before the first point with |x| > 1
     # (unimodality again); it must have |x| < 1.
-    inside = (has_lo & (at[1] < flips)) | (has_hi & (at[2] > flips))
+    inside = (has_lo & (j_lo < flips)) | (has_hi & (j_hi > flips))
     on_grid = np.array((has_lo & inside & (g[1] < 0.0), has_hi & inside & (g[2] < 0.0)))
-    return cid, at - start, xz, g, on_grid, peak, counts
+    return cid, E[at], xz, g, on_grid, peak, n_pts
 
 
 def _edge_brackets(
@@ -507,7 +507,7 @@ def _edge_brackets(
     Column b of the (2, 2 n_bands) bracket and value arrays holds the lower
     edge of band b, column n_bands + b its upper edge.
     """
-    cid, at, xz, g, (on_lo, on_hi), peak, counts = _locate_zeros(
+    cid, pairs, xz, g, (on_lo, on_hi), peak, n_pts = _locate_zeros(
         p, level, clo, chi, target, weight
     )
     n = cid.size
@@ -537,23 +537,23 @@ def _edge_brackets(
     if ref.size:
         narrow = (np.abs(xz[:, ref]) > 1.0).all(axis=0).nonzero()[0]
 
+        # EE holds one column per refined zero (see _split_step).
         def x_at(EE):
             x = trace_value(p, EE, level)
-            ax = np.abs(x.reshape(-1, ref.size)[:, narrow])
+            ax = np.abs(x[:, narrow])
             i = ax.argmin(axis=0)
             best = ax[i, np.arange(narrow.size)]
             better = best < near_abs[narrow]
-            near[narrow[better]] = EE.reshape(-1, ref.size)[i, narrow][better]
+            near[narrow[better]] = EE[i, narrow][better]
             near_abs[narrow[better]] = best[better]
             return x
 
-        zb = _container_grid(clo, chi, counts, (cid, at[0]))
         # Stepped for the widest zero bracket, as if every zero were refined.
         zeros[ref] = _batch_bisect(
             x_at if narrow.size else lambda EE: trace_value(p, EE, level),
-            zb[0, ref], zb[1, ref], tol, xz[0, ref], width=float((zb[1] - zb[0]).max()),
+            pairs[0, ref], pairs[1, ref], tol, xz[0, ref],
+            width=float((pairs[1] - pairs[0]).max()),
         )
-        del zb
     # The search's point in each unresolved gap, in slot i + 1 for gap i.
     gap_pt = np.full(n + 1, np.nan)
     gap_g = np.full(n + 1, np.nan)
@@ -573,9 +573,9 @@ def _edge_brackets(
     # Lower edges [outer, inner], then upper edges [inner, outer], as the
     # columns of br, with |x| - 1 at both ends in gb.
     zi = np.concatenate((first, last))  # the zero whose band each edge bounds
-    br = _container_grid(clo, chi, counts, (cid[zi], np.concatenate((at[1, first], at[2, last]))))
+    br = np.concatenate((pairs[2:4, first], pairs[4:, last]), axis=1)
     gb = np.concatenate((g[:2, first], g[2:, last]), axis=1)
-    del cid, at, g
+    del cid, pairs, g
     off = np.concatenate((~on_lo[first], ~on_hi[last])).nonzero()[0]
     if off.size:
         upper = (off >= first.size).astype(int)
@@ -593,7 +593,7 @@ def _edge_brackets(
     if bad.size:
         # All F_level zeros were found; the grid covers the containers given.
         raise RootIsolationError(
-            level, fibonacci(level), fibonacci(level), int(counts.sum()),
+            level, fibonacci(level), fibonacci(level), n_pts,
             f"edge bracket ({br[0, bad[0]]}, {br[1, bad[0]]}) has no sign change of |x|-1",
         )
     return br, gb

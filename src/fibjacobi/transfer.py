@@ -153,9 +153,9 @@ def _check_range(sq: np.ndarray, E: np.ndarray, pos: int) -> None:
 
     sq holds one row per window (or a single row), one column per energy.
     """
-    ok = (np.isfinite(sq) & (sq > 0.0)).reshape(-1, E.size).all(axis=0)
+    ok = np.isfinite(sq) & (sq > 0.0)
     if not ok.all():
-        raise CocycleRangeError(float(E[np.argmin(ok)]), pos)
+        raise CocycleRangeError(float(E[np.argmin(np.atleast_2d(ok).all(axis=0))]), pos)
 
 
 def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
@@ -177,6 +177,8 @@ def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int])
         raise ValueError(f"energies must be finite, got {float(E[~np.isfinite(E)][0])!r}")
     if not lengths or any(b <= a for a, b in zip([0, *lengths], lengths)):
         raise ValueError(f"cocycle lengths must be positive and strictly increasing, got {lengths}")
+    if not windows:
+        raise ValueError("cocycles needs at least one window")
     n = lengths[-1]
     for window in windows:
         if not window.covers(1, n):

@@ -148,13 +148,9 @@ def omega_s(lo: int, hi: int) -> SignedWindow:
             m += 2
         src = fib_prefix(m)  # equals S^m(b) for even m
         left = src[len(src) - need :]
-    if lo >= 1:
-        letters = right[lo - 1 :]
-    elif hi <= 0:
-        letters = left
-    else:
-        letters = left + right
-    return SignedWindow(lo, hi, letters)
+    # left + right holds positions min(lo, 1)..max(hi, 0).
+    first = min(lo, 1)
+    return SignedWindow(lo, hi, (left + right)[lo - first : hi - first + 1])
 
 
 def subwords(L: int) -> set[str]:
@@ -226,10 +222,11 @@ def square_prefix_check(w: SignedWindow, k: int) -> bool:
             f"window covers ({w.lo}, {w.hi})"
         )
     first = w.slice(1, n)
-    second = w.slice(n + 1, 2 * n)
-    if first != second:
+    if first != w.slice(n + 1, 2 * n):
         return False
-    return first in cyclic_conjugates(k)
+    # The rotations of S^k(a) are the factors of S^k(a) S^k(a) of its length.
+    base = fib_prefix(k + 1)
+    return len(first) == len(base) and first in base + base
 
 
 def _check_word(w: str, first: int = 1) -> None:

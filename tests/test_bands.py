@@ -108,7 +108,9 @@ def test_batch_bisect_equals_plain_bisection_bit_for_bit(monkeypatch):
                         got = _batch_bisect(record(fn, batch), lo, hi, tol, f_lo)
                         assert got.dtype == want.dtype and np.array_equal(got, want), (split, n, tol)
                         # Every point plain bisection evaluates, with its bits.
-                        assert np.isin(np.concatenate(plain[1:]), np.concatenate(batch)).all()
+                        assert np.isin(
+                            np.concatenate(plain[1:]), np.concatenate([x.ravel() for x in batch])
+                        ).all()
                         if n:
                             calls = len(batch) - (f_lo is None)
                             assert calls == -(-n_iter // split)
@@ -543,12 +545,42 @@ def test_container_grid_matches_linspace():
     ref = np.concatenate([np.linspace(a, b, n) for a, b, n in zip(lo, hi, counts)])
     assert grid.tobytes() == ref.tobytes()
     assert np.array_equal(grid[np.cumsum(counts) - 1], hi)
-    # Pairs of adjacent points of one container, the last pair included.
-    c = np.repeat(np.arange(40), 3)
-    i = np.concatenate([(0, rng.integers(0, n - 1), n - 2) for n in counts])
-    start = np.cumsum(counts) - counts
-    pairs = _container_grid(lo, hi, counts, (c, i))
-    assert pairs.tobytes() == np.stack((grid[start[c] + i], grid[start[c] + i + 1])).tobytes()
+
+
+def test_bracket_pairs_are_adjacent_points_of_the_last_grid(monkeypatch):
+    # Each zero's three bracket pairs (zero, lower edge, upper edge) are two
+    # adjacent points, bit for bit, of its container's np.linspace grid on
+    # the last sign grid, also where regrids at (1, 1.00005) doubled some
+    # containers and kept the others' points.
+    levels = _spy_sign_grids(monkeypatch)
+    locate = bands_module._locate_zeros
+    calls = []
+
+    def spy(p, level, clo, chi, target, weight):
+        out = locate(p, level, clo, chi, target, weight)
+        calls.append((chi, out[0], out[1], out[-1]))
+        return out
+
+    monkeypatch.setattr(bands_module, "_locate_zeros", spy)
+    for p, k in ((HoppingPair(1.0, 1.00005), 17), (P12, 12)):
+        _chain.cache_clear()
+        sigma_chain(p, k, TOL)
+    _chain.cache_clear()
+    partial = 0
+    for (p, level, clo, *_, grids), (chi, cid, pairs, n_pts) in zip(levels, calls, strict=True):
+        points = grids[0][1].copy()
+        for lo, counts, E in grids[1:]:
+            points[np.searchsorted(clo, lo)] = counts
+            partial += lo.size < clo.size
+        assert n_pts == points.sum(), (p, level)
+        grid = np.concatenate([np.linspace(a, b, n) for a, b, n in zip(clo, chi, points)])
+        start = np.cumsum(points) - points
+        for r in (0, 2, 4):
+            j = np.searchsorted(grid, pairs[r])
+            assert np.all((start[cid] <= j) & (j + 1 < start[cid] + points[cid])), (p, level, r)
+            assert grid[j].tobytes() == pairs[r].tobytes(), (p, level, r)
+            assert grid[j + 1].tobytes() == pairs[r + 1].tobytes(), (p, level, r)
+    assert partial >= 10, partial
 
 
 def test_deterministic_recompute():
@@ -842,10 +874,9 @@ def _spy_sign_grids(monkeypatch):
         levels.append((p, level, clo, target, weight, []))
         return locate(p, level, clo, chi, target, weight)
 
-    def spy_grid(lo, hi, counts, at=None):
-        E = grid(lo, hi, counts, at)
-        if at is None:
-            levels[-1][5].append((lo, counts, E))
+    def spy_grid(lo, hi, counts):
+        E = grid(lo, hi, counts)
+        levels[-1][5].append((lo, counts, E))
         return E
 
     monkeypatch.setattr(bands_module, "_locate_zeros", spy_locate)
@@ -989,7 +1020,7 @@ def test_sign_grid_stays_within_its_allotment(monkeypatch):
     def spy(p, level, clo, chi, target, weight):
         out = locate(p, level, clo, chi, target, weight)
         assert weight @ target == fibonacci(level), (p.b, level)
-        sizes.append((p.b, level, int(target.sum()), int(out[-1].sum())))
+        sizes.append((p.b, level, int(target.sum()), out[-1]))
         return out
 
     monkeypatch.setattr(bands_module, "_locate_zeros", spy)

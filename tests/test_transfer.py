@@ -250,6 +250,23 @@ def test_cocycles_reject_empty_lengths():
         cocycles([omega_s(1, 5)], HoppingPair(1, 2), [0.0], [])
 
 
+def test_cocycles_reject_no_windows():
+    with pytest.raises(ValueError, match="cocycles needs at least one window"):
+        cocycles([], HoppingPair(1, 2), [0.5], [1])
+
+
+def test_empty_energy_arrays_give_empty_results():
+    p = HoppingPair(1, 2)
+    w = omega_s(1, 2 * fibonacci(12))
+    for E in (np.array([]), []):
+        assert cocycles([w, w], p, E, [5, 10]).shape == (2, 5, 2, 0)
+        for window in (None, w):
+            gamma, residual, n_used = lyapunov_grid(p, E, 144, window)
+            assert gamma.shape == residual.shape == (0,) and n_used == 144
+        defect = cayley_hamilton_defect(w, p, E, 5)
+        assert isinstance(defect, np.ndarray) and defect.shape == (0,)
+
+
 def test_cocycle_window_coverage():
     p = HoppingPair(1, 2)
     with pytest.raises(WindowCoverageError):

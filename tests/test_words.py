@@ -5,6 +5,8 @@ recursion, suffix stabilization, Sturmian complexity) are checked over
 ranges large enough to exercise the generation code paths.
 """
 
+import tracemalloc
+
 import pytest
 
 from fibjacobi.words import (
@@ -136,6 +138,16 @@ def test_omega_s_two_sided():
     assert w.slice(-7, 0) == fib_prefix(6)[-8:]
 
 
+def test_omega_s_windows_left_of_the_origin():
+    # A window ending left of position 0 holds its own positions, not the
+    # whole left half from lo on.
+    assert omega_s(-5, -2).letters == "aaba"
+    ref = omega_s(-30, 0)
+    for lo in range(-30, 0):
+        for hi in range(lo, 0):
+            assert omega_s(lo, hi).letters == ref.slice(lo, hi), (lo, hi)
+
+
 def test_omega_s_argument_validation():
     with pytest.raises(ValueError):
         omega_s(3, 1)
@@ -208,6 +220,49 @@ def test_square_prefix_check_conjugate_requirement():
     assert square_prefix_check(w, 3)
     bad = window_from_word("babab" * 2)
     assert not square_prefix_check(bad, 3)
+
+
+def _square_by_rotations(w, k):
+    """square_prefix_check from its definition: a repeated cyclic conjugate of S^k(a)."""
+    n = square_prefix_block(k)
+    first = w.slice(1, n)
+    return first == w.slice(n + 1, 2 * n) and first in cyclic_conjugates(k)
+
+
+def _flip(word, i):
+    return word[:i] + "ab"[word[i] == "a"] + word[i + 1 :]
+
+
+def test_square_prefix_check_matches_the_rotation_set():
+    # Hull windows, a conjugate squared, and both with a letter flipped (in
+    # one half, or in both at the same place) or shifted by one position.
+    hull = omega_s(1, 2 * square_prefix_block(12) + 1).letters
+    results = set()
+    for k in range(1, 13):
+        n = square_prefix_block(k)
+        rot = cyclic_conjugates(k)[n // 3]
+        words = [hull, hull[1:], rot + rot, rot[1:] + rot + rot[0]]
+        for i in (0, n // 2, n - 1):
+            words += [_flip(hull, i), _flip(hull, n + i), _flip(_flip(rot + rot, i), n + i)]
+        for word in words:
+            w = window_from_word(word[: 2 * n])
+            want = _square_by_rotations(w, k)
+            assert square_prefix_check(w, k) == want, (k, word[: 2 * n])
+            results.add(want)
+    assert results == {True, False}
+
+
+def test_square_prefix_check_runs_in_linear_memory():
+    # At k = 20 the F_21 = 10946 rotations of S^20(a) hold 1.2e8 letters.
+    n = square_prefix_block(20)
+    w = omega_s(1, 2 * n)
+    tracemalloc.start()
+    try:
+        assert square_prefix_check(w, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_square_prefix_check_window_too_short():
