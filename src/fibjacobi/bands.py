@@ -838,20 +838,22 @@ def hausdorff_distance(bs1: BandSet, bs2: BandSet) -> float:
 
 
 def bandset_to_dict(bs: BandSet) -> dict:
-    """The documented JSON shape of a band set, as plain Python values."""
+    """The documented JSON shape of a band set, with the (n, 2) bands array for _floatjson.dumps."""
     return {
         "a": bs.params.a,
         "b": bs.params.b,
         "kind": bs.kind,
         "k": bs.level,
-        "bands": bs.bands.tolist(),
+        "bands": bs.bands,
         "tol": bs.tol,
     }
 
 
 def bandset_to_json(bs: BandSet) -> str:
     """Serialize to the documented JSON shape (shortest round-trip decimals)."""
-    return json.dumps(bandset_to_dict(bs))
+    from . import _floatjson  # on first use, as in cli._write
+
+    return _floatjson.dumps(bandset_to_dict(bs))
 
 
 def bandset_from_json(text: str) -> BandSet:

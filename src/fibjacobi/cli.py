@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -48,13 +47,13 @@ from .transfer import (
 )
 from .words import (
     cyclic_conjugates,
+    factor_complexity,
     fib_prefix,
     fibonacci,
     omega_s,
     periodize,
     square_prefix_block,
     square_prefix_check,
-    subwords,
 )
 
 EXIT_OK = 0
@@ -89,8 +88,12 @@ def _write(
     if fmt or args.out:
         cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None and k != "default_format"}
         if lines is None or fmt == "json":
+            # Imported here, not at start-up: building its tables takes a
+            # few milliseconds, which only a JSON write needs.
+            from . import _floatjson
+
             payload = {"config": cfg, "result": result()}
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            text = _floatjson.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         else:
             text = "".join(f"{line}\n" for line in [*(f"# {k}={v}" for k, v in cfg.items()), *lines()])
         if args.out:
@@ -154,12 +157,15 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
         f"lyapunov: {args.points} energies in [{args.emin:g}, {args.emax:g}], "
         f"gamma in [{gamma.min():.6g}, {gamma.max():.6g}]"
     ]
-    columns = (energies.tolist(), gamma.tolist(), residual.tolist())
+    columns = (energies, gamma, residual)
     _write(
         args,
         summary,
         lambda: dict(zip(("E", "gamma", "residual"), columns)),
-        lambda: ["E,gamma,residual", *(f"{e:.17g},{g:.17g},{r:.17g}" for e, g, r in zip(*columns))],
+        lambda: [
+            "E,gamma,residual",
+            *(f"{e:.17g},{g:.17g},{r:.17g}" for e, g, r in zip(*(c.tolist() for c in columns))),
+        ],
     )
     return EXIT_OK
 
@@ -229,14 +235,12 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 
 def cmd_words(args: argparse.Namespace) -> int:
+    counts = factor_complexity(args.complexity)
     prefix = fib_prefix(args.k)
     shown = prefix if len(prefix) <= 64 else prefix[:61] + "..."
     summary = [f"level {args.k}: length {len(prefix)}  {shown}"]
-    complexity: dict[str, int] = {}
-    for length in range(1, args.complexity + 1):
-        count = len(subwords(length))
-        complexity[str(length)] = count
-        summary.append(f"factors of length {length}: {count}")
+    summary += [f"factors of length {length}: {count}" for length, count in enumerate(counts, 1)]
+    complexity = {str(length): count for length, count in enumerate(counts, 1)}
     result = {"k": args.k, "length": len(prefix), "prefix": prefix, "complexity": complexity}
     _write(args, summary, lambda: result)
     return EXIT_OK
@@ -252,12 +256,12 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     # periodize checks the letters, and their count against the cap before building them.
     win = build_window(periodize(word, len(word) * args.repeats), p)
     eig = eigenvalues_free(win)
-    vals = eig.values.tolist()
+    vals = eig.values
     _write(
         args,
-        [f"eigs: {len(vals)} eigenvalues in [{vals[0]:.6g}, {vals[-1]:.6g}]"],
+        [f"eigs: {vals.size} eigenvalues in [{vals[0]:.6g}, {vals[-1]:.6g}]"],
         lambda: eigenvalues_to_dict(eig),
-        lambda: ["index,value", *(f"{i},{v:.17g}" for i, v in enumerate(vals))],
+        lambda: ["index,value", *(f"{i},{v:.17g}" for i, v in enumerate(vals.tolist()))],
     )
     return EXIT_OK
 

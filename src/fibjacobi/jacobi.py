@@ -496,17 +496,19 @@ def truncation_spectrum_consistency(p: HoppingPair, k: int, L: int) -> float:
 
 
 def eigenvalues_to_dict(eig: EigenvalueList) -> dict:
-    """The documented JSON shape of an eigenvalue list, as plain Python values."""
+    """The documented JSON shape of an eigenvalue list, with the values array for _floatjson.dumps."""
     return {
         "n": eig.n_sites,
         "boundary": eig.boundary,
-        "values": eig.values.tolist(),
+        "values": eig.values,
         "tol": eig.residual_bound,
     }
 
 
 def eigenvalues_to_json(eig: EigenvalueList) -> str:
-    return json.dumps(eigenvalues_to_dict(eig))
+    from . import _floatjson  # on first use, as in cli._write
+
+    return _floatjson.dumps(eigenvalues_to_dict(eig))
 
 
 def eigenvalues_from_json(text: str) -> EigenvalueList:

@@ -178,10 +178,29 @@ def subwords(L: int) -> set[str]:
     return found
 
 
+def factor_complexity(n: int) -> list[int]:
+    """Counts of the factors of u of lengths 1..n (L + 1 each, from subwords).
+
+    The scan at length L slices L (|S^depth(a)| - L + 1) letters, about
+    8 n^3 / 3 over all lengths: 7.2M at n = 200, 1G at n = 1000.  An n
+    whose scan would slice more than _MAX_LETTERS letters raises
+    WordLengthError before any slicing.
+    """
+    letters = 0
+    for L in range(1, n + 1):
+        letters += L * (fibonacci(_stable_depth(L) + 1) - L + 1)
+        if letters > _MAX_LETTERS:
+            raise WordLengthError(
+                f"factor counts to length {n} slice more than the cap of "
+                f"{_MAX_LETTERS} letters (passed at length {L})"
+            )
+    return [len(subwords(L)) for L in range(1, n + 1)]
+
+
 def _stable_depth(L: int) -> int:
-    m = 1
-    while fibonacci(m + 1) < 3 * L + 4:
-        m += 1
+    m, f_m, f_next = 1, 1, 2  # F_m, F_{m+1}
+    while f_next < 3 * L + 4:
+        m, f_m, f_next = m + 1, f_next, f_m + f_next
     return m
 
 
@@ -189,10 +208,15 @@ def cyclic_conjugates(k: int) -> list[str]:
     """All rotations of S^k(a), starting from S^k(a) itself.
 
     S^k(a) is primitive, so the rotations are pairwise distinct; this is
-    asserted rather than silently deduplicated.
+    asserted rather than silently deduplicated.  The F_{k+1} rotations hold
+    F_{k+1}^2 letters, within _MAX_LETTERS up to k = 18; a larger k raises
+    WordLengthError before any rotation is built.
     """
     if k < 1:
         raise ValueError(f"cyclic_conjugates requires k >= 1, got {k}")
+    n = fibonacci(k + 1)
+    if n * n > _MAX_LETTERS:
+        raise WordLengthError(f"the {n} rotations of S^{k}(a) hold {n * n} letters, over the cap")
     base = fib_prefix(k + 1)  # S^k(a) = s_{k+1}
     rotations = [base[i:] + base[:i] for i in range(len(base))]
     if len(set(rotations)) != len(rotations):

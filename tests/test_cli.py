@@ -336,6 +336,17 @@ def test_verify_free_case_warns_but_passes(capsys):
     assert "all checks passed" in out
 
 
+def test_words_complexity_over_the_letter_cap_exits_2(capsys):
+    # The factor scan grows like n^3; an n past the cap is refused before any scan.
+    code, out, err = run(capsys, "words", "--k", "5", "--complexity", "100000")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "cap of 50000000 letters" in err
+    code, out, _ = run(capsys, "words", "--k", "5", "--complexity", "200")
+    assert code == EXIT_OK
+    assert "factors of length 200: 201" in out
+
+
 def test_words_prefix_and_complexity(capsys):
     code, out, _ = run(capsys, "words", "--k", "5", "--complexity", "6")
     assert code == EXIT_OK

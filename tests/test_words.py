@@ -14,6 +14,7 @@ from fibjacobi.words import (
     WindowCoverageError,
     WordLengthError,
     cyclic_conjugates,
+    factor_complexity,
     fib_prefix,
     fibonacci,
     omega_s,
@@ -193,6 +194,31 @@ def test_cyclic_conjugates_distinct():
         assert len(rots) == fibonacci(k + 1)
         assert len(set(rots)) == len(rots)
         assert rots[0] == fib_prefix(k + 1)
+
+
+def test_cyclic_conjugates_cap():
+    # F_19^2 = 45,765,225 letters fit the cap at k = 18; k = 19 would build
+    # F_20 = 10,946 rotations of 10,946 letters, and raises before any.
+    assert fibonacci(19) ** 2 <= 50_000_000 < fibonacci(20) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordLengthError, match=r"the 10946 rotations of S\^19\(a\) hold 119814916 letters"):
+            cyclic_conjugates(19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_factor_complexity_counts_and_cap():
+    assert factor_complexity(0) == []
+    assert factor_complexity(6) == [2, 3, 4, 5, 6, 7]
+    # Lengths up to 200 (the README, the golden forms, the benchmark's
+    # crosscheck) slice at most 7.2M letters; the cap is first passed at 371.
+    assert factor_complexity(200) == list(range(2, 202))
+    for n in (371, 1000, 100_000):
+        with pytest.raises(WordLengthError, match="cap of 50000000 letters \\(passed at length 371\\)"):
+            factor_complexity(n)
 
 
 def test_square_prefix_block_lengths():
