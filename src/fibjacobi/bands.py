@@ -56,6 +56,10 @@ every point of the tree that bisection could visit in that many steps,
 with the bits bisection would give it (_bisection_tree), so the roots keep
 theirs.
 
+H(2^e q) = 2^e H(q), so a chain is solved and cached only at hoppings q
+with a in [1, 2), and the band sets of 2^e q are q's scaled by 2^e on the
+way out, tol with them (sigma_chain).
+
 A band set is arrays, not per-band objects: BandSet holds read-only lo and
 hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
 outputs read.
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -142,13 +147,21 @@ class EnergyWindow:
         return self.hi - self.lo
 
 
+def _exponent(x: float) -> int:
+    """e with 2^e <= x < 2^(e+1), for x > 0."""
+    return math.frexp(x)[1] - 1
+
+
 def energy_window(p: HoppingPair) -> EnergyWindow:
     """Norm-bound window widened by ENERGY_MARGIN, since edges can sit exactly at it.
 
-    Raises ValueError where its width, about 4 max(a, b), overflows.
+    The margin is in units of 2^e, the power of two at or below a, as is
+    sigma_chain's tol: the window of 2^m p is that of p times 2^m, bit for
+    bit.  Raises ValueError where its width, about 4 max(a, b), overflows.
     """
     m = p.norm_bound
-    win = EnergyWindow(-m - ENERGY_MARGIN, m + ENERGY_MARGIN)
+    margin = math.ldexp(ENERGY_MARGIN, _exponent(p.a))
+    win = EnergyWindow(-m - margin, m + margin)
     if not math.isfinite(win.width):
         raise ValueError(f"norm bound 2 max(a, b) overflows at a = {p.a!r}, b = {p.b!r}")
     return win
@@ -500,12 +513,14 @@ def _locate_zeros(
 
 def _edge_brackets(
     p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray,
-    weight: np.ndarray, tol: float,
+    weight: np.ndarray, tol: float, e: int,
 ):
     """Brackets of the band edges of sigma_level in the containers, and |x| - 1 at their ends.
 
     Column b of the (2, 2 n_bands) bracket and value arrays holds the lower
-    edge of band b, column n_bands + b its upper edge.
+    edge of band b, column n_bands + b its upper edge.  A bracket without a
+    sign change raises RootIsolationError, naming its energies times 2^e:
+    in the units of the caller's hoppings 2^e p (see sigma_chain).
     """
     cid, pairs, xz, g, (on_lo, on_hi), peak, n_pts = _locate_zeros(
         p, level, clo, chi, target, weight
@@ -594,7 +609,8 @@ def _edge_brackets(
         # All F_level zeros were found; the grid covers the containers given.
         raise RootIsolationError(
             level, fibonacci(level), fibonacci(level), n_pts,
-            f"edge bracket ({br[0, bad[0]]}, {br[1, bad[0]]}) has no sign change of |x|-1",
+            f"edge bracket ({np.ldexp(br[0, bad[0]], e)}, {np.ldexp(br[1, bad[0]], e)}) "
+            "has no sign change of |x|-1",
         )
     return br, gb
 
@@ -652,11 +668,13 @@ def _refine_edges(fn, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
 
 
 def _solve_level(
-    p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray, tol: float
+    p: HoppingPair, level: int, clo: np.ndarray, chi: np.ndarray, target: np.ndarray, tol: float,
+    e: int,
 ):
     """Bands (lo, hi) of sigma_level inside the containers, and the merge count.
 
-    target[c] is _locate_zeros's target for container c.  The containers
+    target[c] is _locate_zeros's target for container c, and 2^e scales
+    the energies of an error message (see _edge_brackets).  The containers
     are exact mirror images of each other under E -> -E, and so is
     sigma_level (see the module docstring).  Only the containers with
     hi > 0 are solved, the one across E = 0 (if any) whole, where its zeros
@@ -669,7 +687,7 @@ def _solve_level(
     """
     half = chi > 0.0
     clo, chi, target = clo[half], chi[half], target[half]
-    br, gb = _edge_brackets(p, level, clo, chi, target, np.where(clo > 0.0, 2, 1), tol)
+    br, gb = _edge_brackets(p, level, clo, chi, target, np.where(clo > 0.0, 2, 1), tol, e)
     edges = _refine_edges(
         lambda EE: np.abs(trace_value(p, EE, level)) - 1.0, br[0], br[1], gb[0], gb[1], tol
     )
@@ -690,8 +708,8 @@ def _check_tol(tol: float) -> None:
 
 
 @lru_cache(maxsize=128)
-def _chain(p: HoppingPair, tol: float) -> list[BandSet]:
-    """sigma_1, sigma_2, ... as far as computed at (p, tol); sigma_chain extends it."""
+def _chain(q: HoppingPair, tol: float) -> list[BandSet]:
+    """sigma_1, sigma_2, ... of q, 1 <= q.a < 2, as far as computed; _normal_chain extends it."""
     return []
 
 
@@ -699,8 +717,83 @@ def _chain(p: HoppingPair, tol: float) -> list[BandSet]:
 _CHAIN_LOCK = threading.Lock()
 
 
+def _normal_chain(p: HoppingPair, k_max: int, tol: float) -> tuple[list[BandSet], int]:
+    """sigma_1 .. sigma_k_max of q = 2^-e p, with 2^e <= a < 2^(e+1), and e.
+
+    q's chain is cached per (q, tol) in _chain, so every p = 2^m q shares it.
+    """
+    if k_max < 1:
+        raise ValueError(f"k must be >= 1, got {k_max}")
+    _check_tol(tol)
+    energy_window(p)  # the norm-bound overflow, named for p
+    e = _exponent(p.a)
+    q = p
+    if e:
+        qb = math.ldexp(p.b, -e)
+        if not sys.float_info.min <= qb < math.inf:
+            raise ValueError(f"b / a leaves the range of doubles at a = {p.a!r}, b = {p.b!r}")
+        q = HoppingPair(math.ldexp(p.a, -e), qb)
+    tol = float(tol)
+    if q.equal:
+        m = np.array([q.norm_bound])
+        return [
+            BandSet(-m, m, "sigma_k", k, q, tol, fibonacci(k) - 1) for k in range(1, k_max + 1)
+        ], e
+    with _CHAIN_LOCK:
+        chain = _chain(q, tol)
+        while len(chain) < k_max:
+            k = len(chain) + 1
+            if k <= 2:
+                win = energy_window(q)
+                clo, chi = np.array([win.lo]), np.array([win.hi])
+                target = np.array([fibonacci(k)])
+            else:
+                inflate = MERGE_FACTOR * tol
+                lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
+                hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
+                clo, chi = _merge_intervals(lo, hi, gap=0.0)
+                target = np.bincount(clo.searchsorted(lo, side="right") - 1, minlength=clo.size)
+            lo, hi, merged = _solve_level(q, k, clo, chi, target, tol, e)
+            chain.append(BandSet(lo, hi, "sigma_k", k, q, tol, merged))
+        return chain[:k_max], e
+
+
+def _scaled(p: HoppingPair, e: int, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """The edges lo, hi and tol of a band set of 2^-e p times 2^e, as p's.
+
+    Raises ValueError where an edge or tol would leave the normal range of
+    doubles, and lose bits.  Band sets are mirror images, so lo holds the
+    magnitude of every edge.
+    """
+    lo, hi, tol = np.ldexp(lo, e), np.ldexp(hi, e), math.ldexp(tol, e)
+    if min(tol, np.abs(lo).min()) < sys.float_info.min:
+        raise ValueError(
+            f"band edges at a = {p.a!r}, b = {p.b!r} leave the normal range of doubles "
+            f"at scale 2^{e}"
+        )
+    return lo, hi, tol
+
+
+def _rescale(bs: BandSet, p: HoppingPair, e: int) -> BandSet:
+    """bs, a band set of 2^-e p, as one of p (see _scaled); bs itself at e = 0."""
+    if not e:
+        return bs
+    lo, hi, tol = _scaled(p, e, bs.lo, bs.hi, bs.tol)
+    return BandSet(lo, hi, bs.kind, bs.level, p, tol, bs.merged_gaps)
+
+
 def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[BandSet]:
-    """sigma_1 .. sigma_k_max, computed bottom-up (and cached per (p, tol)).
+    """sigma_1 .. sigma_k_max, computed bottom-up at a normalized to [1, 2).
+
+    H(2^e q) = 2^e H(q), so with 2^e <= a < 2^(e+1) the chain of p is that
+    of q = 2^-e p times 2^e.  q's chain is solved and cached per (q, tol),
+    reading tol, ENERGY_MARGIN and the solver's other energy floors in
+    units of 2^e; every scale 2^m p shares it, and sigma_chain(2^m p) is
+    sigma_chain(p) times 2^m bit for bit.  Each band set returned has
+    params p and tol times 2^e, the absolute tolerance used.  At
+    1 <= a < 2 (e = 0) these are the cached band sets themselves.  A
+    ValueError names the scale where an edge or tol times 2^e would leave
+    the normal range of doubles.
 
     Level k searches the containers sigma_{k-1} union sigma_{k-2}, with band
     edges inflated by MERGE_FACTOR * tol and overlaps merged (the window at
@@ -714,52 +807,37 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
     At a = b, E = 2a cos(theta) gives x_k(E) = cos(F_k theta), so sigma_k is
     the single band [-2a, 2a] holding all F_k zeros, returned as such.
     """
-    if k_max < 1:
-        raise ValueError(f"k must be >= 1, got {k_max}")
-    _check_tol(tol)
-    win = energy_window(p)
-    tol = float(tol)
-    if p.equal:
-        m = np.array([p.norm_bound])
-        return [BandSet(-m, m, "sigma_k", k, p, tol, fibonacci(k) - 1) for k in range(1, k_max + 1)]
-    with _CHAIN_LOCK:
-        chain = _chain(p, tol)
-        while len(chain) < k_max:
-            k = len(chain) + 1
-            if k <= 2:
-                clo, chi = np.array([win.lo]), np.array([win.hi])
-                target = np.array([fibonacci(k)])
-            else:
-                inflate = MERGE_FACTOR * tol
-                lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
-                hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
-                clo, chi = _merge_intervals(lo, hi, gap=0.0)
-                target = np.bincount(clo.searchsorted(lo, side="right") - 1, minlength=clo.size)
-            lo, hi, merged = _solve_level(p, k, clo, chi, target, tol)
-            chain.append(BandSet(lo, hi, "sigma_k", k, p, tol, merged))
-        return chain[:k_max]
+    chain, e = _normal_chain(p, k_max, tol)
+    return [_rescale(bs, p, e) for bs in chain]
 
 
 def sigma_k(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
-    """The set {E : |x_k(E)| <= 1} as disjoint closed bands."""
-    return sigma_chain(p, k, tol)[-1]
+    """The set {E : |x_k(E)| <= 1} as disjoint closed bands (tol as in sigma_chain)."""
+    chain, e = _normal_chain(p, k, tol)
+    return _rescale(chain[-1], p, e)
 
 
 def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
     """sigma_k union sigma_{k+1}, the level-k outer cover of the spectrum.
 
     Gaps of the union at most MERGE_FACTOR * tol wide are closed; merged_gaps
-    counts them.
+    counts them.  Like tol in sigma_chain, that width is in units of 2^e,
+    the power of two at or below a: the union is taken at a normalized to
+    [1, 2) and scaled back, so cover(2^m p) is cover(p) times 2^m bit for bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    fine, finer = sigma_chain(p, k + 1, tol)[k - 1 :]
+    chain, e = _normal_chain(p, k + 1, tol)
+    fine, finer = chain[k - 1 :]
     lo, hi = _merge_intervals(
         np.concatenate((fine.lo, finer.lo)), np.concatenate((fine.hi, finer.hi)), gap=0.0
     )
-    close = lo[1:] - hi[:-1] <= MERGE_FACTOR * float(tol)
+    tol = float(tol)
+    close = lo[1:] - hi[:-1] <= MERGE_FACTOR * tol
     lo, hi = lo[np.append(True, ~close)], hi[np.append(~close, True)]
-    return BandSet(lo, hi, "cover", k, p, float(tol), int(np.count_nonzero(close)))
+    if e:
+        lo, hi, tol = _scaled(p, e, lo, hi, tol)
+    return BandSet(lo, hi, "cover", k, p, tol, int(np.count_nonzero(close)))
 
 
 def escape_spectrum(p: HoppingPair, K_max: int, grid_step: float) -> BandSet:

@@ -181,6 +181,95 @@ def test_huge_hopping_scales_give_fibonacci_bands(scale):
     assert np.abs(bs.hi / scale - want.hi).max() <= TOL
 
 
+# (a, b, deepest level); (1, 40) fails at level 13.
+SCALE_CASES = ((1.0, 2.0, 14), (0.3, 0.31, 14), (1.0, 1.0001, 14), (1.0, 40.0, 12))
+
+
+@pytest.mark.parametrize("a, b, k", SCALE_CASES)
+def test_power_of_two_scales_give_the_same_chain_times_the_scale(a, b, k):
+    # H(2^m p) = 2^m H(p), and both are solved at the same a in [1, 2): every
+    # edge, tol and window of 2^m p is p's times 2^m, bit for bit.
+    p = HoppingPair(a, b)
+    want = sigma_chain(p, k, TOL)
+    want_cover = cover(p, k - 1, TOL)
+    for m in (-600, -3, 1, 3, 600):
+        q = HoppingPair(math.ldexp(a, m), math.ldexp(b, m))
+        got = sigma_chain(q, k, TOL)
+        assert len(got) == k
+        for g, w in zip((*got, cover(q, k - 1, TOL)), (*want, want_cover)):
+            assert g.lo.tobytes() == np.ldexp(w.lo, m).tobytes(), (m, g.kind, g.level)
+            assert g.hi.tobytes() == np.ldexp(w.hi, m).tobytes(), (m, g.kind, g.level)
+            assert g.tol == math.ldexp(w.tol, m) and g.params == q
+            assert (g.kind, g.level, g.merged_gaps) == (w.kind, w.level, w.merged_gaps)
+        win, want_win = energy_window(q), energy_window(p)
+        assert (win.lo, win.hi) == (math.ldexp(want_win.lo, m), math.ldexp(want_win.hi, m))
+
+
+def test_second_scale_of_a_solved_pair_evaluates_no_trace(monkeypatch):
+    trace = bands_module.trace_value
+    levels = []
+
+    def spy(p, E, k):
+        levels.append(k)
+        return trace(p, E, k)
+
+    monkeypatch.setattr(bands_module, "trace_value", spy)
+    _chain.cache_clear()
+    sigma_chain(HoppingPair(0.3, 0.31), 14, TOL)
+    assert levels
+    levels.clear()
+    for m in (-3, 1, 3):
+        q = HoppingPair(math.ldexp(0.3, m), math.ldexp(0.31, m))
+        sigma_chain(q, 14, TOL)
+        cover(q, 13, TOL)
+        sigma_k(q, 11, TOL)
+    assert not levels
+    # cache_clear drops the one chain every scale shares.
+    _chain.cache_clear()
+    sigma_k(HoppingPair(2.4, 2.48), 14, TOL)
+    assert levels
+    _chain.cache_clear()
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e-100, 1e-20, 1e-10, 1e100, 1e200])
+def test_tiny_and_huge_scales_give_fibonacci_bands(a):
+    # tol and the solver's energy floors are in units of the power of two at
+    # or below a, so no scale leaves them too coarse for its bands.
+    p = HoppingPair(a, 2 * a)
+    bs = sigma_k(p, 14, TOL)
+    assert bs.lo.size == fibonacci(14) == 610
+    win = energy_window(p)
+    assert win.lo < bs.lo[0] and bs.hi[-1] < win.hi
+    assert TOL * a / 2 < bs.tol <= TOL * a
+
+
+def test_edge_bracket_error_names_energies_at_the_callers_scale():
+    # (1, 40) fails at level 13; at 2^m (1, 40) the bracket named is its
+    # bracket times 2^m, inside the caller's window.
+    bracket = re.compile(r"edge bracket \(([^,]+), ([^)]+)\)")
+    with pytest.raises(RootIsolationError) as exc:
+        sigma_k(HoppingPair(1, 40), 13)
+    want = [float(x) for x in bracket.search(str(exc.value)).groups()]
+    for m in (-40, -5, 7):
+        p = HoppingPair(math.ldexp(1.0, m), math.ldexp(40.0, m))
+        with pytest.raises(RootIsolationError) as exc:
+            sigma_k(p, 13)
+        lo, hi = (float(x) for x in bracket.search(str(exc.value)).groups())
+        assert (lo, hi) == tuple(math.ldexp(x, m) for x in want)
+        win = energy_window(p)
+        assert win.lo < lo < hi < win.hi
+
+
+def test_scales_that_leave_the_normal_range_are_refused():
+    # Edges and tol scaled back from a in [1, 2) to 1e-310 would be subnormal.
+    for solve in (sigma_k, cover):
+        with pytest.raises(ValueError, match=re.escape("normal range of doubles at scale 2^-1030")):
+            solve(HoppingPair(1e-310, 2e-310), 5)
+    # b / a itself is out of range: b scaled to a in [1, 2) underflows.
+    with pytest.raises(ValueError, match="b / a leaves the range of doubles"):
+        sigma_k(HoppingPair(1e300, 1e-300), 5)
+
+
 def test_root_isolation_error_payload():
     err = RootIsolationError(7, 12, 13, 4096, "grid cap reached")
     assert err.level == 7 and err.found == 12 and err.expected == 13
@@ -348,9 +437,9 @@ def test_level_solves_evaluate_only_containers_with_hi_above_zero(monkeypatch):
     trace = bands_module.trace_value
     levels = []
 
-    def spy_solve(p, level, clo, chi, target, tol):
+    def spy_solve(p, level, clo, chi, target, tol, e):
         levels.append((level, clo[chi > 0.0], chi[chi > 0.0], []))
-        return solve(p, level, clo, chi, target, tol)
+        return solve(p, level, clo, chi, target, tol, e)
 
     def spy_trace(p, E, k):
         assert k == levels[-1][0]
@@ -723,9 +812,9 @@ def test_edge_brackets_are_certified(monkeypatch):
     refine = bands_module._refine_edges
     refining = []
 
-    def spy_solve(p, level, clo, chi, target, tol):
+    def spy_solve(p, level, clo, chi, target, tol, e):
         calls.append((p, level, clo[chi > 0.0].min(), []))
-        return solve(p, level, clo, chi, target, tol)
+        return solve(p, level, clo, chi, target, tol, e)
 
     def spy_bisect(fn, lo, hi, tol, f_lo=None, width=None):
         roots = bisect(fn, lo, hi, tol, f_lo, width)
