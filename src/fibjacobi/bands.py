@@ -51,10 +51,10 @@ Every edge then ends within tol / 4 of its crossing: a level with more
 than _BISECT_MAX edges runs regula falsi from |x_k| - 1 at both bracket
 ends, certified by one probe tol / 4 beyond the estimate, and a level with
 fewer bisects.  Bisection takes as many halvings per call of the trace
-kernel as keep a batch within _SPLIT_POINTS points: one call evaluates
-every point of the tree that bisection could visit in that many steps,
-with the bits bisection would give it (_bisection_tree), so the roots keep
-theirs.
+kernel as keep a batch within _SPLIT_POINTS points (_split_depth, which
+jacobi's eigenvalue bisection shares): one call evaluates every point of
+the tree that bisection could visit in that many steps, with the bits
+bisection would give it (_bisection_tree), so the roots keep theirs.
 
 H(2^e q) = 2^e H(q), so a chain is solved and cached only at hoppings q
 with a in [1, 2), and the band sets of 2^e q are q's scaled by 2^e on the
@@ -90,10 +90,11 @@ GRID_CAP = 1 << 24
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# _batch_bisect halves n brackets s times per call of fn, evaluating
+# Bisection, of band roots (_batch_bisect) and of eigenvalues
+# (jacobi._descend), halves n brackets s times per kernel call, evaluating
 # n (2^s - 1) points, for the largest s <= _SPLIT_MAX that keeps them
-# within _SPLIT_POINTS, and at least once.  On the jobs of the sweep and
-# deep-cover benchmarks at seed 1 (interleaved in one process, 2-core VM)
+# within _SPLIT_POINTS, and at least once (_split_depth).  On the jobs of
+# the sweep and deep-cover benchmarks at seed 1 (interleaved in one process, 2-core VM)
 # budgets of 2048 and 8192 points took 1.00 and 1.03 of the time of 4096
 # on sweep, 1.03 each on deep-cover, and caps of 6 and 8 halvings 1.01
 # each of that of 7 on sweep.
@@ -254,10 +255,9 @@ def _batch_bisect(
     after which every bracket is two adjacent doubles, if fewer: such a
     bracket moves at most once more, so the roots keep their bits where tol
     is finer than the doubles in the brackets.  The steps go to as few
-    calls of fn as take at most s each, split as evenly as they go, for the
-    largest s <= _SPLIT_MAX at which s halvings of every bracket fit
-    _SPLIT_POINTS points, or s = 1.  fn sees every point plain bisection
-    visits, with its bits, and the roots are the same bit for bit.
+    calls of fn as take at most _split_depth(n) halvings each, split as
+    evenly as they go.  fn sees every point plain bisection visits, with
+    its bits, and the roots are the same bit for bit.
     """
     lo = lo.astype(float)
     hi = hi.astype(float)
@@ -272,12 +272,16 @@ def _batch_bisect(
         fine = max(math.frexp(low or 5e-324)[1] - 54, -1075)
         steps = max(math.log2(width) - max(math.log2(tol), fine), 1.0)
     n_iter = int(math.ceil(steps)) + 1
-    split = max(1, min(_SPLIT_MAX, (_SPLIT_POINTS // max(lo.size, 1) + 1).bit_length() - 1))
-    calls = -(-n_iter // split)
+    calls = -(-n_iter // _split_depth(lo.size))
     for c in range(calls):
         # Halvings per call as even as can be, summing to n_iter.
         lo, hi = _split_step(fn, lo, hi, sign_lo, (n_iter + c) // calls)
     return 0.5 * (lo + hi)
+
+
+def _split_depth(n: int) -> int:
+    """Halvings per kernel call for n brackets, by the rule at _SPLIT_POINTS."""
+    return max(1, min(_SPLIT_MAX, (_SPLIT_POINTS // max(n, 1) + 1).bit_length() - 1))
 
 
 def _bisection_tree(lo: np.ndarray, hi: np.ndarray, s: int) -> np.ndarray:

@@ -178,7 +178,7 @@ def _parse_sweep(arg: str) -> list[float]:
     if step_ <= 0 or stop < start:
         raise ValueError(f"sweep range must have stop >= start and step > 0, got {arg!r}")
     n = int(math.floor((stop - start) / step_ + 1e-9)) + 1
-    return [round(start + i * step_, 12) for i in range(n)]
+    return [float(f"{start + i * step_:.12g}") for i in range(n)]
 
 
 def _dimension_row(b: float, est: DimensionEstimate | None, k_max: int, tol: float) -> str:

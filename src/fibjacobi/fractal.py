@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bands import DEFAULT_TOL, BandSet, _band_arrays, _check_tol, cover, sigma_chain
+from .bands import DEFAULT_TOL, BandSet, _band_arrays, _check_tol, cover
 from .tracemap import HoppingPair, invariant_expected
 
 MIN_SCALES = 4
@@ -221,7 +221,6 @@ def band_scaling_dimension(
     the interval value 1.0 by convention.
     """
     _check_levels(k_min, k_max)
-    sigma_chain(p, k_max, tol)
     log_inv, log_n, scales = [], [], []
     for k in range(k_min, k_max + 1):
         c = cover(p, k, tol)

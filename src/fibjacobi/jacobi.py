@@ -4,14 +4,14 @@ The matrices are symmetric tridiagonal with zero diagonal; off-diagonal
 entries come from mapping window letters to the two hopping values.
 Eigenvalues are found by bisection on the Sturm pivot recursion (the
 count of eigenvalues below a shift), deterministic and free of external
-linear-algebra dependencies.  Every eigenvalue starts from the same
-bracket, so one Sturm pass over the tree of points that _SHARED_DEPTH
-rounds can visit settles those rounds for all of them; each later pass
-counts on a tree of _LOCAL_DEPTH rounds under every distinct bracket
-(clusters of the Cantor spectrum share brackets).  Each eigenvalue reads
-the counts only at the midpoints one-shift-per-round bisection visits, so
-the values are plain bisection's bit for bit, from far fewer passes over
-the sites.  The pivots run in plain IEEE arithmetic, a zero followed by an
+linear-algebra dependencies.  One Sturm pass counts at every point of
+the tree that a few bisection rounds can visit under each distinct
+bracket (all eigenvalues start from one bracket, and clusters of the
+Cantor spectrum share brackets), as many rounds as the band solver takes
+per kernel call for that many brackets (bands._split_depth).  Each
+eigenvalue reads the counts only at the midpoints one-shift-per-round
+bisection visits, so the values are plain bisection's bit for bit, from
+far fewer passes over the sites.  The pivots run in plain IEEE arithmetic, a zero followed by an
 infinity (Demmel, Dhillon and Ren, ETNA 3 (1995)), and the count reads
 their sign bits.  With zero diagonal the spectrum is mirrored, sigma =
 -sigma, and so are the pivots, so the count at -s follows in closed form
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _bisection_tree, _distance_to_bands, _walk, cover, sigma_k
+from .bands import _bisection_tree, _distance_to_bands, _split_depth, _walk, cover, sigma_k
 from .tracemap import HoppingPair, trace_value
 from .words import _check_word, fib_prefix, fibonacci, omega_s
 
@@ -60,10 +60,6 @@ _HOP_MIN, _HOP_MAX = 2.0**-511, 2.0**511
 _TOL_MAX = float(np.finfo(float).max) / 2
 # The Sturm kernel's pivot buffer holds this many sites by this many shifts.
 _BLOCK_SITES, _BLOCK_SHIFTS = 32, 4096
-# Bisection rounds per Sturm pass: first over the common starting bracket,
-# then under each distinct bracket.
-_SHARED_DEPTH = 9
-_LOCAL_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -307,26 +303,31 @@ def eigenvalue_count_below(j: JacobiWindow, shifts) -> np.ndarray:
 
 
 def _descend(
-    e2: np.ndarray, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray, depth: int, plan
+    e2: np.ndarray, lo: np.ndarray, hi: np.ndarray, idx: np.ndarray, rounds: int, plan
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets (lo, hi) of eigenvalues idx after depth more bisection rounds.
+    """Brackets (lo, hi) of eigenvalues idx after rounds more bisection rounds.
 
-    Each distinct bracket gets the _bisection_tree of depth rounds, and one
-    Sturm pass counts at all its points, by the block maps of plan where it
-    is given.  Eigenvalue i walks its bracket's tree, reading counts only
-    where one-shift-per-round bisection would, so lo and hi are bit for bit
-    those of depth rounds.
+    Each pass gives every distinct bracket the _bisection_tree of
+    min(_split_depth(distinct brackets), rounds left) rounds, the band
+    solver's budget, and one Sturm pass counts at all its points, by the
+    block maps of plan where it is given.  Eigenvalue i walks its bracket's
+    tree, reading counts only where one-shift-per-round bisection would, so
+    lo and hi are bit for bit those of plain bisection.
     """
-    # Brackets keep the order of the eigenvalues, so equal ones are
-    # neighbours.  Compare them by their bits, so a tree starts from the very
-    # values each of its eigenvalues carries.
-    kl, kh = lo.view(np.int64), hi.view(np.int64)
-    new = np.concatenate(([True], (kl[1:] != kl[:-1]) | (kh[1:] != kh[:-1])))
-    first, inv = np.flatnonzero(new), np.cumsum(new) - 1
-    pts = _bisection_tree(lo[first], hi[first], depth)
-    counts = _mirrored_count(e2, pts[1:-1].ravel(), plan).reshape(-1, first.size)
-    cell = _walk(lambda mid: counts[mid - 1, inv] <= idx, idx.size, depth)
-    return pts[cell, inv], pts[cell + 1, inv]
+    while rounds > 0:
+        # Brackets keep the order of the eigenvalues, so equal ones are
+        # neighbours.  Compare them by their bits, so a tree starts from the
+        # very values each of its eigenvalues carries.
+        kl, kh = lo.view(np.int64), hi.view(np.int64)
+        new = np.concatenate(([True], (kl[1:] != kl[:-1]) | (kh[1:] != kh[:-1])))
+        first, inv = np.flatnonzero(new), np.cumsum(new) - 1
+        depth = min(_split_depth(first.size), rounds)
+        pts = _bisection_tree(lo[first], hi[first], depth)
+        counts = _mirrored_count(e2, pts[1:-1].ravel(), plan).reshape(-1, first.size)
+        cell = _walk(lambda mid: counts[mid - 1, inv] <= idx, idx.size, depth)
+        lo, hi = pts[cell, inv], pts[cell + 1, inv]
+        rounds -= depth
+    return lo, hi
 
 
 def _site_path(
@@ -360,13 +361,13 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
 
     Bisection from [-bound - tol, bound + tol], bound = 2 max(h), taken
     where _scaled_squares scales the window: each round halves every
-    eigenvalue's bracket at 0.5 * (lo + hi) by the Sturm count there.  The
-    first _SHARED_DEPTH rounds take one pass over the common start's tree,
-    later ones _LOCAL_DEPTH rounds per pass (_descend).  Where the window
-    has a _block_plan, those passes count by composed block maps, and one
-    site-loop pass then checks count(lo) <= i < count(hi) at every final
-    bracket.  The count is monotone in the shift, so a bracket that passes
-    is the one the site loop alone gives; eigenvalues that fail are
+    eigenvalue's bracket at 0.5 * (lo + hi) by the Sturm count there.  A
+    Sturm pass settles as many rounds for every distinct bracket as the
+    band solver's bisection takes per kernel call (_descend).  Where the
+    window has a _block_plan, those passes count by composed block maps,
+    and one site-loop pass then checks count(lo) <= i < count(hi) at every
+    final bracket.  The count is monotone in the shift, so a bracket that
+    passes is the one the site loop alone gives; eigenvalues that fail are
     bisected again with the site loop from the first round where it
     disagrees (_site_path).
     """
@@ -384,18 +385,13 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
     rounds = max(1, int(math.ceil(math.log2(2 * edge / tol_s))))
     idx = np.arange(n)
     plan = _block_plan(e2)
-    lo, hi = np.full(n, -edge), np.full(n, edge)
-    lo, hi = _descend(e2, lo, hi, idx, min(rounds, _SHARED_DEPTH), plan)
-    for done in range(_SHARED_DEPTH, rounds, _LOCAL_DEPTH):
-        lo, hi = _descend(e2, lo, hi, idx, min(_LOCAL_DEPTH, rounds - done), plan)
+    lo, hi = _descend(e2, np.full(n, -edge), np.full(n, edge), idx, rounds, plan)
     if plan is not None:
         count = _mirrored_count(e2, np.concatenate((lo, hi)))
         wrong = np.flatnonzero((count[:n] > idx) | (count[n:] <= idx))
         if wrong.size:
             t, a, b = _site_path(e2, edge, hi[wrong], wrong, rounds)
-            for done in range(t, rounds, _LOCAL_DEPTH):
-                a, b = _descend(e2, a, b, wrong, min(_LOCAL_DEPTH, rounds - done), None)
-            lo[wrong], hi[wrong] = a, b
+            lo[wrong], hi[wrong] = _descend(e2, a, b, wrong, rounds - t, None)
     tol = math.ldexp(tol_s, -s) if tol is None else float(tol)
     return EigenvalueList(np.ldexp(0.5 * (lo + hi), -s), tol, n, "free")
 

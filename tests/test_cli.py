@@ -191,6 +191,24 @@ def test_dimension_sweep_table(tmp_path, capsys):
     assert vals == sorted(vals, reverse=True)
 
 
+def test_dimension_sweep_keeps_tiny_couplings(tmp_path, capsys):
+    # Sweep values are rounded to 12 significant digits, not decimal places,
+    # so couplings below 5e-13 do not round to b = 0.
+    out_file = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys,
+        "dimension", "--a", "1e-13", "--sweep", "1.5e-13:2e-13:2.5e-14", "--kmax", "10",
+        "--out", str(out_file),
+    )
+    assert code == EXIT_OK
+    assert "warning" not in err
+    lines = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in lines[1:]]
+    assert [float(r[0]) for r in rows] == [1.5e-13, 1.75e-13, 2e-13]
+    assert [r[2] for r in rows] == ["band-scaling"] * 3
+    assert all(0.0 < float(r[1]) < 1.0 for r in rows)
+
+
 def test_dimension_sweep_csv_rows(tmp_path, capsys):
     # b = -1 is no hopping value: its row reads nan and error, and the sweep goes on.
     out_file = tmp_path / "sweep.csv"

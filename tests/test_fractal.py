@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from fibjacobi import bands as bands_module
 from fibjacobi.bands import BandSet, cover, sigma_chain
 from fibjacobi.fractal import (
     DimensionEstimate,
@@ -167,6 +168,17 @@ def test_band_scaling_free_case_degenerate():
     assert est.degenerate
     assert est.value == 1.0
     assert est.r_squared == 0.0
+
+
+def test_band_scaling_scales_no_band_set(monkeypatch):
+    # cover builds and scales what the fit reads; at a outside [1, 2) no
+    # sigma_chain band sets are scaled only to be discarded.
+    calls = []
+    real = bands_module._rescale
+    monkeypatch.setattr(bands_module, "_rescale", lambda *args: calls.append(args) or real(*args))
+    est = band_scaling_dimension(HoppingPair(0.75, 1.5), 6, 12)
+    assert calls == []
+    assert 0.0 < est.value < 1.0
 
 
 def test_band_scaling_level_validation():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fibjacobi import bands as bands_module
 from fibjacobi import jacobi
 from fibjacobi.jacobi import (
     EigenvalueList,
@@ -369,20 +370,35 @@ def test_aperiodic_words_take_the_site_loop(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("shared, local", [(1, 1), (3, 3), (12, 4), (9, 2)])
-def test_eigenvalues_bit_identical_at_any_tree_depths(shared, local, monkeypatch):
-    # Trees of any depth, shared and per bracket, read the counts at the
-    # midpoints one-shift bisection visits: on a window with a block plan,
-    # one whose certificate re-bisects with the site loop, and an aperiodic
-    # one.
-    monkeypatch.setattr(jacobi, "_SHARED_DEPTH", shared)
-    monkeypatch.setattr(jacobi, "_LOCAL_DEPTH", local)
+@pytest.mark.parametrize(
+    "split_max, split_points, deepest",
+    [(1, 4096, 1), (3, 4096, 3), (12, 1 << 20, 12), (7, 1, 1)],
+    ids=["cap1", "cap3", "cap12", "one-halving-per-pass"],
+)
+def test_eigenvalues_bit_identical_at_any_tree_depths(
+    split_max, split_points, deepest, monkeypatch
+):
+    # Trees of any depth, set through the point budget the band solver
+    # shares, read the counts at the midpoints one-shift bisection visits:
+    # on a window with a block plan, one whose certificate re-bisects with
+    # the site loop, and an aperiodic one.
+    monkeypatch.setattr(bands_module, "_SPLIT_MAX", split_max)
+    monkeypatch.setattr(bands_module, "_SPLIT_POINTS", split_points)
+    depths = []
+    real_tree = jacobi._bisection_tree
+
+    def spy(lo, hi, s):
+        depths.append(s)
+        return real_tree(lo, hi, s)
+
+    monkeypatch.setattr(jacobi, "_bisection_tree", spy)
     rng = np.random.default_rng(3)
     aperiodic = build_window("".join(rng.choice(["a", "b"], 300)), P12)
     strong = build_window(fib_prefix(14), HoppingPair(1, 100))
     for jw in (BLOCK_WINDOWS["s_13 b/a=2"], strong, aperiodic):
         want = _bisect_reference(np.array(jw.hoppings))
         assert np.array_equal(eigenvalues_free(jw).values.view(np.int64), want.view(np.int64))
+    assert max(depths) == deepest
 
 
 def test_certificate_rebisects_a_planted_error(monkeypatch):
@@ -596,6 +612,31 @@ def test_truncation_consistency():
 def test_truncation_length_precondition():
     with pytest.raises(ValueError):
         truncation_spectrum_consistency(P12, 10, 2 * fibonacci(10) - 1)
+
+
+@pytest.mark.parametrize("b, k", [(1.2, 10), (2, 10), (5, 10), (20, 9)])
+def test_gap_labels_of_cover_gaps(b, k):
+    # The integrated density of states in a gap of the spectrum is
+    # {m alpha mod 1}, alpha = (sqrt 5 - 1) / 2 (Bellissard, Bovier and
+    # Ghez, Rev. Math. Phys. 4 (1992)).  Sturm counts on a hull window of n
+    # sites never evaluate the trace map, so they check the band solver's
+    # gaps: N at every gap midpoint of the cover lies within 2 / n of a
+    # label, and the G gaps carry the labels +-1 .. +-G/2, once each.
+    p = HoppingPair(1, b)
+    c = cover(p, k)
+    mids = 0.5 * (c.hi[:-1] + c.lo[1:])
+    n = 75025
+    ids = eigenvalue_count_below(build_window(omega_s(1, n - 1), p), mids) / n
+    g = mids.size
+    m = np.arange(-2 * g, 2 * g + 1)
+    dist = np.abs(ids[:, None] - np.mod(m * ((math.sqrt(5.0) - 1.0) / 2.0), 1.0))
+    dist = np.minimum(dist, 1.0 - dist)
+    nearest = dist.argmin(axis=1)
+    assert dist[np.arange(g), nearest].max() <= 2.0 / n
+    assert np.all(np.diff(ids) > 0.0)
+    labels = m[nearest]
+    assert len(set(labels.tolist())) == g
+    assert sorted(labels.tolist()) == [*range(-(g // 2), 0), *range(1, g // 2 + 1)]
 
 
 def test_edge_state_detection():
