@@ -214,6 +214,20 @@ class BandSet:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @classmethod
+    def _checked(cls, lo, hi, kind, level, params, tol, merged_gaps) -> BandSet:
+        """A band set on lo and hi themselves, fresh float arrays the caller
+        has checked to be sorted disjoint closed bands: no copy, no checks."""
+        bs = cls.__new__(cls)
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        for name, value in zip(
+            ("lo", "hi", "kind", "level", "params", "tol", "merged_gaps"),
+            (lo, hi, kind, level, params, tol, merged_gaps),
+        ):
+            object.__setattr__(bs, name, value)
+        return bs
+
     @cached_property
     def bands(self) -> np.ndarray:
         """The read-only (n, 2) array of [lo, hi] rows."""
@@ -227,8 +241,13 @@ class BandSet:
 
 
 def lebesgue_measure(bs: BandSet) -> float:
-    """Total length of the bands."""
-    return float(sum((bs.hi - bs.lo).tolist()))
+    """Total length of the bands, added left to right.
+
+    np.add.accumulate keeps that order on every Python; sum compensates
+    floats from Python 3.12 on, which moves the last bit.
+    """
+    widths = bs.hi - bs.lo
+    return float(np.add.accumulate(widths)[-1]) if widths.size else 0.0
 
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray, gap: float):
@@ -766,11 +785,12 @@ def _scaled(p: HoppingPair, e: int, lo: np.ndarray, hi: np.ndarray, tol: float):
     """The edges lo, hi and tol of a band set of 2^-e p times 2^e, as p's.
 
     Raises ValueError where an edge or tol would leave the normal range of
-    doubles, and lose bits.  Band sets are mirror images, so lo holds the
-    magnitude of every edge.
+    doubles, and lose bits or overflow.  Band sets are mirror images, so lo
+    holds the magnitude of every edge, and sorted, so the largest sits at
+    an end.  In range, sorted disjoint bands stay so, bit for bit.
     """
     lo, hi, tol = np.ldexp(lo, e), np.ldexp(hi, e), math.ldexp(tol, e)
-    if min(tol, np.abs(lo).min()) < sys.float_info.min:
+    if min(tol, np.abs(lo).min()) < sys.float_info.min or not max(tol, -lo[0], hi[-1]) < math.inf:
         raise ValueError(
             f"band edges at a = {p.a!r}, b = {p.b!r} leave the normal range of doubles "
             f"at scale 2^{e}"
@@ -779,11 +799,15 @@ def _scaled(p: HoppingPair, e: int, lo: np.ndarray, hi: np.ndarray, tol: float):
 
 
 def _rescale(bs: BandSet, p: HoppingPair, e: int) -> BandSet:
-    """bs, a band set of 2^-e p, as one of p (see _scaled); bs itself at e = 0."""
+    """bs, a band set of 2^-e p, as one of p (see _scaled); bs itself at e = 0.
+
+    _scaled has checked the range, so the scaled arrays skip BandSet's copy
+    and checks.
+    """
     if not e:
         return bs
     lo, hi, tol = _scaled(p, e, bs.lo, bs.hi, bs.tol)
-    return BandSet(lo, hi, bs.kind, bs.level, p, tol, bs.merged_gaps)
+    return BandSet._checked(lo, hi, bs.kind, bs.level, p, tol, bs.merged_gaps)
 
 
 def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[BandSet]:

@@ -14,11 +14,15 @@ identities multiply one-step factors; the identities compare the trace
 recursion with that factor-by-factor product.
 
 Batched products are arrays: cocycles multiplies many windows at many
-energies in one pass and returns the (lengths, 5, windows, energies) table
-of m11, m12, m21, m22 and log_scale.  TransferMatrix is the one-value form,
-which cocycle returns; its trace_half and physical fold the scale in with
-math.exp, so cayley_hamilton_defect and the verify trace checks read
-table rows through it and keep their digits.
+energies in one pass, holding the running products as one stacked
+(2, 2, windows, energies) array that each step updates a whole row at a
+time, and returns the (lengths, 5, windows, energies) table of m11, m12,
+m21, m22 and log_scale; the block products of _hull_products are stacked
+(2, 2, energies) arrays.  trace_halves and physical_products read one
+length of such a table as arrays, folding each scale in with math.exp
+one element at a time, so cayley_hamilton_defect and the verify trace
+checks keep the bits of one TransferMatrix per entry without building
+one.  TransferMatrix is the one-value form, which cocycle returns.
 
 The half-trace of the cocycle over the level-k Fibonacci block reproduces
 the trace-map value x_k, and over a repeated block the Cayley-Hamilton
@@ -152,10 +156,17 @@ def _check_range(sq: np.ndarray, E: np.ndarray, pos: int) -> None:
     """Raise CocycleRangeError at the first energy where a squared norm in sq is no positive finite double.
 
     sq holds one row per window (or a single row), one column per energy.
+    Its smallest and largest values decide; a NaN fails both comparisons.
     """
-    ok = np.isfinite(sq) & (sq > 0.0)
-    if not ok.all():
+    if sq.size and not 0.0 < sq.min() <= sq.max() < math.inf:
+        ok = np.isfinite(sq) & (sq > 0.0)
         raise CocycleRangeError(float(E[np.argmin(np.atleast_2d(ok).all(axis=0))]), pos)
+
+
+def _square_norms(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of stacked (2, 2, ...) products, adding m11, m12, m21, m22 in that order."""
+    sq = m * m
+    return sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]
 
 
 def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
@@ -164,13 +175,15 @@ def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int])
     lengths must be strictly increasing.  Returns shape (len(lengths), 5,
     len(windows), E.size) holding m11, m12, m21, m22 and log_scale; every
     RENORM_EVERY factors the scale moves into log_scale, so the stored
-    entries stay of order one.  Each window's hoppings form one row of a
-    table, and every operation acts element by element, so each (window,
-    energy) product has the bits of its own one-window pass.  A product whose
-    squared Frobenius norm overflows while its entries are finite is first
-    divided by its largest entry.  Raises CocycleRangeError naming the energy
-    and the position where a product's squared Frobenius norm is still no
-    positive finite double.
+    entries stay of order one.  The running products are one stacked
+    (2, 2, windows, energies) array whose rows [m11, m12] and [m21, m22]
+    each step updates whole: top <- (E top - bottom) / w, bottom <- w top,
+    with one hopping w per window.  Every operation acts element by
+    element, so each (window, energy) product has the bits of its own
+    one-window pass.  A product whose squared Frobenius norm overflows while
+    its entries are finite is first divided by its largest entry.  Raises
+    CocycleRangeError naming the energy and the position where a product's
+    squared Frobenius norm is still no positive finite double.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     if not np.isfinite(E).all():
@@ -185,7 +198,8 @@ def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int])
             raise WindowCoverageError(
                 f"cocycle over 1..{n} needs those positions, window covers ({window.lo}, {window.hi})"
             )
-    hops = np.array([[_hop(p, letter) for letter in window.slice(1, n)] for window in windows])
+    letters = np.frombuffer("".join(w.slice(1, n) for w in windows).encode(), dtype=np.uint8)
+    hops = np.where(letters == ord("a"), p.a, p.b).reshape(len(windows), n)
     # Step pos multiplies by hops[pos - 1], a column with one hopping per
     # window, or a scalar for one window, which keeps NumPy's fastest loops
     # (as does giving every window its own contiguous row of energies).
@@ -193,40 +207,43 @@ def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int])
     shape = (len(windows), E.size)
     energies = np.tile(E, (len(windows), 1))
     out = np.empty((len(lengths), 5, *shape))
-    m11, m12, m21, m22 = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
-    t11, t12, scale = np.empty(shape), np.empty(shape), np.zeros(shape)
+    prod, spare = np.zeros((2, 2, *shape)), np.empty((2, 2, *shape))
+    prod[0, 0] = prod[1, 1] = 1.0
+    # The two buffers take turns holding the product, each step writing the
+    # other; each comes with views of its top and bottom rows.
+    cur, nxt = (prod, *prod), (spare, *spare)
+    scale = np.zeros(shape)
     row = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for pos, w in enumerate(steps, 1):
-            # Left-multiply by (1/w) [[E, -1], [w^2, 0]] in place.
-            np.multiply(energies, m11, out=t11)
-            t11 -= m21
-            t11 /= w
-            np.multiply(energies, m12, out=t12)
-            t12 -= m22
-            t12 /= w
-            np.multiply(m11, w, out=m21)
-            np.multiply(m12, w, out=m22)
-            m11, m12, t11, t12 = t11, t12, m11, m12
+            # Left-multiply by (1/w) [[E, -1], [w^2, 0]].
+            _, top, bottom = cur
+            prod, new_top, new_bottom = nxt
+            np.multiply(energies, top, out=new_top)
+            new_top -= bottom
+            new_top /= w
+            np.multiply(top, w, out=new_bottom)
+            cur, nxt = nxt, cur
             renorm = pos % RENORM_EVERY == 0
             if renorm or pos == lengths[row]:
-                sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+                sq = _square_norms(prod)
                 over = np.isinf(sq)
                 if over.any():
                     # Squares overflow before finite entries do: divide those
                     # products by their largest entry; the rest divide by 1.
-                    big = np.max(np.abs([m11, m12, m21, m22]), axis=0)
+                    big = np.abs(prod).max(axis=(0, 1))
                     f = np.where(over & np.isfinite(big), big, 1.0)
-                    m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
+                    prod /= f
                     scale += np.log(f)
-                    sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+                    sq = _square_norms(prod)
                 _check_range(sq, E, pos)
             if renorm:
                 f = np.sqrt(sq)
-                m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
+                prod /= f
                 scale += np.log(f)
             if pos == lengths[row]:
-                out[row] = m11, m12, m21, m22, scale
+                out[row, :4] = prod.reshape(4, *shape)
+                out[row, 4] = scale
                 row += 1
     return out
 
@@ -237,41 +254,48 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
     s_j = S^m(s_{j-m}) with S^m(a) = s_{m+1} and S^m(b) = s_m, so positions
     1..F_j are copies of those two blocks in the letter order of s_{j-m}.
     With m = min(_BLOCK_LEVEL, levels[0] - 1) every F_j ends a block.  One
-    cocycles pass gives both block cocycles; each block step left-multiplies
-    the running product, checks its squared Frobenius norm as cocycles does
-    and moves that norm into log_scale.
+    cocycles pass gives both block cocycles.  The running product is one
+    stacked (2, 2, energies) array; each block step left-multiplies it,
+    B[:, 0] M[0] + B[:, 1] M[1] for block B, checks its squared Frobenius
+    norm as cocycles does and moves that norm into log_scale.
     """
     m = min(_BLOCK_LEVEL, levels[0] - 1)
     E = np.atleast_1d(np.asarray(E, dtype=float))
     short, long = fibonacci(m), fibonacci(m + 1)
     # Unit-norm blocks keep every block step's entries at most 1 in size.
     blocks = {}
-    for letter, size, (b11, b12, b21, b22, b_scale) in zip(
+    for letter, size, table in zip(
         "ba", (short, long), cocycles([omega_s(1, long)], p, E, [short, long])[:, :, 0]
     ):
-        f = np.sqrt(b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22)
-        blocks[letter] = (size, b11 / f, b12 / f, b21 / f, b22 / f, b_scale + np.log(f))
+        b = table[:4].reshape(2, 2, E.size)
+        f = np.sqrt(_square_norms(b))
+        b = b / f
+        # The columns B[:, 0] and B[:, 1] as (2, 2, energies) arrays, entry
+        # (i, l) of the j-th being B[i, j]: NumPy multiplies them by the
+        # rows M[j] faster than it broadcasts a column.
+        col0, col1 = (np.repeat(b[:, j, None], 2, axis=1) for j in (0, 1))
+        blocks[letter] = (size, col0, col1, table[4] + np.log(f))
     rows = {fibonacci(j - m): row for row, j in enumerate(levels)}
     out = np.empty((len(levels), 5, E.size))
-    m11, m12, m21, m22 = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    prod = np.zeros((2, 2, E.size))
+    prod[0, 0] = prod[1, 1] = 1.0
+    left, right = np.empty_like(prod), np.empty_like(prod)
     scale = np.zeros_like(E)
     pos = 0
     for count, letter in enumerate(fib_prefix(levels[-1] - m), 1):
-        size, b11, b12, b21, b22, b_scale = blocks[letter]
+        size, col0, col1, b_scale = blocks[letter]
         pos += size
-        m11, m12, m21, m22 = (
-            b11 * m11 + b12 * m21,
-            b11 * m12 + b12 * m22,
-            b21 * m11 + b22 * m21,
-            b21 * m12 + b22 * m22,
-        )
-        sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+        np.multiply(col0, prod[0], out=left)
+        np.multiply(col1, prod[1], out=right)
+        np.add(left, right, out=prod)
+        sq = _square_norms(prod)
         _check_range(sq, E, pos)
         f = np.sqrt(sq)
-        m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
+        prod /= f
         scale += np.log(f) + b_scale
         if count in rows:
-            out[rows[count]] = m11, m12, m21, m22, scale
+            out[rows[count], :4] = prod.reshape(4, E.size)
+            out[rows[count], 4] = scale
     return out
 
 
@@ -346,9 +370,12 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
     # Centered least squares over the last half of the checkpoints.  Python's
     # sum adds the rows in order, so each energy's fit reads only its own
-    # column and does not depend on how the grid is chunked.
+    # column and does not depend on how the grid is chunked.  The float
+    # denominator is added left to right by np.add.accumulate: from Python
+    # 3.12 on, sum compensates floats and would move its last bit.
     x_mean = sum(xs) / len(xs)
-    slope = sum((x - x_mean) * y for x, y in zip(xs, ys)) / sum((x - x_mean) ** 2 for x in xs)
+    x_var = np.add.accumulate([(x - x_mean) ** 2 for x in xs])[-1]
+    slope = sum((x - x_mean) * y for x, y in zip(xs, ys)) / x_var
     intercept = sum(ys) / len(xs) - slope * x_mean
     residual = np.sqrt(sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs))
     gamma = np.clip(slope, 0.0, None)
@@ -361,6 +388,50 @@ def lyapunov(p: HoppingPair, E: float, n: int, window: SignedWindow | None = Non
     return LyapunovEstimate(float(gamma[0]), n_used, float(residual[0]))
 
 
+def _exps(log_scale: np.ndarray, overflow: float | None = None) -> np.ndarray:
+    """math.exp of every log-scale, one element at a time, as TransferMatrix folds it in.
+
+    Where a scale leaves double range this raises OverflowError, as
+    TransferMatrix does, or gives overflow when that is set.
+    """
+    flat = log_scale.ravel().tolist()
+    try:
+        out = list(map(math.exp, flat))
+    except OverflowError:
+        if overflow is None:
+            raise
+        out = []
+        for s in flat:
+            try:
+                out.append(math.exp(s))
+            except OverflowError:
+                out.append(overflow)
+    return np.array(out).reshape(log_scale.shape)
+
+
+def trace_halves(rows: np.ndarray) -> np.ndarray:
+    """Half-traces of the products of one length of a cocycles table.
+
+    rows = table[i] holds m11, m12, m21, m22 and log_scale on its first
+    axis.  Each half-trace has the bits of TransferMatrix.trace_half and
+    raises OverflowError where it does.
+    """
+    m11, _, _, m22, scale = rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (m11 + m22) * _exps(scale)
+
+
+def physical_products(rows: np.ndarray) -> np.ndarray:
+    """Stacked (2, 2, ...) physical products of one length of a cocycles table.
+
+    rows as for trace_halves; each entry has the bits of
+    TransferMatrix.physical, and where the scale leaves double range the
+    entries are not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows[:4].reshape(2, 2, *rows.shape[1:]) * _exps(rows[4], math.inf)
+
+
 def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
     """Residual of M(2n) - 2 x M(n) + I = 0 over a level-k repeated block.
 
@@ -371,6 +442,9 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
     Both norms are taken of the matrices divided by a power of two near the
     largest entry of M(n), so their squares stay in range where M(2n) does;
     ArithmeticError names the level and the energy where M(2n) does not.
+    M(n) and M(2n) at every energy are stacked (2, 2, energies) arrays read
+    from one cocycles table; only the two norms are taken energy by energy,
+    each of one 2x2 matrix as np.linalg.norm and np.sum take it.
     """
     n = square_prefix_block(k)
     if not square_prefix_check(window, k):
@@ -382,26 +456,25 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
         table = cocycles([window], p, energies, [n, 2 * n])[:, :, 0]
     except CocycleRangeError as exc:
         raise ArithmeticError(f"{exc}, level {k} (square over positions 1..{2 * n})") from None
-    halves, fulls = table.transpose(0, 2, 1).tolist()
-    xs = finite_traces(p, energies, k + 1).tolist()
-    defects = []
-    for e, half, full, x in zip(energies.tolist(), halves, fulls, xs):
-        with np.errstate(over="ignore"):
-            try:
-                m_half, m_full = TransferMatrix(*half).physical(), TransferMatrix(*full).physical()
-            except OverflowError:  # math.exp of a log-scale past double range
-                m_half = m_full = np.full((2, 2), math.inf)
-        if not np.isfinite([m_half, m_full]).all():
-            raise ArithmeticError(
-                f"cocycle M(2n) over the level-{k} square at E = {e!r} leaves double range"
-            )
-        # Dividing by a power of two rounds nothing, so in range the defect
-        # keeps the bits of the unscaled quotient.
-        s = math.ldexp(1.0, math.frexp(float(np.abs(m_half).max()))[1] - 1)
-        h = m_half / s
-        lhs = m_full / s - 2.0 * x * h + np.eye(2) / s
-        defects.append(float(np.linalg.norm(lhs)) / (1.0 / s + s * float(np.sum(h * h))))
-    return defects[0] if np.ndim(E) == 0 else np.array(defects)
+    xs = finite_traces(p, energies, k + 1)
+    m_half, m_full = physical_products(table[0]), physical_products(table[1])
+    finite = np.isfinite(m_half).all(axis=(0, 1)) & np.isfinite(m_full).all(axis=(0, 1))
+    if not finite.all():
+        e = energies.tolist()[int(np.argmin(finite))]
+        raise ArithmeticError(
+            f"cocycle M(2n) over the level-{k} square at E = {e!r} leaves double range"
+        )
+    # Dividing by a power of two rounds nothing, so in range the defect
+    # keeps the bits of the unscaled quotient.
+    s = np.ldexp(1.0, np.frexp(np.abs(m_half).max(axis=(0, 1)))[1] - 1)
+    h = m_half / s
+    lhs = m_full / s - 2.0 * xs * h + np.eye(2)[:, :, None] / s
+    # One C-ordered 2x2 matrix per energy, as the norms read them.
+    lhs, h2 = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (lhs, h * h))
+    norms = np.array([np.linalg.norm(m) for m in lhs])
+    squares = np.array([np.sum(m) for m in h2])
+    defects = norms / (1.0 / s + s * squares)
+    return float(defects[0]) if np.ndim(E) == 0 else defects
 
 
 def no_decay_witness(

@@ -231,6 +231,44 @@ def test_second_scale_of_a_solved_pair_evaluates_no_trace(monkeypatch):
     _chain.cache_clear()
 
 
+def test_scaled_band_sets_are_neither_copied_nor_checked_again(monkeypatch):
+    # A cache hit at a outside [1, 2) scales the cached chain by 2^e; the
+    # scaled arrays are the band sets' own, read-only, and no BandSet check
+    # runs on them.
+    p = HoppingPair(0.75, 1.5)
+    want = sigma_chain(HoppingPair(1.5, 3.0), 14)
+    sigma_chain(p, 14)
+    checks = []
+    band_arrays = bands_module._band_arrays
+    monkeypatch.setattr(
+        bands_module, "_band_arrays", lambda lo, hi: checks.append(1) or band_arrays(lo, hi)
+    )
+    got = sigma_chain(p, 14)
+    assert sigma_k(p, 14).lo.tobytes() == got[-1].lo.tobytes()
+    assert not checks
+    for g, w in zip(got, want, strict=True):
+        assert g.lo.tobytes() == np.ldexp(w.lo, -1).tobytes()
+        assert g.hi.tobytes() == np.ldexp(w.hi, -1).tobytes()
+        assert not (g.lo.flags.writeable or g.hi.flags.writeable)
+        assert (g.kind, g.level, g.params, g.tol) == ("sigma_k", w.level, p, w.tol / 2)
+        assert g.bands.tobytes() == np.ldexp(w.bands, -1).tobytes()
+
+
+def test_lebesgue_measure_adds_left_to_right():
+    # One unit band, then twenty bands 1e-17 wide: each width alone is under
+    # half an ulp of 1, so adding left to right stays at 1, while a
+    # compensated sum (Python's own from 3.12 on) ends one ulp higher.
+    lo = np.array([-2.0, *(i * 1e-15 for i in range(1, 21))])
+    hi = np.array([-1.0, *(i * 1e-15 + 1e-17 for i in range(1, 21))])
+    bs = BandSet(lo, hi, "cover", 1, P12, 1e-10)
+    total = 0.0
+    for width in (bs.hi - bs.lo).tolist():
+        total += width
+    assert total != math.fsum((bs.hi - bs.lo).tolist())
+    assert lebesgue_measure(bs) == total
+    assert lebesgue_measure(BandSet(lo[:0], hi[:0], "cover", 1, P12, 1e-10)) == 0.0
+
+
 @pytest.mark.parametrize("a", [1e-200, 1e-100, 1e-20, 1e-10, 1e100, 1e200])
 def test_tiny_and_huge_scales_give_fibonacci_bands(a):
     # tol and the solver's energy floors are in units of the power of two at

@@ -19,7 +19,9 @@ from test_golden import COMMANDS
 from fibjacobi import cli
 from fibjacobi.bands import bandset_from_json, cover, lebesgue_measure
 from fibjacobi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from fibjacobi.tracemap import HoppingPair
+from fibjacobi.tracemap import HoppingPair, finite_traces
+from fibjacobi.transfer import CocycleRangeError, TransferMatrix, cocycles
+from fibjacobi.words import cyclic_conjugates, fibonacci, omega_s, periodize
 
 
 def run(capsys, *argv):
@@ -345,6 +347,76 @@ def test_verify_cocycle_range_failure_names_the_level(capsys, hopping, failure, 
     assert code == EXIT_NUMERICAL
     assert f"FAIL  {check}: cocycle product at {failure}\n" in out
     assert f"numerical failure: cocycle product at {failure}\n" in err
+
+
+def _recursion_loop(p):
+    # The recursion-vs-cocycle check with one TransferMatrix per (level,
+    # energy), as the reference for the table read.
+    energies = np.linspace(-4.0, 4.0, 17) + 0.05
+    levels = range(2, 13)
+    lengths = [fibonacci(k) for k in levels]
+    try:
+        table = cocycles([omega_s(1, lengths[-1])], p, energies, lengths)[:, :, 0]
+    except CocycleRangeError as exc:
+        k = next(k for k, n in zip(levels, lengths) if n >= exc.position)
+        raise ArithmeticError(f"{exc}, level {k} (F_{k} = {fibonacci(k)})") from None
+    worst = 0.0
+    for k, row in zip(levels, table.transpose(0, 2, 1).tolist()):
+        for m, want in zip(row, finite_traces(p, energies, k).tolist()):
+            worst = max(worst, abs(TransferMatrix(*m).trace_half() - want) / max(1.0, abs(want)))
+    return worst <= 1e-9, f"max relative error {worst:.3e}, levels 2..12"
+
+
+def _cyclic_loop(p):
+    # The cyclic-traces check with one TransferMatrix per (conjugate, energy).
+    energies = np.linspace(-3.0, 3.0, 20) + 0.037
+    worst = 0.0
+    for k in range(2, 9):
+        wants = finite_traces(p, energies, k + 1).tolist()
+        words = cyclic_conjugates(k)
+        windows = [periodize(word, len(word)) for word in words]
+        prods = cocycles(windows, p, energies, [len(words[0])])[0]
+        for row in prods.transpose(1, 2, 0).tolist():
+            for m, want in zip(row, wants):
+                worst = max(worst, abs(TransferMatrix(*m).trace_half() - want) / max(1.0, abs(want)))
+    return worst <= 1e-9, f"max relative spread {worst:.3e} over all conjugates, levels 2..8"
+
+
+def _outcome(check, p):
+    """check's verdict and detail, or the type and message of the error it raised."""
+    try:
+        return check(p)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1, 1.3),
+        (1, 2.7),
+        (1, 4.9),
+        (1, 150),
+        (1, 1999),  # the level-12 recursion diverges
+        (1e200, 3.955045901963295e175),  # a conjugate's half-trace leaves double range
+        (1e-200, 1),  # the product leaves double range by the level-5 prefix
+        (0.37, 1e-9),  # the level-10 recursion diverges
+    ],
+)
+def test_verify_trace_checks_match_per_matrix_loops(a, b):
+    # The spreads read from the cocycle tables print the digits of one
+    # TransferMatrix per entry, and fail with the same error where it fails.
+    p = HoppingPair(a, b)
+    assert _outcome(cli._check_recursion_vs_cocycle, p) == _outcome(_recursion_loop, p)
+    assert _outcome(cli._check_cyclic_traces, p) == _outcome(_cyclic_loop, p)
+
+
+def test_verify_half_trace_overflow_fails_the_check(capsys):
+    # math.exp of a conjugate's log-scale overflows: the check fails with
+    # its message, as TransferMatrix.trace_half raises it.
+    code, out, err = run(capsys, "verify", "--a", "1e200", "--b", "3.955045901963295e175")
+    assert code == EXIT_NUMERICAL
+    assert "FAIL  cyclic-traces: math range error\n" in out
 
 
 def test_verify_free_case_warns_but_passes(capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fibjacobi.tracemap import HoppingPair, trace_bound, trace_value
+from fibjacobi.tracemap import HoppingPair, finite_traces, trace_bound, trace_value
 from fibjacobi.transfer import (
     CocycleRangeError,
     LyapunovEstimate,
@@ -13,6 +13,8 @@ from fibjacobi.transfer import (
     RENORM_EVERY,
     TransferMatrix,
     _check_range,
+    _fibonacci_checkpoints,
+    _hull_products,
     cayley_hamilton_defect,
     cocycle,
     cocycles,
@@ -21,9 +23,12 @@ from fibjacobi.transfer import (
     lyapunov,
     lyapunov_grid,
     no_decay_witness,
+    physical_products,
+    trace_halves,
 )
 from fibjacobi.words import (
     WindowCoverageError,
+    fib_prefix,
     fibonacci,
     cyclic_conjugates,
     omega_s,
@@ -416,6 +421,82 @@ def test_lyapunov_default_window_matches_linear_loop():
             assert np.max(np.abs(residual - ref_residual)) <= 1e-7, (p, n)
 
 
+def _hull_loop(p, E, levels):
+    # The block products with one array per entry, each entry multiplied
+    # out on its own, as the reference for the stacked block steps.
+    m = min(10, levels[0] - 1)
+    short, long = fibonacci(m), fibonacci(m + 1)
+    blocks = {}
+    for letter, size, (b11, b12, b21, b22, b_scale) in zip(
+        "ba", (short, long), cocycles([omega_s(1, long)], p, E, [short, long])[:, :, 0]
+    ):
+        f = np.sqrt(b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22)
+        blocks[letter] = (size, b11 / f, b12 / f, b21 / f, b22 / f, b_scale + np.log(f))
+    rows = {fibonacci(j - m): row for row, j in enumerate(levels)}
+    out = np.empty((len(levels), 5, E.size))
+    m11, m12, m21, m22 = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
+    scale = np.zeros_like(E)
+    pos = 0
+    for count, letter in enumerate(fib_prefix(levels[-1] - m), 1):
+        size, b11, b12, b21, b22, b_scale = blocks[letter]
+        pos += size
+        m11, m12, m21, m22 = (
+            b11 * m11 + b12 * m21,
+            b11 * m12 + b12 * m22,
+            b21 * m11 + b22 * m21,
+            b21 * m12 + b22 * m22,
+        )
+        sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+        _check_range(sq, E, pos)
+        f = np.sqrt(sq)
+        m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
+        scale += np.log(f) + b_scale
+        if count in rows:
+            out[rows[count]] = m11, m12, m21, m22, scale
+    return out
+
+
+@pytest.mark.parametrize("b", [1.0001, 1.3, 2.7, 4.9, 150.0, 1999.0])
+def test_hull_products_match_entry_by_entry_block_loop(b):
+    # From the shortest blocks (levels from 3) to the default ones (m = 10),
+    # over the grids of the Lyapunov scans, bit for bit.
+    p = HoppingPair(1, b)
+    E = np.linspace(-2.5 * b, 2.5 * b, 301)
+    for levels in ([3, 4, 5], [6, 7, 8, 9, 10], [12, 13, 14, 15, 16, 17, 18], [19, 20, 21, 22, 23]):
+        want = _hull_loop(p, E, levels)
+        got = _hull_products(p, E, levels)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), levels
+    with pytest.raises(CocycleRangeError) as want:
+        _hull_loop(HoppingPair(1e-200, 1.0), E, [12, 13])
+    with pytest.raises(CocycleRangeError) as got:
+        _hull_products(HoppingPair(1e-200, 1.0), E, [12, 13])
+    assert str(got.value) == str(want.value)
+
+
+def test_lyapunov_fit_adds_its_denominator_left_to_right():
+    # At n = 2584 the centered squares of the fitted checkpoints add to
+    # 5849725.555555556 left to right and one ulp lower compensated, as
+    # Python 3.12's sum adds them; the fit divides by the former.
+    p = HoppingPair(1, 2)
+    E = np.linspace(-4.0, 4.0, 41)
+    checkpoints = _fibonacci_checkpoints(2584)
+    first = len(checkpoints) // 2
+    xs = checkpoints[first:]
+    x_mean = sum(xs) / len(xs)
+    squares = [(x - x_mean) ** 2 for x in xs]
+    x_var = 0.0
+    for square in squares:
+        x_var += square
+    assert x_var == 5849725.555555556 != math.fsum(squares)
+    prods = _hull_products(p, E, list(range(first + 1, len(checkpoints) + 1)))
+    m11, m12, m21, m22, scale = prods.transpose(1, 0, 2)
+    ys = 0.5 * np.log(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22) + scale
+    slope = sum((x - x_mean) * y for x, y in zip(xs, ys)) / x_var
+    gamma, _, _ = lyapunov_grid(p, E, 2584)
+    assert gamma.tobytes() == np.clip(slope, 0.0, None).tobytes()
+
+
 def _mpmath_lyapunov(p, E, n):
     # Factor-by-factor cocycle over omega_s(1, n) at 40 digits, fit over the
     # same checkpoints as lyapunov_grid: (gamma, residual) as floats.
@@ -498,6 +579,83 @@ def test_cayley_hamilton_defect_strong_coupling():
     assert cayley_hamilton_defect(w, HoppingPair(1, 1e5), 3.0, 8) <= 1e-12
     with pytest.raises(ArithmeticError, match=r"level-9 square at E = 3\.0 leaves double range"):
         cayley_hamilton_defect(w, HoppingPair(1, 1e5), 3.0, 9)
+
+
+def _defect_loop(window, p, E, k):
+    # One TransferMatrix pair per energy, as the reference for the stacked
+    # table read of cayley_hamilton_defect.
+    n = square_prefix_block(k)
+    energies = np.atleast_1d(E)
+    try:
+        table = cocycles([window], p, energies, [n, 2 * n])[:, :, 0]
+    except CocycleRangeError as exc:
+        raise ArithmeticError(f"{exc}, level {k} (square over positions 1..{2 * n})") from None
+    halves, fulls = table.transpose(0, 2, 1).tolist()
+    xs = finite_traces(p, energies, k + 1).tolist()
+    defects = []
+    for e, half, full, x in zip(energies.tolist(), halves, fulls, xs):
+        with np.errstate(over="ignore"):
+            try:
+                m_half, m_full = TransferMatrix(*half).physical(), TransferMatrix(*full).physical()
+            except OverflowError:
+                m_half = m_full = np.full((2, 2), math.inf)
+        if not np.isfinite([m_half, m_full]).all():
+            raise ArithmeticError(
+                f"cocycle M(2n) over the level-{k} square at E = {e!r} leaves double range"
+            )
+        s = math.ldexp(1.0, math.frexp(float(np.abs(m_half).max()))[1] - 1)
+        h = m_half / s
+        lhs = m_full / s - 2.0 * x * h + np.eye(2) / s
+        defects.append(float(np.linalg.norm(lhs)) / (1.0 / s + s * float(np.sum(h * h))))
+    return defects[0] if np.ndim(E) == 0 else np.array(defects)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ArithmeticError it raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("b", [1.3, 2.7, 4.9, 150.0, 1999.0, 1e5])
+def test_cayley_hamilton_defect_matches_per_matrix_loop(b):
+    # The verify grid and a wider one, every level of the check: each defect
+    # has the per-matrix loop's bits, and a failure its message.  At b = 1e5
+    # M(2n) leaves double range from level 9 on.
+    p = HoppingPair(1, b)
+    w = omega_s(1, 2 * square_prefix_block(9))
+    for energies in (np.linspace(-4.0, 4.0, 10) + 0.013, np.linspace(-2.2 * b, 2.2 * b, 37)):
+        for k in range(2, 10):
+            got, want = (_outcome(f, w, p, energies, k) for f in (cayley_hamilton_defect, _defect_loop))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes(), (b, k)
+        assert cayley_hamilton_defect(w, p, float(energies[3]), 5) == _defect_loop(
+            w, p, float(energies[3]), 5
+        )
+
+
+def test_table_reads_keep_transfer_matrix_bits():
+    # Half-traces and physical products read from a table row equal those
+    # of one TransferMatrix per entry, up to and past overflow of the scale.
+    rng = np.random.default_rng(23)
+    rows = rng.normal(size=(5, 3, 40))
+    rows[4] = rng.choice([0.0, -3.5, 12.25, 709.0, 709.75, -745.5], size=(3, 40))
+    mats = [TransferMatrix(*m) for m in rows.reshape(5, -1).T.tolist()]
+    assert trace_halves(rows).ravel().tolist() == [m.trace_half() for m in mats]
+    with np.errstate(over="ignore"):
+        want = [m.physical().ravel().tobytes() for m in mats]
+    assert [m.tobytes() for m in physical_products(rows).reshape(4, -1).T] == want
+    # Past double range trace_half raises and physical does too: the table
+    # read raises as well, or marks that product's entries not finite.
+    rows[4, 1, 7] = 710.0
+    with pytest.raises(OverflowError):
+        TransferMatrix(*rows[:, 1, 7].tolist()).trace_half()
+    with pytest.raises(OverflowError):
+        trace_halves(rows)
+    assert not np.isfinite(physical_products(rows)[:, :, 1, 7]).any()
 
 
 def test_cayley_hamilton_defect_requires_square():
