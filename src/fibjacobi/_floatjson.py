@@ -140,18 +140,14 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     b = big + (ceil_up.astype(np.int64) - 1)  # last
 
     # dropped, the most digits that can go, counts the j >= 1 with
-    # last // 10^j > (first - 1) // 10^j: over the whole array while more
-    # than a sixteenth of it passes, then over the elements left.
+    # last // 10^j > (first - 1) // 10^j, over the elements still passing:
+    # once last // 10^j <= (first - 1) // 10^j, it holds for every larger j.
     dropped = np.zeros(x.size, dtype=np.intp)
     live = np.arange(x.size)
     for _ in range(17):
         a //= 10
         b //= 10
-        more = b > a
-        if a.size == x.size and np.count_nonzero(more) > x.size // 16:
-            dropped += more
-            continue
-        keep = np.flatnonzero(more)
+        keep = np.flatnonzero(b > a)
         live, a, b = live[keep], a[keep], b[keep]
         if not live.size:
             break

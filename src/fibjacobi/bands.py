@@ -422,9 +422,10 @@ def _locate_zeros(
     _solve_level), else 1.  Signs are sampled on a grid of
     _PER_ZERO * target[c] + 1 points per container.  One rule follows each
     grid whose weighted count of sign changes falls short of F_level: the
-    containers with fewer sign changes than their target double their grids
-    and the others keep their points and traces, or every grid doubles
-    where none has fewer, as where a closed gap hides zeros from a target.
+    containers with fewer sign changes than their target double their point
+    counts and the others keep theirs, or every count doubles where none
+    has fewer, as where a closed gap hides zeros from a target.  The whole
+    grid is built again, the same points for a kept count.
     A target never exceeds the container's zero count: each parent band
     holds a zero of its level, and the container holds the zeros of both
     parent levels (Suto's containment), so a short container always has a
@@ -452,30 +453,14 @@ def _locate_zeros(
     total = fibonacci(level)
     counts = _PER_ZERO * target + 1
     counted = 0  # weighted sign changes on the last grid
-    redo = None  # the containers whose grid doubled; None for all
     E = x = None
     while True:
         n_pts = int(counts.sum())
         if n_pts > GRID_CAP:
             raise RootIsolationError(level, counted, total, n_pts, "grid cap reached")
-        if redo is None:
-            del E, x  # before the doubled grid is allocated
-            E = _container_grid(clo, chi, counts)
-            x = trace_value(p, E, level)
-        else:
-            # The kept containers' points and traces carry over, in order.
-            kept = ~redo.repeat(old)
-            fresh = redo.repeat(counts)
-            grid = _container_grid(clo[redo], chi[redo], counts[redo])
-            E_new = np.empty(n_pts)
-            E_new[fresh] = grid
-            E_new[~fresh] = E[kept]
-            E = E_new
-            x_new = np.empty(n_pts)
-            x_new[fresh] = trace_value(p, grid, level)
-            x_new[~fresh] = x[kept]
-            x = x_new
-            del kept, fresh, grid, E_new, x_new
+        del E, x  # before the next grid is allocated
+        E = _container_grid(clo, chi, counts)
+        x = trace_value(p, E, level)
         s = x >= 0.0
         ends = counts.cumsum() - 1
         flip = s[:-1] != s[1:]
@@ -492,11 +477,8 @@ def _locate_zeros(
             raise RootIsolationError(
                 level, counted, total, n_pts, "more sign changes than zeros exist"
             )
-        old = counts
-        redo = found < target
-        if not redo.any():
-            redo = None
-        counts = 2 * counts if redo is None else np.where(redo, 2 * counts, counts)
+        short = found < target
+        counts = np.where(short, 2 * counts, counts) if short.any() else 2 * counts
     xz = np.array((x[flips], x[flips + 1]))
     ax = np.abs(x, out=x)
     del x

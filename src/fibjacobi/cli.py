@@ -170,15 +170,28 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each coupling of a sweep solves its own band chain, so a range with more
+# couplings than this is a mistyped step, not a dimension curve: it is
+# refused before its list of couplings is built.
+_SWEEP_MAX = 10_000
+
+
 def _parse_sweep(arg: str) -> list[float]:
     parts = arg.split(":")
     if len(parts) != 3:
         raise ValueError(f"sweep range must be start:stop:step, got {arg!r}")
-    start, stop, step_ = (float(x) for x in parts)
+    bounds = [float(x) for x in parts]
+    for name, value in zip(("start", "stop", "step"), bounds):
+        if not math.isfinite(value):
+            raise ValueError(f"sweep range must have a finite {name}, got {arg!r}")
+    start, stop, step_ = bounds
     if step_ <= 0 or stop < start:
         raise ValueError(f"sweep range must have stop >= start and step > 0, got {arg!r}")
-    n = int(math.floor((stop - start) / step_ + 1e-9)) + 1
-    return [float(f"{start + i * step_:.12g}") for i in range(n)]
+    span = (stop - start) / step_ + 1e-9
+    if span >= _SWEEP_MAX:  # floor(span) + 1 couplings
+        count = math.floor(span) + 1 if span < math.inf else span
+        raise ValueError(f"sweep range has {count:.15g} couplings, more than {_SWEEP_MAX}, got {arg!r}")
+    return [float(f"{start + i * step_:.12g}") for i in range(math.floor(span) + 1)]
 
 
 def _dimension_row(b: float, est: DimensionEstimate | None, k_max: int, tol: float) -> str:

@@ -394,18 +394,14 @@ def _exps(log_scale: np.ndarray, overflow: float | None = None) -> np.ndarray:
     Where a scale leaves double range this raises OverflowError, as
     TransferMatrix does, or gives overflow when that is set.
     """
-    flat = log_scale.ravel().tolist()
-    try:
-        out = list(map(math.exp, flat))
-    except OverflowError:
-        if overflow is None:
-            raise
-        out = []
-        for s in flat:
-            try:
-                out.append(math.exp(s))
-            except OverflowError:
-                out.append(overflow)
+    out = []
+    for s in log_scale.ravel().tolist():
+        try:
+            out.append(math.exp(s))
+        except OverflowError:
+            if overflow is None:
+                raise
+            out.append(overflow)
     return np.array(out).reshape(log_scale.shape)
 
 

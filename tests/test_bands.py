@@ -678,7 +678,7 @@ def test_bracket_pairs_are_adjacent_points_of_the_last_grid(monkeypatch):
     # Each zero's three bracket pairs (zero, lower edge, upper edge) are two
     # adjacent points, bit for bit, of its container's np.linspace grid on
     # the last sign grid, also where regrids at (1, 1.00005) doubled some
-    # containers and kept the others' points.
+    # containers' point counts and kept the others'.
     levels = _spy_sign_grids(monkeypatch)
     locate = bands_module._locate_zeros
     calls = []
@@ -695,10 +695,11 @@ def test_bracket_pairs_are_adjacent_points_of_the_last_grid(monkeypatch):
     _chain.cache_clear()
     partial = 0
     for (p, level, clo, *_, grids), (chi, cid, pairs, n_pts) in zip(levels, calls, strict=True):
-        points = grids[0][1].copy()
-        for lo, counts, E in grids[1:]:
-            points[np.searchsorted(clo, lo)] = counts
-            partial += lo.size < clo.size
+        for (_, old, _), (lo, counts, _) in zip(grids, grids[1:]):
+            doubled = counts == 2 * old
+            assert np.array_equal(lo, clo) and np.all(doubled | (counts == old)), (p, level)
+            partial += not doubled.all()
+        points = grids[-1][1]
         assert n_pts == points.sum(), (p, level)
         grid = np.concatenate([np.linspace(a, b, n) for a, b, n in zip(clo, chi, points)])
         start = np.cumsum(points) - points
@@ -1026,8 +1027,8 @@ def _assert_same_bands(got, want):
 
 def test_short_containers_are_gridded_again_alone(monkeypatch):
     # At 2 points per target zero some containers come up short.  Only they
-    # are gridded again, each with its own points doubled, and the band sets
-    # agree with the default allotment's.
+    # double their point counts on the next whole grid, the others keep
+    # theirs, and the band sets agree with the default allotment's.
     cases = ((1.3, 16), (1.05, 14))
     want = {}
     for ratio, k in cases:
@@ -1044,14 +1045,12 @@ def test_short_containers_are_gridded_again_alone(monkeypatch):
         (lo, counts, E), *again = grids
         assert np.array_equal(lo, clo) and np.array_equal(counts, 2 * target + 1)
         found = _sign_changes(trace_value(p, E, level), counts)
-        points = counts.copy()
-        for lo, counts, E in again:
-            redo = np.searchsorted(clo, lo)
-            assert np.array_equal(clo[redo], lo)
-            assert np.array_equal(redo, np.flatnonzero(found < target)), (p, level)
-            assert np.array_equal(counts, 2 * points[redo])
-            points[redo] = counts
-            found[redo] = _sign_changes(trace_value(p, E, level), counts)
+        for lo, new, E in again:
+            short = found < target
+            assert np.array_equal(lo, clo) and short.any(), (p, level)
+            assert np.array_equal(new, np.where(short, 2 * counts, counts)), (p, level)
+            counts = new
+            found = _sign_changes(trace_value(p, E, level), counts)
             regridded += 1
         assert weight @ found == fibonacci(level) and np.array_equal(found, target)
     assert regridded >= 20
@@ -1081,9 +1080,10 @@ def _stall(p, level, clo, chi, target, weight):
 def test_regrids_double_the_short_containers_or_every_container(monkeypatch):
     # At (1, 1.00005) the peak search closes gaps, so some targets fall short
     # of their containers' zero counts: counts exceed targets on some grids,
-    # and a grid on which no container is short doubles every container.
-    # Every other regrid doubles exactly the containers short of their
-    # target.  sigma_19 and sigma_20 keep their closed gaps.
+    # and a grid on which no container is short doubles every container's
+    # point count.  Every other regrid doubles exactly the counts of the
+    # containers short of their target.  sigma_19 and sigma_20 keep their
+    # closed gaps.
     p = HoppingPair(1.0, 1.00005)
     levels = _spy_sign_grids(monkeypatch)
     _chain.cache_clear()
@@ -1093,17 +1093,15 @@ def test_regrids_double_the_short_containers_or_every_container(monkeypatch):
     for p, level, clo, target, weight, grids in levels:
         (lo, counts, E), *again = grids
         found = _sign_changes(trace_value(p, E, level), counts)
-        points = counts.copy()
-        for lo, counts, E in again:
+        for lo, new, E in again:
+            assert np.array_equal(lo, clo), level
             over += bool((found > target).any())
-            short = np.flatnonzero(found < target)
-            every += not short.size
-            redo = np.searchsorted(clo, lo)
-            assert np.array_equal(clo[redo], lo)
-            assert np.array_equal(redo, short if short.size else np.arange(clo.size)), level
-            assert np.array_equal(counts, 2 * points[redo])
-            points[redo] = counts
-            found[redo] = _sign_changes(trace_value(p, E, level), counts)
+            short = found < target
+            every += not short.any()
+            doubled = short if short.any() else np.ones_like(short)
+            assert np.array_equal(new, np.where(doubled, 2 * counts, counts)), level
+            counts = new
+            found = _sign_changes(trace_value(p, E, level), counts)
         assert weight @ found == fibonacci(level)
     assert over >= 4 and every >= 4, (over, every)
     assert [fibonacci(k) - chain[k - 1].lo.size for k in (19, 20)] == [1818, 5373]
@@ -1133,6 +1131,31 @@ def test_target_above_a_zero_count_ends_in_a_typed_error(monkeypatch):
     _chain.cache_clear()
     assert exc.value.level == changed[0]
     assert exc.value.found < exc.value.expected and exc.value.points > 1 << 16
+
+
+def test_more_sign_changes_than_zeros_is_a_typed_error(monkeypatch):
+    # No container shows more sign changes than it holds zeros, so a first
+    # grid whose weighted count exceeds F_level ends in a typed error at
+    # once, not in a regrid.  Traces of alternating sign at one level give
+    # a sign change between every two adjacent points of a container.
+    level = 8
+    real = bands_module.trace_value
+
+    def alternating(p, E, k):
+        x = real(p, E, k)
+        return np.where(np.arange(x.size) % 2, 1.0, -1.0) if k == level and np.ndim(x) else x
+
+    levels = _spy_sign_grids(monkeypatch)
+    monkeypatch.setattr(bands_module, "trace_value", alternating)
+    _chain.cache_clear()
+    with pytest.raises(RootIsolationError, match="more sign changes than zeros exist") as exc:
+        sigma_k(P12, level)
+    _chain.cache_clear()
+    _, at, _, _, weight, grids = levels[-1]
+    ((_, counts, _),) = grids
+    err = exc.value
+    assert (err.level, err.expected, err.points) == (at, fibonacci(level), counts.sum())
+    assert at == level and err.found == weight @ (counts - 1) > err.expected
 
 
 def test_sign_grid_stays_within_its_allotment(monkeypatch):

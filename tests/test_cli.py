@@ -244,6 +244,20 @@ def test_dimension_sweep_checks_options_before_the_sweep(capsys, bad):
     assert sweep[2].count("\n") == 1
 
 
+def test_sweep_over_the_cap_is_refused_before_any_coupling(capsys, monkeypatch):
+    # The count is checked before the list of couplings is built, so a step
+    # of 1e-12 (10^12 + 1 couplings) or one whose count overflows is refused
+    # at once; 10000 couplings are the most a sweep takes.
+    monkeypatch.setattr(cli, "dimension_sweep", lambda *args: pytest.fail("sweep was run"))
+    for arg, count in (("1:2:1e-12", "1000000000001"), ("-1e308:1e308:1", "inf")):
+        code, out, err = run(capsys, "dimension", f"--sweep={arg}", "--kmax", "10")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"fibjacobi: error: sweep range has {count} couplings, more than 10000, got {arg!r}\n"
+    assert len(cli._parse_sweep("1:10000:1")) == 10_000
+    with pytest.raises(ValueError, match="has 10001 couplings"):
+        cli._parse_sweep("1:10001:1")
+
+
 def test_dimension_degenerate_flagged(capsys):
     code, out, err = run(capsys, "dimension", "--a", "1", "--b", "1", "--kmax", "10")
     assert code == EXIT_OK
@@ -591,6 +605,12 @@ LATE_USAGE = [
     (("dimension", "--sweep", "1:2"), "sweep range must be start:stop:step, got '1:2'"),
     (("dimension", "--sweep", "2:1:1"),
      "sweep range must have stop >= start and step > 0, got '2:1:1'"),
+    (("dimension", "--sweep", "1:inf:0.5"), "sweep range must have a finite stop, got '1:inf:0.5'"),
+    (("dimension", "--sweep", "1:2:inf"), "sweep range must have a finite step, got '1:2:inf'"),
+    (("dimension", "--sweep", "1:2:nan"), "sweep range must have a finite step, got '1:2:nan'"),
+    (("dimension", "--sweep=-inf:2:1"), "sweep range must have a finite start, got '-inf:2:1'"),
+    (("dimension", "--sweep", "1:2:1e-7"),
+     "sweep range has 10000001 couplings, more than 10000, got '1:2:1e-7'"),
     (("bands", "--k", "3", "--config"), "--config needs a file path"),
     (("cover", "--k", "3", "--tol", "inf"), "tol must be a positive finite number, got inf"),
     (("dimension", "--kmax", "10", "--tol", "inf"), "tol must be a positive finite number, got inf"),

@@ -116,6 +116,13 @@ def test_step_overflow_raises():
     assert err.value.level == 10
 
 
+def test_step_inverse_overflow_raises():
+    # 2 x_cur x_prev - x_next overflows: the level it would have reached.
+    with pytest.raises(TraceDivergedError, match=r"^trace recursion diverged at level 4$") as err:
+        step_inverse(TraceTriple(1.0, 1e200, 1e200, 5))
+    assert err.value.level == 4
+
+
 def test_trace_value_small_indices():
     p = HoppingPair(1, 2)
     assert trace_value(p, 3.0, -1) == 1.25
