@@ -36,7 +36,6 @@ from .jacobi import (
     EigenvalueList,
     JacobiWindow,
     build_window,
-    edge_weight,
     eigenvalue_count_below,
     eigenvalues_free,
     eigenvalues_from_json,

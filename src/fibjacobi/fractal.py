@@ -171,7 +171,9 @@ def box_dimension(covers: Sequence[BandSet], eps_list: Sequence[float]) -> Dimen
     band.  The slope is clamped to [0, 1] with the clamping flagged.
     """
     finest, converged = _finest(covers)
-    eps = np.unique(np.asarray(eps_list, dtype=float))[::-1]
+    # Sorted, then equal neighbours dropped: np.unique imports numpy.ma on first use.
+    eps = np.sort(np.asarray(eps_list, dtype=float), axis=None)[::-1]
+    eps = np.delete(eps, np.flatnonzero(eps[1:] == eps[:-1]))
     if eps.size == 0 or eps[-1] <= 0.0 or not np.all(np.isfinite(eps)):
         raise ValueError("box sizes must be positive and finite")
     lengths = finest.hi - finest.lo

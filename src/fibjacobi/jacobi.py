@@ -1,4 +1,4 @@
-"""Finite Jacobi matrices from hull windows: Sturm spectra, band defects.
+"""Finite Jacobi matrices from hull windows: Sturm spectra, band counts.
 
 The matrices are symmetric tridiagonal with zero diagonal; off-diagonal
 entries come from mapping window letters to the two hopping values.
@@ -27,13 +27,10 @@ composing the 2x2 pivot maps of repeated blocks, reading only signs, in
 far fewer steps than one per site.  Products of blocks round differently
 from the site loop, so one site-loop pass then checks every eigenvalue's
 final bracket, and an eigenvalue that fails is bisected again with the
-site loop: the values stay those of the site loop bit for bit.  Free
-truncations sprout O(1) eigenvalues inside spectral gaps; those are
-finite-volume boundary artifacts, which the band-defect checks identify
-by their eigenvectors (weight concentrated in the outer 10% of sites)
-and exclude.  The eigenvectors come from the same pivots, run from both
-ends of the chain and joined at a twist (Fernando; Parlett and Dhillon,
-Linear Algebra Appl. 267 (1997)).
+site loop: the values stay those of the site loop bit for bit.
+
+The band checks read Sturm counts only, at the band edges of sigma_k or
+of a cover: no eigenvalue is computed.
 """
 
 from __future__ import annotations
@@ -44,15 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _bisection_tree, _distance_to_bands, _split_depth, _walk, cover, sigma_k
-from .tracemap import HoppingPair, trace_value
-from .words import _check_word, fib_prefix, fibonacci, omega_s
+from .bands import _bisection_tree, _split_depth, _walk, cover, sigma_k
+from .tracemap import HoppingPair
+from .words import _check_word, fib_prefix, fibonacci, omega_s, periodize
 
 DEFAULT_PERIODS = 20
-EDGE_FRACTION = 0.1
-EDGE_WEIGHT_LIMIT = 0.5
 
-_TINY = float(np.finfo(float).tiny)
 # Hoppings in this range have squares in the normal double range.
 _HOP_MIN, _HOP_MAX = 2.0**-511, 2.0**511
 # Scaled tols from here up all take one bisection round; above it the
@@ -60,6 +54,13 @@ _HOP_MIN, _HOP_MAX = 2.0**-511, 2.0**511
 _TOL_MAX = float(np.finfo(float).max) / 2
 # The Sturm kernel's pivot buffer holds this many sites by this many shifts.
 _BLOCK_SITES, _BLOCK_SHIFTS = 32, 4096
+# The band checks count on at most this many sites times distinct shifts;
+# 6.3e8 took 1.4 s on a 2-core VM.  Past _LEVEL_MAX even 2 periods take
+# more, so deeper levels are refused before F_k is computed.
+_COUNT_STEPS_MAX = 10**9
+_LEVEL_MAX = max(
+    k for k in range(1, 64) if (2 * fibonacci(k) - 1) * fibonacci(k) <= _COUNT_STEPS_MAX
+)
 
 
 @dataclass(frozen=True)
@@ -396,99 +397,82 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
     return EigenvalueList(np.ldexp(0.5 * (lo + hi), -s), tol, n, "free")
 
 
-def _pivots(e2: np.ndarray, shift: float) -> np.ndarray:
-    """Sturm pivots q_i = -shift - e_{i-1}^2 / q_{i-1} at one shift, top down.
-
-    Zero pivots become -tiny, as Python floats raise on division by zero.
-    """
-    pivots = []
-    q = 1.0
-    for ee in [0.0, *e2.tolist()]:
-        q = -shift - ee / q or -_TINY
-        pivots.append(q)
-    return np.array(pivots)
-
-
-def _eigenvector(e: np.ndarray, lam: float) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue lam, from a twisted factorization.
-
-    The top-down and bottom-up pivots of T - lam meet at the twist r that
-    minimizes |q+_r + q-_r + lam|, where the vector is largest; from z_r = 1
-    each side follows from the pivot ratios -e_i / q_i (Fernando's method).
-    """
-    e2 = e * e
-    top = _pivots(e2, lam)
-    bottom = _pivots(e2[::-1], lam)[::-1]
-    r = int(np.argmin(np.abs(top + bottom + lam)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = np.cumprod((-e[:r] / top[:r])[::-1])[::-1]
-        right = np.cumprod(-e[r:] / bottom[r + 1 :])
-    z = np.concatenate((left, [1.0], right))
-    return z / np.linalg.norm(z)
-
-
-def edge_weight(v: np.ndarray) -> float:
-    """Probability weight of a unit vector in its outer EDGE_FRACTION of sites at each end."""
-    m = int(math.ceil(EDGE_FRACTION * v.size))
-    return float((v[:m] ** 2).sum() + (v[-m:] ** 2).sum())
-
-
-def _defect_excluding_edge_states(e, lam, bands):
-    """Max distance of bulk eigenvalues to bands; edge states skipped.
-
-    Candidates are visited in decreasing distance; the first one whose
-    eigenvector is not edge-localized sets the maximum, so only the few
-    gap states ever need an eigenvector.
-    """
-    dist = _distance_to_bands(lam, bands)
-    n_excluded = 0
-    for i in np.argsort(dist)[::-1]:
-        if dist[i] == 0.0:
-            break
-        if edge_weight(_eigenvector(e, float(lam[i]))) > EDGE_WEIGHT_LIMIT:
-            n_excluded += 1
-            continue
-        return float(dist[i]), n_excluded
-    return 0.0, n_excluded
+def _check_count_steps(what: str, sites: int, shifts: int) -> None:
+    """ValueError unless sites times distinct shifts is at most _COUNT_STEPS_MAX."""
+    if sites * shifts > _COUNT_STEPS_MAX:
+        raise ValueError(
+            f"{what} of {sites} sites at {shifts} distinct shifts takes {sites * shifts} "
+            f"Sturm count steps, more than {_COUNT_STEPS_MAX:.0e}"
+        )
 
 
 def periodic_band_check(p: HoppingPair, k: int, m: int = DEFAULT_PERIODS) -> float:
-    """Max distance from periodized-chain eigenvalues to the sigma_k bands.
+    """Floquet counts of the periodized chain at the sigma_k band edges.
 
-    Builds the free chain of m repetitions of the level-k block (m*F_k
-    sites), excludes edge-localized eigenvalues, and cross-checks that
-    every in-band eigenvalue satisfies |x_k(lambda)| <= 1 + defect.
+    m level-k blocks, one site short (m F_k - 1 sites), have m - 1
+    eigenvalues inside each band of the F_k-periodic approximant, whose
+    spectrum is sigma_k, and one in the closure of each gap (Teschl, Jacobi
+    Operators and Completely Integrable Nonlinear Lattices, AMS 2000,
+    ch. 7).  So the counts below lo - tol and hi + tol of a band read R m - 1
+    or R m, with R the approximant bands below: R is the same across a gap,
+    rises across a band (by 1, or by r where sigma_k joins r of them, as at
+    a = b), and ends at F_k.  Sites times the F_k distinct shifts of a full
+    sigma_k are capped before any window is built.  Returns 0.0, or raises
+    ArithmeticError naming the band, its edges and its counts.
     """
-    if not 1 <= k <= 16:
-        raise ValueError(f"k must be in 1..16, got {k}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    if not 1 <= k <= _LEVEL_MAX:
+        raise ValueError(
+            f"k must be in 1..{_LEVEL_MAX}, where 2 periods take at most "
+            f"{_COUNT_STEPS_MAX:.0e} Sturm count steps, got {k}"
+        )
+    f = fibonacci(k)
+    if m < 2 or m * f < 3:
+        raise ValueError(f"m must be >= 2 (>= 3 at k = 1), got {m}")
+    _check_count_steps("periodic chain", m * f - 1, f)
     bands = sigma_k(p, k)
-    jw = build_window((fib_prefix(k) * m)[:-1], p)
-    lam = eigenvalues_free(jw, 1e-10 * p.norm_bound).values
-    defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, bands)
-    inside = _distance_to_bands(lam, bands) == 0.0
-    x = np.abs(trace_value(p, lam[inside], k))
-    if np.any(x > 1.0 + defect + 1e-6):
-        worst = float(lam[inside][np.argmax(x)])
-        raise ArithmeticError(f"in-band eigenvalue {worst} has |x_{k}| = {x.max()} > 1 + defect")
-    return defect
+    jw = build_window(periodize(fib_prefix(k), m * f - 2), p)
+    count = eigenvalue_count_below(jw, np.array((bands.lo - bands.tol, bands.hi + bands.tol)))
+    below = (count + 1) // m
+    start = np.concatenate(([0], below[1, :-1]))
+    bad = ((count % m != 0) & ((count + 1) % m != 0)).any(axis=0)
+    bad |= (below[0] != start) | (below[1] <= below[0])
+    bad[-1] |= below[1, -1] != f
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"sigma_{k} band {j} of {bad.size}, [{bands.lo[j]}, {bands.hi[j]}]: {m} periods read "
+            f"{count[0, j]} eigenvalues below lo - tol and {count[1, j]} below hi + tol; each must "
+            f"be R m - 1 or R m, R rising across the band from {start[j]} and ending at F_{k} = {f}"
+        )
+    return 0.0
 
 
 def truncation_spectrum_consistency(p: HoppingPair, k: int, L: int) -> float:
-    """Max distance from bulk truncation eigenvalues to the level-k cover.
+    """Counts of hull-truncation eigenvalues in the gaps of the level-k cover.
 
-    The chain is the length-L truncation of the hull word (sites 1..L);
-    eigenvalues whose eigenvector weight in the outer 10% of sites
-    exceeds 50% are boundary artifacts and are excluded.
+    The chain is the length-L truncation of the hull word (sites 1..L).
+    The cover holds the spectrum, so its gaps are gaps of the whole-line
+    operator, and cutting the two bonds at the truncation's ends is a
+    rank-4 change: each gap, shrunk by tol at both ends, holds at most 4
+    eigenvalues.  L times the gap count (the distinct shifts of a mirror
+    image) is capped before the window is built.  Returns 0.0, or raises
+    ArithmeticError naming the gap, its edges and its count.
     """
     if L < 2 * fibonacci(k):
         raise ValueError(f"L must be >= 2 F_k = {2 * fibonacci(k)}, got {L}")
     bands = cover(p, k)
-    jw = build_window(omega_s(1, L - 1), p)
-    lam = eigenvalues_free(jw, 1e-10 * p.norm_bound).values
-    defect, _ = _defect_excluding_edge_states(np.array(jw.hoppings), lam, bands)
-    return defect
+    gaps = np.array((bands.hi[:-1] + bands.tol, bands.lo[1:] - bands.tol))
+    if not gaps.size:
+        return 0.0
+    _check_count_steps("truncation", L, gaps.shape[1])
+    count = np.diff(eigenvalue_count_below(build_window(omega_s(1, L - 1), p), gaps), axis=0)[0]
+    if count.max() > 4:
+        g = int(np.argmax(count))
+        raise ArithmeticError(
+            f"cover({k}) gap {g} of {count.size}, ({bands.hi[g]}, {bands.lo[g + 1]}): "
+            f"the truncation of {L} sites has {count[g]} eigenvalues in it, more than 4"
+        )
+    return 0.0
 
 
 def eigenvalues_to_dict(eig: EigenvalueList) -> dict:

@@ -8,6 +8,10 @@ estimators rather than against any external number.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,22 @@ def test_box_dimension_clips_sub_resolution_scales():
     assert len(est.scales_used) == 7
     assert min(e for _, _, e in est.scales_used) >= 2.0 * 3.0 ** -8
     assert abs(est.value - LOG2_OVER_LOG3) <= 0.02
+    assert box_dimension([cs], ladder[::-1] + ladder) == est
+
+
+def test_dimension_leaves_numpy_ma_unloaded():
+    # np.unique without return_index or return_inverse imports numpy.ma on
+    # its first call, about 10 ms of every `fibjacobi dimension` run.
+    code = (
+        "import sys\nfrom fibjacobi.cli import main\n"
+        "assert main(['dimension']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_band_scaling_strong_coupling():

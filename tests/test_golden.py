@@ -8,7 +8,7 @@ residual bytes of six Lyapunov scans (four on the default window, two on an
 explicit window, the reference path of the product loop), of the repr of cocycle and
 cayley_hamilton_defect at a few points, of the stdout of `eigs` in JSON and
 CSV, of the repr of scalar trace_value and escape_classify at a few
-points, of the repr of the periodic and truncation band defects, and of
+points, of the repr of the periodic and truncation band checks, and of
 every other CLI output form whole (exit code, stdout, stderr and the --out
 file).  A call that raises is pinned by its error class and message instead.  Regenerate the file with
 `python tests/golden/make.py` only when an output change is intended.
@@ -94,7 +94,7 @@ ESCAPES = ((1.0, 2.0, 0.0, 100), (1.0, 2.0, 10.0, 100), (1.0, 2.0, -3.3, 30), (1
            (1.0, 2.0, 2.5, 30), (1.0, 1.0, 2.0 + 2e-13, 50), (1.0, 1.0, 2.0, 50))
 
 # (a, b, k, m) for periodic_band_check and (a, b, k, L) for
-# truncation_spectrum_consistency: band defects after edge states are dropped.
+# truncation_spectrum_consistency: 0.0 where every Sturm count holds.
 PERIODIC = ((1.0, 1.0, 6, 20), (1.0, 2.0, 2, 20), (1.0, 2.0, 8, 20), (1.0, 2.0, 8, 5))
 TRUNCATIONS = ((1.0, 1.0, 3, 100), (1.0, 2.0, 10, fibonacci(14)))
 

@@ -1,4 +1,4 @@
-"""Jacobi window spectra: Sturm solver, band defects, edge-state handling."""
+"""Jacobi window spectra: Sturm solver, block counts, band checks by Sturm counts."""
 
 import gc
 import json
@@ -13,31 +13,25 @@ from fibjacobi.jacobi import (
     EigenvalueList,
     JacobiWindow,
     build_window,
-    edge_weight,
     eigenvalue_count_below,
     eigenvalues_free,
     eigenvalues_from_json,
     eigenvalues_to_json,
     periodic_band_check,
     truncation_spectrum_consistency,
-    EDGE_FRACTION,
-    EDGE_WEIGHT_LIMIT,
-    _TINY,
     _block_count,
     _block_plan,
-    _defect_excluding_edge_states,
-    _eigenvector,
     _mirrored_count,
-    _pivots,
     _scaled_squares,
     _sturm_count,
 )
-from fibjacobi.bands import _distance_to_bands, cover, sigma_k
+from fibjacobi.bands import BandSet, cover, sigma_k
 from fibjacobi.tracemap import HoppingPair
 from fibjacobi.words import fib_prefix, fibonacci, omega_s
 
 P11 = HoppingPair(1, 1)
 P12 = HoppingPair(1, 2)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _dense(e):
@@ -60,6 +54,16 @@ def _count_reference(e2, shifts):
             q = np.where(q == 0.0, -_TINY, q)
             count += q < 0
     return count
+
+
+def _pivots(e2, shift):
+    """Sturm pivots at one shift, top down, in Python floats; zero pivots become -tiny."""
+    pivots = []
+    q = 1.0
+    for ee in [0.0, *e2.tolist()]:
+        q = -shift - ee / q or -_TINY
+        pivots.append(q)
+    return np.array(pivots)
 
 
 def _bisect_reference(e):
@@ -554,7 +558,10 @@ def test_band_count_cross_check():
 
 
 def test_periodic_band_check_free_case():
-    assert periodic_band_check(P11, 6) <= 2e-9
+    # At a = b sigma_k is one band, which holds all m F_k - 1 values.
+    for k, m in ((6, 20), (20, 2)):
+        assert sigma_k(P11, k).lo.size == 1
+        assert periodic_band_check(P11, k, m) == 0.0
 
 
 def test_periodic_band_check_coupled():
@@ -563,17 +570,65 @@ def test_periodic_band_check_coupled():
 
 
 def test_periodic_band_check_strong_coupling():
-    # Three gap states here are edge states; counting them as bulk reads 1.3e-6.
+    # The gap states of the chain are the one value per gap the counts allow.
     assert periodic_band_check(HoppingPair(0.5, 7.3), 10, m=20) <= 1e-8
 
 
 def test_periodic_band_check_validation():
     with pytest.raises(ValueError):
         periodic_band_check(P12, 0)
-    with pytest.raises(ValueError):
-        periodic_band_check(P12, 17)
+    with pytest.raises(ValueError, match="Sturm count steps"):
+        periodic_band_check(P12, 22)
     with pytest.raises(ValueError):
         periodic_band_check(P12, 4, m=1)
+    with pytest.raises(ValueError, match="at k = 1"):
+        periodic_band_check(P12, 1, m=2)
+
+
+def test_band_checks_refuse_work_over_the_cap_before_any_window(monkeypatch):
+    # m = 10^6 periods of s_16 would be 1.6e9 letters, and L = 10^9 sites a
+    # window of 10^9 letters; both are refused before a letter is made.
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    for name in ("fib_prefix", "periodize", "omega_s", "build_window"):
+        monkeypatch.setattr(jacobi, name, no_window)
+    with pytest.raises(ValueError, match=r"1596999999 sites .* more than 1e\+09"):
+        periodic_band_check(P12, 16, m=10**6)
+    with pytest.raises(ValueError, match=r"1000000000 sites .* more than 1e\+09"):
+        truncation_spectrum_consistency(P12, 10, 10**9)
+
+
+def _without(bs, j):
+    keep = np.arange(bs.lo.size) != j
+    return BandSet(bs.lo[keep], bs.hi[keep], bs.kind, bs.level, bs.params, bs.tol, bs.merged_gaps)
+
+
+@pytest.mark.parametrize("b, k", [(1.2, 12), (2, 12), (5, 12), (20, 9)])
+def test_periodic_band_check_sees_a_dropped_band(monkeypatch, b, k):
+    # The values of a dropped band fall into a gap, so R differs across it.
+    p = HoppingPair(1, b)
+    bs = sigma_k(p, k)
+    for j in (0, bs.lo.size // 3, bs.lo.size - 1):
+        monkeypatch.setattr(jacobi, "sigma_k", lambda p, k: _without(bs, j))
+        with pytest.raises(ArithmeticError, match=rf"sigma_{k} band \d+ of {bs.lo.size - 1}"):
+            periodic_band_check(p, k)
+
+
+@pytest.mark.parametrize("b, k", [(1.2, 12), (2, 12), (5, 12), (20, 9)])
+def test_truncation_consistency_sees_a_split_band(monkeypatch, b, k):
+    # A fake gap in the middle of the widest band holds far more than 4 values.
+    p = HoppingPair(1, b)
+    c = cover(p, k)
+    j = int(np.argmax(c.hi - c.lo))
+    mid, w = 0.5 * (c.lo[j] + c.hi[j]), 0.125 * (c.hi[j] - c.lo[j])
+    split = BandSet(
+        np.insert(c.lo, j + 1, mid + w), np.insert(c.hi, j, mid - w),
+        c.kind, c.level, c.params, c.tol, c.merged_gaps,
+    )
+    monkeypatch.setattr(jacobi, "cover", lambda p, k: split)
+    with pytest.raises(ArithmeticError, match=rf"cover\({k}\) gap {j} of {c.lo.size}"):
+        truncation_spectrum_consistency(p, k, 20_000)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, -math.inf, math.nan, 1e-320])
@@ -637,65 +692,6 @@ def test_gap_labels_of_cover_gaps(b, k):
     labels = m[nearest]
     assert len(set(labels.tolist())) == g
     assert sorted(labels.tolist()) == [*range(-(g // 2), 0), *range(1, g // 2 + 1)]
-
-
-def test_edge_state_detection():
-    # Alternating weak-strong chain ending on weak bonds hosts midgap
-    # states localized at the ends; their eigenvectors must expose them.
-    jw = build_window(("ab" * 20)[:-1], P12)
-    lam = eigenvalues_free(jw).values
-    e = np.array(jw.hoppings)
-    near_zero = float(lam[np.argmin(np.abs(lam))])
-    assert edge_weight(_eigenvector(e, near_zero)) > 0.5
-    # a bulk eigenvalue (largest) is not edge-localized
-    assert edge_weight(_eigenvector(e, float(lam[-1]))) < 0.5
-
-
-@pytest.mark.parametrize(
-    "ratio, kind, k, size",
-    [
-        (2.0, "periodic", 8, 5),
-        (2.0, "truncation", 10, 377),
-        (4.7, "periodic", 9, 5),
-        (4.7, "truncation", 7, 377),
-        (14.6, "periodic", 10, 5),
-        (14.6, "periodic", 10, 20),
-        (14.6, "truncation", 8, 1000),
-    ],
-)
-def test_eigenvectors_classify_like_dense_oracle(ratio, kind, k, size):
-    # Every candidate the band-defect scan visits, in its order, is an edge
-    # state for the twisted eigenvector exactly when it is one for eigh, and
-    # that eigenvector leaves a residual of the order of the eigenvalue error.
-    # A periodic window repeats the level-k block `size` times against
-    # sigma_k; a truncation has `size` sites against cover(k).
-    p = HoppingPair(1.0, ratio)
-    if kind == "periodic":
-        jw, bs = build_window((fib_prefix(k) * size)[:-1], p), sigma_k(p, k)
-    else:
-        jw, bs = build_window(omega_s(1, size - 1), p), cover(p, k)
-    e = np.array(jw.hoppings)
-    tol = 1e-10 * p.norm_bound
-    lam = eigenvalues_free(jw, tol).values
-    T = _dense(e)
-    vecs = np.linalg.eigh(T)[1]
-    m = math.ceil(EDGE_FRACTION * jw.n_sites)
-    dense_weight = (vecs[:m] ** 2).sum(axis=0) + (vecs[-m:] ** 2).sum(axis=0)
-    dist = _distance_to_bands(lam, bs)
-    visited = 0
-    for i in np.argsort(dist)[::-1]:
-        if dist[i] == 0.0:
-            break
-        v = _eigenvector(e, float(lam[i]))
-        assert np.all(np.isfinite(v))
-        assert np.linalg.norm(T @ v - lam[i] * v) <= 4 * tol
-        edge = dense_weight[i] > EDGE_WEIGHT_LIMIT
-        assert (edge_weight(v) > EDGE_WEIGHT_LIMIT) == edge, (i, float(lam[i]), dense_weight[i])
-        visited += 1
-        if not edge:
-            break
-    defect, n_excluded = _defect_excluding_edge_states(e, lam, bs)
-    assert n_excluded == visited - (defect > 0.0)
 
 
 def test_eigenvalue_json_roundtrip():
