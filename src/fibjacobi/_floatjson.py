@@ -43,12 +43,6 @@ import json
 
 import numpy as np
 
-# Fewer elements than this go through json.dumps(a.tolist()): the encoder
-# costs some 100 NumPy calls whatever the size, json.dumps about 0.7 us per
-# band edge.  On cover band edges, on a 2-core Xeon VM (Python 3.11, numpy
-# 2.4), the two break even between 320 and 384 floats; the encoder takes
-# half the time at 1000 floats and a third at 4000.
-_CUTOVER = 384
 # Elements per pass, so that the temporaries of a pass stay in cache.
 _CHUNK = 8192
 
@@ -227,7 +221,7 @@ def _rows(x: np.ndarray, ends: np.ndarray) -> bytes:
 
 def encode(a: np.ndarray, sep: str) -> str:
     """json.dumps(a.tolist(), separators=(sep, ...)) for sep "," or ", "."""
-    if a.dtype != np.float64 or a.ndim not in (1, 2) or a.size < _CUTOVER:
+    if a.dtype != np.float64 or a.ndim not in (1, 2) or not a.size:
         return json.dumps(a.tolist(), separators=(sep, ":"))
     m = 1 if a.ndim == 1 else a.shape[1]
     nested = a.ndim == 2

@@ -58,7 +58,8 @@ bisection would give it (_bisection_tree), so the roots keep theirs.
 
 H(2^e q) = 2^e H(q), so a chain is solved and cached only at hoppings q
 with a in [1, 2), and the band sets of 2^e q are q's scaled by 2^e on the
-way out, tol with them (sigma_chain).
+way out, tol with them: sigma_chain, sigma_k and cover all leave through
+_rescale.
 
 A band set is arrays, not per-band objects: BandSet holds read-only lo and
 hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
@@ -251,15 +252,18 @@ def lebesgue_measure(bs: BandSet) -> float:
 
 
 def _merge_intervals(lo: np.ndarray, hi: np.ndarray, gap: float):
-    """Sorted union of the intervals, joining those at most `gap` apart."""
+    """Sorted union of the intervals, joining those at most `gap` apart, and
+    the count of gaps wider than 0 it joined: a band starts where lo[i] less
+    the running maximum of hi before it exceeds gap."""
     order = lo.argsort(kind="stable")
     lo = lo[order]
     hi = np.maximum.accumulate(hi[order])
+    step = lo[1:] - hi[:-1]
     start = np.ones(lo.size, dtype=bool)
-    start[1:] = lo[1:] - hi[:-1] > gap
+    start[1:] = step > gap
     end = np.ones(lo.size, dtype=bool)
     end[:-1] = start[1:]
-    return lo[start], hi[end]
+    return lo[start], hi[end], int(np.count_nonzero((step > 0.0) & ~start[1:]))
 
 
 def _batch_bisect(
@@ -696,7 +700,7 @@ def _solve_level(
     edges = _refine_edges(
         lambda EE: np.abs(trace_value(p, EE, level)) - 1.0, br[0], br[1], gb[0], gb[1], tol
     )
-    lo, hi = _merge_intervals(*edges.reshape(2, -1), 0.0)
+    lo, hi, _ = _merge_intervals(*edges.reshape(2, -1), 0.0)
     up = hi > 0.0
     lo, hi = lo[up], hi[up]
     s = int(lo[0] <= 0.0)  # the band across E = 0 is its own mirror image
@@ -756,39 +760,30 @@ def _normal_chain(p: HoppingPair, k_max: int, tol: float) -> tuple[list[BandSet]
                 inflate = MERGE_FACTOR * tol
                 lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
                 hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
-                clo, chi = _merge_intervals(lo, hi, gap=0.0)
+                clo, chi, _ = _merge_intervals(lo, hi, gap=0.0)
                 target = np.bincount(clo.searchsorted(lo, side="right") - 1, minlength=clo.size)
             lo, hi, merged = _solve_level(q, k, clo, chi, target, tol, e)
             chain.append(BandSet(lo, hi, "sigma_k", k, q, tol, merged))
         return chain[:k_max], e
 
 
-def _scaled(p: HoppingPair, e: int, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """The edges lo, hi and tol of a band set of 2^-e p times 2^e, as p's.
+def _rescale(bs: BandSet, p: HoppingPair, e: int) -> BandSet:
+    """bs, a band set of 2^-e p, as one of p: edges and tol times 2^e; bs itself at e = 0.
 
     Raises ValueError where an edge or tol would leave the normal range of
     doubles, and lose bits or overflow.  Band sets are mirror images, so lo
     holds the magnitude of every edge, and sorted, so the largest sits at
-    an end.  In range, sorted disjoint bands stay so, bit for bit.
+    an end.  In range, sorted disjoint bands stay so, bit for bit, and skip
+    BandSet's copy and checks.
     """
-    lo, hi, tol = np.ldexp(lo, e), np.ldexp(hi, e), math.ldexp(tol, e)
+    if not e:
+        return bs
+    lo, hi, tol = np.ldexp(bs.lo, e), np.ldexp(bs.hi, e), math.ldexp(bs.tol, e)
     if min(tol, np.abs(lo).min()) < sys.float_info.min or not max(tol, -lo[0], hi[-1]) < math.inf:
         raise ValueError(
             f"band edges at a = {p.a!r}, b = {p.b!r} leave the normal range of doubles "
             f"at scale 2^{e}"
         )
-    return lo, hi, tol
-
-
-def _rescale(bs: BandSet, p: HoppingPair, e: int) -> BandSet:
-    """bs, a band set of 2^-e p, as one of p (see _scaled); bs itself at e = 0.
-
-    _scaled has checked the range, so the scaled arrays skip BandSet's copy
-    and checks.
-    """
-    if not e:
-        return bs
-    lo, hi, tol = _scaled(p, e, bs.lo, bs.hi, bs.tol)
     return BandSet._checked(lo, hi, bs.kind, bs.level, p, tol, bs.merged_gaps)
 
 
@@ -833,21 +828,16 @@ def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
     Gaps of the union at most MERGE_FACTOR * tol wide are closed; merged_gaps
     counts them.  Like tol in sigma_chain, that width is in units of 2^e,
     the power of two at or below a: the union is taken at a normalized to
-    [1, 2) and scaled back, so cover(2^m p) is cover(p) times 2^m bit for bit.
+    [1, 2) and leaves through _rescale, as sigma_k does.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     chain, e = _normal_chain(p, k + 1, tol)
     fine, finer = chain[k - 1 :]
-    lo, hi = _merge_intervals(
-        np.concatenate((fine.lo, finer.lo)), np.concatenate((fine.hi, finer.hi)), gap=0.0
+    lo, hi, merged = _merge_intervals(
+        np.concatenate((fine.lo, finer.lo)), np.concatenate((fine.hi, finer.hi)), MERGE_FACTOR * fine.tol
     )
-    tol = float(tol)
-    close = lo[1:] - hi[:-1] <= MERGE_FACTOR * tol
-    lo, hi = lo[np.append(True, ~close)], hi[np.append(~close, True)]
-    if e:
-        lo, hi, tol = _scaled(p, e, lo, hi, tol)
-    return BandSet(lo, hi, "cover", k, p, tol, int(np.count_nonzero(close)))
+    return _rescale(BandSet._checked(lo, hi, "cover", k, fine.params, fine.tol, merged), p, e)
 
 
 def escape_spectrum(p: HoppingPair, K_max: int, grid_step: float) -> BandSet:

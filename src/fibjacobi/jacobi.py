@@ -43,7 +43,7 @@ import numpy as np
 
 from .bands import _bisection_tree, _split_depth, _walk, cover, sigma_k
 from .tracemap import HoppingPair
-from .words import _check_word, fib_prefix, fibonacci, omega_s, periodize
+from .words import _check_level, _check_word, fib_prefix, fibonacci, omega_s, periodize
 
 DEFAULT_PERIODS = 20
 
@@ -54,12 +54,12 @@ _HOP_MIN, _HOP_MAX = 2.0**-511, 2.0**511
 _TOL_MAX = float(np.finfo(float).max) / 2
 # The Sturm kernel's pivot buffer holds this many sites by this many shifts.
 _BLOCK_SITES, _BLOCK_SHIFTS = 32, 4096
-# The band checks count on at most this many sites times distinct shifts;
-# 6.3e8 took 1.4 s on a 2-core VM.  Past _LEVEL_MAX even 2 periods take
-# more, so deeper levels are refused before F_k is computed.
-_COUNT_STEPS_MAX = 10**9
+# The band checks take at most this many Sturm count steps, one per site and
+# distinct shift plus _SITE_STEPS per site: on a 2-core VM a step took 1.7-1.9
+# ns at 4096-17711 shifts, a site 1.4-3.7 us at 1-8.  Past _LEVEL_MAX 2 periods take more.
+_COUNT_STEPS_MAX, _SITE_STEPS = 10**9, 2000
 _LEVEL_MAX = max(
-    k for k in range(1, 64) if (2 * fibonacci(k) - 1) * fibonacci(k) <= _COUNT_STEPS_MAX
+    k for k in range(1, 64) if (2 * fibonacci(k) - 1) * (fibonacci(k) + _SITE_STEPS) <= _COUNT_STEPS_MAX
 )
 
 
@@ -398,11 +398,12 @@ def eigenvalues_free(j: JacobiWindow, tol: float | None = None) -> EigenvalueLis
 
 
 def _check_count_steps(what: str, sites: int, shifts: int) -> None:
-    """ValueError unless sites times distinct shifts is at most _COUNT_STEPS_MAX."""
-    if sites * shifts > _COUNT_STEPS_MAX:
+    """ValueError unless sites times (distinct shifts + _SITE_STEPS) is within _COUNT_STEPS_MAX."""
+    steps = sites * (shifts + _SITE_STEPS)
+    if steps > _COUNT_STEPS_MAX:
         raise ValueError(
-            f"{what} of {sites} sites at {shifts} distinct shifts takes {sites * shifts} "
-            f"Sturm count steps, more than {_COUNT_STEPS_MAX:.0e}"
+            f"{what} of {sites} sites at {shifts} distinct shifts takes {steps} "
+            f"Sturm count steps ({_SITE_STEPS} per site), more than {_COUNT_STEPS_MAX:.0e}"
         )
 
 
@@ -416,9 +417,9 @@ def periodic_band_check(p: HoppingPair, k: int, m: int = DEFAULT_PERIODS) -> flo
     ch. 7).  So the counts below lo - tol and hi + tol of a band read R m - 1
     or R m, with R the approximant bands below: R is the same across a gap,
     rises across a band (by 1, or by r where sigma_k joins r of them, as at
-    a = b), and ends at F_k.  Sites times the F_k distinct shifts of a full
-    sigma_k are capped before any window is built.  Returns 0.0, or raises
-    ArithmeticError naming the band, its edges and its counts.
+    a = b), and ends at F_k.  The Sturm count steps of the F_k distinct shifts
+    of a full sigma_k are capped before any window is built.  Returns 0.0, or
+    raises ArithmeticError naming the band, its edges and its counts.
     """
     if not 1 <= k <= _LEVEL_MAX:
         raise ValueError(
@@ -455,9 +456,11 @@ def truncation_spectrum_consistency(p: HoppingPair, k: int, L: int) -> float:
     operator, and cutting the two bonds at the truncation's ends is a
     rank-4 change: each gap, shrunk by tol at both ends, holds at most 4
     eigenvalues.  L times the gap count (the distinct shifts of a mirror
-    image) is capped before the window is built.  Returns 0.0, or raises
-    ArithmeticError naming the gap, its edges and its count.
+    image) plus _SITE_STEPS per site is capped before the window is built,
+    and k before F_k is computed.  Returns 0.0, or raises ArithmeticError
+    naming the gap, its edges and its count.
     """
+    _check_level(f"truncation_spectrum_consistency at level {k}", k)
     if L < 2 * fibonacci(k):
         raise ValueError(f"L must be >= 2 F_k = {2 * fibonacci(k)}, got {L}")
     bands = cover(p, k)

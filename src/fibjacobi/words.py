@@ -50,6 +50,19 @@ def fibonacci(k: int) -> int:
     return f_prev
 
 
+# The deepest prefix s_k within the cap, checked before F_k (seconds at k = 3e5) is computed.
+_MAX_LEVEL = max(k for k in range(64) if fibonacci(k) <= _MAX_LETTERS)
+
+
+def _check_level(what: str, k: int) -> None:
+    """WordLengthError where `what` needs s_k and k is past _MAX_LEVEL."""
+    if k > _MAX_LEVEL:
+        raise WordLengthError(
+            f"{what} needs s_{k}, of F_{k} letters; only s_1..s_{_MAX_LEVEL} fit the cap "
+            f"of {_MAX_LETTERS} letters"
+        )
+
+
 def substitute(w: str) -> str:
     """Image of a word under S(a) = ab, S(b) = a, extended by concatenation."""
     _check_word(w)
@@ -60,12 +73,9 @@ def fib_prefix(k: int) -> str:
     """Prefix s_k of u of length F_k; s_1 = "a", s_2 = "ab", s_{k+1} = s_k s_{k-1}."""
     if k < 1:
         raise ValueError(f"fib_prefix requires k >= 1, got {k}")
-    if fibonacci(k) > _MAX_LETTERS:
-        raise WordLengthError(f"fib_prefix({k}) has {fibonacci(k)} letters, over the cap")
-    s_prev, s_cur = "a", "ab"  # s_1, s_2
-    if k == 1:
-        return s_prev
-    for _ in range(k - 2):
+    _check_level(f"fib_prefix({k})", k)
+    s_prev, s_cur = "b", "a"  # s_0, with S(b) = a, and s_1
+    for _ in range(k - 1):
         s_prev, s_cur = s_cur, s_cur + s_prev
     return s_cur
 
@@ -214,6 +224,7 @@ def cyclic_conjugates(k: int) -> list[str]:
     """
     if k < 1:
         raise ValueError(f"cyclic_conjugates requires k >= 1, got {k}")
+    _check_level(f"cyclic_conjugates({k})", k + 1)
     n = fibonacci(k + 1)
     if n * n > _MAX_LETTERS:
         raise WordLengthError(f"the {n} rotations of S^{k}(a) hold {n * n} letters, over the cap")
@@ -239,6 +250,7 @@ def square_prefix_check(w: SignedWindow, k: int) -> bool:
     the special element at every k >= 2; k = 1 is false there (u starts
     "ab aa", which is not a square).
     """
+    _check_level(f"square_prefix_check at level {k}", k + 1)
     n = square_prefix_block(k)
     if not w.covers(1, 2 * n):
         raise WindowCoverageError(

@@ -632,13 +632,17 @@ def test_merge_matches_loop_reference():
         lo = np.round(rng.uniform(0.0, 10.0, 300), 2)
         hi = lo + np.round(rng.exponential(0.05, 300), 2)
         out = []
+        joined = 0  # gaps wider than 0 and at most `gap`
         for a, b in sorted(zip(lo.tolist(), hi.tolist()), key=lambda iv: iv[0]):
             if out and a - out[-1][1] <= gap:
+                joined += a - out[-1][1] > 0.0
                 out[-1][1] = max(out[-1][1], b)
             else:
                 out.append([a, b])
-        mlo, mhi = _merge_intervals(lo, hi, gap)
+        mlo, mhi, mjoined = _merge_intervals(lo, hi, gap)
         assert np.column_stack((mlo, mhi)).tolist() == out
+        assert mjoined == joined
+        assert joined > 0 or gap == 0.0
 
 
 def test_concurrent_chain_extension():
@@ -965,8 +969,8 @@ def test_containers_hold_the_zeros_of_both_parent_levels(ratio, k_max):
     inflate = MERGE_FACTOR * TOL
     for k in range(3, k_max + 1):
         parents = chain[k - 2], chain[k - 3]
-        clo, chi = _merge_intervals(np.concatenate([bs.lo for bs in parents]) - inflate,
-                                    np.concatenate([bs.hi for bs in parents]) + inflate, 0.0)
+        clo, chi, _ = _merge_intervals(np.concatenate([bs.lo for bs in parents]) - inflate,
+                                       np.concatenate([bs.hi for bs in parents]) + inflate, 0.0)
 
         def per_container(j):
             c = np.searchsorted(clo, chain[j - 1].lo, side="right") - 1

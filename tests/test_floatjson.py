@@ -68,9 +68,7 @@ def test_random_values_where_repr_has_no_exponent():
 def test_special_values_alone_and_among_many():
     s = special_values()
     assert_same_text(s)
-    # Above the size below which encode hands the list to json.dumps.
     many = np.tile(s, 20)
-    assert many.size > _floatjson._CUTOVER
     assert_same_text(many)
     assert_same_text(many.reshape(-1, 2))
     assert_same_text(many[: many.size // 5 * 5].reshape(-1, 5))
@@ -91,8 +89,25 @@ def test_special_values_alone_and_among_many():
     ids=["empty", "empty-rows", "one", "one-row", "line", "strided", "rows", "columns"],
 )
 def test_shapes(a):
-    assert a.size <= 2 or a.size > _floatjson._CUTOVER
     assert_same_text(a)
+
+
+def test_small_sizes_take_the_encoder(monkeypatch):
+    # Every nonempty float array goes through the encoder, down to one
+    # element; at 68-466 floats, the band sets the benchmarks write, as
+    # lines and rows.
+    rows = []
+    real = _floatjson._rows
+    monkeypatch.setattr(_floatjson, "_rows", lambda x, ends: rows.append(x.size) or real(x, ends))
+    values = np.concatenate((special_values(), np.linspace(-4.1, 4.1, 97) ** 3))
+    for n in (0, 1, 2, 68, 178, 288, 466):
+        x = np.resize(values, n)
+        for a in (x, x[: n - n % 2].reshape(-1, 2)):
+            for sep in SEPARATORS:
+                rows.clear()
+                want = json.dumps(a.tolist(), separators=(sep, ":"))
+                assert _floatjson.encode(a, sep) == want, (n, a.shape, sep)
+                assert sum(rows) == a.size, (n, a.shape, sep)
 
 
 @pytest.mark.parametrize("b, k", [(1.0001, 16), (2.0, 16), (4.1, 18)])
@@ -109,7 +124,6 @@ def test_covers(b, k):
 
 def test_eigenvalues_json():
     eig = eigenvalues_free(build_window(fib_prefix(14), HoppingPair(1, 2)))
-    assert eig.values.size > _floatjson._CUTOVER
     assert json.loads(eigenvalues_to_json(eig))["values"] == eig.values.tolist()
     assert eigenvalues_to_json(eig) == json.dumps(
         {"n": eig.n_sites, "boundary": eig.boundary, "values": eig.values.tolist(), "tol": eig.residual_bound}

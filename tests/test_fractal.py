@@ -192,12 +192,13 @@ def test_band_scaling_free_case_degenerate():
 
 def test_band_scaling_scales_no_band_set(monkeypatch):
     # cover builds and scales what the fit reads; at a outside [1, 2) no
-    # sigma_chain band sets are scaled only to be discarded.
+    # sigma_chain band sets are scaled only to be discarded: every set
+    # _rescale sees is a cover.
     calls = []
     real = bands_module._rescale
     monkeypatch.setattr(bands_module, "_rescale", lambda *args: calls.append(args) or real(*args))
     est = band_scaling_dimension(HoppingPair(0.75, 1.5), 6, 12)
-    assert calls == []
+    assert calls and all(bs.kind == "cover" for bs, _, _ in calls)
     assert 0.0 < est.value < 1.0
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fibjacobi.jacobi import (
 )
 from fibjacobi.bands import BandSet, cover, sigma_k
 from fibjacobi.tracemap import HoppingPair
-from fibjacobi.words import fib_prefix, fibonacci, omega_s
+from fibjacobi.words import WordLengthError, fib_prefix, fibonacci, omega_s
 
 P11 = HoppingPair(1, 1)
 P12 = HoppingPair(1, 2)
@@ -597,6 +598,19 @@ def test_band_checks_refuse_work_over_the_cap_before_any_window(monkeypatch):
         periodic_band_check(P12, 16, m=10**6)
     with pytest.raises(ValueError, match=r"1000000000 sites .* more than 1e\+09"):
         truncation_spectrum_consistency(P12, 10, 10**9)
+    # One shift on 10^6 sites is 0.1% of the cap in site-shift steps, but the
+    # site loop's own cost, charged per site, would take seconds.  At k = 3e5
+    # F_k takes seconds and has too many digits to print.
+    for call, error, match in (
+        (lambda: periodic_band_check(P12, 1, m=10**6), ValueError,
+         r"999999 sites at 1 distinct shifts .* \(2000 per site\), more than 1e\+09"),
+        (lambda: truncation_spectrum_consistency(P12, 300_000, 100), WordLengthError,
+         r"level 300000 needs s_300000, .* cap of 50000000"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(error, match=match):
+            call()
+        assert time.perf_counter() - start < 0.1
 
 
 def _without(bs, j):

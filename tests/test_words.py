@@ -5,6 +5,7 @@ recursion, suffix stabilization, Sturmian complexity) are checked over
 ranges large enough to exercise the generation code paths.
 """
 
+import time
 import tracemalloc
 
 import pytest
@@ -76,6 +77,25 @@ def test_fib_prefix_is_substitution_iterate():
 def test_fib_prefix_cap():
     with pytest.raises(WordLengthError):
         fib_prefix(60)
+
+
+@pytest.mark.parametrize(
+    "call, level",
+    [
+        (lambda: fib_prefix(300_000), 300_000),
+        (lambda: cyclic_conjugates(300_000), 300_001),
+        (lambda: square_prefix_check(omega_s(1, 4), 300_000), 300_001),
+    ],
+    ids=["fib_prefix", "cyclic_conjugates", "square_prefix_check"],
+)
+def test_deep_levels_refused_before_f_k(call, level):
+    # F_300000 takes seconds to compute and has too many digits to print;
+    # the level is checked against s_37, the deepest prefix within the cap.
+    assert fibonacci(37) <= 50_000_000 < fibonacci(38)
+    start = time.perf_counter()
+    with pytest.raises(WordLengthError, match=rf"needs s_{level}, .* only s_1\.\.s_37 fit the cap of 50000000"):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_signed_window_basics():
