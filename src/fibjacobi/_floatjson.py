@@ -25,7 +25,7 @@ The characters are built eight to a uint64 word: the 17 digits from a
 table of four-digit groups, then shifted and masked by tables indexed by
 the decimal-point position and the digit count into d.ddd, ddd.0 or
 0.000ddd.  Each element's brackets, sign, text and separator sit at fixed
-byte positions of a row of zero bytes, and one boolean compress of the
+byte positions of a row of zero bytes, and one bytes.translate of the
 rows drops the zeros.
 
 Nothing is guessed: json.dumps(float(v)) formats every element that the
@@ -215,8 +215,7 @@ def _rows(x: np.ndarray, ends: np.ndarray) -> bytes:
         reprs = json.dumps(x[odd].tolist())[1:-1].encode("ascii").split(b", ")
         row[odd, 0] &= _U64((1 << 56) - 1)
         row[odd, 1:4] = np.frombuffer(b"".join(r.ljust(24, b"\0") for r in reprs), dtype="<u8").reshape(-1, 3)
-    chars = row.view(np.uint8).reshape(-1)
-    return np.compress(chars != 0, chars).tobytes()
+    return row.tobytes().translate(None, b"\0")
 
 
 def encode(a: np.ndarray, sep: str) -> str:

@@ -59,7 +59,9 @@ bisection would give it (_bisection_tree), so the roots keep theirs.
 H(2^e q) = 2^e H(q), so a chain is solved and cached only at hoppings q
 with a in [1, 2), and the band sets of 2^e q are q's scaled by 2^e on the
 way out, tol with them: sigma_chain, sigma_k and cover all leave through
-_rescale.
+_rescale.  The cache keeps the most recently used chains within
+_CHAIN_BYTES, and the newest chain whatever its size; a chain it dropped
+is solved again, bit for bit.
 
 A band set is arrays, not per-band objects: BandSet holds read-only lo and
 hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
@@ -72,8 +74,9 @@ import json
 import math
 import sys
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -716,13 +719,62 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
 
 
-@lru_cache(maxsize=128)
-def _chain(q: HoppingPair, tol: float) -> list[BandSet]:
-    """sigma_1, sigma_2, ... of q, 1 <= q.a < 2, as far as computed; _normal_chain extends it."""
-    return []
+# Bytes of cached band chains: the cache drops the least recently used
+# chains beyond them, but never the newest.  The sweep's chains (levels <= 17)
+# hold at most 108 KB of band edges each and are read again up to 7
+# couplings later; deep-cover's (levels 21-23) hold 0.74-1.94 MB and are
+# never read again.
+_CHAIN_BYTES = 2 << 20
+# Bytes a cached level takes besides its edges: its BandSet and the headers
+# of lo and hi, 440-560 bytes by tracemalloc at levels 3-12.  Counting them
+# keeps the bound in bytes for shallow chains, whose edges are a few dozen.
+_LEVEL_BYTES = 512
 
 
-# Extending a cached chain is check-then-append on a shared list.
+class _ChainCache:
+    """Band chains per (q, tol), least recently used first, bounded by band bytes.
+
+    A chain's bytes are lo.nbytes + hi.nbytes + _LEVEL_BYTES over its
+    cached levels, kept per chain and in total (nbytes).  trim drops the
+    least recently used chains until at most _CHAIN_BYTES remain, or one
+    chain, the one just used; a dropped chain is solved again, bit for bit,
+    and band sets already returned stay valid.
+    """
+
+    def __init__(self) -> None:
+        self._chains: OrderedDict[tuple[HoppingPair, float], list[BandSet]] = OrderedDict()
+        self._bytes: dict[tuple[HoppingPair, float], int] = {}
+        self.nbytes = 0
+
+    def __call__(self, q: HoppingPair, tol: float) -> list[BandSet]:
+        """sigma_1, sigma_2, ... of q, 1 <= q.a < 2, as far as computed; _normal_chain extends it."""
+        chain = self._chains.setdefault((q, tol), [])
+        self._chains.move_to_end((q, tol))
+        return chain
+
+    def __len__(self) -> int:
+        return len(self._chains)
+
+    def trim(self, q: HoppingPair, tol: float) -> None:
+        """Count (q, tol)'s chain, just used, and drop the oldest chains over the budget."""
+        key = (q, tol)
+        n = sum(bs.lo.nbytes + bs.hi.nbytes + _LEVEL_BYTES for bs in self._chains[key])
+        self.nbytes += n - self._bytes.get(key, 0)
+        self._bytes[key] = n
+        while self.nbytes > _CHAIN_BYTES and len(self._chains) > 1:
+            old, _ = self._chains.popitem(last=False)
+            self.nbytes -= self._bytes.pop(old)
+
+    def cache_clear(self) -> None:
+        self._chains.clear()
+        self._bytes.clear()
+        self.nbytes = 0
+
+
+_chain = _ChainCache()
+
+# Extending a cached chain is check-then-append on a shared list, and
+# trimming reorders the cache.
 _CHAIN_LOCK = threading.Lock()
 
 
@@ -730,6 +782,8 @@ def _normal_chain(p: HoppingPair, k_max: int, tol: float) -> tuple[list[BandSet]
     """sigma_1 .. sigma_k_max of q = 2^-e p, with 2^e <= a < 2^(e+1), and e.
 
     q's chain is cached per (q, tol) in _chain, so every p = 2^m q shares it.
+    After each call, also one that raises, the cache drops the least
+    recently used chains beyond _CHAIN_BYTES, never q's.
     """
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
@@ -750,20 +804,25 @@ def _normal_chain(p: HoppingPair, k_max: int, tol: float) -> tuple[list[BandSet]
         ], e
     with _CHAIN_LOCK:
         chain = _chain(q, tol)
-        while len(chain) < k_max:
-            k = len(chain) + 1
-            if k <= 2:
-                win = energy_window(q)
-                clo, chi = np.array([win.lo]), np.array([win.hi])
-                target = np.array([fibonacci(k)])
-            else:
-                inflate = MERGE_FACTOR * tol
-                lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
-                hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
-                clo, chi, _ = _merge_intervals(lo, hi, gap=0.0)
-                target = np.bincount(clo.searchsorted(lo, side="right") - 1, minlength=clo.size)
-            lo, hi, merged = _solve_level(q, k, clo, chi, target, tol, e)
-            chain.append(BandSet(lo, hi, "sigma_k", k, q, tol, merged))
+        try:
+            while len(chain) < k_max:
+                k = len(chain) + 1
+                if k <= 2:
+                    win = energy_window(q)
+                    clo, chi = np.array([win.lo]), np.array([win.hi])
+                    target = np.array([fibonacci(k)])
+                else:
+                    inflate = MERGE_FACTOR * tol
+                    lo = np.concatenate((chain[-1].lo, chain[-2].lo)) - inflate
+                    hi = np.concatenate((chain[-1].hi, chain[-2].hi)) + inflate
+                    clo, chi, _ = _merge_intervals(lo, hi, gap=0.0)
+                    target = np.bincount(clo.searchsorted(lo, side="right") - 1, minlength=clo.size)
+                lo, hi, merged = _solve_level(q, k, clo, chi, target, tol, e)
+                chain.append(BandSet(lo, hi, "sigma_k", k, q, tol, merged))
+        finally:
+            # Also where a level raises: the levels solved below it stay
+            # cached and count against the budget.
+            _chain.trim(q, tol)
         return chain[:k_max], e
 
 
@@ -794,7 +853,10 @@ def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[Ba
     of q = 2^-e p times 2^e.  q's chain is solved and cached per (q, tol),
     reading tol, ENERGY_MARGIN and the solver's other energy floors in
     units of 2^e; every scale 2^m p shares it, and sigma_chain(2^m p) is
-    sigma_chain(p) times 2^m bit for bit.  Each band set returned has
+    sigma_chain(p) times 2^m bit for bit.  The cache holds the most
+    recently used chains within _CHAIN_BYTES (2 MiB), and the newest chain
+    whatever its size; a chain it dropped is solved again with the same
+    bits.  Each band set returned has
     params p and tol times 2^e, the absolute tolerance used.  At
     1 <= a < 2 (e = 0) these are the cached band sets themselves.  A
     ValueError names the scale where an edge or tol times 2^e would leave

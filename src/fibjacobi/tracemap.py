@@ -335,18 +335,23 @@ def escape_grid(p: HoppingPair, E, K_max: int):
             x_prev = np.full(e.size, z0)
             x_cur = e / (2.0 * p.b)
             x_next = e / (2.0 * p.a)
+            # x_cur's flags at level k + 1 are x_next's at level k, carried.
+            fin_cur, big_cur = np.isfinite(x_cur), np.abs(x_cur) > thr
             for k in range(K_max - 1):
-                blown = ~(np.isfinite(x_cur) & np.isfinite(x_next))
-                done = blown | ((np.abs(x_cur) > thr) & (np.abs(x_next) > thr))
+                fin_next, big_next = np.isfinite(x_next), np.abs(x_next) > thr
+                blown = ~(fin_cur & fin_next)
+                done = blown | (big_cur & big_next)
                 if done.any():
                     k_escape[running[done]] = k
                     diverged[running[blown]] = True
                     keep = ~done
                     running = running[keep]
                     x_next, x_cur, x_prev = x_next[keep], x_cur[keep], x_prev[keep]
+                    fin_next, big_next = fin_next[keep], big_next[keep]
                 if k == K_max - 2 or not running.size:
                     break
                 x_next, x_cur, x_prev = 2.0 * x_next * x_cur - x_prev, x_next, x_cur
+                fin_cur, big_cur = fin_next, big_next
     k_escape = k_escape.reshape(E.shape)
     return k_escape >= 0, k_escape, diverged.reshape(E.shape)
 

@@ -452,8 +452,19 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
         table = cocycles([window], p, energies, [n, 2 * n])[:, :, 0]
     except CocycleRangeError as exc:
         raise ArithmeticError(f"{exc}, level {k} (square over positions 1..{2 * n})") from None
+    defects = _square_defects(p, energies, k, table[0], table[1])
+    return float(defects[0]) if np.ndim(E) == 0 else defects
+
+
+def _square_defects(p: HoppingPair, energies: np.ndarray, k: int, half, full) -> np.ndarray:
+    """cayley_hamilton_defect at every energy, from the cocycles rows of M(n) and M(2n).
+
+    half and full are one length each of a cocycles table, (5, energies)
+    rows as trace_halves reads them; ArithmeticError as in
+    cayley_hamilton_defect.
+    """
     xs = finite_traces(p, energies, k + 1)
-    m_half, m_full = physical_products(table[0]), physical_products(table[1])
+    m_half, m_full = physical_products(half), physical_products(full)
     finite = np.isfinite(m_half).all(axis=(0, 1)) & np.isfinite(m_full).all(axis=(0, 1))
     if not finite.all():
         e = energies.tolist()[int(np.argmin(finite))]
@@ -469,8 +480,7 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
     lhs, h2 = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (lhs, h * h))
     norms = np.array([np.linalg.norm(m) for m in lhs])
     squares = np.array([np.sum(m) for m in h2])
-    defects = norms / (1.0 / s + s * squares)
-    return float(defects[0]) if np.ndim(E) == 0 else defects
+    return norms / (1.0 / s + s * squares)
 
 
 def no_decay_witness(

@@ -31,6 +31,7 @@ from fibjacobi.bands import (
     _chain,
     _merge_intervals,
 )
+from fibjacobi.cli import main
 from fibjacobi.tracemap import HoppingPair, escape_classify, trace_bound, trace_value
 from fibjacobi.words import fib_prefix, fibonacci
 
@@ -664,6 +665,148 @@ def test_concurrent_chain_extension():
     assert len(chains) == 4
     assert [bs.level for bs in sigma_chain(p, 14)] == list(range(1, 15))
     assert all(c == chains[0] for c in chains)
+
+
+def _spy_solves(monkeypatch) -> list:
+    """The (hoppings, level) of every _solve_level call from now on."""
+    solve = bands_module._solve_level
+    calls = []
+
+    def spy(p, level, *args):
+        calls.append((p, level))
+        return solve(p, level, *args)
+
+    monkeypatch.setattr(bands_module, "_solve_level", spy)
+    return calls
+
+
+def _chain_bytes(chain) -> int:
+    return sum(bs.lo.nbytes + bs.hi.nbytes + bands_module._LEVEL_BYTES for bs in chain)
+
+
+def test_chain_cache_is_bounded_by_band_bytes(monkeypatch):
+    # 24 deep chains of 1.2 MB each: the cache holds at most _CHAIN_BYTES of
+    # them, or the newest chain alone, and the newest is always kept.
+    _chain.cache_clear()
+    couplings = [HoppingPair(1, 1.9 + 0.05 * i) for i in range(24)]
+    for p in couplings:
+        sigma_k(p, 22, TOL)
+    assert len(_chain) == 1 or _chain.nbytes <= bands_module._CHAIN_BYTES
+    assert len(_chain) < 24
+    calls = _spy_solves(monkeypatch)
+    sigma_k(couplings[-1], 21, TOL)
+    assert not calls
+    _chain.cache_clear()
+
+
+def test_chain_over_the_byte_budget_stays_cached_alone(monkeypatch):
+    # (1, 2) to level 24 holds about 3.1 MB of bands, more than the budget:
+    # the chain just used is never dropped.
+    _chain.cache_clear()
+    sigma_k(HoppingPair(1, 1.5), 20, TOL)
+    chain = sigma_chain(P12, 24, TOL)
+    assert _chain.nbytes == _chain_bytes(chain) > bands_module._CHAIN_BYTES
+    assert len(_chain) == 1
+    calls = _spy_solves(monkeypatch)
+    sigma_k(P12, 23, TOL)
+    assert not calls
+    _chain.cache_clear()
+
+
+def test_sweep_rounds_keep_every_chain_they_read_again(monkeypatch, tmp_path, capsys):
+    # As a sweep round runs them: dimension, cover and bands at one coupling,
+    # then six other couplings to level 17, then the first at 2^3 times its
+    # hoppings, which reads its chain again and solves nothing.
+    _chain.cache_clear()
+    out = str(tmp_path / "job.out")
+    hop = ["--a", "0.7", "--b", "1.33"]
+    for argv in (["dimension", *hop, "--kmax", "16"], ["cover", *hop, "--k", "16"],
+                 ["bands", *hop, "--k", "13"]):
+        assert main([*argv, "--out", out]) == 0
+    for b in (1.2, 1.7, 2.3, 3.1, 4.4, 6.0):
+        sigma_k(HoppingPair(1, b), 17, TOL)
+    calls = _spy_solves(monkeypatch)
+    hop = ["--a", repr(math.ldexp(0.7, 3)), "--b", repr(math.ldexp(1.33, 3))]
+    for argv in (["dimension", *hop, "--kmax", "16"], ["cover", *hop, "--k", "16"],
+                 ["bands", *hop, "--k", "15"]):
+        assert main([*argv, "--out", out]) == 0
+    assert not calls
+    capsys.readouterr()
+    _chain.cache_clear()
+
+
+def test_chain_cache_drops_the_least_recently_used_chain(monkeypatch):
+    # Room for two level-12 chains: reading a's chain again makes b's the
+    # oldest, so c's drops b's.
+    a, b, c = (HoppingPair(1, x) for x in (1.3, 1.7, 2.9))
+    _chain.cache_clear()
+    one = _chain_bytes(sigma_chain(a, 12, TOL))
+    monkeypatch.setattr(bands_module, "_CHAIN_BYTES", 2 * one + one // 2)
+    sigma_k(b, 12, TOL)
+    sigma_k(a, 10, TOL)
+    sigma_k(c, 12, TOL)
+    assert len(_chain) == 2
+    calls = _spy_solves(monkeypatch)
+    sigma_k(a, 12, TOL)
+    assert not calls
+    sigma_k(b, 12, TOL)
+    assert [k for _, k in calls] == list(range(1, 13))
+    _chain.cache_clear()
+
+
+def test_dropped_chain_is_solved_again_bit_for_bit(monkeypatch):
+    _chain.cache_clear()
+    p = HoppingPair(1, 2.27)
+    first = sigma_chain(p, 22, TOL)
+    for b in (1.9, 2.6):  # 1.2 MB each, so p's chain, the oldest, goes
+        sigma_k(HoppingPair(1, b), 22, TOL)
+    calls = _spy_solves(monkeypatch)
+    again = sigma_chain(p, 22, TOL)
+    assert [k for _, k in calls] == list(range(1, 23))
+    for old, new in zip(first, again, strict=True):
+        assert old is not new
+        assert old.lo.tobytes() == new.lo.tobytes() and old.hi.tobytes() == new.hi.tobytes()
+        assert (old.tol, old.merged_gaps) == (new.tol, new.merged_gaps)
+    _chain.cache_clear()
+
+
+def test_shallow_chains_count_their_levels_against_the_budget(monkeypatch):
+    # A level-3 chain takes about 1.65 KB (tracemalloc), 96 bytes of which
+    # are edges; counting only the edges would keep 21,845 of them in 2 MiB.
+    monkeypatch.setattr(bands_module, "_CHAIN_BYTES", 1 << 16)
+    _chain.cache_clear()
+    for i in range(100):
+        sigma_k(HoppingPair(1, 1.5 + 1e-3 * i), 3, TOL)
+    per_chain = 3 * bands_module._LEVEL_BYTES + 96
+    assert len(_chain) == (1 << 16) // per_chain
+    assert _chain.nbytes == len(_chain) * per_chain
+    _chain.cache_clear()
+
+
+def test_chain_cache_clear_drops_chains_and_bytes():
+    sigma_k(P12, 16, TOL)
+    assert len(_chain) and _chain.nbytes
+    _chain.cache_clear()
+    assert len(_chain) == 0 and _chain.nbytes == 0
+    chain = sigma_chain(HoppingPair(1, 3), 12, TOL)
+    assert _chain.nbytes == _chain_bytes(chain)
+    _chain.cache_clear()
+
+
+def test_level_that_raises_still_trims_the_chain_cache(monkeypatch):
+    # (1, 40) raises at level 13.  The trim runs anyway: it drops the (1, 2)
+    # chain over the budget and keeps (1, 40)'s levels 1-12.
+    _chain.cache_clear()
+    sigma_chain(P12, 24, TOL)
+    p = HoppingPair(1, 40)
+    with pytest.raises(RootIsolationError, match="level 13: "):
+        sigma_k(p, 13, TOL)
+    assert len(_chain) == 1 and _chain.nbytes <= bands_module._CHAIN_BYTES
+    calls = _spy_solves(monkeypatch)
+    sigma_k(p, 12, TOL)
+    assert not calls
+    assert _chain.nbytes == _chain_bytes(sigma_chain(p, 12, TOL))
+    _chain.cache_clear()
 
 
 def test_container_grid_matches_linspace():

@@ -20,8 +20,8 @@ from fibjacobi import cli
 from fibjacobi.bands import bandset_from_json, cover, lebesgue_measure
 from fibjacobi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from fibjacobi.tracemap import HoppingPair, finite_traces
-from fibjacobi.transfer import CocycleRangeError, TransferMatrix, cocycles
-from fibjacobi.words import cyclic_conjugates, fibonacci, omega_s, periodize
+from fibjacobi.transfer import CocycleRangeError, TransferMatrix, cayley_hamilton_defect, cocycles
+from fibjacobi.words import cyclic_conjugates, fibonacci, omega_s, periodize, square_prefix_block
 
 
 def run(capsys, *argv):
@@ -423,6 +423,49 @@ def test_verify_trace_checks_match_per_matrix_loops(a, b):
     p = HoppingPair(a, b)
     assert _outcome(cli._check_recursion_vs_cocycle, p) == _outcome(_recursion_loop, p)
     assert _outcome(cli._check_cyclic_traces, p) == _outcome(_cyclic_loop, p)
+
+
+def _cayley_loop(p):
+    # The cayley-hamilton check as one cayley_hamilton_defect call per level.
+    w = omega_s(1, 2 * square_prefix_block(9))
+    energies = np.linspace(-4.0, 4.0, 10) + 0.013
+    worst = 0.0
+    for k in range(2, 10):
+        worst = max(worst, *cayley_hamilton_defect(w, p, energies, k))
+    return worst <= 1e-8, f"max defect {worst:.3e}, levels 2..9"
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1, 1.5),
+        (1, 2.7),
+        (1, 150),
+        (1, 1e20),
+        (1, 1e50),  # the single pass leaves double range past level 5's M(2n)
+        (1, 1e200),
+        (1e-50, 1),
+        (1e-200, 1),  # the level-2 square leaves double range
+    ],
+)
+def test_verify_cayley_hamilton_matches_the_per_level_loop(a, b):
+    p = HoppingPair(a, b)
+    assert _outcome(cli._check_cayley_hamilton, p) == _outcome(_cayley_loop, p)
+
+
+@pytest.mark.parametrize(
+    "hopping, level", [(("--b", "1e50"), 5), (("--b", "1e200"), 2), (("--a", "1e-50"), 4)]
+)
+def test_verify_cayley_hamilton_names_the_first_level_out_of_range(capsys, hopping, level):
+    # The one cocycles pass over every level leaves double range at a later
+    # level's position (89, level 8, at b = 1e50); the FAIL line names the
+    # first level whose M(2n) leaves double range, as the per-level loop does.
+    code, out, err = run(capsys, "verify", *hopping)
+    assert code == EXIT_NUMERICAL
+    assert (
+        f"FAIL  cayley-hamilton: cocycle M(2n) over the level-{level} square at E = -3.987 "
+        "leaves double range\n"
+    ) in out
 
 
 def test_verify_half_trace_overflow_fails_the_check(capsys):
