@@ -64,8 +64,8 @@ _CHAIN_BYTES, and the newest chain whatever its size; a chain it dropped
 is solved again, bit for bit.
 
 A band set is arrays, not per-band objects: BandSet holds read-only lo and
-hi, and bands, the (n, 2) array of [lo, hi] rows that the JSON and CSV
-outputs read.
+hi, and builds bands, the (n, 2) array of [lo, hi] rows that the JSON and
+CSV outputs read, on each access.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -194,7 +193,7 @@ def _band_arrays(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 class BandSet:
     """Sorted disjoint closed bands [lo[i], hi[i]] with their provenance.
 
-    lo, hi and bands, the (n, 2) array of [lo, hi] rows built on first use,
+    lo, hi and bands, the (n, 2) array of [lo, hi] rows built on each access,
     are read-only float arrays.  Band sets compare by identity.  merged_gaps
     is, for sigma_k, F_k less the band count: the gaps the peak search closed
     (or where refined edges touch); for a cover, the gaps of its union at
@@ -218,21 +217,7 @@ class BandSet:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def _checked(cls, lo, hi, kind, level, params, tol, merged_gaps) -> BandSet:
-        """A band set on lo and hi themselves, fresh float arrays the caller
-        has checked to be sorted disjoint closed bands: no copy, no checks."""
-        bs = cls.__new__(cls)
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        for name, value in zip(
-            ("lo", "hi", "kind", "level", "params", "tol", "merged_gaps"),
-            (lo, hi, kind, level, params, tol, merged_gaps),
-        ):
-            object.__setattr__(bs, name, value)
-        return bs
-
-    @cached_property
+    @property
     def bands(self) -> np.ndarray:
         """The read-only (n, 2) array of [lo, hi] rows."""
         bands = np.column_stack((self.lo, self.hi))
@@ -270,13 +255,12 @@ def _merge_intervals(lo: np.ndarray, hi: np.ndarray, gap: float):
 
 
 def _batch_bisect(
-    fn, lo: np.ndarray, hi: np.ndarray, tol: float, f_lo=None, width: float | None = None
+    fn, lo: np.ndarray, hi: np.ndarray, tol: float, f_lo: np.ndarray, width: float | None = None
 ) -> np.ndarray:
     """Roots of fn (elementwise, one sign change per bracket) to width <= tol.
 
-    fn takes arrays of any shape: lo, then the (2^s - 1, n) trees of
-    _split_step.  f_lo, fn at lo, saves the first call where the caller has
-    it.  The number of steps is planned for brackets `width` wide, by
+    fn takes the (2^s - 1, n) trees of _split_step, and f_lo is fn at lo.
+    The number of steps is planned for brackets `width` wide, by
     default the widest of lo, hi, to reach tol, or two steps past the one
     after which every bracket is two adjacent doubles, if fewer: such a
     bracket moves at most once more, so the roots keep their bits where tol
@@ -287,7 +271,7 @@ def _batch_bisect(
     """
     lo = lo.astype(float)
     hi = hi.astype(float)
-    sign_lo = np.sign(fn(lo) if f_lo is None else f_lo)
+    sign_lo = np.sign(f_lo)
     if width is None:
         width = float((hi - lo).max()) if lo.size else 0.0
     steps = 1.0
@@ -577,8 +561,7 @@ def _edge_brackets(
 
         # Stepped for the widest zero bracket, as if every zero were refined.
         zeros[ref] = _batch_bisect(
-            x_at if narrow.size else lambda EE: trace_value(p, EE, level),
-            pairs[0, ref], pairs[1, ref], tol, xz[0, ref],
+            x_at, pairs[0, ref], pairs[1, ref], tol, xz[0, ref],
             width=float((pairs[1] - pairs[0]).max()),
         )
     # The search's point in each unresolved gap, in slot i + 1 for gap i.
@@ -832,8 +815,7 @@ def _rescale(bs: BandSet, p: HoppingPair, e: int) -> BandSet:
     Raises ValueError where an edge or tol would leave the normal range of
     doubles, and lose bits or overflow.  Band sets are mirror images, so lo
     holds the magnitude of every edge, and sorted, so the largest sits at
-    an end.  In range, sorted disjoint bands stay so, bit for bit, and skip
-    BandSet's copy and checks.
+    an end.  In range, sorted disjoint bands stay so, bit for bit.
     """
     if not e:
         return bs
@@ -843,7 +825,7 @@ def _rescale(bs: BandSet, p: HoppingPair, e: int) -> BandSet:
             f"band edges at a = {p.a!r}, b = {p.b!r} leave the normal range of doubles "
             f"at scale 2^{e}"
         )
-    return BandSet._checked(lo, hi, bs.kind, bs.level, p, tol, bs.merged_gaps)
+    return BandSet(lo, hi, bs.kind, bs.level, p, tol, bs.merged_gaps)
 
 
 def sigma_chain(p: HoppingPair, k_max: int, tol: float = DEFAULT_TOL) -> list[BandSet]:
@@ -899,7 +881,7 @@ def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
     lo, hi, merged = _merge_intervals(
         np.concatenate((fine.lo, finer.lo)), np.concatenate((fine.hi, finer.hi)), MERGE_FACTOR * fine.tol
     )
-    return _rescale(BandSet._checked(lo, hi, "cover", k, fine.params, fine.tol, merged), p, e)
+    return _rescale(BandSet(lo, hi, "cover", k, fine.params, fine.tol, merged), p, e)
 
 
 def escape_spectrum(p: HoppingPair, K_max: int, grid_step: float) -> BandSet:

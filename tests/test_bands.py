@@ -104,17 +104,14 @@ def test_batch_bisect_equals_plain_bisection_bit_for_bit(monkeypatch):
                     plain, batch = [], []
                     want, n_iter = _plain_bisect(record(fn, plain), lo, hi, tol)
                     parities.add(n_iter % 2)
-                    for f_lo in (None, fn(lo)):
-                        batch.clear()
-                        got = _batch_bisect(record(fn, batch), lo, hi, tol, f_lo)
-                        assert got.dtype == want.dtype and np.array_equal(got, want), (split, n, tol)
-                        # Every point plain bisection evaluates, with its bits.
-                        assert np.isin(
-                            np.concatenate(plain[1:]), np.concatenate([x.ravel() for x in batch])
-                        ).all()
-                        if n:
-                            calls = len(batch) - (f_lo is None)
-                            assert calls == -(-n_iter // split)
+                    got = _batch_bisect(record(fn, batch), lo, hi, tol, fn(lo))
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (split, n, tol)
+                    # Every point plain bisection evaluates, with its bits.
+                    assert np.isin(
+                        np.concatenate(plain[1:]), np.concatenate([x.ravel() for x in batch])
+                    ).all()
+                    if n:
+                        assert len(batch) == -(-n_iter // split)
             assert parities == {0, 1} or n == 0
         # The 0.8-wide brackets of sin(7x) + 0.3 cross zero twice.
         assert any(walked) == (split >= 2), split
@@ -122,15 +119,15 @@ def test_batch_bisect_equals_plain_bisection_bit_for_bit(monkeypatch):
 
 def test_batch_bisect_takes_several_halvings_per_call():
     # Two brackets 0.5 wide need 34 halvings to reach 1e-10: one step per
-    # call took 35 calls of fn and two per call 18; at most _SPLIT_MAX per
-    # call take 1 + ceil(34 / _SPLIT_MAX).
+    # call took 34 calls of fn and two per call 17; at most _SPLIT_MAX per
+    # call take ceil(34 / _SPLIT_MAX).
     calls = []
     fn = lambda x: np.sin(7.0 * x) + 0.3
     lo = np.array([0.1, 1.0])
     want, n_iter = _plain_bisect(fn, lo, lo + 0.5, TOL)
-    got = _batch_bisect(lambda x: fn(calls.append(x) or x), lo, lo + 0.5, TOL)
+    got = _batch_bisect(lambda x: fn(calls.append(x) or x), lo, lo + 0.5, TOL, fn(lo))
     assert np.array_equal(got, want)
-    assert n_iter == 34 and len(calls) <= 6
+    assert n_iter == 34 and len(calls) <= 5
 
 
 def test_interval_and_bandset_validation():
@@ -166,7 +163,7 @@ def test_batch_bisect_stops_where_brackets_collapse():
     hi = lo + rng.uniform(1e-3, 0.8, 37) * s
     want, n_iter = _plain_bisect(fn, lo, hi, TOL)
     calls = []
-    got = _batch_bisect(lambda x: fn(calls.append(x) or x), lo, hi, TOL)
+    got = _batch_bisect(lambda x: fn(calls.append(x) or x), lo, hi, TOL, fn(lo))
     assert np.array_equal(got, want)
     assert len(calls) < 40 and n_iter > 300
 
@@ -232,21 +229,13 @@ def test_second_scale_of_a_solved_pair_evaluates_no_trace(monkeypatch):
     _chain.cache_clear()
 
 
-def test_scaled_band_sets_are_neither_copied_nor_checked_again(monkeypatch):
-    # A cache hit at a outside [1, 2) scales the cached chain by 2^e; the
-    # scaled arrays are the band sets' own, read-only, and no BandSet check
-    # runs on them.
+def test_scaled_band_sets_are_the_cached_chain_times_2_to_the_e():
+    # A cache hit at a outside [1, 2) scales the cached chain by 2^e, bit
+    # for bit, into read-only band sets of the caller's hoppings.
     p = HoppingPair(0.75, 1.5)
     want = sigma_chain(HoppingPair(1.5, 3.0), 14)
-    sigma_chain(p, 14)
-    checks = []
-    band_arrays = bands_module._band_arrays
-    monkeypatch.setattr(
-        bands_module, "_band_arrays", lambda lo, hi: checks.append(1) or band_arrays(lo, hi)
-    )
     got = sigma_chain(p, 14)
     assert sigma_k(p, 14).lo.tobytes() == got[-1].lo.tobytes()
-    assert not checks
     for g, w in zip(got, want, strict=True):
         assert g.lo.tobytes() == np.ldexp(w.lo, -1).tobytes()
         assert g.hi.tobytes() == np.ldexp(w.hi, -1).tobytes()
@@ -793,6 +782,20 @@ def test_chain_cache_clear_drops_chains_and_bytes():
     _chain.cache_clear()
 
 
+def test_band_outputs_leave_no_uncounted_arrays_in_the_chain_cache(tmp_path):
+    # At a in [1, 2) the bands output writes a cached band set itself; its
+    # (n, 2) rows must not stay on it, where nbytes does not count them.
+    _chain.cache_clear()
+    argv = ["bands", "--a", "1.5", "--b", "3.0", "--k", "12", "--out", str(tmp_path / "b.json")]
+    assert main(argv) == 0
+    (chain,) = _chain._chains.values()
+    for bs in chain:
+        arrays = [name for name, v in vars(bs).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["lo", "hi"], bs.level
+    assert _chain.nbytes == _chain_bytes(chain)
+    _chain.cache_clear()
+
+
 def test_level_that_raises_still_trims_the_chain_cache(monkeypatch):
     # (1, 40) raises at level 13.  The trim runs anyway: it drops the (1, 2)
     # chain over the budget and keeps (1, 40)'s levels 1-12.
@@ -1002,7 +1005,7 @@ def test_edge_brackets_are_certified(monkeypatch):
         calls.append((p, level, clo[chi > 0.0].min(), []))
         return solve(p, level, clo, chi, target, tol, e)
 
-    def spy_bisect(fn, lo, hi, tol, f_lo=None, width=None):
+    def spy_bisect(fn, lo, hi, tol, f_lo, width=None):
         roots = bisect(fn, lo, hi, tol, f_lo, width)
         if not refining:
             calls[-1][3].append((lo.copy(), hi.copy(), roots))
@@ -1072,7 +1075,7 @@ def test_regula_falsi_points_stay_inside_their_brackets():
     lo = np.full(_BISECT_MAX + 1, 5.550792379413606)
     hi = np.full(_BISECT_MAX + 1, 5.6107750463)
     roots = bands_module._refine_edges(fn, lo, hi, fn(lo), fn(hi), TOL)
-    want = _batch_bisect(fn, lo[:1], hi[:1], TOL)
+    want = _batch_bisect(fn, lo[:1], hi[:1], TOL, fn(lo[:1]))
     assert want[0] == pytest.approx(5.571457253667, abs=1e-11)
     assert np.abs(roots - want).max() <= TOL / 2
 
