@@ -79,10 +79,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._defaults import DEFAULT_TOL
 from .tracemap import HoppingPair, escape_grid, trace_value
 from .words import fibonacci
 
-DEFAULT_TOL = 1e-10
 MIN_TOL = 1e-13
 ENERGY_MARGIN = 1e-6
 # Search containers are parent bands widened by MERGE_FACTOR * tol on each

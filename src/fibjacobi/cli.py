@@ -8,6 +8,11 @@ the run that produced it.  Identical configurations produce byte-identical
 files: no timestamps, no environment lookups, fixed seeds.
 
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numerical failure.
+
+Start-up imports neither numpy nor a layer module: each command, each
+verify check and the output writer import what they call when they run.
+So building the parser, --help and a usage error load none of them, and
+a run loads only the layers of its command.
 """
 
 from __future__ import annotations
@@ -17,45 +22,15 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
+from ._defaults import DEFAULT_TOL
 
-from .bands import (
-    DEFAULT_TOL,
-    bandset_to_dict,
-    cover,
-    escape_spectrum,
-    lebesgue_measure,
-    sigma_k,
-)
-from .fractal import (
-    DimensionEstimate,
-    band_scaling_dimension,
-    box_dimension,
-    dimension_sweep,
-    eps_ladder,
-)
-from .jacobi import build_window, eigenvalues_free, eigenvalues_to_dict
-from .tracemap import HoppingPair, finite_traces, initial_triple, invariant_expected
-from .transfer import (
-    CocycleRangeError,
-    _square_defects,
-    cayley_hamilton_defect,
-    cocycles,
-    lyapunov_grid,
-    trace_halves,
-)
-from .words import (
-    cyclic_conjugates,
-    factor_complexity,
-    fib_prefix,
-    fibonacci,
-    omega_s,
-    periodize,
-    square_prefix_block,
-    square_prefix_check,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fractal import DimensionEstimate
+    from .tracemap import HoppingPair
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,8 +64,6 @@ def _write(
     if fmt or args.out:
         cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None and k != "default_format"}
         if lines is None or fmt == "json":
-            # Imported here, not at start-up: building its tables takes a
-            # few milliseconds, which only a JSON write needs.
             from . import _floatjson
 
             payload = {"config": cfg, "result": result()}
@@ -105,6 +78,8 @@ def _write(
 
 
 def _hoppings(args: argparse.Namespace) -> HoppingPair:
+    from .tracemap import HoppingPair
+
     p = HoppingPair(args.a, args.b)
     if args.a == args.b:
         _warn("a = b: degenerate hull, the spectrum is the single free band")
@@ -115,6 +90,8 @@ def _hoppings(args: argparse.Namespace) -> HoppingPair:
 
 
 def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
+    from .bands import bandset_to_dict, lebesgue_measure
+
     _write(
         args,
         [f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}"],
@@ -128,16 +105,22 @@ def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
+    from .bands import sigma_k
+
     p = _hoppings(args)
     return _emit_bandset(args, sigma_k(p, args.k, args.tol), f"sigma_{args.k}")
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    from .bands import cover
+
     p = _hoppings(args)
     return _emit_bandset(args, cover(p, args.k, args.tol), f"cover({args.k})")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .bands import escape_spectrum
+
     p = _hoppings(args)
     bs = escape_spectrum(p, args.kmax, args.grid)
     return _emit_bandset(args, bs, f"escape({args.kmax})")
@@ -147,7 +130,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_lyapunov(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .transfer import lyapunov_grid
+
     p = _hoppings(args)
+    if not all(map(math.isfinite, (args.emin, args.emax, args.emax - args.emin))):
+        raise ValueError(f"energy window [{args.emin}, {args.emax}] must have finite bounds and width")
     if not (args.emax > args.emin):
         raise ValueError(f"empty energy window [{args.emin}, {args.emax}]")
     if args.points < 2:
@@ -203,6 +192,9 @@ def _dimension_row(b: float, est: DimensionEstimate | None, k_max: int, tol: flo
 
 
 def cmd_dimension(args: argparse.Namespace) -> int:
+    from .bands import cover
+    from .fractal import band_scaling_dimension, box_dimension, dimension_sweep, eps_ladder
+
     # rows: (b, estimate or None, JSON keys of the row besides the estimate's).
     if args.sweep:
         entries = dimension_sweep(args.a, _parse_sweep(args.sweep), args.kmax, args.tol, args.kmin)
@@ -249,6 +241,8 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 
 def cmd_words(args: argparse.Namespace) -> int:
+    from .words import factor_complexity, fib_prefix
+
     counts = factor_complexity(args.complexity)
     prefix = fib_prefix(args.k)
     shown = prefix if len(prefix) <= 64 else prefix[:61] + "..."
@@ -261,6 +255,9 @@ def cmd_words(args: argparse.Namespace) -> int:
 
 
 def cmd_eigs(args: argparse.Namespace) -> int:
+    from .jacobi import build_window, eigenvalues_free, eigenvalues_to_dict
+    from .words import fib_prefix, periodize
+
     p = _hoppings(args)
     if (args.k is None) == (args.letters is None):
         raise ValueError("give exactly one of --k or --letters")
@@ -284,6 +281,10 @@ def cmd_eigs(args: argparse.Namespace) -> int:
 
 
 def _check_invariant_conservation(p: HoppingPair, perturb: float) -> tuple[bool, str]:
+    import numpy as np
+
+    from .tracemap import initial_triple, invariant_expected
+
     expected = invariant_expected(p)
     worst = 0.0
     samples = 0
@@ -306,6 +307,8 @@ def _check_invariant_conservation(p: HoppingPair, perturb: float) -> tuple[bool,
 
 def _worst_relative(worst: float, got: np.ndarray, want: np.ndarray) -> float:
     """Largest of worst and every |got - want| / max(1, |want|), NaNs skipped as Python's max skips them."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         rel = np.abs(got - want) / np.fmax(1.0, np.abs(want))
     return float(np.fmax.reduce(rel, axis=None, initial=worst))
@@ -317,6 +320,12 @@ def _check_recursion_vs_cocycle(p: HoppingPair) -> tuple[bool, str]:
     One cocycles pass gives every prefix at 17 energies; each level's row
     of the table is read as arrays by trace_halves.
     """
+    import numpy as np
+
+    from .tracemap import finite_traces
+    from .transfer import CocycleRangeError, cocycles, trace_halves
+    from .words import fibonacci, omega_s
+
     energies = np.linspace(-4.0, 4.0, 17) + 0.05
     # The prefix of length F_k carries the level-k half-trace.
     levels = range(2, 13)
@@ -344,6 +353,12 @@ def _check_cyclic_traces(p: HoppingPair) -> tuple[bool, str]:
     as one stacked (2, 2, rotations, energies) product, read by
     trace_halves.
     """
+    import numpy as np
+
+    from .tracemap import finite_traces
+    from .transfer import cocycles, trace_halves
+    from .words import cyclic_conjugates, periodize
+
     energies = np.linspace(-3.0, 3.0, 20) + 0.037
     worst = 0.0
     for k in range(2, 9):
@@ -366,6 +381,11 @@ def _check_cayley_hamilton(p: HoppingPair) -> tuple[bool, str]:
     then each level is one cayley_hamilton_defect call, in order, and the
     check fails with the first failing level's error.
     """
+    import numpy as np
+
+    from .transfer import CocycleRangeError, _square_defects, cayley_hamilton_defect, cocycles
+    from .words import omega_s, square_prefix_block
+
     levels = range(2, 10)
     halves = [square_prefix_block(k) for k in levels]
     w = omega_s(1, 2 * halves[-1])
@@ -388,6 +408,8 @@ def _check_cayley_hamilton(p: HoppingPair) -> tuple[bool, str]:
 
 
 def _check_square_prefixes(p: HoppingPair) -> tuple[bool, str]:
+    from .words import omega_s, square_prefix_block, square_prefix_check
+
     failed = [
         k
         for k in range(2, 13)

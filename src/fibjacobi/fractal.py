@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .bands import DEFAULT_TOL, BandSet, _band_arrays, _check_tol, cover
-from .tracemap import HoppingPair, invariant_expected
+from .tracemap import HoppingPair, _check_hopping, invariant_expected
 
 MIN_SCALES = 4
 # Two decades between the largest and smallest box size.
@@ -290,9 +290,11 @@ def dimension_sweep(
     Rows keep the input order.  A failing entry carries its error message
     and a None estimate; the sweep continues.  Expected dimensions fall as
     b moves away from a, but only the range (0, 1) is guaranteed, so the
-    monotone trend is left to the caller to inspect.  A level range or tol
-    that no coupling accepts raises ValueError before the first row.
+    monotone trend is left to the caller to inspect.  A hopping a, level
+    range or tol that no coupling accepts raises ValueError before the
+    first row.
     """
+    _check_hopping("a", a)
     _check_levels(k_min, k_max)
     _check_tol(tol)
     entries: list[SweepEntry] = []

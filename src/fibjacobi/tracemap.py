@@ -60,6 +60,14 @@ class TraceDivergedError(ArithmeticError):
         super().__init__(message or f"trace recursion diverged at level {level}")
 
 
+def _check_hopping(name: str, value) -> float:
+    """value as a float; ValueError unless it is a positive finite real."""
+    v = float(value)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"hopping {name} must be a positive finite real, got {value!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class HoppingPair:
     """Positive hopping amplitudes: a over one tile type, b over the other."""
@@ -68,14 +76,8 @@ class HoppingPair:
     b: float
 
     def __post_init__(self) -> None:
-        a = float(self.a)
-        b = float(self.b)
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"hopping a must be a positive finite real, got {self.a!r}")
-        if not (math.isfinite(b) and b > 0.0):
-            raise ValueError(f"hopping b must be a positive finite real, got {self.b!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _check_hopping("a", self.a))
+        object.__setattr__(self, "b", _check_hopping("b", self.b))
 
     @property
     def equal(self) -> bool:

@@ -194,8 +194,10 @@ def factor_complexity(n: int) -> list[int]:
     The scan at length L slices L (|S^depth(a)| - L + 1) letters, about
     8 n^3 / 3 over all lengths: 7.2M at n = 200, 1G at n = 1000.  An n
     whose scan would slice more than _MAX_LETTERS letters raises
-    WordLengthError before any slicing.
+    WordLengthError before any slicing, and a negative n ValueError.
     """
+    if n < 0:
+        raise ValueError(f"factor counts need a length n >= 0, got {n}")
     letters = 0
     for L in range(1, n + 1):
         letters += L * (fibonacci(_stable_depth(L) + 1) - L + 1)

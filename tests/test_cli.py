@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from test_golden import COMMANDS
 
-from fibjacobi import cli
+from fibjacobi import cli, fractal
 from fibjacobi.bands import bandset_from_json, cover, lebesgue_measure
 from fibjacobi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from fibjacobi.tracemap import HoppingPair, finite_traces
@@ -231,11 +231,13 @@ def test_dimension_sweep_csv_rows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [("--tol", "nan"), ("--tol", "1e-14"), ("--kmax", "21"), ("--kmin", "8"), ("--kmax", "8")]
+    "bad",
+    [("--tol", "nan"), ("--tol", "1e-14"), ("--kmax", "21"), ("--kmin", "8"), ("--kmax", "8"),
+     ("--a", "0"), ("--a=-1",), ("--a", "nan"), ("--a", "inf")],
 )
 def test_dimension_sweep_checks_options_before_the_sweep(capsys, bad):
-    # A --tol or level range that no coupling accepts is one usage error,
-    # the single-coupling form's, not an error row per coupling.
+    # A --a, --tol or level range that no coupling accepts is one usage
+    # error, the single-coupling form's, not an error row per coupling.
     single = run(capsys, "dimension", "--kmax", "10", *bad)
     sweep = run(capsys, "dimension", "--sweep", "1.5:1.6:0.1", "--kmax", "10", *bad)
     assert single[0] == sweep[0] == EXIT_USAGE
@@ -248,7 +250,7 @@ def test_sweep_over_the_cap_is_refused_before_any_coupling(capsys, monkeypatch):
     # The count is checked before the list of couplings is built, so a step
     # of 1e-12 (10^12 + 1 couplings) or one whose count overflows is refused
     # at once; 10000 couplings are the most a sweep takes.
-    monkeypatch.setattr(cli, "dimension_sweep", lambda *args: pytest.fail("sweep was run"))
+    monkeypatch.setattr(fractal, "dimension_sweep", lambda *args: pytest.fail("sweep was run"))
     for arg, count in (("1:2:1e-12", "1000000000001"), ("-1e308:1e308:1", "inf")):
         code, out, err = run(capsys, "dimension", f"--sweep={arg}", "--kmax", "10")
         assert (code, out) == (EXIT_USAGE, "")
@@ -657,6 +659,13 @@ LATE_USAGE = [
     (("bands", "--k", "3", "--config"), "--config needs a file path"),
     (("cover", "--k", "3", "--tol", "inf"), "tol must be a positive finite number, got inf"),
     (("dimension", "--kmax", "10", "--tol", "inf"), "tol must be a positive finite number, got inf"),
+    # Bounds that np.linspace would turn into a warning and NaN energies.
+    (("lyapunov", "--emin=-inf"), "energy window [-inf, 4.0] must have finite bounds and width"),
+    (("lyapunov", "--emin=-1e308", "--emax", "1e308"),
+     "energy window [-1e+308, 1e+308] must have finite bounds and width"),
+    (("lyapunov", "--emin", "nan"), "energy window [nan, 4.0] must have finite bounds and width"),
+    (("lyapunov", "--emax", "inf"), "energy window [-4.0, inf] must have finite bounds and width"),
+    (("words", "--k", "5", "--complexity", "-1"), "factor counts need a length n >= 0, got -1"),
 ]
 
 

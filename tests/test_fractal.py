@@ -318,6 +318,14 @@ def test_sweep_rejects_options_no_coupling_accepts():
         dimension_sweep(1.0, [], k_max=21)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_refuses_a_hopping_no_coupling_accepts(a):
+    # Refused before the first row, even for an empty sweep.
+    for b_values in ([2.0, 3.0], []):
+        with pytest.raises(ValueError, match=f"hopping a must be a positive finite real, got {a!r}"):
+            dimension_sweep(a, b_values, k_max=14)
+
+
 def test_sweep_empty():
     assert dimension_sweep(1.0, [], k_max=14) == []
 

@@ -241,6 +241,12 @@ def test_factor_complexity_counts_and_cap():
             factor_complexity(n)
 
 
+def test_factor_complexity_refuses_negative_lengths():
+    for n in (-1, -200):
+        with pytest.raises(ValueError, match=f"factor counts need a length n >= 0, got {n}"):
+            factor_complexity(n)
+
+
 def test_square_prefix_block_lengths():
     assert [square_prefix_block(k) for k in range(1, 6)] == [2, 3, 5, 8, 13]
     with pytest.raises(ValueError, match="square level must be >= 1, got 0"):
