@@ -64,10 +64,14 @@ def _write(
     if fmt or args.out:
         cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None and k != "default_format"}
         if lines is None or fmt == "json":
-            from . import _floatjson
-
             payload = {"config": cfg, "result": result()}
-            text = _floatjson.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            # No array exists while numpy is not loaded, and on an array-free
+            # payload _floatjson.dumps is json.dumps, so words loads no numpy.
+            if "numpy" in sys.modules:
+                from ._floatjson import dumps
+            else:
+                from json import dumps
+            text = dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         else:
             text = "".join(f"{line}\n" for line in [*(f"# {k}={v}" for k, v in cfg.items()), *lines()])
         if args.out:

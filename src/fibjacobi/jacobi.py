@@ -104,8 +104,7 @@ def build_window(window, p: HoppingPair) -> JacobiWindow:
     if len(letters) == 0:
         raise ValueError("empty window")
     _check_word(letters)
-    table = {"a": p.a, "b": p.b}
-    return JacobiWindow(tuple(table[ch] for ch in letters))
+    return JacobiWindow(tuple(p.hoppings(letters).tolist()))
 
 
 def _pivot_block(hops: list[float], q: np.ndarray, neg: np.ndarray, rows) -> None:

@@ -89,6 +89,10 @@ class HoppingPair:
         """max(2a, 2b); the operator norm never exceeds it (Gershgorin rows)."""
         return 2.0 * max(self.a, self.b)
 
+    def hoppings(self, letters: str) -> np.ndarray:
+        """The hopping at each letter of a word over 'ab': a for 'a', b for 'b'."""
+        return np.where(np.frombuffer(letters.encode(), dtype=np.uint8) == ord("a"), self.a, self.b)
+
 
 @dataclass(frozen=True)
 class TraceTriple:

@@ -22,7 +22,9 @@ m21, m22 and log_scale; the block products of _hull_products are stacked
 length of such a table as arrays, folding each scale in with math.exp
 one element at a time, so cayley_hamilton_defect and the verify trace
 checks keep the bits of one TransferMatrix per entry without building
-one.  TransferMatrix is the one-value form, which cocycle returns.
+one.  TransferMatrix is the one-value form, which cocycle returns;
+evolve_solution returns a solution's states as two float arrays.  Every
+hopping comes from HoppingPair.hoppings.
 
 The half-trace of the cocycle over the level-k Fibonacci block reproduces
 the trace-map value x_k, and over a repeated block the Cayley-Hamilton
@@ -110,28 +112,12 @@ class TransferMatrix:
 
 
 @dataclass(frozen=True)
-class SolutionState:
-    """Solution data (u_n, w_n u_{n-1}) at position n."""
-
-    u_cur: float
-    weighted_prev: float
-    position: int
-
-    def norm(self) -> float:
-        return math.hypot(self.u_cur, self.weighted_prev)
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     """Slope of log-cocycle-norm against n, fit over Fibonacci checkpoints."""
 
     gamma: float
     n_used: int
     residual: float
-
-
-def _hop(p: HoppingPair, letter: str) -> float:
-    return p.a if letter == "a" else p.b
 
 
 def local_matrix(hop: float, E: float) -> TransferMatrix:
@@ -198,8 +184,7 @@ def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int])
             raise WindowCoverageError(
                 f"cocycle over 1..{n} needs those positions, window covers ({window.lo}, {window.hi})"
             )
-    letters = np.frombuffer("".join(w.slice(1, n) for w in windows).encode(), dtype=np.uint8)
-    hops = np.where(letters == ord("a"), p.a, p.b).reshape(len(windows), n)
+    hops = p.hoppings("".join(w.slice(1, n) for w in windows)).reshape(len(windows), n)
     # Step pos multiplies by hops[pos - 1], a column with one hopping per
     # window, or a scalar for one window, which keeps NumPy's fastest loops
     # (as does giving every window its own contiguous row of energies).
@@ -306,12 +291,13 @@ def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> TransferM
 
 def evolve_solution(
     window: SignedWindow, p: HoppingPair, E: float, u0: float, u1: float, n_max: int
-) -> list[SolutionState]:
-    """States U_0..U_{n_max} of the solution with data (u_0, u_1).
+) -> tuple[np.ndarray, np.ndarray]:
+    """States U_n = (u_n, w_n u_{n-1}), n = 0..n_max, as arrays (u, weighted_prev).
 
-    U_0 closes the three-term recurrence at the origin: its weighted-prev
-    component is E u_0 - w_1 u_1, which the position-1 factor maps onto
-    U_1 = (u_1, w_1 u_0).  Cocycle products over 1..n act on U_0.
+    U_0 closes the three-term recurrence at the origin for data (u_0, u_1):
+    its weighted-prev component is E u_0 - w_1 u_1, which the position-1
+    factor maps onto U_1 = (u_1, w_1 u_0).  Cocycle products over 1..n act on
+    U_0.  The loop runs in Python floats: past double range, inf or nan, unwarned.
     """
     if not math.isfinite(E):
         raise ValueError(f"energies must be finite, got {E!r}")
@@ -324,17 +310,14 @@ def evolve_solution(
             f"evolution to {n_max} needs positions 1..{n_max}, "
             f"window covers ({window.lo}, {window.hi})"
         )
-    w1 = _hop(p, window.letter(1))
-    states = [SolutionState(float(u0), E * u0 - w1 * u1, 0)]
+    hops = p.hoppings(window.slice(1, n_max)).tolist()
     u_prev, u_cur = float(u0), float(u1)
-    w_cur = w1
-    states.append(SolutionState(u_cur, w_cur * u_prev, 1))
-    for pos in range(2, n_max + 1):
-        w_next = _hop(p, window.letter(pos))
+    u, weighted_prev = [u_prev, u_cur], [E * u0 - hops[0] * u1, hops[0] * u_prev]
+    for w_cur, w_next in zip(hops, hops[1:]):
         u_prev, u_cur = u_cur, (E * u_cur - w_cur * u_prev) / w_next
-        w_cur = w_next
-        states.append(SolutionState(u_cur, w_cur * u_prev, pos))
-    return states
+        u.append(u_cur)
+        weighted_prev.append(w_next * u_prev)
+    return np.array(u), np.array(weighted_prev)
 
 
 def _fibonacci_checkpoints(n: int) -> list[int]:
@@ -505,12 +488,10 @@ def no_decay_witness(
                 f"window does not start with a level-{lvl} repeated block"
             )
     top = 2 * square_prefix_block(k)
-    states = evolve_solution(window, p, E, u0, u1, top)
-    base = states[0].norm()
-    masses = [
-        max(states[n].norm(), states[2 * n].norm())
-        for n in map(square_prefix_block, range(2, k + 1))
-    ]
+    u, weighted_prev = evolve_solution(window, p, E, u0, u1, top)
+    base = math.hypot(u[0], weighted_prev[0])
+    halves = map(square_prefix_block, range(2, k + 1))
+    masses = [max(math.hypot(u[i], weighted_prev[i]) for i in (n, 2 * n)) for n in halves]
     finite = [mass for mass in masses if math.isfinite(mass)]
     if not finite or not math.isfinite(base):
         raise ArithmeticError(f"solution at E = {E!r} has no finite relative mass on levels 2..{k}")

@@ -908,6 +908,22 @@ def test_gap_search_early_exit_keeps_every_decision(monkeypatch):
     assert seen["early"] > 0 and seen["full"] > 0
 
 
+def test_golden_max_abs_takes_one_step_on_narrow_brackets():
+    # Brackets no wider than width, one of them of zero width, where the
+    # step count log(width / span) / log(1 / phi) would divide by zero: one
+    # golden step, a midpoint inside each bracket, |x_level| there, and the
+    # zero-width bracket's only point.
+    lo = np.array([-2.1, -0.3, 0.0, 1.7])
+    hi = lo + np.array([1e-9, 4e-10, 0.0, 1e-12])
+    for above in (math.inf, 1.0):
+        pos, val = _golden_max_abs(P12, 9, lo, hi, 1e-9, above)
+        assert np.all((lo <= pos) & (pos <= hi))
+        assert pos[2] == 0.0
+        assert val.tobytes() == np.abs(trace_value(P12, pos, 9)).tobytes()
+    pos, val = _golden_max_abs(P12, 9, np.array([0.5]), np.array([0.5]), 0.0, math.inf)
+    assert (pos.tolist(), val.tolist()) == ([0.5], np.abs(trace_value(P12, np.array([0.5]), 9)).tolist())
+
+
 # The couplings and deepest levels pinned in tests/golden/bands.json; at
 # b/a = 40 level 13 raises RootIsolationError either way.
 GOLDEN_COUPLINGS = ((1.0, 2.0, 16), (1.0, 1.0001, 14), (0.5, 7.3, 12), (1.0, 1.0, 8),

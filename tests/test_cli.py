@@ -594,6 +594,20 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert "2 bands" in out
 
 
+def test_config_file_skips_comment_and_blank_lines(tmp_path, capsys):
+    # A full-line comment, a blank line and an inline comment: the output
+    # file is the flags' file, bar the config file's own path in its config.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# cover at (1.3, 2.1)\na = 1.3\n\n   \nb = 2.1  # the b hopping\n#k = 9\nk = 6\n")
+    out = tmp_path / "c.json"
+    assert run(capsys, "cover", "--a", "1.3", "--b", "2.1", "--k", "6", "--out", str(out))[0] == EXIT_OK
+    from_flags = out.read_bytes()
+    assert run(capsys, "cover", "--config", str(cfg), "--out", str(out))[0] == EXIT_OK
+    from_file = json.loads(out.read_bytes())
+    assert from_file["config"].pop("config") == str(cfg)
+    assert json.dumps(from_file, sort_keys=True, separators=(",", ":")) + "\n" == from_flags.decode()
+
+
 def test_config_file_malformed_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("k 3\n")

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from fibjacobi import bands as bands_module
+from fibjacobi import fractal
 from fibjacobi.bands import BandSet, cover, sigma_chain
 from fibjacobi.fractal import (
     DimensionEstimate,
@@ -200,6 +201,16 @@ def test_band_scaling_scales_no_band_set(monkeypatch):
     est = band_scaling_dimension(HoppingPair(0.75, 1.5), 6, 12)
     assert calls and all(bs.kind == "cover" for bs, _, _ in calls)
     assert 0.0 < est.value < 1.0
+
+
+def test_band_scaling_refuses_a_cover_without_positive_lengths(monkeypatch):
+    # Bands of zero length have no geometric mean length to fit.
+    def point_cover(p, k, tol):
+        return BandSet([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], "cover", k, p, tol)
+
+    monkeypatch.setattr(fractal, "cover", point_cover)
+    with pytest.raises(ValueError, match=r"cover\(6\) has no bands of positive length"):
+        band_scaling_dimension(HoppingPair(1.0, 2.0), 6, 12)
 
 
 def test_band_scaling_level_validation():

@@ -79,12 +79,13 @@ def test_parser_help_and_usage_errors_load_neither_numpy_nor_a_layer():
 
 @pytest.mark.parametrize("argv, layers, numpy", [
     (["words", "--k", "5", "--complexity", "3"], {"cli", "words"}, False),
+    (["words", "--k", "10", "--complexity", "4", "--format", "json"], {"cli", "words"}, False),
     (["lyapunov", "--points", "3", "--length", "89"], {"cli", "tracemap", "transfer", "words"}, True),
     (["verify"], {"cli", "tracemap", "transfer", "words"}, True),
     (["bands", "--k", "5"], {"cli", "bands", "tracemap", "words"}, True),
     (["eigs", "--k", "5"], {"cli", "bands", "jacobi", "tracemap", "words"}, True),
     (["dimension", "--kmax", "11"], {"cli", "bands", "fractal", "tracemap", "words"}, True),
-], ids=["words", "lyapunov", "verify", "bands", "eigs", "dimension"])
+], ids=["words", "words-json", "lyapunov", "verify", "bands", "eigs", "dimension"])
 def test_each_command_loads_only_its_layers(argv, layers, numpy):
     code = (
         "import contextlib, io\nfrom fibjacobi.cli import main\n"

@@ -485,6 +485,24 @@ def test_build_window_examples():
         build_window("", P12)
 
 
+def test_build_window_maps_letters_as_a_table():
+    # The hoppings of random words, windows and scales are the letter-by-letter
+    # table lookup, as Python floats; a letter outside 'ab' is refused.
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        a = float(10 ** rng.uniform(-200, 200))
+        p = HoppingPair(a, a * float(10 ** rng.uniform(-2, 2)))
+        word = "".join(rng.choice(["a", "b"], int(rng.integers(1, 2000))))
+        table = {"a": p.a, "b": p.b}
+        for window in (word, omega_s(-3, len(word) - 4)):
+            letters = getattr(window, "letters", window)
+            jw = build_window(window, p)
+            assert jw.hoppings == tuple(table[ch] for ch in letters)
+            assert all(type(h) is float for h in jw.hoppings)
+    with pytest.raises(ValueError, match="letter 'c' outside 'ab' at position 3"):
+        build_window("abcab", P12)
+
+
 def test_jacobi_window_validation():
     with pytest.raises(ValueError):
         JacobiWindow(())

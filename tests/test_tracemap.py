@@ -49,6 +49,19 @@ def test_hopping_pair_validation():
             HoppingPair(*bad)
 
 
+def test_hoppings_map_each_letter():
+    # a for 'a' and b for 'b' at every letter of random words, as a float
+    # array, over hopping scales from 1e-200 to 1e200.
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        a = float(10 ** rng.uniform(-200, 200))
+        p = HoppingPair(a, a * float(10 ** rng.uniform(-2, 2)))
+        word = "".join(rng.choice(["a", "b"], int(rng.integers(0, 500))))
+        hops = p.hoppings(word)
+        assert hops.dtype == np.float64
+        assert hops.tolist() == [p.a if ch == "a" else p.b for ch in word]
+
+
 def test_initial_triple_closed_forms():
     t = initial_triple(HoppingPair(1, 1), 2.0)
     assert (t.x_next, t.x_cur, t.x_prev, t.level) == (1.0, 1.0, 1.0, 1)

@@ -308,10 +308,10 @@ def test_cyclic_trace_invariance():
 def test_evolve_solution_free_chain():
     # a = b = 1, E = 0: u_{n+1} = -u_{n-1}, so u cycles 0, 1, 0, -1.
     p = HoppingPair(1, 1)
-    states = evolve_solution(omega_s(1, 20), p, 0.0, 0.0, 1.0, 20)
-    us = [s.u_cur for s in states]
-    assert us[:8] == [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
-    assert [s.position for s in states] == list(range(21))
+    u, weighted_prev = evolve_solution(omega_s(1, 20), p, 0.0, 0.0, 1.0, 20)
+    assert u[:8].tolist() == [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
+    # One state per position 0..20.
+    assert u.shape == weighted_prev.shape == (21,)
 
 
 def test_evolve_solution_matches_cocycle():
@@ -322,20 +322,102 @@ def test_evolve_solution_matches_cocycle():
         E = rng.uniform(-4.0, 4.0)
         u0, u1 = rng.uniform(-2, 2, size=2)
         n = int(rng.integers(2, 150))
-        states = evolve_solution(w, p, E, u0, u1, n)
-        vec = cocycle(w, p, E, n).apply((states[0].u_cur, states[0].weighted_prev))
-        want = (states[n].u_cur, states[n].weighted_prev)
+        u, weighted_prev = evolve_solution(w, p, E, u0, u1, n)
+        vec = cocycle(w, p, E, n).apply((u[0], weighted_prev[0]))
+        want = (u[n], weighted_prev[n])
         for got_c, want_c in zip(vec, want):
             assert abs(got_c - want_c) <= 1e-9 * max(1.0, abs(want_c))
 
 
 def test_evolve_solution_growth_outside_spectrum():
     p = HoppingPair(1, 2)
-    states = evolve_solution(omega_s(1, 120), p, 10.0, 0.0, 1.0, 120)
-    logs = [math.log(s.norm()) for s in states[10:]]
+    u, weighted_prev = evolve_solution(omega_s(1, 120), p, 10.0, 0.0, 1.0, 120)
+    logs = [math.log(math.hypot(x, y)) for x, y in zip(u[10:], weighted_prev[10:])]
     # At E = 10 the solution gains at least half a unit of log-norm per step.
     gains = [(logs[-1] - logs[0]) / (len(logs) - 1)]
     assert gains[0] > 0.5
+
+
+def _evolve_loop(window, p, E, u0, u1, n_max):
+    # The per-site loop, one hopping per window.letter call, as the
+    # reference for evolve_solution; the checks run first, as there.
+    if not math.isfinite(E):
+        raise ValueError(f"energies must be finite, got {E!r}")
+    if not (math.isfinite(u0) and math.isfinite(u1)):
+        raise ValueError(f"initial values must be finite, got u0 = {u0!r}, u1 = {u1!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not window.covers(1, n_max):
+        raise WindowCoverageError("window")
+    hop = {"a": p.a, "b": p.b}
+    w_cur = hop[window.letter(1)]
+    u_prev, u_cur = float(u0), float(u1)
+    states = [(u_prev, E * u0 - w_cur * u1), (u_cur, w_cur * u_prev)]
+    for pos in range(2, n_max + 1):
+        w_next = hop[window.letter(pos)]
+        u_prev, u_cur = u_cur, (E * u_cur - w_cur * u_prev) / w_next
+        w_cur = w_next
+        states.append((u_cur, w_cur * u_prev))
+    return states
+
+
+def _random_coupling(rng):
+    # a from 1e-3 to 1e3, b/a from 1e-2 to 1e2, both log-uniform.
+    a = float(10 ** rng.uniform(-3, 3))
+    return HoppingPair(a, a * float(10 ** rng.uniform(-2, 2)))
+
+
+def test_evolve_solution_matches_site_loop_bit_for_bit():
+    # Random couplings, energies in and far outside the spectrum, initial
+    # data up to 1e300 and windows starting at 1 and -5: the arrays hold the
+    # per-site loop's states bit for bit, overflow to inf and nan included,
+    # and every input the loop refuses is refused with the same error type.
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(600):
+        p = _random_coupling(rng)
+        E = [0.0, float(rng.uniform(-5, 5)) * max(p.a, p.b), 1e200, -1e300][rng.integers(4)]
+        u0 = float(rng.uniform(-2, 2)) if rng.random() < 0.8 else 0.0
+        u1 = float(rng.uniform(-1, 1) * 10 ** rng.uniform(0, 300))
+        n_max = int(rng.integers(1, 401)) if rng.random() < 0.95 else int(rng.integers(-1, 1))
+        window = omega_s(int(rng.choice([1, -5])), max(n_max, 2) + int(rng.integers(-1, 3)))
+        try:
+            want = _evolve_loop(window, p, E, u0, u1, n_max)
+        except (ValueError, WindowCoverageError) as exc:
+            with pytest.raises(type(exc)):
+                evolve_solution(window, p, E, u0, u1, n_max)
+            outcomes.add(type(exc))
+            continue
+        u, weighted_prev = evolve_solution(window, p, E, u0, u1, n_max)
+        assert u.dtype == weighted_prev.dtype == np.float64
+        assert u.tobytes() == np.array([s[0] for s in want]).tobytes()
+        assert weighted_prev.tobytes() == np.array([s[1] for s in want]).tobytes()
+        outcomes.add(bool(np.isfinite(u).all() and np.isfinite(weighted_prev).all()))
+    assert outcomes == {True, False, ValueError, WindowCoverageError}
+
+
+def test_no_decay_witness_matches_site_loop():
+    # The witness from the per-site loop's states, norms by math.hypot: the
+    # same float, or the same ArithmeticError when no level stays finite.
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(150):
+        p = _random_coupling(rng)
+        k = int(rng.integers(2, 12))
+        E = [0.0, float(rng.uniform(-5, 5)) * max(p.a, p.b), 1e200][rng.integers(3)]
+        u0, u1 = rng.uniform(-2, 2, size=2).tolist()
+        w = omega_s(1, 2 * square_prefix_block(k))
+        norms = [math.hypot(*s) for s in _evolve_loop(w, p, E, u0, u1, len(w.letters))]
+        masses = [max(norms[n], norms[2 * n]) for n in map(square_prefix_block, range(2, k + 1))]
+        finite = [m for m in masses if math.isfinite(m)]
+        if finite and math.isfinite(norms[0]):
+            assert no_decay_witness(w, p, E, k, u0, u1) == min(finite) / norms[0]
+            outcomes.add("ok")
+        else:
+            with pytest.raises(ArithmeticError, match="no finite relative mass"):
+                no_decay_witness(w, p, E, k, u0, u1)
+            outcomes.add("error")
+    assert outcomes == {"ok", "error"}
 
 
 def test_evolve_solution_rejects_non_finite_input():
@@ -375,8 +457,9 @@ def test_lyapunov_outside_spectrum_large():
     est = lyapunov(HoppingPair(1, 2), 10.0, fibonacci(16))
     assert est.gamma >= math.log(2.0)
     # Compare against the direct solution growth rate.
-    states = evolve_solution(omega_s(1, 200), HoppingPair(1, 2), 10.0, 0.0, 1.0, 200)
-    direct = (math.log(states[200].norm()) - math.log(states[100].norm())) / 100.0
+    u, weighted_prev = evolve_solution(omega_s(1, 200), HoppingPair(1, 2), 10.0, 0.0, 1.0, 200)
+    norm = [math.hypot(x, y) for x, y in zip(u.tolist(), weighted_prev.tolist())]
+    direct = (math.log(norm[200]) - math.log(norm[100])) / 100.0
     assert est.gamma == pytest.approx(direct, rel=0.05)
 
 
