@@ -72,7 +72,9 @@ class JacobiWindow:
     def __post_init__(self) -> None:
         if len(self.hoppings) < 1:
             raise ValueError("JacobiWindow needs at least one hopping")
-        if not all(math.isfinite(h) and h > 0 for h in self.hoppings):
+        # One pass over the array: a NaN fails both comparisons.
+        h = np.fromiter(self.hoppings, float, len(self.hoppings))
+        if not 0.0 < h.min() <= h.max() < math.inf:
             raise ValueError("hoppings must be positive and finite")
 
     @property

@@ -6,19 +6,28 @@ acting on states U_n = (u_n, w_n u_{n-1}).  Long products renormalize every
 32 factors into a separately tracked log-scale, so Lyapunov exponents and
 determinant checks stay finite at any depth.
 
-Lyapunov scans on the special hull element (the default window) multiply
-the cocycles of the Fibonacci blocks s_10 and s_11 (89 and 144 letters),
-which tile every fitted prefix, instead of one-step factors.  Scans over
-an explicit window, cocycle(s), cayley_hamilton_defect and the verify
-identities multiply one-step factors; the identities compare the trace
-recursion with that factor-by-factor product.
+Lyapunov scans on the special hull element (the default window) run the
+matrix form of the trace map instead of one-step factors: the prefixes
+s_j of F_j letters obey M(s_{j+1}) = M(s_{j-1}) M(s_j), so 22 2x2
+products per energy reach n = 46368.  Their entries are double-double
+(Dekker's split and two-product, two-sum), rescaled after every level by
+an exact power of two, in a frame where a lies in [1, 2); against 50-digit
+products they keep the Frobenius norm to 2 eps relative, and the scans
+agree with 40-digit factor-by-factor products to 1e-13 in gamma and 1e-10
+in the residual.  They leave double range only where a one-step factor
+does (E/w past 1.8e308), while 32 one-step factors already do at about
+|E| > 4e9 for unit hoppings.  Scans over an explicit window, cocycle(s),
+cayley_hamilton_defect and the verify identities multiply one-step
+factors; the identities compare the trace recursion with that
+factor-by-factor product.
 
 Batched products are arrays: cocycles multiplies many windows at many
 energies in one pass, holding the running products as one stacked
 (2, 2, windows, energies) array that each step updates a whole row at a
 time, and returns the (lengths, 5, windows, energies) table of m11, m12,
-m21, m22 and log_scale; the block products of _hull_products are stacked
-(2, 2, energies) arrays.  trace_halves and physical_products read one
+m21, m22 and log_scale; _hull_products returns the same table for the
+default window, from level products held as stacked (2, 2, energies)
+arrays.  trace_halves and physical_products read one
 length of such a table as arrays, folding each scale in with math.exp
 one element at a time, so cayley_hamilton_defect and the verify trace
 checks keep the bits of one TransferMatrix per entry without building
@@ -43,9 +52,7 @@ from .tracemap import HoppingPair, finite_traces
 from .words import (
     SignedWindow,
     WindowCoverageError,
-    fib_prefix,
     fibonacci,
-    omega_s,
     square_prefix_block,
     square_prefix_check,
 )
@@ -53,9 +60,11 @@ from .words import (
 # Cocycle products extract their scale into log form this often.
 RENORM_EVERY = 32
 
-# Default-window Lyapunov scans multiply blocks s_m and s_{m+1} of this level
-# (F_10 = 89 and F_11 = 144 letters) instead of one-step factors.
-_BLOCK_LEVEL = 10
+# Dekker's splitting factor 2^27 + 1 for double-double products.
+_SPLIT = 134217729.0
+# Below every exponent np.frexp gives, so zero entries never set a scale.
+_NO_EXPONENT = -(2**62)
+_LN2 = math.log(2.0)
 
 
 class SquareStructureError(ValueError):
@@ -139,9 +148,10 @@ class CocycleRangeError(ArithmeticError):
 
 
 def _check_range(sq: np.ndarray, E: np.ndarray, pos: int) -> None:
-    """Raise CocycleRangeError at the first energy where a squared norm in sq is no positive finite double.
+    """Raise CocycleRangeError at the first energy where a size in sq is no positive finite double.
 
-    sq holds one row per window (or a single row), one column per energy.
+    sq holds squared norms, or largest entries, one row per window (or a
+    single row), one column per energy.
     Its smallest and largest values decide; a NaN fails both comparisons.
     """
     if sq.size and not 0.0 < sq.min() <= sq.max() < math.inf:
@@ -233,54 +243,160 @@ def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int])
     return out
 
 
-def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
-    """cocycles over the special hull element at lengths F_j for j in levels, by blocks.
+def _split(x):
+    """Dekker's split x = top + bottom into halves of at most 26 bits, whose products are exact.
 
-    s_j = S^m(s_{j-m}) with S^m(a) = s_{m+1} and S^m(b) = s_m, so positions
-    1..F_j are copies of those two blocks in the letter order of s_{j-m}.
-    With m = min(_BLOCK_LEVEL, levels[0] - 1) every F_j ends a block.  One
-    cocycles pass gives both block cocycles.  The running product is one
-    stacked (2, 2, energies) array; each block step left-multiplies it,
-    B[:, 0] M[0] + B[:, 1] M[1] for block B, checks its squared Frobenius
-    norm as cocycles does and moves that norm into log_scale.
+    Holds for |x| up to about 2^996, where _SPLIT x stays finite.
     """
-    m = min(_BLOCK_LEVEL, levels[0] - 1)
+    c = _SPLIT * x
+    top = c - (c - x)
+    return top, x - top
+
+
+def _two_quotient(x, y):
+    """x / y as a double-double (hi, lo), for x and y of magnitude in [0.5, 2].
+
+    lo is the exact residual x - hi y (Dekker's two-product) over y.
+    """
+    q = x / y
+    (qt, qb), (yt, yb) = _split(q), _split(y)
+    p = q * y
+    err = ((qt * yt - p) + qt * yb + qb * yt) + qb * yb
+    return q, ((x - p) - err) / y
+
+
+def _pow2_shifts(hi: np.ndarray, exps) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts and exponents that write stacked (2, 2, energies) entries 2^exps hi as 2^top 2^shift hi.
+
+    top is the exponent of each energy's largest nonzero entry, so that
+    entry times 2^shift has magnitude in [0.5, 1); only powers of two
+    apply, so no bit rounds unless an entry falls below the normal range.
+    """
+    mant, e = np.frexp(hi)
+    top = np.where(mant == 0.0, _NO_EXPONENT, e + exps).max(axis=(0, 1))
+    return exps - top, top
+
+
+def _letter_factor(w: float, m: int, e_mant: np.ndarray, e_exp: np.ndarray):
+    """The one-step factor of hopping w at every energy, in the frame of _hull_products, as a level product.
+
+    In the frame, (1/w) [[E, -1], [w^2, 0]] has entries E/w, -2^m/w, w/2^m
+    and 0.  Each is a mantissa quotient in double-double times a power of
+    two, from the frexp parts E = e_mant 2^e_exp and w = w_mant 2^w_exp, so
+    nothing leaves double range on the way; the largest entry sets the
+    exponent.
+    """
+    w_mant, w_exp = math.frexp(w)
+    hi, lo = np.zeros((2, 2, e_mant.size)), np.zeros((2, 2, e_mant.size))
+    exps = np.zeros((2, 2, e_mant.size), dtype=np.int64)
+    hi[0, 0], lo[0, 0] = _two_quotient(e_mant, w_mant)
+    hi[0, 1], lo[0, 1] = _two_quotient(-1.0, w_mant)
+    hi[1, 0] = w_mant
+    exps[0, 0], exps[0, 1], exps[1, 0] = e_exp - w_exp, m - w_exp, w_exp - m
+    shift, top = _pow2_shifts(hi, exps)
+    hi = np.ldexp(hi, shift)
+    return hi, np.ldexp(lo, shift), *_split(hi), top
+
+
+def _level_product(left, right, buffers: list[np.ndarray], E: np.ndarray, pos: int):
+    """left times right in double-double at every energy, a level product again.
+
+    A level product is (hi, lo, top, bottom, exponent): stacked (2, 2,
+    energies) arrays hi and lo, the Dekker halves of hi, and an int64
+    exponent per energy, the matrix being 2^exponent (hi + lo) with the
+    largest |hi| in [0.5, 1).  The three buffers are (2, 2, 2, energies),
+    axes (i, l, k) holding left[i, l] times right[l, k].  Raises
+    CocycleRangeError at position pos where the product has no positive
+    finite largest entry.
+    """
+    prods, errs, terms = buffers
+    lh, ll, lt, lb = (x[:, :, None] for x in left[:4])
+    rh, rl, rt, rb = (x[None] for x in right[:4])
+    np.multiply(lh, rh, out=prods)
+    # Dekker's two-product: prods + errs is each product of high parts
+    # exactly; then the products with the low parts, in doubles.
+    np.multiply(lt, rt, out=errs)
+    errs -= prods
+    for x, y in ((lt, rb), (lb, rt), (lb, rb), (lh, rl), (ll, rh)):
+        np.multiply(x, y, out=terms)
+        errs += terms
+    # The sum over l: two-sum of the high products, t = (p0 - (s - v)) +
+    # (p1 - v) + errs, then a fast two-sum, each step in place.
+    p0, p1 = prods[:, 0], prods[:, 1]
+    s = p0 + p1
+    v = s - p0
+    t = s - v
+    np.subtract(p0, t, out=t)
+    np.subtract(p1, v, out=v)
+    t += v
+    t += errs[:, 0]
+    t += errs[:, 1]
+    hi = s + t
+    # lo = t - (hi - s)
+    np.subtract(hi, s, out=s)
+    lo = np.subtract(t, s, out=t)
+    # Divide by 2^k, k the exponent of the largest |hi|: nothing rounds.
+    big = np.abs(hi).max(axis=(0, 1))
+    _check_range(big, E, pos)
+    k = np.frexp(big)[1]
+    hi = np.ldexp(hi, -k)
+    return hi, np.ldexp(lo, -k), *_split(hi), left[4] + right[4] + k
+
+
+def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
+    """cocycles over the special hull element at lengths F_j for j in levels, by the trace-map recursion.
+
+    Positions 1..F_j carry s_j, with s_0 = b, s_1 = a and s_{j+1} = s_j
+    s_{j-1}, so the level products obey M(s_{j+1}) = M(s_{j-1}) M(s_j)
+    from the two one-step factors M(s_0) and M(s_1): levels[-1] - 1 2x2
+    products per energy, whose half-traces are the trace-map values x_j.
+    Each entry is a double-double hi + lo: products by Dekker's split and
+    two-product (NumPy has no fused multiply-add), sums by two-sum, every
+    energy's arithmetic its own, so no result depends on the grid's
+    chunking.  After each level the product is divided by an exact power
+    of two (_level_product); the int64 sums of the exponents become a
+    log-scale only at the levels returned.
+
+    Since the factors are covariant, (1/w) [[E, -1], [w^2, 0]] at 2^m w and
+    2^m E being D A D^-1 with D = diag(1, 2^m), the recursion runs at
+    a / 2^m in [1, 2), E / 2^m, and the levels returned are conjugated back
+    by powers of two.  The table has the layout of cocycles: the entries
+    divided by a power of two near the largest, and the log-scale.
+
+    Against the same recursion in 50-digit mpmath (levels 1-24, b/a from
+    1 + 1e-4 to 2e3, a from 1e-200 to 1e200, energies within and beyond
+    the spectrum), the Frobenius norms agree to 2 eps relative (times the
+    log of the norm where that exceeds 1, the rounding of the log-scale)
+    and the entries over the norm to 2 eps.  Raises ValueError for an
+    energy that is not finite, and CocycleRangeError naming the energy and
+    position 1 (letter a) or 2 (letter b) where a one-step factor has an
+    entry no double holds (|E / w| past 1.8e308, as at a = 1e-10,
+    E = 1e300), or position F_j where a level product has no positive
+    finite largest entry; nothing returns NaN or warns.
+    """
     E = np.atleast_1d(np.asarray(E, dtype=float))
-    short, long = fibonacci(m), fibonacci(m + 1)
-    # Unit-norm blocks keep every block step's entries at most 1 in size.
-    blocks = {}
-    for letter, size, table in zip(
-        "ba", (short, long), cocycles([omega_s(1, long)], p, E, [short, long])[:, :, 0]
-    ):
-        b = table[:4].reshape(2, 2, E.size)
-        f = np.sqrt(_square_norms(b))
-        b = b / f
-        # The columns B[:, 0] and B[:, 1] as (2, 2, energies) arrays, entry
-        # (i, l) of the j-th being B[i, j]: NumPy multiplies them by the
-        # rows M[j] faster than it broadcasts a column.
-        col0, col1 = (np.repeat(b[:, j, None], 2, axis=1) for j in (0, 1))
-        blocks[letter] = (size, col0, col1, table[4] + np.log(f))
-    rows = {fibonacci(j - m): row for row, j in enumerate(levels)}
+    if not np.isfinite(E).all():
+        raise ValueError(f"energies must be finite, got {float(E[~np.isfinite(E)][0])!r}")
+    m = math.frexp(p.a)[1] - 1
+    e_mant, e_exp = np.frexp(E)
+    left, right = (_letter_factor(w, m, e_mant, e_exp) for w in (p.b, p.a))
+    # An entry of 2^1024 or more is no double.
+    over_a, over_b = right[4] > 1024, left[4] > 1024
+    if over_a.any() or over_b.any():
+        i = int(np.argmax(over_a | over_b))
+        raise CocycleRangeError(float(E[i]), 1 if over_a[i] else 2)
+    rows = {j: row for row, j in enumerate(levels)}
     out = np.empty((len(levels), 5, E.size))
-    prod = np.zeros((2, 2, E.size))
-    prod[0, 0] = prod[1, 1] = 1.0
-    left, right = np.empty_like(prod), np.empty_like(prod)
-    scale = np.zeros_like(E)
-    pos = 0
-    for count, letter in enumerate(fib_prefix(levels[-1] - m), 1):
-        size, col0, col1, b_scale = blocks[letter]
-        pos += size
-        np.multiply(col0, prod[0], out=left)
-        np.multiply(col1, prod[1], out=right)
-        np.add(left, right, out=prod)
-        sq = _square_norms(prod)
-        _check_range(sq, E, pos)
-        f = np.sqrt(sq)
-        prod /= f
-        scale += np.log(f) + b_scale
-        if count in rows:
-            out[rows[count], :4] = prod.reshape(4, E.size)
-            out[rows[count], 4] = scale
+    buffers = [np.empty((2, 2, 2, E.size)) for _ in range(3)]
+    offsets = np.array([[0, -m], [m, 0]])[:, :, None]
+    for j in range(1, levels[-1] + 1):
+        if j > 1:
+            left, right = right, _level_product(left, right, buffers, E, fibonacci(j))
+        if j in rows:
+            # Conjugate back: m12 times 2^-m, m21 times 2^m.
+            shift, top = _pow2_shifts(right[0], offsets)
+            out[rows[j], :4] = np.ldexp(right[0], shift).reshape(4, E.size)
+            out[rows[j], 4] = (right[4] + top) * _LN2
     return out
 
 
@@ -336,8 +452,14 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     the given window (the special hull element by default); the exponent is
     the least-squares slope of log Frobenius norm against n over the last
     half of the Fibonacci checkpoints, clamped at 0 from below.  The default
-    window multiplies Fibonacci blocks (_hull_products); an explicit window
-    multiplies one-step factors.
+    window takes the level products M(s_j) of the trace-map recursion in
+    double-double (_hull_products), within 1e-13 in gamma and 1e-10 in the
+    residual of 40-digit products at (1, 3.3), E = +-4.01775, n = 17711 and
+    46368; it raises CocycleRangeError only where a one-step factor has an
+    entry past double range (|E / w| > 1.8e308).  An explicit window
+    multiplies one-step factors, renormalized every RENORM_EVERY, and
+    raises CocycleRangeError where 32 of them leave double range (about
+    |E| > 4e9 at unit hoppings).
     """
     if n < 5:
         raise ValueError(f"lyapunov needs n >= 5, got {n}")

@@ -150,9 +150,12 @@ def test_lyapunov_free_case_csv(tmp_path, capsys):
 
 
 def test_lyapunov_out_of_double_range_exits_3(capsys):
-    code, out, err = run(capsys, "lyapunov", "--emin", "1e12", "--emax", "2e12", "--points", "3")
+    # E / a = 1e310 is no double, so the factor of letter a leaves range.
+    code, out, err = run(
+        capsys, "lyapunov", "--a", "1e-10", "--emin", "1e300", "--emax", "2e300", "--points", "3"
+    )
     assert code == EXIT_NUMERICAL
-    assert "E = 1000000000000.0 leaves double range" in err
+    assert "E = 1e+300 leaves double range by position 1" in err
     assert out == ""
 
 

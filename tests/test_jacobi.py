@@ -255,6 +255,21 @@ def test_zero_squares_take_the_site_loop(n, monkeypatch):
     assert np.array_equal(got.view(np.int64), _bisect_reference(np.array(jw.hoppings)).view(np.int64))
 
 
+def test_window_refuses_a_hopping_not_positive_and_finite():
+    # One bad hopping anywhere in a long window is refused; extreme but
+    # valid ones, ints among them, are kept.
+    good = build_window(fib_prefix(16), HoppingPair(1, 2)).hoppings
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, -0.0):
+        for at in (0, len(good) // 2, len(good) - 1):
+            hops = good[:at] + (bad,) + good[at + 1 :]
+            with pytest.raises(ValueError, match="^hoppings must be positive and finite$"):
+                JacobiWindow(hops)
+    for hops in ((5e-324,), (1.7976931348623157e308, 1), (1, 2, 3)):
+        assert JacobiWindow(hops).hoppings == hops
+    with pytest.raises(ValueError, match="JacobiWindow needs at least one hopping"):
+        JacobiWindow(())
+
+
 def test_eigenvalue_count_below_rejects_nan_shifts():
     # A NaN shift has no count; its sign bit must not pick one.
     jw = JacobiWindow((1.0, 2.0))

@@ -28,7 +28,6 @@ from fibjacobi.transfer import (
 )
 from fibjacobi.words import (
     WindowCoverageError,
-    fib_prefix,
     fibonacci,
     cyclic_conjugates,
     omega_s,
@@ -219,15 +218,17 @@ def test_products_leaving_double_range_raise():
     # Factors of norm ~|E| overflow a double within a renormalization block;
     # the error names the first such energy and the position, never NaN.
     p = HoppingPair(1, 2)
-    with pytest.raises(ArithmeticError, match=r"E = 1000000000000\.0 leaves double range by position \d+"):
-        lyapunov(p, 1e12, 2584)
-    with pytest.raises(ArithmeticError, match=r"E = -1e\+30 "):
-        lyapunov_grid(p, [0.0, 1.0, -1e30, 5.0], 2584)
+    # The default window multiplies level products, which stay in range
+    # where the one-step factors do: it fails only where E / w is no double.
+    with pytest.raises(ArithmeticError, match=r"E = 1e\+300 leaves double range by position 1$"):
+        lyapunov(HoppingPair(1e-10, 2), 1e300, 2584)
+    with pytest.raises(ArithmeticError, match=r"E = -1e\+300 leaves double range by position 2$"):
+        lyapunov_grid(HoppingPair(2, 1e-10), [0.0, 1.0, -1e300, 5.0], 2584)
     with pytest.raises(ArithmeticError, match=r"E = 1e\+200 .* position 32$"):
         cocycle(omega_s(1, 100), p, 1e200, 100)
     with pytest.raises(ArithmeticError, match=r"position 1$"):
         cocycle(omega_s(1, 1), HoppingPair(1e-10, 2), 1e300, 1)
-    # The same two scans over an explicit window take the one-factor loop.
+    # Scans over an explicit window take the one-factor loop.
     w = omega_s(1, 2584)
     with pytest.raises(ArithmeticError, match=r"E = 1000000000000\.0 leaves double range by position \d+"):
         lyapunov(p, 1e12, 2584, window=w)
@@ -504,57 +505,59 @@ def test_lyapunov_default_window_matches_linear_loop():
             assert np.max(np.abs(residual - ref_residual)) <= 1e-7, (p, n)
 
 
-def _hull_loop(p, E, levels):
-    # The block products with one array per entry, each entry multiplied
-    # out on its own, as the reference for the stacked block steps.
-    m = min(10, levels[0] - 1)
-    short, long = fibonacci(m), fibonacci(m + 1)
-    blocks = {}
-    for letter, size, (b11, b12, b21, b22, b_scale) in zip(
-        "ba", (short, long), cocycles([omega_s(1, long)], p, E, [short, long])[:, :, 0]
-    ):
-        f = np.sqrt(b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22)
-        blocks[letter] = (size, b11 / f, b12 / f, b21 / f, b22 / f, b_scale + np.log(f))
-    rows = {fibonacci(j - m): row for row, j in enumerate(levels)}
-    out = np.empty((len(levels), 5, E.size))
-    m11, m12, m21, m22 = np.ones_like(E), np.zeros_like(E), np.zeros_like(E), np.ones_like(E)
-    scale = np.zeros_like(E)
-    pos = 0
-    for count, letter in enumerate(fib_prefix(levels[-1] - m), 1):
-        size, b11, b12, b21, b22, b_scale = blocks[letter]
-        pos += size
-        m11, m12, m21, m22 = (
-            b11 * m11 + b12 * m21,
-            b11 * m12 + b12 * m22,
-            b21 * m11 + b22 * m21,
-            b21 * m12 + b22 * m22,
-        )
-        sq = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
-        _check_range(sq, E, pos)
-        f = np.sqrt(sq)
-        m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
-        scale += np.log(f) + b_scale
-        if count in rows:
-            out[rows[count]] = m11, m12, m21, m22, scale
-    return out
+def _mpmath_levels(p, E, top):
+    # M(s_j) for j = 1..top by the recursion M(s_{j+1}) = M(s_{j-1}) M(s_j)
+    # from the one-step factors of b and a, at 50 digits, as (m11, m12, m21, m22).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        e = mpmath.mpf(E)
+        left, right = ((e / w, -1 / w, w, mpmath.mpf(0)) for w in (mpmath.mpf(p.b), mpmath.mpf(p.a)))
+        levels = [right]
+        for _ in range(top - 1):
+            (l11, l12, l21, l22), (r11, r12, r21, r22) = left, right
+            left, right = right, (
+                l11 * r11 + l12 * r21, l11 * r12 + l12 * r22, l21 * r11 + l22 * r21, l21 * r12 + l22 * r22
+            )
+            levels.append(right)
+        return levels
 
 
-@pytest.mark.parametrize("b", [1.0001, 1.3, 2.7, 4.9, 150.0, 1999.0])
-def test_hull_products_match_entry_by_entry_block_loop(b):
-    # From the shortest blocks (levels from 3) to the default ones (m = 10),
-    # over the grids of the Lyapunov scans, bit for bit.
-    p = HoppingPair(1, b)
-    E = np.linspace(-2.5 * b, 2.5 * b, 301)
-    for levels in ([3, 4, 5], [6, 7, 8, 9, 10], [12, 13, 14, 15, 16, 17, 18], [19, 20, 21, 22, 23]):
-        want = _hull_loop(p, E, levels)
-        got = _hull_products(p, E, levels)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), levels
-    with pytest.raises(CocycleRangeError) as want:
-        _hull_loop(HoppingPair(1e-200, 1.0), E, [12, 13])
-    with pytest.raises(CocycleRangeError) as got:
-        _hull_products(HoppingPair(1e-200, 1.0), E, [12, 13])
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize("b", [1.0001, 1.3, 2.7, 4.9, 100.0, 1999.0])
+def test_hull_products_match_high_precision_recursion(b):
+    # Levels 1..24 at hopping scales 1e-200, 1 and 1e200, at energies within
+    # and beyond the norm bound 2 max(a, b): the Frobenius norm to 2 eps
+    # relative (times |log norm| where that exceeds 1, the rounding of the
+    # log-scale itself), and the entries over the norm to 2 eps.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for a in (1e-200, 1.0, 1e200):
+        p = HoppingPair(a, a * b)
+        E = np.array([0.0, 0.37, -1.3, 1.9, 2.5, -7.0]) * p.b
+        got = _hull_products(p, E, list(range(1, 25)))
+        assert got.shape == (24, 5, E.size)
+        for i, e in enumerate(E.tolist()):
+            for row, want in zip(got[:, :, i].tolist(), _mpmath_levels(p, e, 24)):
+                with mpmath.workdps(50):
+                    norm = mpmath.sqrt(mpmath.fsum(x**2 for x in want))
+                    log_norm = mpmath.log(norm)
+                    got_norm = math.sqrt(math.fsum(x * x for x in row[:4]))
+                    log_got = row[4] + mpmath.log(got_norm)
+                    assert abs(log_got - log_norm) <= 2 * eps * max(1.0, abs(log_norm)), (a, e)
+                    for x, y in zip(row[:4], want):
+                        assert abs(x / got_norm - y / norm) <= 2 * eps, (a, e)
+
+
+def test_hull_products_refuse_factors_past_double_range():
+    # A factor with |E / w| past double range names position 1 for a and 2
+    # for b, at the first such energy; nothing is returned as inf or NaN.
+    E = np.array([1.0, 1e300, -1e300])
+    with pytest.raises(CocycleRangeError, match=r"E = 1e\+300 leaves double range by position 1$"):
+        _hull_products(HoppingPair(1e-10, 2.0), E, [3, 4])
+    with pytest.raises(CocycleRangeError, match=r"E = 1e\+300 leaves double range by position 2$"):
+        _hull_products(HoppingPair(2.0, 1e-10), E, [3, 4])
+    # Where 32 one-step factors leave double range, the level products do not.
+    got = _hull_products(HoppingPair(1e-10, 2.0), np.array([1e290, -1e290]), [20, 21])
+    assert np.isfinite(got).all()
 
 
 def test_lyapunov_fit_adds_its_denominator_left_to_right():
@@ -609,15 +612,25 @@ def test_lyapunov_matches_high_precision_products():
     # At (1, 3.3) the scans sit near E = +-4.01775, where rounding in the
     # products shows most; both paths are checked against 40-digit products.
     p = HoppingPair(1, 3.3)
-    n = 17711
-    for E in (4.01775, -4.01775):
+    for E, n in ((4.01775, 17711), (-4.01775, 17711), (4.01775, 46368)):
         want_gamma, want_residual = _mpmath_lyapunov(p, E, n)
-        est = lyapunov(p, E, n)
-        assert abs(est.gamma - want_gamma) <= 1e-10
-        assert abs(est.residual - want_residual) <= 1e-8
-        ref = lyapunov(p, E, n, window=omega_s(1, n))
-        assert abs(ref.gamma - want_gamma) <= 1e-13
-        assert abs(ref.residual - want_residual) <= 1e-10
+        for window in (None, omega_s(1, n)):
+            est = lyapunov(p, E, n, window=window)
+            assert abs(est.gamma - want_gamma) <= 1e-13, (E, n, window is None)
+            assert abs(est.residual - want_residual) <= 1e-10, (E, n, window is None)
+
+
+def test_lyapunov_past_the_factor_loop_range_matches_high_precision_products():
+    # At |E| >= 1e12 the one-factor loop leaves double range within 32
+    # factors; the default window's level products do not, and agree with
+    # the 40-digit factor-by-factor products.
+    p = HoppingPair(1, 2)
+    n = 2584
+    gamma, residual, _ = lyapunov_grid(p, [1e12, -1e30], n)
+    for E, g, r in zip((1e12, -1e30), gamma.tolist(), residual.tolist()):
+        want_gamma, want_residual = _mpmath_lyapunov(p, E, n)
+        assert abs(g - want_gamma) <= 1e-13, E
+        assert abs(r - want_residual) <= 1e-10, E
 
 
 def test_lyapunov_uniform_across_hull_windows():
