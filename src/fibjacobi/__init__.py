@@ -76,15 +76,15 @@ _API = {
         "CocycleRangeError",
         "LyapunovEstimate",
         "SquareStructureError",
-        "TransferMatrix",
         "cayley_hamilton_defect",
         "cocycle",
         "cocycles",
         "evolve_solution",
-        "local_matrix",
         "lyapunov",
         "lyapunov_grid",
         "no_decay_witness",
+        "physical_products",
+        "trace_halves",
     ),
     "words": (
         "SignedWindow",

@@ -477,34 +477,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral computations for the off-diagonal Fibonacci Jacobi operator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options are spelled out in full: an abbreviation such as --conf would
+    # escape the config-file splice, which matches --config by name.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("bands", help="bands of sigma_k")
+    sp = add("bands", help="bands of sigma_k")
     sp.add_argument("--k", type=int, required=True, help="approximant level")
     _add_common(sp, "json", tol=True)
 
-    sp = sub.add_parser("cover", help="bands of cover(k) = sigma_k union sigma_{k+1}")
+    sp = add("cover", help="bands of cover(k) = sigma_k union sigma_{k+1}")
     sp.add_argument("--k", type=int, required=True, help="cover level")
     _add_common(sp, "json", tol=True)
 
-    sp = sub.add_parser("spectrum", help="escape-time outer approximation")
+    sp = add("spectrum", help="escape-time outer approximation")
     sp.add_argument("--kmax", type=int, required=True, help="escape scan depth")
     sp.add_argument("--grid", type=float, required=True, help="energy grid step")
     _add_common(sp, "json")
 
-    sp = sub.add_parser("lyapunov", help="Lyapunov exponent scan, CSV E,gamma,residual")
+    sp = add("lyapunov", help="Lyapunov exponent scan, CSV E,gamma,residual")
     sp.add_argument("--emin", type=float, default=-4.0, help="scan lower edge")
     sp.add_argument("--emax", type=float, default=4.0, help="scan upper edge")
     sp.add_argument("--points", type=int, default=401, help="energy grid points")
     sp.add_argument("--length", type=int, default=2584, help="cocycle length")
     _add_common(sp, "csv")
 
-    sp = sub.add_parser("dimension", help="dimension estimates or coupling sweep")
+    sp = add("dimension", help="dimension estimates or coupling sweep")
     sp.add_argument("--kmax", type=int, default=14, help="deepest cover level")
     sp.add_argument("--kmin", type=int, default=6, help="shallowest scaling level")
     sp.add_argument("--sweep", type=str, default=None, help="b sweep as start:stop:step")
     _add_common(sp, "csv", tol=True)
 
-    sp = sub.add_parser("verify", help="invariant and identity self-checks")
+    sp = add("verify", help="invariant and identity self-checks")
     sp.add_argument(
         "--perturb-recursion",
         type=float,
@@ -513,13 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(sp, None)
 
-    sp = sub.add_parser("words", help="substitution prefixes and factor counts")
+    sp = add("words", help="substitution prefixes and factor counts")
     sp.add_argument("--k", type=int, required=True, help="prefix level")
     sp.add_argument("--complexity", type=int, default=0, help="check factor counts up to this length")
     sp.add_argument("--format", choices=("json",), default=None, help="output format")
     _add_common(sp, None, hoppings=False)
 
-    sp = sub.add_parser("eigs", help="eigenvalues of a finite hopping window")
+    sp = add("eigs", help="eigenvalues of a finite hopping window")
     sp.add_argument("--k", type=int, default=None, help="use the level-k prefix as the window")
     sp.add_argument("--letters", type=str, default=None, help="explicit hopping word over {a, b}")
     sp.add_argument("--repeats", type=int, default=1, help="repeat the window this many times")
@@ -545,14 +548,22 @@ def _read_config_file(path: str) -> list[str]:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Splice config-file tokens after the subcommand, before explicit flags."""
-    if "--config" not in argv:
+    """Splice config-file tokens after the subcommand, before explicit flags.
+
+    The file read is the one argparse records: the last --config PATH or
+    --config=PATH.  The parser refuses abbreviations such as --conf.
+    """
+    path = None
+    for i, tok in enumerate(argv):
+        if tok == "--config":
+            if i + 1 == len(argv):
+                raise ValueError("--config needs a file path")
+            path = argv[i + 1]
+        elif tok.startswith("--config="):
+            path = tok.removeprefix("--config=")
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    tokens = _read_config_file(argv[idx + 1])
-    return argv[:1] + tokens + argv[1:]
+    return argv[:1] + _read_config_file(path) + argv[1:]
 
 
 # One parser per process: parsing leaves it unchanged, and building it

@@ -21,19 +21,17 @@ cayley_hamilton_defect and the verify identities multiply one-step
 factors; the identities compare the trace recursion with that
 factor-by-factor product.
 
-Batched products are arrays: cocycles multiplies many windows at many
-energies in one pass, holding the running products as one stacked
-(2, 2, windows, energies) array that each step updates a whole row at a
-time, and returns the (lengths, 5, windows, energies) table of m11, m12,
-m21, m22 and log_scale; _hull_products returns the same table for the
-default window, from level products held as stacked (2, 2, energies)
-arrays.  trace_halves and physical_products read one
-length of such a table as arrays, folding each scale in with math.exp
-one element at a time, so cayley_hamilton_defect and the verify trace
-checks keep the bits of one TransferMatrix per entry without building
-one.  TransferMatrix is the one-value form, which cocycle returns;
-evolve_solution returns a solution's states as two float arrays.  Every
-hopping comes from HoppingPair.hoppings.
+A product has one form, a row of m11, m12, m21, m22 and log_scale (the
+physical matrix is e^log_scale times the entries).  cocycles multiplies
+many windows at many energies of any shape in one pass, holding the
+running products as one stacked (2, 2, windows, energies) array that
+each step updates a whole row at a time, and returns the (lengths, 5,
+windows, energies) table of such rows; _hull_products returns the same
+table for the default window, and cocycle one energy's row.
+trace_halves and physical_products read any slice of a table, folding
+each scale in with math.exp one element at a time.  evolve_solution
+returns a solution's states as two float arrays.  Every hopping comes
+from HoppingPair.hoppings.
 
 The half-trace of the cocycle over the level-k Fibonacci block reproduces
 the trace-map value x_k, and over a repeated block the Cayley-Hamilton
@@ -72,68 +70,12 @@ class SquareStructureError(ValueError):
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 unimodular factor or product; physical matrix = e^log_scale * entries."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-    log_scale: float = 0.0
-
-    def matrix(self) -> np.ndarray:
-        """Normalized entries as an ndarray (scale not folded in)."""
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-    def physical(self) -> np.ndarray:
-        """Entries with the scale folded in; may overflow for deep products."""
-        return math.exp(self.log_scale) * self.matrix()
-
-    def det(self) -> float:
-        """Physical determinant; use log_abs_det for deep products."""
-        return (self.m11 * self.m22 - self.m12 * self.m21) * math.exp(2.0 * self.log_scale)
-
-    def log_abs_det(self) -> float:
-        """log |det| of the physical matrix; 0 for unimodular products.
-
-        Extractable only while eps * |M|_F^2 stays below the target
-        accuracy (norms up to ~1e3 for 1e-10): beyond that the stored
-        entries cancel to rounding noise and the result is meaningless.
-        """
-        d = self.m11 * self.m22 - self.m12 * self.m21
-        if d == 0.0:
-            return -math.inf
-        return math.log(abs(d)) + 2.0 * self.log_scale
-
-    def trace_half(self) -> float:
-        return 0.5 * (self.m11 + self.m22) * math.exp(self.log_scale)
-
-    def log_frobenius(self) -> float:
-        return 0.5 * math.log(self.m11**2 + self.m12**2 + self.m21**2 + self.m22**2) + self.log_scale
-
-    def apply(self, vec: tuple[float, float]) -> tuple[float, float]:
-        """Physical action on a 2-vector."""
-        s = math.exp(self.log_scale)
-        return (
-            s * (self.m11 * vec[0] + self.m12 * vec[1]),
-            s * (self.m21 * vec[0] + self.m22 * vec[1]),
-        )
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     """Slope of log-cocycle-norm against n, fit over Fibonacci checkpoints."""
 
     gamma: float
     n_used: int
     residual: float
-
-
-def local_matrix(hop: float, E: float) -> TransferMatrix:
-    """One-step factor (1/hop) [[E, -1], [hop^2, 0]]."""
-    if not hop > 0:
-        raise ValueError(f"hopping must be positive, got {hop!r}")
-    return TransferMatrix(E / hop, -1.0 / hop, hop, 0.0)
 
 
 class CocycleRangeError(ArithmeticError):
@@ -165,6 +107,14 @@ def _square_norms(m: np.ndarray) -> np.ndarray:
     return sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]
 
 
+def _energies(E) -> np.ndarray:
+    """E, a float or an array of any shape, flat; ValueError names an energy that is not finite."""
+    E = np.asarray(E, dtype=float).ravel()
+    if not np.isfinite(E).all():
+        raise ValueError(f"energies must be finite, got {float(E[~np.isfinite(E)][0])!r}")
+    return E
+
+
 def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int]) -> np.ndarray:
     """Cocycles over 1..n for each n in lengths, for every window and energy of E, in one pass.
 
@@ -181,9 +131,7 @@ def cocycles(windows: list[SignedWindow], p: HoppingPair, E, lengths: list[int])
     CocycleRangeError naming the energy and the position where a product's
     squared Frobenius norm is still no positive finite double.
     """
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    if not np.isfinite(E).all():
-        raise ValueError(f"energies must be finite, got {float(E[~np.isfinite(E)][0])!r}")
+    E = _energies(E)
     if not lengths or any(b <= a for a, b in zip([0, *lengths], lengths)):
         raise ValueError(f"cocycle lengths must be positive and strictly increasing, got {lengths}")
     if not windows:
@@ -374,9 +322,7 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
     E = 1e300), or position F_j where a level product has no positive
     finite largest entry; nothing returns NaN or warns.
     """
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    if not np.isfinite(E).all():
-        raise ValueError(f"energies must be finite, got {float(E[~np.isfinite(E)][0])!r}")
+    E = _energies(E)
     m = math.frexp(p.a)[1] - 1
     e_mant, e_exp = np.frexp(E)
     left, right = (_letter_factor(w, m, e_mant, e_exp) for w in (p.b, p.a))
@@ -400,9 +346,11 @@ def _hull_products(p: HoppingPair, E, levels: list[int]) -> np.ndarray:
     return out
 
 
-def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> TransferMatrix:
-    """Ordered product of one-step factors over positions n..1 (rightmost first); see cocycles."""
-    return TransferMatrix(*cocycles([window], p, [float(E)], [n])[0, :, 0, 0].tolist())
+def cocycle(window: SignedWindow, p: HoppingPair, E: float, n: int) -> np.ndarray:
+    """Product of the one-step factors over positions n..1 (rightmost first), E's read-only cocycles row."""
+    row = cocycles([window], p, [float(E)], [n])[0, :, 0, 0]
+    row.flags.writeable = False
+    return row
 
 
 def evolve_solution(
@@ -448,10 +396,11 @@ def _fibonacci_checkpoints(n: int) -> list[int]:
 def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None):
     """Vectorized Lyapunov estimate over an energy grid.
 
-    Returns (gamma, residual, n_used).  One cocycle orbit per energy over
-    the given window (the special hull element by default); the exponent is
-    the least-squares slope of log Frobenius norm against n over the last
-    half of the Fibonacci checkpoints, clamped at 0 from below.  The default
+    Returns (gamma, residual, n_used), arrays of E's shape ((1,) for a
+    float).  One cocycle orbit per energy over the given window (the
+    special hull element by default); the exponent is the least-squares
+    slope of log Frobenius norm against n over the last half of the
+    Fibonacci checkpoints, clamped at 0 from below.  The default
     window takes the level products M(s_j) of the trace-map recursion in
     double-double (_hull_products), within 1e-13 in gamma and 1e-10 in the
     residual of 40-digit products at (1, 3.3), E = +-4.01775, n = 17711 and
@@ -460,6 +409,12 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     multiplies one-step factors, renormalized every RENORM_EVERY, and
     raises CocycleRangeError where 32 of them leave double range (about
     |E| > 4e9 at unit hoppings).
+
+    Far from b/a = 1 a product's entries span more digits than are carried,
+    so a row can cancel to zero: default-window scans gave values at every
+    energy tried for 1e-19 <= b/a <= 1e19, but raise CocycleRangeError at
+    b/a = 1e-20, E = b/2 (position 34) and from |log10 b/a| = 161.5 on near
+    E = 0 (position 5).
     """
     if n < 5:
         raise ValueError(f"lyapunov needs n >= 5, got {n}")
@@ -467,6 +422,7 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     n_used = checkpoints[-1]
     first = len(checkpoints) // 2
     xs = checkpoints[first:]
+    shape = np.shape(E) or (1,)
     if window is None:
         prods = _hull_products(p, E, list(range(first + 1, len(checkpoints) + 1)))
     else:
@@ -484,7 +440,7 @@ def lyapunov_grid(p: HoppingPair, E, n: int, window: SignedWindow | None = None)
     intercept = sum(ys) / len(xs) - slope * x_mean
     residual = np.sqrt(sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs))
     gamma = np.clip(slope, 0.0, None)
-    return gamma, residual, n_used
+    return gamma.reshape(shape), residual.reshape(shape), n_used
 
 
 def lyapunov(p: HoppingPair, E: float, n: int, window: SignedWindow | None = None) -> LyapunovEstimate:
@@ -494,10 +450,10 @@ def lyapunov(p: HoppingPair, E: float, n: int, window: SignedWindow | None = Non
 
 
 def _exps(log_scale: np.ndarray, overflow: float | None = None) -> np.ndarray:
-    """math.exp of every log-scale, one element at a time, as TransferMatrix folds it in.
+    """math.exp of every log-scale, one element at a time.
 
-    Where a scale leaves double range this raises OverflowError, as
-    TransferMatrix does, or gives overflow when that is set.
+    Where a scale leaves double range math.exp raises OverflowError, which
+    this raises too, or gives overflow when that is set.
     """
     out = []
     for s in log_scale.ravel().tolist():
@@ -511,11 +467,11 @@ def _exps(log_scale: np.ndarray, overflow: float | None = None) -> np.ndarray:
 
 
 def trace_halves(rows: np.ndarray) -> np.ndarray:
-    """Half-traces of the products of one length of a cocycles table.
+    """Half-traces 0.5 (m11 + m22) math.exp(log_scale) of the products in a cocycles slice.
 
-    rows = table[i] holds m11, m12, m21, m22 and log_scale on its first
-    axis.  Each half-trace has the bits of TransferMatrix.trace_half and
-    raises OverflowError where it does.
+    rows holds m11, m12, m21, m22 and log_scale on its first axis, as a
+    table's table[i] or a cocycle row does; OverflowError is raised where
+    math.exp of a scale leaves double range.
     """
     m11, _, _, m22, scale = rows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -523,11 +479,10 @@ def trace_halves(rows: np.ndarray) -> np.ndarray:
 
 
 def physical_products(rows: np.ndarray) -> np.ndarray:
-    """Stacked (2, 2, ...) physical products of one length of a cocycles table.
+    """Stacked (2, 2, ...) physical products math.exp(log_scale) times the entries.
 
-    rows as for trace_halves; each entry has the bits of
-    TransferMatrix.physical, and where the scale leaves double range the
-    entries are not finite.
+    rows as for trace_halves; where math.exp of a scale leaves double range
+    it counts as inf, so that product's entries are inf (nan where zero).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return rows[:4].reshape(2, 2, *rows.shape[1:]) * _exps(rows[4], math.inf)
@@ -539,7 +494,7 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
     n is the level-k half-block length and x the matching trace-map value;
     the defect is the Frobenius norm of the left side over 1 + |M(n)|_F^2,
     zero in exact arithmetic whenever the window starts with the square.
-    E may be a float or a 1-d array of energies; the result matches it.
+    E may be a float or an array of energies of any shape; the result matches it.
     Both norms are taken of the matrices divided by a power of two near the
     largest entry of M(n), so their squares stay in range where M(2n) does;
     ArithmeticError names the level and the energy where M(2n) does not.
@@ -552,13 +507,13 @@ def cayley_hamilton_defect(window: SignedWindow, p: HoppingPair, E, k: int):
         raise SquareStructureError(
             f"window does not start with a level-{k} repeated block on positions 1..{2 * n}"
         )
-    energies = np.atleast_1d(E)
+    energies = _energies(E)
     try:
         table = cocycles([window], p, energies, [n, 2 * n])[:, :, 0]
     except CocycleRangeError as exc:
         raise ArithmeticError(f"{exc}, level {k} (square over positions 1..{2 * n})") from None
     defects = _square_defects(p, energies, k, table[0], table[1])
-    return float(defects[0]) if np.ndim(E) == 0 else defects
+    return float(defects[0]) if np.ndim(E) == 0 else defects.reshape(np.shape(E))
 
 
 def _square_defects(p: HoppingPair, energies: np.ndarray, k: int, half, full) -> np.ndarray:

@@ -27,7 +27,7 @@ from fibjacobi.tracemap import (
     trace_bound,
     trace_value,
 )
-from fibjacobi.transfer import cayley_hamilton_defect, cocycle, lyapunov, lyapunov_grid
+from fibjacobi.transfer import cayley_hamilton_defect, cocycle, lyapunov, lyapunov_grid, trace_halves
 from fibjacobi.words import (
     cyclic_conjugates,
     fib_prefix,
@@ -95,7 +95,7 @@ def test_02_recursion_matches_cocycle_traces():
         for k in range(1, 13):
             n = fibonacci(k)
             want = trace_value(p, e, k)
-            got = cocycle(omega_s(1, n), p, e, n).trace_half()
+            got = float(trace_halves(cocycle(omega_s(1, n), p, e, n)))
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     _verdict(
         "[02] recursion vs cocycle",
@@ -239,7 +239,7 @@ def test_08_cyclic_trace_invariance():
             ref = trace_value(p, e, k + 1)
             for word in cyclic_conjugates(k):
                 win = periodize(word, len(word))
-                got = cocycle(win, p, e, len(word)).trace_half()
+                got = float(trace_halves(cocycle(win, p, e, len(word))))
                 worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     _verdict(
         "[08] cyclic trace invariance",

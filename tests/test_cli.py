@@ -20,7 +20,7 @@ from fibjacobi import cli, fractal
 from fibjacobi.bands import bandset_from_json, cover, lebesgue_measure
 from fibjacobi.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from fibjacobi.tracemap import HoppingPair, finite_traces
-from fibjacobi.transfer import CocycleRangeError, TransferMatrix, cayley_hamilton_defect, cocycles
+from fibjacobi.transfer import CocycleRangeError, cayley_hamilton_defect, cocycles
 from fibjacobi.words import cyclic_conjugates, fibonacci, omega_s, periodize, square_prefix_block
 
 
@@ -368,8 +368,14 @@ def test_verify_cocycle_range_failure_names_the_level(capsys, hopping, failure, 
     assert f"numerical failure: cocycle product at {failure}\n" in err
 
 
+def _trace_half(m):
+    # The per-element rule 0.5 (m11 + m22) math.exp(log_scale) for one row
+    # [m11, m12, m21, m22, log_scale], as the reference for trace_halves.
+    return 0.5 * (m[0] + m[3]) * math.exp(m[4])
+
+
 def _recursion_loop(p):
-    # The recursion-vs-cocycle check with one TransferMatrix per (level,
+    # The recursion-vs-cocycle check with one half-trace per (level,
     # energy), as the reference for the table read.
     energies = np.linspace(-4.0, 4.0, 17) + 0.05
     levels = range(2, 13)
@@ -382,12 +388,12 @@ def _recursion_loop(p):
     worst = 0.0
     for k, row in zip(levels, table.transpose(0, 2, 1).tolist()):
         for m, want in zip(row, finite_traces(p, energies, k).tolist()):
-            worst = max(worst, abs(TransferMatrix(*m).trace_half() - want) / max(1.0, abs(want)))
+            worst = max(worst, abs(_trace_half(m) - want) / max(1.0, abs(want)))
     return worst <= 1e-9, f"max relative error {worst:.3e}, levels 2..12"
 
 
 def _cyclic_loop(p):
-    # The cyclic-traces check with one TransferMatrix per (conjugate, energy).
+    # The cyclic-traces check with one half-trace per (conjugate, energy).
     energies = np.linspace(-3.0, 3.0, 20) + 0.037
     worst = 0.0
     for k in range(2, 9):
@@ -397,7 +403,7 @@ def _cyclic_loop(p):
         prods = cocycles(windows, p, energies, [len(words[0])])[0]
         for row in prods.transpose(1, 2, 0).tolist():
             for m, want in zip(row, wants):
-                worst = max(worst, abs(TransferMatrix(*m).trace_half() - want) / max(1.0, abs(want)))
+                worst = max(worst, abs(_trace_half(m) - want) / max(1.0, abs(want)))
     return worst <= 1e-9, f"max relative spread {worst:.3e} over all conjugates, levels 2..8"
 
 
@@ -423,8 +429,8 @@ def _outcome(check, p):
     ],
 )
 def test_verify_trace_checks_match_per_matrix_loops(a, b):
-    # The spreads read from the cocycle tables print the digits of one
-    # TransferMatrix per entry, and fail with the same error where it fails.
+    # The spreads read from the cocycle tables print the digits of the
+    # per-entry half-traces, and fail with the same error where they fail.
     p = HoppingPair(a, b)
     assert _outcome(cli._check_recursion_vs_cocycle, p) == _outcome(_recursion_loop, p)
     assert _outcome(cli._check_cyclic_traces, p) == _outcome(_cyclic_loop, p)
@@ -475,7 +481,7 @@ def test_verify_cayley_hamilton_names_the_first_level_out_of_range(capsys, hoppi
 
 def test_verify_half_trace_overflow_fails_the_check(capsys):
     # math.exp of a conjugate's log-scale overflows: the check fails with
-    # its message, as TransferMatrix.trace_half raises it.
+    # its message, as math.exp raises it.
     code, out, err = run(capsys, "verify", "--a", "1e200", "--b", "3.955045901963295e175")
     assert code == EXIT_NUMERICAL
     assert "FAIL  cyclic-traces: math range error\n" in out
@@ -609,6 +615,63 @@ def test_config_file_skips_comment_and_blank_lines(tmp_path, capsys):
     from_file = json.loads(out.read_bytes())
     assert from_file["config"].pop("config") == str(cfg)
     assert json.dumps(from_file, sort_keys=True, separators=(",", ":")) + "\n" == from_flags.decode()
+
+
+def test_config_file_given_with_equals_writes_the_same_bytes(tmp_path, capsys):
+    # --config=PATH is read as --config PATH is, and the file is applied:
+    # the result is that of the flag it sets.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b = 3.5\n")
+    out = tmp_path / "b.json"
+    assert run(capsys, "bands", "--k", "5", "--config", str(cfg), "--out", str(out))[0] == EXIT_OK
+    spaced = out.read_bytes()
+    assert run(capsys, "bands", "--k", "5", f"--config={cfg}", "--out", str(out))[0] == EXIT_OK
+    assert out.read_bytes() == spaced
+    assert run(capsys, "bands", "--k", "5", "--b", "3.5", "--out", str(out))[0] == EXIT_OK
+    assert json.loads(spaced)["result"] == json.loads(out.read_bytes())["result"]
+
+
+@pytest.mark.parametrize("option", ["--conf", "--con", "--c"])
+def test_config_option_abbreviated_exits_2(tmp_path, capsys, option):
+    # argparse would take an abbreviation for --config; the parser refuses
+    # every abbreviation, so no run records a file it did not read.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("b = 3.5\n")
+    for argv in ((option, str(cfg)), (f"{option}={cfg}",)):
+        code, out, err = run(capsys, "bands", "--k", "5", *argv)
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
+        assert out == ""
+
+
+def test_abbreviated_options_exit_2(capsys):
+    # Every option is spelled out in full.
+    for argv in (("lyapunov", "--len", "233"), ("bands", "--k", "3", "--fo", "json")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert out == ""
+
+
+def test_config_path_written_is_the_file_read(tmp_path, capsys):
+    # Given twice, argparse records the last --config, and that file is the
+    # one applied, whichever spelling either takes.
+    first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+    first.write_text("b = 3.5\n")
+    last.write_text("b = 2.5\n")
+    out = tmp_path / "b.json"
+    assert run(capsys, "bands", "--k", "5", "--b", "2.5", "--out", str(out))[0] == EXIT_OK
+    want = json.loads(out.read_bytes())["result"]
+    for argv in (
+        ("--config", str(first), "--config", str(last)),
+        ("--config", str(first), f"--config={last}"),
+        (f"--config={first}", "--config", str(last)),
+    ):
+        assert run(capsys, "bands", "--k", "5", *argv, "--out", str(out))[0] == EXIT_OK
+        payload = json.loads(out.read_bytes())
+        assert payload["config"]["config"] == str(last)
+        assert payload["config"]["b"] == 2.5
+        assert payload["result"] == want
 
 
 def test_config_file_malformed_exits_2(tmp_path, capsys):

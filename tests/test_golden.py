@@ -5,12 +5,12 @@ cover(j) at every level of a few couplings, of two escape scans, of the
 repr of band_scaling_dimension at the same couplings, of the stdout of
 the band-set commands in JSON and CSV and of `verify`, of the gamma and
 residual bytes of six Lyapunov scans (four on the default window, two on an
-explicit window, the reference path of the product loop), of the repr of cocycle and
-cayley_hamilton_defect at a few points, of the stdout of `eigs` in JSON and
-CSV, of the repr of scalar trace_value and escape_classify at a few
-points, of the repr of the periodic and truncation band checks, and of
-every other CLI output form whole (exit code, stdout, stderr and the --out
-file).  A call that raises is pinned by its error class and message instead.  Regenerate the file with
+explicit window, the reference path of the product loop), of the repr of
+cocycle's row as a list and of cayley_hamilton_defect at a few points, of
+the stdout of `eigs` in JSON and CSV, of the repr of scalar trace_value and
+escape_classify at a few points, of the repr of the periodic and truncation
+band checks, and of every other CLI output form whole (exit code, stdout,
+stderr and the --out file).  A call that raises is pinned by its error class and message instead.  Regenerate the file with
 `python tests/golden/make.py` only when an output change is intended.
 """
 
@@ -163,7 +163,7 @@ def digests() -> dict[str, str]:
         )
     for b, e, n in COCYCLES:
         out[f"cocycle(1.0, {b}, {e}, {n})"] = _digest(
-            lambda: repr(cocycle(omega_s(1, n), HoppingPair(1.0, b), e, n))
+            lambda: repr(cocycle(omega_s(1, n), HoppingPair(1.0, b), e, n).tolist())
         )
     square = omega_s(1, 2 * square_prefix_block(9))
     for b, e, k in DEFECTS:

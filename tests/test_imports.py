@@ -42,9 +42,9 @@ EXPORTS = {
         "invariant_value", "step", "step_inverse", "trace_bound", "trace_value",
     ],
     "transfer": [
-        "CocycleRangeError", "LyapunovEstimate", "SquareStructureError", "TransferMatrix",
-        "cayley_hamilton_defect", "cocycle", "cocycles", "evolve_solution", "local_matrix",
-        "lyapunov", "lyapunov_grid", "no_decay_witness",
+        "CocycleRangeError", "LyapunovEstimate", "SquareStructureError", "cayley_hamilton_defect",
+        "cocycle", "cocycles", "evolve_solution", "lyapunov", "lyapunov_grid", "no_decay_witness",
+        "physical_products", "trace_halves",
     ],
     "words": [
         "SignedWindow", "cyclic_conjugates", "fib_prefix", "fibonacci", "omega_s", "periodize",

@@ -11,7 +11,6 @@ from fibjacobi.transfer import (
     LyapunovEstimate,
     SquareStructureError,
     RENORM_EVERY,
-    TransferMatrix,
     _check_range,
     _fibonacci_checkpoints,
     _hull_products,
@@ -19,7 +18,6 @@ from fibjacobi.transfer import (
     cocycle,
     cocycles,
     evolve_solution,
-    local_matrix,
     lyapunov,
     lyapunov_grid,
     no_decay_witness,
@@ -37,32 +35,65 @@ from fibjacobi.words import (
 )
 
 
-def test_local_matrix_entries():
-    m = local_matrix(1.0, 0.0)
-    assert (m.m11, m.m12, m.m21, m.m22) == (0.0, -1.0, 1.0, 0.0)
-    m = local_matrix(2.0, 1.0)
-    assert (m.m11, m.m12, m.m21, m.m22) == (0.5, -0.5, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        local_matrix(0.0, 1.0)
-    with pytest.raises(ValueError):
-        local_matrix(-1.0, 1.0)
+# The per-element rules for a cocycle row [m11, m12, m21, m22, log_scale],
+# as the references for trace_halves and physical_products.
 
 
-def test_local_matrix_unimodular():
+def _trace_half(row):
+    m11, _, _, m22, s = row
+    return 0.5 * (m11 + m22) * math.exp(s)
+
+
+def _physical(row):
+    m11, m12, m21, m22, s = row
+    return math.exp(s) * np.array([[m11, m12], [m21, m22]])
+
+
+def _log_frobenius(row):
+    m11, m12, m21, m22, s = row.tolist()
+    return 0.5 * math.log(m11**2 + m12**2 + m21**2 + m22**2) + s
+
+
+def _log_abs_det(row):
+    # Meaningful only while eps |M|_F^2 stays below the accuracy wanted:
+    # beyond that the stored entries cancel to rounding noise.
+    m11, m12, m21, m22, s = row.tolist()
+    return math.log(abs(m11 * m22 - m12 * m21)) + 2.0 * s
+
+
+def test_one_letter_cocycle_rows():
+    # Over one letter the row is the one-step factor (1/w) [[E, -1], [w^2, 0]]
+    # with no scale: (E/w, -1/w, w, 0, 0).
+    one = periodize("a", 1)
+    assert cocycle(one, HoppingPair(1.0, 3.0), 0.0, 1).tolist() == [0.0, -1.0, 1.0, 0.0, 0.0]
+    assert cocycle(one, HoppingPair(2.0, 3.0), 1.0, 1).tolist() == [0.5, -0.5, 2.0, 0.0, 0.0]
+    # A hopping that is not positive has no factor: the pair refuses it.
+    for hop in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            HoppingPair(hop, 1.0)
+        with pytest.raises(ValueError):
+            HoppingPair(1.0, hop)
+
+
+def test_one_letter_cocycle_unimodular():
     rng = np.random.default_rng(3)
     for _ in range(100):
         h = rng.uniform(0.1, 5.0)
         E = rng.uniform(-8.0, 8.0)
-        assert local_matrix(h, E).det() == pytest.approx(1.0, rel=1e-14)
+        m11, m12, m21, m22, s = cocycle(periodize("b", 1), HoppingPair(1.0, h), E, 1).tolist()
+        assert (m11 * m22 - m12 * m21) * math.exp(2.0 * s) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_cocycle_single_factor():
     p = HoppingPair(1.3, 0.6)
     w = omega_s(1, 5)
     m = cocycle(w, p, 0.7, 1)
-    ref = local_matrix(p.a, 0.7)  # first letter of the hull sequence is "a"
-    assert m.matrix() == pytest.approx(ref.matrix())
-    assert m.log_scale == 0.0
+    # The first letter of the hull sequence is "a".
+    assert m[:4].tolist() == pytest.approx([0.7 / p.a, -1.0 / p.a, p.a, 0.0])
+    assert m[4] == 0.0
+    # The row is read-only, as the tables' reads are.
+    with pytest.raises(ValueError):
+        m[0] = 1.0
 
 
 def test_cocycle_two_factors_half_trace():
@@ -70,7 +101,7 @@ def test_cocycle_two_factors_half_trace():
     # half-trace is (E^2 - a^2 - b^2)/2ab = -1.
     p = HoppingPair(1, 2)
     m = cocycle(omega_s(1, 2), p, 1.0, 2)
-    assert m.trace_half() == pytest.approx(-1.0, rel=1e-14)
+    assert float(trace_halves(m)) == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_cocycle_unimodular_products():
@@ -84,8 +115,8 @@ def test_cocycle_unimodular_products():
         E = rng.uniform(-1, 1) * 0.6 * min(p.a, p.b)
         n = int(rng.integers(1, 150))
         m = cocycle(w, p, E, n)
-        if m.log_frobenius() <= 6.0:
-            assert abs(m.log_abs_det()) <= 1e-10
+        if _log_frobenius(m) <= 6.0:
+            assert abs(_log_abs_det(m)) <= 1e-10
             checked += 1
     assert checked >= 30
 
@@ -95,13 +126,12 @@ def test_cocycle_long_product_det_via_log():
     # determinant stays exactly unimodular through 5000 factors.
     p = HoppingPair(1, 2)
     m = cocycle(omega_s(1, 5000), p, 0.0, 5000)
-    assert abs(m.log_abs_det()) <= 1e-10
-    assert TransferMatrix(1.0, 2.0, 2.0, 4.0, 3.0).log_abs_det() == -math.inf
+    assert abs(_log_abs_det(m)) <= 1e-10
     # Far outside the spectrum the product reaches astronomical norms
     # without overflowing, which is what the tracked scale is for.
     m = cocycle(omega_s(1, 5000), p, 10.0, 5000)
-    assert m.log_frobenius() > 1000.0
-    assert all(map(math.isfinite, (m.m11, m.m12, m.m21, m.m22, m.log_scale)))
+    assert _log_frobenius(m) > 1000.0
+    assert all(map(math.isfinite, m.tolist()))
 
 
 def _cocycle_loop(window, p, E, n):
@@ -115,12 +145,13 @@ def _cocycle_loop(window, p, E, n):
             f = math.sqrt(m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22)
             m11, m12, m21, m22 = m11 / f, m12 / f, m21 / f, m22 / f
             scale += math.log(f)
-    return TransferMatrix(m11, m12, m21, m22, scale)
+    return [m11, m12, m21, m22, scale]
 
 
 def test_cocycles_match_scalar_loop():
     # One pass over a batch of energies and lengths reproduces the scalar
-    # loop bit for bit, and cocycle is the one-energy, one-length case.
+    # loop bit for bit, and cocycle is the one-energy, one-length case,
+    # whose row the table reads take as they take a table.
     rng = np.random.default_rng(17)
     w = omega_s(1, 5000)
     lengths = [1, 2, 31, 32, 33, 64, 233, 1000, 4181, 5000]
@@ -129,9 +160,13 @@ def test_cocycles_match_scalar_loop():
         table = cocycles([w], p, energies, lengths)
         assert table.shape == (len(lengths), 5, 1, energies.size)
         for n, block in zip(lengths, table[:, :, 0]):
-            row = [TransferMatrix(*m) for m in block.T.tolist()]
+            row = block.T.tolist()
             assert row == [_cocycle_loop(w, p, float(e), n) for e in energies]
-            assert row[3] == cocycle(w, p, float(energies[3]), n)
+            one = cocycle(w, p, float(energies[3]), n)
+            assert one.tolist() == row[3]
+            if row[3][4] < 709.0:  # math.exp of the scale is a double
+                assert float(trace_halves(one)) == _trace_half(row[3])
+                assert physical_products(one).tobytes() == _physical(row[3]).tobytes()
     with pytest.raises(ValueError, match="strictly increasing"):
         cocycles([w], HoppingPair(1, 2), [0.0], [5, 5])
 
@@ -168,8 +203,8 @@ def test_batched_products_divide_overflowing_rows_alone():
     windows = [periodize(word, 40) for word in ("a", "b", "ab", "bba")]
     energies = np.array([1e5, 0.5, -1e5, 6e4])
     # The leading entry after 32 factors, from the scalar loop's 31.
-    a32 = _cocycle_loop(periodize("a", 31), p, 1e5, 31).m11 * 1e5
-    b32 = _cocycle_loop(periodize("b", 31), p, 1e5, 31).m11 * 5e4
+    a32 = _cocycle_loop(periodize("a", 31), p, 1e5, 31)[0] * 1e5
+    b32 = _cocycle_loop(periodize("b", 31), p, 1e5, 31)[0] * 5e4
     assert math.isinf(a32 * a32) and math.isfinite(b32 * b32)
     batch = cocycles(windows, p, energies, [32, 40])
     for i, window in enumerate(windows):
@@ -247,8 +282,8 @@ def test_products_divide_by_largest_entry_when_squares_overflow():
         assert math.isfinite(high)
         assert high - low == pytest.approx(math.log(1e5 / 6e4), abs=1e-8)
     m = cocycle(omega_s(1, 1), p, 1e200, 1)
-    assert m.log_frobenius() == pytest.approx(math.log(1e200), rel=1e-15)
-    assert (m.m11, m.m12, m.m21, m.m22) == (1.0, -1e-200, 1e-200, 0.0)
+    assert _log_frobenius(m) == pytest.approx(math.log(1e200), rel=1e-15)
+    assert m[:4].tolist() == [1.0, -1e-200, 1e-200, 0.0]
 
 
 def test_cocycles_reject_empty_lengths():
@@ -273,6 +308,40 @@ def test_empty_energy_arrays_give_empty_results():
         assert isinstance(defect, np.ndarray) and defect.shape == (0,)
 
 
+def test_energy_grids_of_any_shape_give_the_flattened_results():
+    # A (2, 3) grid gives the bits of the flattened call: lyapunov_grid and
+    # cayley_hamilton_defect in the grid's shape, cocycles in its E.size
+    # layout.  A float keeps its result, and an energy that is not finite
+    # is refused wherever it sits.
+    p = HoppingPair(1, 2)
+    square = omega_s(1, 2 * square_prefix_block(9))
+    grid = np.array([[-3.1, 0.2, 1.7], [2.25, -0.6, 3.9]])
+    flat = grid.ravel()
+    for window in (None, omega_s(1, 2584)):
+        gamma, residual, n_used = lyapunov_grid(p, grid, 2584, window)
+        want = lyapunov_grid(p, flat, 2584, window)
+        assert gamma.shape == residual.shape == (2, 3) and n_used == want[2]
+        assert gamma.tobytes() == want[0].tobytes() and residual.tobytes() == want[1].tobytes()
+        assert lyapunov_grid(p, 0.2, 2584, window)[0].shape == (1,)
+    table = cocycles([square], p, grid, [5, 13])
+    assert table.shape == (2, 5, 1, 6)
+    assert table.tobytes() == cocycles([square], p, flat, [5, 13]).tobytes()
+    defects = cayley_hamilton_defect(square, p, grid, 5)
+    assert defects.shape == (2, 3)
+    assert defects.tobytes() == cayley_hamilton_defect(square, p, flat, 5).tobytes()
+    assert cayley_hamilton_defect(square, p, 0.2, 5) == float(defects[0, 1])
+    bad = grid.copy()
+    bad[1, 1] = math.inf
+    for call in (
+        lambda: lyapunov_grid(p, bad, 2584),
+        lambda: lyapunov_grid(p, bad, 2584, omega_s(1, 2584)),
+        lambda: cocycles([square], p, bad, [5]),
+        lambda: cayley_hamilton_defect(square, p, bad, 5),
+    ):
+        with pytest.raises(ValueError, match="energies must be finite, got inf"):
+            call()
+
+
 def test_cocycle_window_coverage():
     p = HoppingPair(1, 2)
     with pytest.raises(WindowCoverageError):
@@ -288,7 +357,7 @@ def test_half_trace_matches_trace_recursion():
         p = HoppingPair(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5))
         E = rng.uniform(-4.0, 4.0)
         for k in range(1, 13):
-            got = cocycle(w, p, E, fibonacci(k)).trace_half()
+            got = float(trace_halves(cocycle(w, p, E, fibonacci(k))))
             want = trace_value(p, E, k)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -302,7 +371,7 @@ def test_cyclic_trace_invariance():
         want = trace_value(p, E, k + 1)
         for word in cyclic_conjugates(k):
             win = periodize(word, len(word))
-            got = cocycle(win, p, E, len(word)).trace_half()
+            got = float(trace_halves(cocycle(win, p, E, len(word))))
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -324,7 +393,7 @@ def test_evolve_solution_matches_cocycle():
         u0, u1 = rng.uniform(-2, 2, size=2)
         n = int(rng.integers(2, 150))
         u, weighted_prev = evolve_solution(w, p, E, u0, u1, n)
-        vec = cocycle(w, p, E, n).apply((u[0], weighted_prev[0]))
+        vec = physical_products(cocycle(w, p, E, n)) @ [u[0], weighted_prev[0]]
         want = (u[n], weighted_prev[n])
         for got_c, want_c in zip(vec, want):
             assert abs(got_c - want_c) <= 1e-9 * max(1.0, abs(want_c))
@@ -678,8 +747,8 @@ def test_cayley_hamilton_defect_strong_coupling():
 
 
 def _defect_loop(window, p, E, k):
-    # One TransferMatrix pair per energy, as the reference for the stacked
-    # table read of cayley_hamilton_defect.
+    # One pair of physical matrices per energy, by the per-element rule, as
+    # the reference for the stacked table read of cayley_hamilton_defect.
     n = square_prefix_block(k)
     energies = np.atleast_1d(E)
     try:
@@ -692,7 +761,7 @@ def _defect_loop(window, p, E, k):
     for e, half, full, x in zip(energies.tolist(), halves, fulls, xs):
         with np.errstate(over="ignore"):
             try:
-                m_half, m_full = TransferMatrix(*half).physical(), TransferMatrix(*full).physical()
+                m_half, m_full = _physical(half), _physical(full)
             except OverflowError:
                 m_half = m_full = np.full((2, 2), math.inf)
         if not np.isfinite([m_half, m_full]).all():
@@ -733,22 +802,25 @@ def test_cayley_hamilton_defect_matches_per_matrix_loop(b):
         )
 
 
-def test_table_reads_keep_transfer_matrix_bits():
-    # Half-traces and physical products read from a table row equal those
-    # of one TransferMatrix per entry, up to and past overflow of the scale.
+def test_table_reads_keep_the_per_element_bits():
+    # Half-traces and physical products read from a table row equal the
+    # per-element rules applied to each entry, up to and past overflow of
+    # the scale.
     rng = np.random.default_rng(23)
     rows = rng.normal(size=(5, 3, 40))
     rows[4] = rng.choice([0.0, -3.5, 12.25, 709.0, 709.75, -745.5], size=(3, 40))
-    mats = [TransferMatrix(*m) for m in rows.reshape(5, -1).T.tolist()]
-    assert trace_halves(rows).ravel().tolist() == [m.trace_half() for m in mats]
+    mats = rows.reshape(5, -1).T.tolist()
+    assert trace_halves(rows).ravel().tolist() == [_trace_half(m) for m in mats]
     with np.errstate(over="ignore"):
-        want = [m.physical().ravel().tobytes() for m in mats]
+        want = [_physical(m).ravel().tobytes() for m in mats]
     assert [m.tobytes() for m in physical_products(rows).reshape(4, -1).T] == want
-    # Past double range trace_half raises and physical does too: the table
-    # read raises as well, or marks that product's entries not finite.
+    # Past double range math.exp raises in both rules: the table read
+    # raises as well, or marks that product's entries not finite.
     rows[4, 1, 7] = 710.0
     with pytest.raises(OverflowError):
-        TransferMatrix(*rows[:, 1, 7].tolist()).trace_half()
+        _trace_half(rows[:, 1, 7].tolist())
+    with pytest.raises(OverflowError):
+        _physical(rows[:, 1, 7].tolist())
     with pytest.raises(OverflowError):
         trace_halves(rows)
     assert not np.isfinite(physical_products(rows)[:, :, 1, 7]).any()
