@@ -64,11 +64,7 @@ _API = {
         "escape_classify",
         "escape_grid",
         "growth_rate_after_escape",
-        "initial_triple",
         "invariant_expected",
-        "invariant_value",
-        "step",
-        "step_inverse",
         "trace_bound",
         "trace_value",
     ),

@@ -775,7 +775,8 @@ def _normal_chain(p: HoppingPair, k_max: int, tol: float) -> tuple[list[BandSet]
     e = _exponent(p.a)
     q = p
     if e:
-        qb = math.ldexp(p.b, -e)
+        # b / 2^e, not math.ldexp, which raises OverflowError where it overflows.
+        qb = p.b / 2.0**e
         if not sys.float_info.min <= qb < math.inf:
             raise ValueError(f"b / a leaves the range of doubles at a = {p.a!r}, b = {p.b!r}")
         q = HoppingPair(math.ldexp(p.a, -e), qb)
@@ -819,7 +820,8 @@ def _rescale(bs: BandSet, p: HoppingPair, e: int) -> BandSet:
     """
     if not e:
         return bs
-    lo, hi, tol = np.ldexp(bs.lo, e), np.ldexp(bs.hi, e), math.ldexp(bs.tol, e)
+    # tol * 2^e, not math.ldexp, which raises OverflowError where it overflows.
+    lo, hi, tol = np.ldexp(bs.lo, e), np.ldexp(bs.hi, e), bs.tol * 2.0**e
     if min(tol, np.abs(lo).min()) < sys.float_info.min or not max(tol, -lo[0], hi[-1]) < math.inf:
         raise ValueError(
             f"band edges at a = {p.a!r}, b = {p.b!r} leave the normal range of doubles "
@@ -885,12 +887,19 @@ def cover(p: HoppingPair, k: int, tol: float = DEFAULT_TOL) -> BandSet:
 
 
 def escape_spectrum(p: HoppingPair, K_max: int, grid_step: float) -> BandSet:
-    """Union of grid cells of energy_window(p) not classified as escaped by level K_max.
+    """The grid cells of energy_window(p) with an endpoint or midpoint that stays Bounded(K_max).
 
-    A cell is retained when any of its endpoints or midpoint stays Bounded,
-    making the result an outer approximation at the grid resolution.  The
-    scan covers the whole window: unlike sigma_k it is not mirrored, as its
-    cell edges i * step + lo are not symmetric about E = 0.
+    This is not an outer approximation of the spectrum.  A cell holding
+    spectrum is kept only if one of its three energies lies close enough
+    to the spectrum to stay bounded through K_max, and the level-K_max
+    bands shrink below the grid step as K_max grows.  The share of
+    cover(p, 20)'s band midpoints inside the result, each such band
+    holding spectrum: 55% at (1, 2), K_max 20, grid 1e-3; at grid 1e-5,
+    K_max 24, 99% at (1, 1.2) and 79% at (1, 2); at grid 1e-5, K_max 30,
+    30% at (1, 2) and 0.45% at (1, 3.3).  At (1, 2), K_max >= 60, grid
+    1e-3 only the cell around E = 0 is kept.  The scan covers the whole
+    window: unlike sigma_k it is not mirrored, as its cell edges
+    i * step + lo are not symmetric about E = 0.
     """
     window = energy_window(p)
     if not (math.isfinite(grid_step) and grid_step > 0.0):

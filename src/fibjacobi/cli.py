@@ -287,14 +287,13 @@ def cmd_eigs(args: argparse.Namespace) -> int:
 def _check_invariant_conservation(p: HoppingPair, perturb: float) -> tuple[bool, str]:
     import numpy as np
 
-    from .tracemap import initial_triple, invariant_expected
+    from .tracemap import invariant_expected, trace_value
 
     expected = invariant_expected(p)
     worst = 0.0
     samples = 0
-    for e in np.linspace(-8.0, 8.0, 41).tolist():
-        t = initial_triple(p, e)
-        x, y, z = t.x_next, t.x_cur, t.x_prev
+    energies = np.linspace(-8.0, 8.0, 41)
+    for x, y, z in zip(*(trace_value(p, energies, j).tolist() for j in (1, 0, -1))):
         for _ in range(40):
             x, y, z = 2.0 * x * y - z + perturb, x, y
             if max(abs(x), abs(y), abs(z)) > 1e3:
@@ -489,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True, help="cover level")
     _add_common(sp, "json", tol=True)
 
-    sp = add("spectrum", help="escape-time outer approximation")
+    sp = add("spectrum", help="grid cells an escape scan keeps (not an outer approximation)")
     sp.add_argument("--kmax", type=int, required=True, help="escape scan depth")
     sp.add_argument("--grid", type=float, required=True, help="energy grid step")
     _add_common(sp, "json")

@@ -8,8 +8,11 @@ once two consecutive half-traces leave [-1, 1] the orbit escapes
 superexponentially, |x_{k+l}| >= c^{F_l} with c > 1.
 
 Half-traces and escape levels come from array kernels in plain doubles, a
-single energy as a 0-d array.  Only growth_rate_after_escape continues an
-orbit past |x| = 1e6, in (log|x|, sign) form, where it stays accurate.
+single energy as a 0-d array; there is no scalar step of the recursion.
+The starting triple (x_1, x_0, x_{-1}) = (E/2a, E/2b, (a^2 + b^2)/2ab) is
+trace_value at k = 1, 0, -1.  Only growth_rate_after_escape continues an
+orbit from it past |x| = 1e6, in (log|x|, sign) form, where it stays
+accurate.
 """
 
 from __future__ import annotations
@@ -96,10 +99,10 @@ class HoppingPair:
 
 @dataclass(frozen=True)
 class TraceTriple:
-    """Consecutive half-traces (x_next, x_cur, x_prev) = (x_k, x_{k-1}, x_{k-2}).
+    """escape_classify's last_triple: (x_next, x_cur, x_prev) = (x_k, x_{k-1}, x_{k-2}).
 
-    level is the index k of x_next; the starting triple (x_1, x_0, x_{-1})
-    has level 1.
+    level is the index k of x_next; an orbit that escapes at once ends on
+    the starting triple (x_1, x_0, x_{-1}), level 1.
     """
 
     x_next: float
@@ -137,27 +140,6 @@ def _x_minus_one(p: HoppingPair) -> float:
     if 2.0**-511 <= min(a, b) and max(a, b) <= 2.0**511:
         return (a * a + b * b) / (2.0 * a * b)
     return (a / b + b / a) / 2.0
-
-
-def initial_triple(p: HoppingPair, E: float) -> TraceTriple:
-    """Starting triple (x_1, x_0, x_{-1}) = (E/2a, E/2b, (a^2+b^2)/2ab)."""
-    return TraceTriple(E / (2.0 * p.a), E / (2.0 * p.b), _x_minus_one(p), 1)
-
-
-def step(t: TraceTriple) -> TraceTriple:
-    """One application of (x, y, z) -> (2xy - z, x, y); level goes up by one."""
-    x = 2.0 * t.x_next * t.x_cur - t.x_prev
-    if not math.isfinite(x):
-        raise TraceDivergedError(t.level + 1)
-    return TraceTriple(x, t.x_next, t.x_cur, t.level + 1)
-
-
-def step_inverse(t: TraceTriple) -> TraceTriple:
-    """One application of (x, y, z) -> (y, z, 2yz - x); exact inverse of step."""
-    x = 2.0 * t.x_cur * t.x_prev - t.x_next
-    if not math.isfinite(x):
-        raise TraceDivergedError(t.level - 1)
-    return TraceTriple(t.x_cur, t.x_prev, x, t.level - 1)
 
 
 def trace_value(p: HoppingPair, E, k: int):
@@ -276,12 +258,6 @@ def _trace_exact(e, k, a, b, z0):
     return x_next
 
 
-def invariant_value(t: TraceTriple) -> float:
-    """Fricke invariant x^2 + y^2 + z^2 - 2xyz - 1 of the triple."""
-    x, y, z = t.x_next, t.x_cur, t.x_prev
-    return x * x + y * y + z * z - 2.0 * x * y * z - 1.0
-
-
 def invariant_expected(p: HoppingPair) -> float:
     """Closed-form invariant (a^2 + b^2)^2 / (4 a^2 b^2) - 1; zero iff a = b.
 
@@ -386,8 +362,7 @@ def _log_orbit(p: HoppingPair, E: float, k_top: int) -> list[tuple[float, int]]:
     Runs in plain doubles until a value passes LINEAR_LIMIT, then switches
     to signed log propagation of the same recursion.
     """
-    t = initial_triple(p, E)
-    xs = [t.x_prev, t.x_cur, t.x_next]
+    xs = [trace_value(p, E, j) for j in (-1, 0, 1)]
 
     def pack(x: float) -> tuple[float, int]:
         if x == 0.0:

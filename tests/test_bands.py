@@ -293,9 +293,17 @@ def test_scales_that_leave_the_normal_range_are_refused():
     for solve in (sigma_k, cover):
         with pytest.raises(ValueError, match=re.escape("normal range of doubles at scale 2^-1030")):
             solve(HoppingPair(1e-310, 2e-310), 5)
-    # b / a itself is out of range: b scaled to a in [1, 2) underflows.
-    with pytest.raises(ValueError, match="b / a leaves the range of doubles"):
-        sigma_k(HoppingPair(1e300, 1e-300), 5)
+    # b / a itself is out of range: b scaled to a in [1, 2) underflows, or
+    # overflows, also where a is subnormal.
+    for a, b in ((1e300, 1e-300), (1e-300, 1e10), (1e-320, 1.0)):
+        message = f"b / a leaves the range of doubles at a = {a!r}, b = {b!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sigma_k(HoppingPair(a, b), 3)
+    # tol scaled back overflows while the edges stay finite.
+    p = HoppingPair(2.0**1020, 1.5 * 2.0**1020)
+    message = f"band edges at a = {p.a!r}, b = {p.b!r} leave the normal range of doubles at scale 2^1020"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sigma_k(p, 3, tol=100.0)
 
 
 def test_root_isolation_error_payload():

@@ -51,6 +51,24 @@ def test_bands_invalid_hopping_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--a", "1e-300", "--b", "1e10"),
+         "b / a leaves the range of doubles at a = 1e-300, b = 10000000000.0"),
+        (("--a", "1e-320", "--b", "1"), "b / a leaves the range of doubles at a = 1e-320, b = 1.0"),
+        (("--a", repr(2.0**1020), "--b", repr(1.5 * 2.0**1020), "--tol", "100"),
+         f"band edges at a = {2.0**1020!r}, b = {1.5 * 2.0**1020!r} leave the normal range of "
+         "doubles at scale 2^1020"),
+    ],
+    ids=["b-over-a", "subnormal-a", "tol"],
+)
+def test_bands_scale_overflow_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "bands", *argv, "--k", "3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"fibjacobi: error: {message}\n"
+
+
 def test_cover_level_zero_exits_2(capsys):
     code, out, err = run(capsys, "cover", "--a", "1", "--b", "2", "--k", "0")
     assert code == EXIT_USAGE
@@ -295,6 +313,23 @@ def test_verify_invariant_check_needs_a_sample(capsys):
     code, out, _ = run(capsys, "verify", "--a", "1", "--b", "2500")
     assert code == EXIT_NUMERICAL
     assert "FAIL  invariant-conservation: nothing checked" in out
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (("--perturb-recursion", "1e-6"), "max relative drift 4.798e-04 over 41 energies, 40 levels"),
+        (("--perturb-recursion", "nan"), "max relative drift nan over 41 energies, 40 levels"),
+        (("--perturb-recursion", "inf"), "nothing checked: every orbit passed 1e3 at its first step"),
+        (("--b", "2500"), "nothing checked: every orbit passed 1e3 at its first step"),
+    ],
+    ids=["perturb-1e-6", "perturb-nan", "perturb-inf", "b-2500"],
+)
+def test_verify_invariant_line_whole(capsys, argv, detail):
+    # The check's first line, detail and all, as the orbit starts give it.
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == EXIT_NUMERICAL
+    assert out.splitlines()[0] == f"FAIL  invariant-conservation: {detail}"
 
 
 @pytest.mark.parametrize(

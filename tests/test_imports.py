@@ -38,8 +38,8 @@ EXPORTS = {
     ],
     "tracemap": [
         "EscapeResult", "HoppingPair", "TraceDivergedError", "TraceTriple", "escape_classify",
-        "escape_grid", "growth_rate_after_escape", "initial_triple", "invariant_expected",
-        "invariant_value", "step", "step_inverse", "trace_bound", "trace_value",
+        "escape_grid", "growth_rate_after_escape", "invariant_expected", "trace_bound",
+        "trace_value",
     ],
     "transfer": [
         "CocycleRangeError", "LyapunovEstimate", "SquareStructureError", "cayley_hamilton_defect",

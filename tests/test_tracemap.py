@@ -1,7 +1,7 @@
 """Oracles and conservation properties for the trace-map layer.
 
 Closed-form values at small (a, b, E) are iterated by hand; structural
-facts (invariant conservation, inversion, parity, escape criterion) are
+facts (invariant conservation, parity, escape criterion) are
 checked on seeded random ensembles.
 """
 
@@ -20,16 +20,11 @@ from fibjacobi.tracemap import (
     EscapeResult,
     HoppingPair,
     TraceDivergedError,
-    TraceTriple,
     escape_classify,
     escape_grid,
     finite_traces,
     growth_rate_after_escape,
-    initial_triple,
     invariant_expected,
-    invariant_value,
-    step,
-    step_inverse,
     trace_bound,
     trace_value,
 )
@@ -37,6 +32,16 @@ from fibjacobi.words import fibonacci
 
 # Energies where the recursion meets signed zeros, NaN, infinities and overflow.
 SPECIAL_ENERGIES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def _triple(p, E, k):
+    """(x_k, x_{k-1}, x_{k-2}) from trace_value; k = 1 gives the starting triple."""
+    return tuple(trace_value(p, E, j) for j in (k, k - 1, k - 2))
+
+
+def _fricke(x, y, z):
+    """Fricke invariant x^2 + y^2 + z^2 - 2xyz - 1 of a triple."""
+    return x * x + y * y + z * z - 2.0 * x * y * z - 1.0
 
 
 def test_hopping_pair_validation():
@@ -63,12 +68,12 @@ def test_hoppings_map_each_letter():
 
 
 def test_initial_triple_closed_forms():
-    t = initial_triple(HoppingPair(1, 1), 2.0)
-    assert (t.x_next, t.x_cur, t.x_prev, t.level) == (1.0, 1.0, 1.0, 1)
-    t = initial_triple(HoppingPair(1, 2), 0.0)
-    assert (t.x_next, t.x_cur, t.x_prev) == (0.0, 0.0, 1.25)
-    t = initial_triple(HoppingPair(2, 1), 2.0)
-    assert (t.x_next, t.x_cur, t.x_prev) == (0.5, 1.0, 1.25)
+    # (x_1, x_0, x_{-1}) = (E/2a, E/2b, (a^2 + b^2)/2ab), for a float and an array.
+    assert _triple(HoppingPair(1, 1), 2.0, 1) == (1.0, 1.0, 1.0)
+    assert _triple(HoppingPair(1, 2), 0.0, 1) == (0.0, 0.0, 1.25)
+    assert _triple(HoppingPair(2, 1), 2.0, 1) == (0.5, 1.0, 1.25)
+    got = _triple(HoppingPair(2, 1), np.array([2.0, -4.0]), 1)
+    assert [x.tolist() for x in got] == [[0.5, -1.0], [1.0, -2.0], [1.25, 1.25]]
 
 
 def test_power_of_two_scaled_hoppings_match_unit_scale_bit_for_bit():
@@ -86,54 +91,21 @@ def test_power_of_two_scaled_hoppings_match_unit_scale_bit_for_bit():
 
 
 def test_step_fixed_point_and_hand_iteration():
-    fixed = TraceTriple(1.0, 1.0, 1.0, 1)
-    out = step(fixed)
-    assert (out.x_next, out.x_cur, out.x_prev, out.level) == (1.0, 1.0, 1.0, 2)
-    t = step(TraceTriple(0.0, 0.0, 1.25, 1))
-    assert (t.x_next, t.x_cur, t.x_prev, t.level) == (-1.25, 0.0, 0.0, 2)
-
-
-def test_step_inverse_examples():
-    t = step_inverse(TraceTriple(1.0, 1.0, 1.0, 3))
-    assert (t.x_next, t.x_cur, t.x_prev, t.level) == (1.0, 1.0, 1.0, 2)
-    t = step_inverse(TraceTriple(-1.25, 0.0, 0.0, 2))
-    assert (t.x_next, t.x_cur, t.x_prev) == (0.0, 0.0, 1.25)
-
-
-def test_step_inverse_twice_recovers_initial():
-    p = HoppingPair(1.3, 0.7)
-    t1 = initial_triple(p, 0.9)
-    t3 = step(step(t1))
-    back = step_inverse(step_inverse(t3))
-    assert back.level == 1
-    assert math.isclose(back.x_next, t1.x_next, rel_tol=1e-14)
-    assert math.isclose(back.x_cur, t1.x_cur, rel_tol=1e-14)
-    assert math.isclose(back.x_prev, t1.x_prev, rel_tol=1e-14)
-
-
-def test_step_inversion_property():
-    rng = np.random.default_rng(7)
-    for _ in range(10_000):
-        x, y, z = rng.uniform(-10, 10, size=3)
-        t = TraceTriple(float(x), float(y), float(z), 5)
-        back = step_inverse(step(t))
-        assert back.level == 5
-        for got, want in [(back.x_next, x), (back.x_cur, y), (back.x_prev, z)]:
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # (1, 1, 1) is a fixed point of (x, y, z) -> (2xy - z, x, y): at a = b = 1,
+    # E = 2 every level is 1.  At (1, 2), E = 0 one step takes (0, 0, 5/4) to
+    # (-5/4, 0, 0).
+    for k in range(1, 31):
+        assert _triple(HoppingPair(1, 1), 2.0, k) == (1.0, 1.0, 1.0)
+    assert _triple(HoppingPair(1, 2), 0.0, 2) == (-1.25, 0.0, 0.0)
 
 
 def test_step_overflow_raises():
-    big = 1e200
-    with pytest.raises(TraceDivergedError) as err:
-        step(TraceTriple(big, big, 0.0, 9))
-    assert err.value.level == 10
-
-
-def test_step_inverse_overflow_raises():
-    # 2 x_cur x_prev - x_next overflows: the level it would have reached.
-    with pytest.raises(TraceDivergedError, match=r"^trace recursion diverged at level 4$") as err:
-        step_inverse(TraceTriple(1.0, 1e200, 1e200, 5))
-    assert err.value.level == 4
+    # At (1, 1), E = 2e200 the first step 2 x_1 x_0 - x_{-1} overflows: every
+    # later level names level 2.
+    for k in (2, 3, 10):
+        with pytest.raises(TraceDivergedError, match=r"^trace recursion diverged at level 2$") as err:
+            trace_value(HoppingPair(1, 1), 2e200, k)
+        assert err.value.level == 2
 
 
 def test_trace_value_small_indices():
@@ -259,8 +231,8 @@ def test_trace_value_matches_three_op_loop_bit_for_bit():
 
 
 def test_invariant_examples():
-    assert invariant_value(TraceTriple(1.0, 1.0, 1.0, 1)) == 0.0
-    assert invariant_value(TraceTriple(0.0, 0.0, 1.25, 1)) == pytest.approx(9 / 16)
+    assert _fricke(*_triple(HoppingPair(1, 1), 2.0, 1)) == 0.0
+    assert _fricke(*_triple(HoppingPair(1, 2), 0.0, 1)) == pytest.approx(9 / 16)
     assert invariant_expected(HoppingPair(1, 1)) == 0.0
     assert invariant_expected(HoppingPair(1, 2)) == pytest.approx(9 / 16)
     assert invariant_expected(HoppingPair(2, 1)) == pytest.approx(9 / 16)
@@ -284,16 +256,25 @@ def test_invariant_matches_initial_triple():
         a, b = rng.uniform(0.2, 3.0, size=2)
         E = rng.uniform(-6, 6)
         p = HoppingPair(a, b)
-        got = invariant_value(initial_triple(p, E))
+        got = _fricke(*_triple(p, E, 1))
         want = invariant_expected(p)
         assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_invariant_conserved_under_step():
+    # One step of the kernel's orbit, from level k to k + 1, keeps the
+    # invariant wherever the triples stay below 3.
     rng = np.random.default_rng(13)
-    for _ in range(500):
-        t = TraceTriple(*rng.uniform(-3, 3, size=3), 1)
-        assert invariant_value(step(t)) == pytest.approx(invariant_value(t), abs=1e-10)
+    checked = 0
+    for _ in range(50):
+        p = HoppingPair(*rng.uniform(0.5, 2.0, size=2))
+        E = rng.uniform(-1.0, 1.0, size=40) * p.norm_bound
+        for k in range(1, 12):
+            here, there = np.array(_triple(p, E, k)), np.array(_triple(p, E, k + 1))
+            small = (np.abs(here) <= 3.0).all(axis=0) & (np.abs(there) <= 3.0).all(axis=0)
+            assert np.allclose(_fricke(*there)[small], _fricke(*here)[small], rtol=0.0, atol=1e-10)
+            checked += small.sum()
+    assert checked > 10_000
 
 
 def test_invariant_conservation_along_orbits():
@@ -463,11 +444,13 @@ def test_escape_grid_matches_scalar():
 
 
 def _step_loop(p, E, k):
-    """Reference: x_k by repeated step, raising TraceDivergedError where step does."""
-    t = initial_triple(p, E)
-    for _ in range(k - 1):
-        t = step(t)
-    return (t.x_prev, t.x_cur, t.x_next)[min(k, 1) + 1]
+    """Reference: x_k by the float step x <- 2 x y - z, raising TraceDivergedError at the first non-finite level."""
+    x, y, z = E / (2.0 * p.a), E / (2.0 * p.b), _x_minus_one(p)
+    for level in range(2, k + 1):
+        x, y, z = 2.0 * x * y - z, x, y
+        if not math.isfinite(x):
+            raise TraceDivergedError(level)
+    return (z, y, x)[min(k, 1) + 1]
 
 
 def _outcome(fn):
