@@ -9,6 +9,7 @@ superexponentially, |x_{k+l}| >= c^{F_l} with c > 1.
 
 Half-traces and escape levels come from array kernels in plain doubles, a
 single energy as a 0-d array; there is no scalar step of the recursion.
+Half-traces run the step x <- (2 x) y - z in place, block by block.
 The starting triple (x_1, x_0, x_{-1}) = (E/2a, E/2b, (a^2 + b^2)/2ab) is
 trace_value at k = 1, 0, -1.  Only growth_rate_after_escape continues an
 orbit from it past |x| = 1e6, in (log|x|, sign) form, where it stays
@@ -33,26 +34,11 @@ LINEAR_LIMIT = 1.0e6
 
 _LOG2 = math.log(2.0)
 
-# Energies per block of the array trace recursion.  With its four float
-# buffers at 256 KiB the two-ufunc step takes 0.73 of the three-ufunc
-# step's time on a 2-core Xeon VM; at 12288 and 16384 energies the two
-# break even.
+# Energies per block of the array trace recursion and of escape_grid.
+# Over 400,000 energies at (1, 2.27), k = 16, the in-place three-op step
+# takes 1.5 ns per energy and level at this size on a 2-core Xeon VM,
+# 2.5 at 2048 and 1.3 at 16384.
 _BLOCK = 1 << 13
-
-# The u = 2x trace kernel hands energies with |E| < _SMALL_E * max(a, b) to
-# the three-op loop: u and 2x round apart only where a product u_j u_{j-1}
-# is a nonzero subnormal.  Near E = 0 an orbit follows the 6-cycle
-# (c, 0, 0, -c, 0, 0), c = x_{-1} >= 1.  Its small entries are linear in E
-# and at least |E| / (2 max(a, b)), so a product of one with an entry near
-# +-c is at least |E| / max(a, b), while a product of two lies below
-# ulp(c) / 2 and drops out of its difference with +-c.  Elsewhere a nonzero
-# difference of doubles is at least 2^-53 times its smaller operand, and
-# two consecutive small entries occur only on that cycle.  So products stay
-# normal while |E| >= 2^-1022 max(a, b), and 2^-960 leaves 62 bits of
-# margin.  With the check removed, 9.2 million random values (a from
-# 1e-250 to 1e250, b/a = 1 or up to 10^+-2.5, k up to 120) differed only
-# at |E| < 2^-1021 max(a, b); with it, none of 6.7 million did.
-_SMALL_E = 2.0**-960
 
 
 class TraceDivergedError(ArithmeticError):
@@ -183,10 +169,9 @@ def finite_traces(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
 def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
     """x_k at every energy of E, a fresh array of E's shape.
 
-    Bit for bit what the three-op recursion of _trace_exact gives, overflow,
-    NaN and signed zeros included, but run in blocks of _BLOCK energies on
-    u = 2x, whose step u <- u v - w takes two ufuncs instead of three
-    (see _trace_block).
+    Runs the step x <- (2 x) y - z, in that order, from (E/2a, E/2b, x_{-1}),
+    in blocks of _BLOCK energies on three buffers and the block's slice of
+    the result, in place.  Overflow, NaN and signed zeros propagate.
     """
     a, b = p.a, p.b
     z0 = _x_minus_one(p)
@@ -199,63 +184,26 @@ def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
             return E / (2.0 * a)
         flat = E.ravel()
         out = np.empty(flat.size)
-        # Three buffers for the whole call; the block's slice of out is the fourth.
         size = min(flat.size, _BLOCK)
         bufs = (np.empty(size), np.empty(size), np.empty(size))
         for start in range(0, flat.size, _BLOCK):
             e = flat[start : start + _BLOCK]
             if e.size < size:
                 bufs = tuple(buf[: e.size] for buf in bufs)
-            _trace_block(e, k, a, b, z0, out[start : start + _BLOCK], *bufs)
+            # After k - 1 rotations x_k sits in the buffer that started in
+            # slot (1 - k) mod 3 of (x_next, x_cur, x_prev): out's slice.
+            tmp, *xs = bufs
+            xs.insert((1 - k) % 3, out[start : start + _BLOCK])
+            x_next, x_cur, x_prev = xs
+            np.divide(e, 2.0 * a, out=x_next)
+            np.divide(e, 2.0 * b, out=x_cur)
+            x_prev.fill(z0)
+            for _ in range(k - 1):
+                np.multiply(x_next, 2.0, out=tmp)
+                tmp *= x_cur
+                np.subtract(tmp, x_prev, out=x_prev)
+                x_next, x_cur, x_prev = x_prev, x_next, x_cur
     return out.reshape(E.shape)
-
-
-def _trace_block(e, k, a, b, z0, out, u_cur, u_prev, tmp) -> None:
-    """x_k (k >= 2) at the energies e into out, by the step u <- u v - w on u = 2x.
-
-    Doubling commutes with rounding in the normal range, so u_j = 2 x_j
-    exactly while no u_j leaves double range and no product u_j u_{j-1}
-    lands among the subnormals.  Two kinds of entry are therefore
-    recomputed by _trace_exact: those whose u_k is not finite (u overflows
-    once some x_j passes DBL_MAX / 2, and a non-finite value stays
-    non-finite), and energies with |E| < _SMALL_E max(a, b).  One dot
-    product and one minimum clear a block of both.
-    """
-    if math.isinf(2.0 * max(a, b)):
-        # x_1 or x_0 divides by an infinite 2a or 2b, which E / a does not.
-        out[:] = _trace_exact(e, k, a, b, z0)
-        return
-    # u_1 = E / a and u_0 = E / b: twice x_1 and x_0 where E is not small.
-    u_next = np.divide(e, a, out=out)
-    np.divide(e, b, out=u_cur)
-    u_prev.fill(2.0 * z0)
-    for _ in range(k - 1):
-        np.multiply(u_next, u_cur, out=tmp)
-        np.subtract(tmp, u_prev, out=u_prev)
-        u_next, u_cur, u_prev = u_prev, u_next, u_cur
-    np.multiply(u_next, 0.5, out=out)
-    small = _SMALL_E * max(a, b)
-    # A sum of squares is finite only if every entry is; one that overflows
-    # merely takes the entry-wise look below.
-    if math.isfinite(np.dot(out, out)) and np.abs(e, out=tmp).min() >= small:
-        return
-    bad = np.flatnonzero(~np.isfinite(out) | (np.abs(e) < small))
-    if bad.size:
-        out[bad] = _trace_exact(e[bad], k, a, b, z0)
-
-
-def _trace_exact(e, k, a, b, z0):
-    """x_k (k >= 2) at the energies e by the step x <- (2 x) y - z, in that order."""
-    x_next = e / (2.0 * a)
-    x_cur = e / (2.0 * b)
-    x_prev = np.full(e.size, z0)
-    tmp = np.empty(e.size)
-    for _ in range(k - 1):
-        np.multiply(x_next, 2.0, out=tmp)
-        tmp *= x_cur
-        np.subtract(tmp, x_prev, out=x_prev)
-        x_next, x_cur, x_prev = x_prev, x_next, x_cur
-    return x_next
 
 
 def invariant_expected(p: HoppingPair) -> float:
@@ -360,9 +308,14 @@ def _log_orbit(p: HoppingPair, E: float, k_top: int) -> list[tuple[float, int]]:
     """(log|x_k|, sign x_k) for k = -1..k_top; entry [k + 1] belongs to index k.
 
     Runs in plain doubles until a value passes LINEAR_LIMIT, then switches
-    to signed log propagation of the same recursion.
+    to signed log propagation of the same recursion.  Raises
+    TraceDivergedError at the first level of the starting triple
+    (x_{-1}, x_0, x_1) that leaves double range.
     """
     xs = [trace_value(p, E, j) for j in (-1, 0, 1)]
+    for j, x in zip((-1, 0, 1), xs):
+        if not math.isfinite(x):
+            raise TraceDivergedError(j, f"trace recursion diverged at level {j} at E = {E!r}")
 
     def pack(x: float) -> tuple[float, int]:
         if x == 0.0:
@@ -390,14 +343,18 @@ def growth_rate_after_escape(p: HoppingPair, E: float, k_escape: int, L: int) ->
     """Largest c with |x_{k_escape + l}| >= c^{F_l} for all 0 <= l <= L.
 
     Equals min over l of |x_{k_escape+l}|^{1/F_l}, evaluated in the log
-    domain so deep levels cannot overflow.  Raises ValueError when the
-    orbit is not actually escaped at k_escape.
+    domain so deep levels cannot overflow.  Raises ValueError when E is not
+    finite or the orbit is not actually escaped at k_escape, and
+    TraceDivergedError when its starting triple leaves double range.
     """
     if k_escape < 0:
         raise ValueError(f"k_escape must be >= 0, got {k_escape}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    vals = _log_orbit(p, float(E), k_escape + L)
+    E = float(E)
+    if not math.isfinite(E):
+        raise ValueError(f"energy must be finite, got {E!r}")
+    vals = _log_orbit(p, E, k_escape + L)
     log_thr = math.log1p(ESCAPE_GUARD)
     m_here = vals[k_escape + 1][0]
     m_next = vals[k_escape + 2][0]

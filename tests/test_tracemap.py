@@ -180,9 +180,9 @@ def test_trace_value_blocked_matches_loop():
 
 
 def test_trace_value_matches_loop_on_overflowed_blocks():
-    # Far outside the spectrum nearly every orbit overflows, and those
-    # entries are recomputed by the three-op loop; the last block is mostly
-    # in-spectrum energies.
+    # Far outside the spectrum nearly every orbit overflows to inf and then
+    # NaN in the kernel's buffers; the last block is mostly in-spectrum
+    # energies.
     p = HoppingPair(0.8, 1.7)
     E = np.concatenate((np.linspace(-40.0, 40.0, 2 * _BLOCK), np.linspace(-3.0, 3.0, 123)))
     E[_BLOCK - 3 : _BLOCK - 3 + len(SPECIAL_ENERGIES)] = SPECIAL_ENERGIES
@@ -195,9 +195,9 @@ def test_trace_value_matches_loop_on_overflowed_blocks():
 
 
 def test_trace_value_matches_three_op_loop_bit_for_bit():
-    # The kernel runs u = 2x and hands overflowing orbits and energies below
-    # 2^-960 max(a, b) to the three-op loop; every other value must come
-    # out bit for bit as the loop's, across hopping scales and ratios.
+    # The blocked in-place kernel must give every value bit for bit as the
+    # plain three-op loop does, overflowing orbits and subnormal products
+    # included, across hopping scales and ratios.
     rng = np.random.default_rng(12)
     big = np.finfo(float).max
     scales = 10.0 ** rng.uniform(-250, 250, 22)
@@ -210,14 +210,13 @@ def test_trace_value_matches_three_op_loop_bit_for_bit():
         m = max(p.a, p.b)
         sign = rng.choice([-1.0, 1.0], 200)
         with np.errstate(over="ignore"):
-            # Separate calls, so that a group without small energies takes
-            # the kernel's fast check alone.
+            # Separate calls, one per kind of energy.
             groups = [
                 np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1000 * m, big, -big,
                           math.inf, -math.inf, math.nan]),
                 rng.uniform(-1.3, 1.3, 250) * p.norm_bound,
                 sign * np.power(10.0, rng.uniform(-330, 330, 200)),
-                # Both sides of the small-energy bound and of the subnormal products.
+                # Tiny energies, some of whose products fall among the subnormals.
                 sign[:80] * m * np.exp2(rng.uniform(-1080, -900, 80)),
             ]
         for E in groups:
@@ -328,8 +327,8 @@ def test_trace_kernel_is_mirror_symmetric_bit_for_bit():
     # |x_k(-E)| = |x_k(E)| in every bit, overflowed and NaN entries included,
     # since IEEE negation, products and differences round symmetrically:
     # sigma_k is solved on E > 0 and mirrored.  Hopping scales 1e-300 to
-    # 1e300, signed zeros, subnormal energies, energies below the kernel's
-    # small-energy bound (the three-op loop) and orbits that overflow.
+    # 1e300, signed zeros, subnormal energies, tiny energies whose products
+    # fall among the subnormals and orbits that overflow.
     rng = np.random.default_rng(21)
     checked = 0
     for scale in (1e-300, 1e-200, 1e-20, 0.37, 1.0, 3.3, 1e20, 1e200, 1e300):
@@ -564,6 +563,28 @@ def test_growth_rate_precondition():
         growth_rate_after_escape(p, 10.0, 0, 0)
     with pytest.raises(ValueError):
         growth_rate_after_escape(p, 10.0, -1, 10)
+
+
+def test_growth_rate_refuses_energy_that_is_not_finite():
+    # Formerly inf - inf in log form read as log 0 and gave c = 0.0; nan
+    # failed as "not escaped".
+    p = HoppingPair(1, 2)
+    for E in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            growth_rate_after_escape(p, E, 0, 5)
+
+
+def test_growth_rate_refuses_start_beyond_double_range():
+    # x_0 = E/2b and x_1 = E/2a overflow at these finite energies, where the
+    # growth rate formerly came out as a vacuous 0.0.
+    for (a, b), E, level in (
+        ((1e-10, 2e-10), 1e300, 0),
+        ((1e-300, 2e-300), 1e10, 0),
+        ((1e-300, 1e-290), 1e10, 1),
+    ):
+        with pytest.raises(TraceDivergedError, match=re.escape(f"at E = {E!r}")) as info:
+            growth_rate_after_escape(HoppingPair(a, b), E, 0, 5)
+        assert info.value.level == level
 
 
 def test_escape_guard_constant():
