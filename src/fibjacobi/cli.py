@@ -7,7 +7,8 @@ and CSV as leading '# key=value' comment lines, so a result file identifies
 the run that produced it.  Identical configurations produce byte-identical
 files: no timestamps, no environment lookups, fixed seeds.
 
-Exit codes: 0 success, 2 invalid usage or parameters, 3 numerical failure.
+Exit codes: 0 success, 2 invalid usage or parameters (a run out of memory
+included), 3 numerical failure.
 
 Start-up imports neither numpy nor a layer module: each command, each
 verify check and the output writer import what they call when they run.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -29,7 +31,6 @@ from ._defaults import DEFAULT_TOL
 if TYPE_CHECKING:
     import numpy as np
 
-    from .fractal import DimensionEstimate
     from .tracemap import HoppingPair
 
 EXIT_OK = 0
@@ -47,17 +48,17 @@ def _write(
     args: argparse.Namespace,
     summary: Iterable[str],
     result: Callable[[], dict] | None,
-    lines: Callable[[], Iterable[str]] | None = None,
+    lines: Callable[[], str] | None = None,
 ) -> None:
     """Write a command's output, with the resolved config, to --out or stdout.
 
     The output is the JSON payload {"config", "result"} or, in CSV format or
     for a command with only lines, '# key=value' config comments and then the
-    lines; only the form written is built.  The format is --format, else the
-    command's default; a command without a default (verify, words) writes
-    only when --format or --out asks for it.  The summary lines go to
-    stdout, ahead of the output there, or once the --out file is written,
-    so a run whose write fails prints no result.
+    text lines() returns, whole lines; only the form written is built.  The
+    format is --format, else the command's default; a command without a
+    default (verify, words) writes only when --format or --out asks for it.
+    The summary lines go to stdout, ahead of the output there, or once the
+    --out file is written, so a run whose write fails prints no result.
     """
     stdout = "".join(f"{line}\n" for line in summary)
     fmt = getattr(args, "format", None) or args.default_format
@@ -73,12 +74,17 @@ def _write(
                 from json import dumps
             text = dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         else:
-            text = "".join(f"{line}\n" for line in [*(f"# {k}={v}" for k, v in cfg.items()), *lines()])
+            text = "".join(f"# {k}={v}\n" for k, v in cfg.items()) + lines()
         if args.out:
             Path(args.out).write_text(text)
         else:
             stdout += text
     sys.stdout.write(stdout)
+
+
+def _table(header: str, row: str, rows: Sequence[tuple]) -> str:
+    """CSV text: the header line, then each of rows by the printf format row."""
+    return f"{header}\n" + (row + "\n") * len(rows) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _hoppings(args: argparse.Namespace) -> HoppingPair:
@@ -100,10 +106,9 @@ def _emit_bandset(args: argparse.Namespace, bs, label: str) -> int:
         args,
         [f"{label}: {bs.lo.size} bands, measure {lebesgue_measure(bs):.12g}"],
         lambda: bandset_to_dict(bs),
-        lambda: [
-            "band,lo,hi",
-            *(f"{i},{lo:.17g},{hi:.17g}" for i, (lo, hi) in enumerate(bs.bands.tolist())),
-        ],
+        lambda: _table(
+            "band,lo,hi", "%d,%.17g,%.17g", [(i, lo, hi) for i, (lo, hi) in enumerate(bs.bands.tolist())]
+        ),
     )
     return EXIT_OK
 
@@ -156,10 +161,7 @@ def cmd_lyapunov(args: argparse.Namespace) -> int:
         args,
         summary,
         lambda: dict(zip(("E", "gamma", "residual"), columns)),
-        lambda: [
-            "E,gamma,residual",
-            *(f"{e:.17g},{g:.17g},{r:.17g}" for e, g, r in zip(*(c.tolist() for c in columns))),
-        ],
+        lambda: _table("E,gamma,residual", "%.17g,%.17g,%.17g", list(zip(*(c.tolist() for c in columns)))),
     )
     return EXIT_OK
 
@@ -186,13 +188,6 @@ def _parse_sweep(arg: str) -> list[float]:
         count = math.floor(span) + 1 if span < math.inf else span
         raise ValueError(f"sweep range has {count:.15g} couplings, more than {_SWEEP_MAX}, got {arg!r}")
     return [float(f"{start + i * step_:.12g}") for i in range(math.floor(span) + 1)]
-
-
-def _dimension_row(b: float, est: DimensionEstimate | None, k_max: int, tol: float) -> str:
-    """CSV row b,dim_value,method,r_squared,k_max,tol; without an estimate: nan,error,nan."""
-    if est is None:
-        return f"{b:.10g},nan,error,nan,{k_max},{tol:.10g}"
-    return f"{b:.10g},{est.value:.10g},{est.method},{est.r_squared:.10g},{k_max},{tol:.10g}"
 
 
 def cmd_dimension(args: argparse.Namespace) -> int:
@@ -233,10 +228,15 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         args,
         summary,
         lambda: {"k_max": args.kmax, "tol": args.tol, "rows": json_rows},
-        lambda: [
+        lambda: _table(
             "b,dim_value,method,r_squared,k_max,tol",
-            *(_dimension_row(b, est, args.kmax, args.tol) for b, est, _ in rows),
-        ],
+            "%.10g,%.10g,%s,%.10g,%d,%.10g",
+            [
+                (b, math.nan, "error", math.nan, args.kmax, args.tol) if est is None
+                else (b, est.value, est.method, est.r_squared, args.kmax, args.tol)
+                for b, est, _ in rows
+            ],
+        ),
     )
     return EXIT_OK
 
@@ -276,7 +276,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         args,
         [f"eigs: {vals.size} eigenvalues in [{vals[0]:.6g}, {vals[-1]:.6g}]"],
         lambda: eigenvalues_to_dict(eig),
-        lambda: ["index,value", *(f"{i},{v:.17g}" for i, v in enumerate(vals.tolist()))],
+        lambda: _table("index,value", "%d,%.17g", list(enumerate(vals.tolist()))),
     )
     return EXIT_OK
 
@@ -449,7 +449,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not args.out:
             print(lines[-1])
     lines.append("all checks passed" if all_ok else "verification FAILED")
-    _write(args, lines if args.out else lines[-1:], None, lambda: lines)
+    _write(args, lines if args.out else lines[-1:], None, lambda: "".join(f"{line}\n" for line in lines))
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
@@ -593,6 +593,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"{_PROG}: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

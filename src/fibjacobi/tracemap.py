@@ -8,12 +8,13 @@ once two consecutive half-traces leave [-1, 1] the orbit escapes
 superexponentially, |x_{k+l}| >= c^{F_l} with c > 1.
 
 Half-traces and escape levels come from array kernels in plain doubles, a
-single energy as a 0-d array; there is no scalar step of the recursion.
-Half-traces run the step x <- (2 x) y - z in place, block by block.
-The starting triple (x_1, x_0, x_{-1}) = (E/2a, E/2b, (a^2 + b^2)/2ab) is
-trace_value at k = 1, 0, -1.  Only growth_rate_after_escape continues an
-orbit from it past |x| = 1e6, in (log|x|, sign) form, where it stays
-accurate.
+single energy as a 0-d array.  Half-traces run the step x <- (2 x) y - z
+in place, block by block.  The recursion steps in Python floats only in
+_log_orbit, up to LINEAR_LIMIT, for growth certificates (and in the CLI's
+verify invariant check, which can perturb each step).  The starting
+triple (x_1, x_0, x_{-1}) = (E/2a, E/2b, (a^2 + b^2)/2ab) is trace_value
+at k = 1, 0, -1.  Only growth_rate_after_escape continues an orbit from it
+past |x| = 1e6, in (log|x|, sign) form, where it stays accurate.
 """
 
 from __future__ import annotations
@@ -171,17 +172,12 @@ def _trace_array(p: HoppingPair, E: np.ndarray, k: int) -> np.ndarray:
 
     Runs the step x <- (2 x) y - z, in that order, from (E/2a, E/2b, x_{-1}),
     in blocks of _BLOCK energies on three buffers and the block's slice of
-    the result, in place.  Overflow, NaN and signed zeros propagate.
+    the result, in place; k <= 1 takes no step.  Overflow, NaN and signed
+    zeros propagate.
     """
     a, b = p.a, p.b
     z0 = _x_minus_one(p)
-    if k == -1:
-        return np.full(E.shape, z0)
     with np.errstate(over="ignore", invalid="ignore"):
-        if k == 0:
-            return E / (2.0 * b)
-        if k == 1:
-            return E / (2.0 * a)
         flat = E.ravel()
         out = np.empty(flat.size)
         size = min(flat.size, _BLOCK)

@@ -1075,6 +1075,22 @@ def test_edge_brackets_are_certified(monkeypatch):
     assert checked > 20_000
 
 
+@pytest.mark.parametrize("b, k", [(17.526029525603104, 15), (14.779689717591916, 16)])
+def test_least_abs_x_point_brackets_narrow_band_edges(b, k):
+    # At these couplings a band of sigma_k is narrower than the grid step and
+    # its refined zero falls outside it, so the zero bisection's point of
+    # least |x| is the inner end of its edge brackets (without it, the level
+    # raises RootIsolationError).  Every edge lies within tol of a crossing
+    # of |x_k| = 1.
+    p = HoppingPair(1.0, b)
+    bs = sigma_k(p, k, TOL)
+    assert bs.lo.size == fibonacci(k)
+    edges = np.concatenate((bs.lo, bs.hi))
+    scan = edges[:, None] + np.linspace(-TOL, TOL, 2001)
+    g = np.abs(trace_value(p, scan, k)) - 1.0
+    assert np.all((g.min(axis=1) <= 0.0) & (g.max(axis=1) > 0.0))
+
+
 def test_edge_bracket_error_counts_grid_points():
     # The error counts zeros over the whole line and names the sign-grid
     # points evaluated: _PER_ZERO per zero plus one per container, over the

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -812,6 +813,24 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "level 3: length 3  aba\n"
+
+
+def test_out_of_memory_exits_2_with_one_line():
+    # A grid too large for the child's address space: numpy's MemoryError is
+    # a usage error, one stderr line, not a traceback.
+    limit = 1_500_000 * 1024
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "fibjacobi", "lyapunov", "--points", "300000000"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("fibjacobi: error: out of memory: ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_help_exits_zero(capsys):
